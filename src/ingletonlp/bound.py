@@ -30,6 +30,7 @@ from .entspace import (
     elements_of,
     evaluate,
     format_vector_pairs,
+    parse_rational,
 )
 from .simplex import solve_standard
 
@@ -702,10 +703,13 @@ def parse_problem(text: str) -> BoundProblem:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     n = None
     for ln in lines:
-        if ln.split()[0] == "n":
+        parts = ln.split()
+        if parts[0] in ("n", "cone") and len(parts) != 2:
+            raise ValueError(f"malformed {parts[0]} line: {ln!r}")
+        if parts[0] == "n":
             if n is not None:
                 raise ValueError("duplicate n line")
-            n = int(ln.split()[1])
+            n = int(parts[1])
     if n is None:
         raise ValueError("missing n line")
     cone = None
@@ -735,7 +739,7 @@ def parse_problem(text: str) -> BoundProblem:
             if rel_at is None or rel_at != len(parts) - 2:
                 raise ValueError(f"malformed constraint: {ln!r}")
             expr = parse_expr(" ".join(parts[1:rel_at]), n)
-            cons.append((expr, parts[rel_at], Fraction(parts[-1])))
+            cons.append((expr, parts[rel_at], parse_rational(parts[-1])))
         else:
             raise ValueError(f"unknown directive {head!r}")
     if cone is None or objective is None:
@@ -760,7 +764,7 @@ def parse_network(text: str) -> NetworkDescription:
         elif (parts[0] == "edge" and len(parts) == 6
               and parts[2] == "from" and parts[4] == "cap"):
             edges.append(NetworkEdge(parts[1], tuple(parts[3].split(",")),
-                                     Fraction(parts[5])))
+                                     parse_rational(parts[5])))
         elif (parts[0] == "sink" and len(parts) == 6
               and parts[2] == "wants" and parts[4] == "sees"):
             sinks.append(NetworkSink(parts[1], tuple(parts[3].split(",")),

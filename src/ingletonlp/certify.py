@@ -34,6 +34,12 @@ from .entspace import (
 from .simplex import solve_standard
 
 
+def _require(ok: bool, what: str) -> None:
+    """Soundness check that, unlike assert, survives python -O."""
+    if not ok:
+        raise RuntimeError(what)
+
+
 @dataclass(frozen=True)
 class FarkasCertificate:
     """Nonnegative multipliers writing the target as a combination of generators."""
@@ -118,7 +124,7 @@ class _ConeSystem:
             # no combination can produce a coefficient there
             m = min(outside)
             point = _unit_point(self.n, m, Fraction(-1, 1) / target.coeffs[m])
-            assert evaluate(target, point) == -1
+            _require(evaluate(target, point) == -1, "unit witness misses the target")
             return None, point
 
         b_exact = [target.coeffs.get(m, 0) for m in self.masks]
@@ -153,14 +159,15 @@ class _ConeSystem:
     def _exact_witness(self, target: LinExpr, b_exact) -> EntropyVector:
         A = [[g.coeffs.get(m, 0) for g in self.gens] for m in self.masks]
         res = solve_standard(A, b_exact, [0] * len(self.gens))
-        assert res.status == "infeasible"
+        _require(res.status == "infeasible", "exact solve found no Farkas vector")
         y = res.y
         ty = sum(y[i] * b_exact[i] for i in range(len(self.masks)))
-        assert ty > 0
+        _require(ty > 0, "Farkas vector does not separate the target")
         coords = {m: -y[i] / ty for i, m in enumerate(self.masks)}
         point = _point_from(self.n, coords)
-        assert evaluate(target, point) == -1
-        assert all(evaluate(g, point) >= 0 for g in self.gens)
+        _require(evaluate(target, point) == -1, "witness misses the target")
+        _require(all(evaluate(g, point) >= 0 for g in self.gens),
+                 "witness leaves the generator cone")
         return point
 
     def _float_witness(self, target: LinExpr, b_float) -> EntropyVector | None:
@@ -227,7 +234,7 @@ def conic_implies(target: LinExpr, gens) -> FarkasCertificate | None:
     if cert is None:
         return None
     out = _cert_from_dict(cert)
-    assert verify_certificate(target, list(gens), out)
+    _require(verify_certificate(target, list(gens), out), "certificate fails verification")
     return out
 
 
@@ -237,7 +244,7 @@ def separation_witness(target: LinExpr, gens) -> SeparationWitness | None:
     if point is None:
         return None
     out = SeparationWitness(point)
-    assert verify_witness(target, list(gens), out)
+    _require(verify_witness(target, list(gens), out), "witness fails verification")
     return out
 
 
@@ -666,9 +673,10 @@ def find_ingleton_violator(n: int = 4) -> EntropyVector:
 
     out = EntropyVector.from_function(n, val)
     quad = IngletonQuad(n, 1, 2, 4, 8)
-    assert evaluate(ingleton_expr(quad), out) < 0
+    _require(evaluate(ingleton_expr(quad), out) < 0, "padded point satisfies Ingleton")
     if n <= 8:
-        assert all(evaluate(ci.expr, out) >= 0 for ci in ingen.gen_elemental(n))
+        _require(all(evaluate(ci.expr, out) >= 0 for ci in ingen.gen_elemental(n)),
+                 "padded point is not a polymatroid")
     return out
 
 
@@ -691,11 +699,12 @@ def _violator4() -> EntropyVector:
     b.append(1)
     cost = [target.coeffs.get(m, 0) for m in range(1, 16)] + [0] * len(elem)
     res = solve_standard(rows, b, cost)
-    assert res.status == "optimal" and res.objective < 0
+    _require(res.status == "optimal" and res.objective < 0,
+             "no Ingleton violation in the polymatroid cone")
     point = EntropyVector(4, res.x[:nm])
-    assert evaluate(target, point) < 0
-    assert all(evaluate(g, point) >= 0 for g in elem)
-    assert point[15] == 1
+    _require(evaluate(target, point) < 0, "violator satisfies Ingleton")
+    _require(all(evaluate(g, point) >= 0 for g in elem), "violator is not a polymatroid")
+    _require(point[15] == 1, "violator is not normalized to h(N) = 1")
     return point
 
 

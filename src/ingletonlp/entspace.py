@@ -180,6 +180,14 @@ def format_expr(e: LinExpr) -> str:
     return " ".join(parts)
 
 
+def parse_rational(text: str) -> Fraction:
+    """A rational token; a zero denominator is a ValueError like any bad token."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 _TERM_RE = re.compile(r"([+-]?)(\d+(?:/\d+)?)\*h\{([0-9,\s]*)\}")
 
 
@@ -193,7 +201,7 @@ def parse_expr(text: str, n: int) -> LinExpr:
         if s[pos:m.start()].strip():
             raise ValueError(f"bad expression syntax near {s[pos:m.start()]!r}")
         sign, num, body = m.groups()
-        c = Fraction(num)
+        c = parse_rational(num)
         if sign == "-":
             c = -c
         mask = parse_subset("{" + body + "}")
@@ -278,7 +286,7 @@ def vector_from_text(text: str) -> EntropyVector:
     for m in _PAIR_RE.finditer(body):
         if body[pos:m.start()].strip():
             raise ValueError(f"bad vector syntax near {body[pos:m.start()]!r}")
-        acc[parse_subset(m.group(1))] = Fraction(m.group(2))
+        acc[parse_subset(m.group(1))] = parse_rational(m.group(2))
         pos = m.end()
     if body[pos:].strip():
         raise ValueError(f"bad vector syntax near {body[pos:]!r}")

@@ -8,24 +8,20 @@ Every terminal status ships checkable data:
   infeasible Farkas vector y with y.A_j <= 0 for every column and y.b > 0
   unbounded  a feasible x plus a ray r >= 0 with A r = 0 and c.r < 0
 
-Uses gmpy2.mpq internally when available (Fraction otherwise); inputs may
-mix ints and Fractions, outputs are Fractions.
+The kernel is fraction-free: every tableau row, and the objective row, is
+a list of Python ints over one positive denominator, and every elimination
+is the single integer row operation `_eliminate`, reduced by the row's
+gcd.  A sign test or a comparison within one row reads the numerators
+directly, and the ratio test cross-multiplies them, so each pivot is the
+one plain rational arithmetic would choose.  Inputs may mix ints and
+Fractions; outputs are Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as _q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _q = Fraction
-
-def _fr(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    return Fraction(int(v.numerator), int(v.denominator))
+from math import gcd, lcm
 
 
 @dataclass
@@ -40,14 +36,50 @@ class LPResult:
     warm: tuple | None = None
 
 
-def _warm_tableau(rows: list[list], rhs: list, warm: tuple, nc: int):
+def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
+    """row/den divided through by gcd(den, *row), with a positive denominator."""
+    g = gcd(den, *row)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
+
+
+def _eliminate(R: list[int], dR: int, P: list[int], col: int) -> tuple[list[int], int]:
+    """Row R/dR minus the multiple of pivot row P that clears column col.
+
+    (R.p - R[col].P) / (dR.p) with p = P[col]; P's own denominator cancels.
+    """
+    p, f = P[col], R[col]
+    return _reduce([a * p - f * b for a, b in zip(R, P)], dR * p)
+
+
+def _pivot(T: list[list[int]], D: list[int], pi: int, col: int) -> list[int]:
+    """Scale row pi to a unit at col and clear col from every other row."""
+    P = T[pi]
+    for i, R in enumerate(T):
+        if i != pi and R[col]:
+            T[i], D[i] = _eliminate(R, D[i], P, col)
+    T[pi], D[pi] = _reduce(P, P[col])
+    return T[pi]
+
+
+def _int_row(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    den = lcm(*(int(v.denominator) for v in values))
+    return [int(v.numerator) * (den // int(v.denominator)) for v in values], den
+
+
+def _warm_tableau(rows: list[list[int]], dens: list[int], warm: tuple, nc: int):
     """Tableau reduced to a remembered basis, or None when it no longer fits."""
     live_in, bcols = warm
     if len(live_in) != len(bcols) or any(j >= nc for j in bcols):
         return None
     live = list(live_in)
     basis = list(bcols)
-    T = [list(rows[i]) + [rhs[i]] for i in live]
+    T = [list(rows[i]) for i in live]
+    D = [dens[i] for i in live]
     mm = len(T)
     for pos in range(mm):
         col = basis[pos]
@@ -56,79 +88,72 @@ def _warm_tableau(rows: list[list], rhs: list, warm: tuple, nc: int):
             return None
         if r != pos:
             T[pos], T[r] = T[r], T[pos]
+            D[pos], D[r] = D[r], D[pos]
             live[pos], live[r] = live[r], live[pos]
-        prow = T[pos]
-        piv = prow[col]
-        if piv != 1:
-            inv = 1 / piv
-            prow = [v * inv if v else v for v in prow]
-            T[pos] = prow
-        for k in range(mm):
-            row = T[k]
-            if row is prow:
-                continue
-            f = row[col]
-            if f != 0:
-                T[k] = [a - f * p if p else a for a, p in zip(row, prow)]
+        _pivot(T, D, pos, col)
     if any(T[pos][nc] < 0 for pos in range(mm)):
         return None
-    return T, basis, live
+    # a row dropped as dependent must still reduce to zero: appended
+    # columns can make it independent again
+    kept = set(live)
+    for i in range(len(rows)):
+        if i not in kept:
+            R, d = rows[i], dens[i]
+            for pos, col in enumerate(basis):
+                if R[col]:
+                    R, d = _eliminate(R, d, T[pos], col)
+            if any(R):
+                return None
+    return T, D, basis, live
 
 
-def _solve_transposed(cols: list[list], rhs: list) -> list:
-    """Solve M^T y = rhs where M's columns are given; M is invertible."""
+def _solve_transposed(cols: list[list[int]], rhs: list) -> list[Fraction]:
+    """Solve M^T w = rhs for integer columns cols of an invertible M."""
     mm = len(rhs)
-    # rows of M^T are the given columns
-    aug = [list(cols[k]) + [rhs[k]] for k in range(mm)]
+    T, D = [], []
+    for k in range(mm):
+        r = Fraction(rhs[k])
+        T.append([v * r.denominator for v in cols[k]] + [r.numerator])
+        D.append(r.denominator)
     for col in range(mm):
-        piv = next(r for r in range(col, mm) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        prow = aug[col]
-        inv = 1 / prow[col]
-        for k in range(col, mm + 1):
-            prow[k] *= inv
-        for r in range(mm):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                for k in range(col, mm + 1):
-                    aug[r][k] -= f * prow[k]
-    return [aug[r][mm] for r in range(mm)]
+        piv = next(r for r in range(col, mm) if T[r][col] != 0)
+        T[col], T[piv] = T[piv], T[col]
+        D[col], D[piv] = D[piv], D[col]
+        _pivot(T, D, col, col)
+    return [Fraction(T[r][mm], D[r]) for r in range(mm)]
 
 
 def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -> LPResult:
     m = len(A)
     nc = len(c)
-    zero = _q(0)
-    cost = [_q(v) for v in c]
 
     if m == 0:
         for j in range(nc):
-            if cost[j] < 0:
+            if c[j] < 0:
                 ray = [Fraction(0)] * nc
                 ray[j] = Fraction(1)
                 return LPResult("unbounded", x=[Fraction(0)] * nc, ray=ray)
         return LPResult("optimal", x=[Fraction(0)] * nc, objective=Fraction(0), y=[])
 
+    # row i of A x = b as ints over dens[i], rhs last, oriented to rhs >= 0
     sign = [1] * m
     rows = []
-    rhs = []
+    dens = []
     for i in range(m):
-        r = [_q(v) for v in A[i]]
-        bi = _q(b[i])
-        if bi < 0:
+        r, d = _int_row(list(A[i]) + [b[i]])
+        if r[nc] < 0:
             r = [-v for v in r]
-            bi = -bi
             sign[i] = -1
         rows.append(r)
-        rhs.append(bi)
+        dens.append(d)
 
     T = None
     art_of_row = {}
     n_art = 0
     if warm is not None:
-        built = _warm_tableau(rows, rhs, warm, nc)
+        built = _warm_tableau(rows, dens, warm, nc)
         if built is not None:
-            T, basis, live_rows = built
+            T, D, basis, live_rows = built
 
     if T is None:
         # crash basis from unit columns; a -1 unit on a zero-rhs row counts
@@ -147,9 +172,9 @@ def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -
                     val = v
             if hit < 0 or basis[hit] >= 0:
                 continue
-            if val == 1:
+            if val == dens[hit]:
                 basis[hit] = j
-            elif val == -1 and rhs[hit] == 0:
+            elif val == -dens[hit] and rows[hit][nc] == 0:
                 rows[hit] = [-v for v in rows[hit]]
                 sign[hit] = -sign[hit]
                 basis[hit] = j
@@ -163,51 +188,38 @@ def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -
         # tableau rows carry the rhs in the last slot
         T = []
         for i in range(m):
-            row = rows[i] + [zero] * n_art + [rhs[i]]
+            row = rows[i][:nc] + [0] * n_art + [rows[i][nc]]
             if basis[i] >= nc:
-                row[basis[i]] = _q(1)
+                row[basis[i]] = dens[i]
             T.append(row)
+        D = list(dens)
         live_rows = list(range(m))  # indices into rows/sign surviving deletion
 
     ncols = nc + n_art
 
-    # pristine oriented columns for dual extraction (artificials are units)
-    def orig_col(j: int, live: list[int]) -> list:
-        if j < nc:
-            return [rows[i][j] for i in live]
-        return [(_q(1) if art_of_row.get(i) == j else zero) for i in live]
+    def duals(cvec: list) -> list[Fraction]:
+        """y with y.B = c_B for the current basis B of the oriented rows.
 
-    def rebuild_zrow(cvec: list) -> list:
-        z = list(cvec) + [zero]
-        for pos in range(len(T)):
-            cb = cvec[basis[pos]]
-            if cb != 0:
-                trow = T[pos]
-                for k in range(ncols + 1):
-                    if trow[k] != 0:
-                        z[k] -= cb * trow[k]
-        return z
+        Row i of the oriented system is rows[i]/dens[i], so solving against
+        the integer columns gives w = y/dens, and y_i = dens_i w_i.
+        """
+        cols = [[rows[i][j] if j < nc else (dens[i] if art_of_row.get(i) == j else 0)
+                 for i in live_rows] for j in basis]
+        w = _solve_transposed(cols, [cvec[j] for j in basis])
+        y_full = [Fraction(0)] * m
+        for pos, i in enumerate(live_rows):
+            y_full[i] = w[pos] * dens[i] * sign[i]
+        return y_full
 
-    def pivot(z: list, pi: int, pj: int) -> None:
-        prow = T[pi]
-        piv = prow[pj]
-        if piv != 1:
-            inv = 1 / piv
-            prow = [v * inv if v else v for v in prow]
-            T[pi] = prow
-        for i in range(len(T)):
-            row = T[i]
-            if row is prow:
-                continue
-            f = row[pj]
-            if f != 0:
-                T[i] = [a - f * b if b else a for a, b in zip(row, prow)]
-        f = z[pj]
-        if f != 0:
-            z[:] = [a - f * b if b else a for a, b in zip(z, prow)]
-        basis[pi] = pj
+    def zrow(cvec: list) -> list:
+        """Objective row [Z, dz] reduced against the basis, rhs last."""
+        Z, dz = _int_row([Fraction(v) for v in cvec] + [0])
+        for pos, j in enumerate(basis):
+            if Z[j]:
+                Z, dz = _eliminate(Z, dz, T[pos], j)
+        return [Z, dz]
 
-    def run_phase(z: list, pricable) -> int | None:
+    def run_phase(z: list) -> int | None:
         """Pivot to optimality; returns an entering column on unboundedness.
 
         Leaving rows follow the lexicographic ratio rule, comparing rhs
@@ -215,6 +227,7 @@ def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -
         initial basis.  The basis columns form an identity at phase
         start, so every row begins lexicographically positive and no
         basis can repeat, which rules out cycling on degenerate pivots.
+        Artificial columns never re-enter.
         """
         in_basis = [False] * ncols
         for j in basis:
@@ -222,6 +235,8 @@ def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -
         order = list(basis) + [j for j in range(ncols) if not in_basis[j]]
 
         def lex_less(i: int, j: int, enter: int) -> bool:
+            # rows i and j share positive denominators, so the sign of each
+            # cross-multiplied numerator decides
             ti, tj = T[i], T[j]
             vi, vj = ti[enter], tj[enter]
             d = ti[ncols] * vj - tj[ncols] * vi
@@ -234,77 +249,58 @@ def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -
             return False
 
         while True:
-            enter = -1
-            best = zero
-            for j in range(ncols):
-                if pricable(j) and z[j] < best:
-                    best = z[j]
-                    enter = j
-            if enter < 0:
+            # Dantzig pricing, lowest index on ties
+            priced = z[0][:nc]
+            best = min(priced, default=0)
+            if best >= 0:
                 return None
+            enter = priced.index(best)
             leave = -1
             for i in range(len(T)):
                 if T[i][enter] > 0 and (leave < 0 or lex_less(i, leave, enter)):
                     leave = i
             if leave < 0:
                 return enter
-            pivot(z, leave, enter)
-
-    artificial = set(range(nc, ncols))
+            P = _pivot(T, D, leave, enter)
+            z[0], z[1] = _eliminate(z[0], z[1], P, enter)
+            basis[leave] = enter
 
     if n_art:
-        pcost = [zero] * nc + [_q(1)] * n_art
-        z = rebuild_zrow(pcost)
-        hit = run_phase(z, lambda j: j not in artificial)
+        pcost = [0] * nc + [1] * n_art
+        z = zrow(pcost)
         # the auxiliary objective is bounded below by zero
-        assert hit is None
-        obj1 = -z[ncols]
-        if obj1 > 0:
-            cb = [pcost[basis[i]] for i in range(len(T))]
-            cols = [orig_col(basis[k], live_rows) for k in range(len(T))]
-            y = _solve_transposed(cols, cb)
-            y_full = [Fraction(0)] * m
-            for pos, i in enumerate(live_rows):
-                y_full[i] = _fr(y[pos]) * sign[i]
-            return LPResult("infeasible", y=y_full)
+        if run_phase(z) is not None:
+            raise RuntimeError("phase 1 reported an unbounded auxiliary objective")
+        if z[0][ncols] < 0:
+            return LPResult("infeasible", y=duals(pcost))
         # drive artificials out of the basis, deleting dependent rows
         pos = 0
         while pos < len(T):
             if basis[pos] >= nc:
                 pj = next((j for j in range(nc) if T[pos][j] != 0), -1)
                 if pj >= 0:
-                    pivot(z, pos, pj)
+                    _pivot(T, D, pos, pj)
+                    basis[pos] = pj
                 else:
-                    del T[pos], live_rows[pos], basis[pos]
+                    del T[pos], D[pos], live_rows[pos], basis[pos]
                     continue
             pos += 1
 
-    ext_cost = list(cost) + [zero] * n_art
-    z = rebuild_zrow(ext_cost)
-    hit = run_phase(z, lambda j: j not in artificial)
+    ext_cost = list(c) + [0] * n_art
+    hit = run_phase(zrow(ext_cost))
     nr = len(T)
 
+    x = [Fraction(0)] * nc
+    for i in range(nr):
+        x[basis[i]] = Fraction(T[i][ncols], D[i])
     if hit is not None:
         ray = [Fraction(0)] * nc
         ray[hit] = Fraction(1)
         for i in range(nr):
             if T[i][hit] != 0:
-                ray[basis[i]] = _fr(-T[i][hit])
-        x = [Fraction(0)] * nc
-        for i in range(nr):
-            x[basis[i]] = _fr(T[i][ncols])
+                ray[basis[i]] = Fraction(-T[i][hit], D[i])
         return LPResult("unbounded", x=x, ray=ray)
 
-    x = [Fraction(0)] * nc
-    for i in range(nr):
-        x[basis[i]] = _fr(T[i][ncols])
-    objective = sum((x[j] * _fr(cost[j]) for j in range(nc) if x[j]), Fraction(0))
-
-    cb = [ext_cost[basis[i]] for i in range(nr)]
-    cols = [orig_col(basis[k], live_rows) for k in range(nr)]
-    y = _solve_transposed(cols, cb)
-    y_full = [Fraction(0)] * m
-    for pos, i in enumerate(live_rows):
-        y_full[i] = _fr(y[pos]) * sign[i]
-    return LPResult("optimal", x=x, objective=objective, y=y_full,
+    objective = sum((x[j] * c[j] for j in range(nc) if x[j]), Fraction(0))
+    return LPResult("optimal", x=x, objective=objective, y=duals(ext_cost),
                     warm=(list(live_rows), list(basis)))

@@ -1,5 +1,6 @@
 """Exact LP bounds over the polymatroid and Ingleton-refined cones."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -373,6 +374,10 @@ sink t2 wants s2 sees e2
         bound.compile_network(net, demands={"e1": 1})
 
 
+def _report_sha256(problem, res):
+    return hashlib.sha256(bound.format_bound_report(problem, res).encode()).hexdigest()
+
+
 def test_butterfly_network_rate():
     # coded relay: both receivers recover both unit sources through
     # capacity-one middles, total rate 2
@@ -392,6 +397,29 @@ sink t2 wants s1,s2 sees b,m2
     assert res.status == "optimal"
     assert res.value == 2
     recheck_dual(problem, res)
+    # the whole report, basis and certificate included, is locked byte for byte
+    assert _report_sha256(problem, res) == (
+        "8133540835fb0ba79dfa3292f24152542181009980a5a28d7289ca9a802a90d5")
+
+
+def test_butterfly5_report_bytes():
+    # the butterfly without relays m1, m2 (n=5): one exact solve over all
+    # 205 Delta columns, cheap enough to lock on every run
+    net = bound.parse_network("""
+source s1
+source s2
+edge a from s1 cap 1
+edge b from s2 cap 1
+edge m from s1,s2 cap 1
+sink t1 wants s1,s2 sees a,m
+sink t2 wants s1,s2 sees b,m
+""")
+    problem = bound.compile_network(net, cone=bound.CONE_GAMMA_IN)
+    res = bound.solve_bound(problem)
+    assert res.value == 2
+    recheck_dual(problem, res)
+    assert _report_sha256(problem, res) == (
+        "3b43c599219c0528232f7336e57ca8d5a50adbc55ebb637271ee0d2bb92c6a85")
 
 
 # ---------------------------------------------------------------------------

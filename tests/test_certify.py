@@ -1,5 +1,8 @@
 """Farkas certificates, separation witnesses, and the scan reports."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -184,3 +187,122 @@ def test_violator_scales_with_ground_set():
     assert v5.n == 5
     q5 = IngletonQuad(5, 0b1, 0b10, 0b100, 0b1000)
     assert evaluate(ingleton_expr(q5), v5) < 0
+
+
+# ---------------------------------------------------------------------------
+# soundness guards raise RuntimeError, which python -O does not strip
+
+
+def _ingleton4():
+    return ingleton_expr(IngletonQuad(4, 0b1, 0b10, 0b100, 0b1000)), elemental_exprs(4)
+
+
+def test_conic_implies_guard(monkeypatch):
+    gens = delta_exprs(3)
+    target = ingleton_expr(IngletonQuad(3, 0b1, 0b10, 0, 0b100))
+    monkeypatch.setattr(certify, "verify_certificate", lambda *args: False)
+    with pytest.raises(RuntimeError, match="certificate"):
+        certify.conic_implies(target, gens)
+
+
+def test_separation_witness_guard(monkeypatch):
+    target, gens = _ingleton4()
+    monkeypatch.setattr(certify, "verify_witness", lambda *args: False)
+    with pytest.raises(RuntimeError, match="witness"):
+        certify.separation_witness(target, gens)
+
+
+def test_unit_witness_guard(monkeypatch):
+    # h{2} lies outside every generator's support, so decide builds a unit point
+    system = certify._ConeSystem([parse_expr("+1*h{1}", 2)])
+    monkeypatch.setattr(certify, "evaluate", lambda e, h: 0)
+    with pytest.raises(RuntimeError, match="unit witness"):
+        system.decide(parse_expr("+1*h{2}", 2))
+
+
+def _tampered_solve(edit=lambda res: None):
+    real = certify.solve_standard
+
+    def solve(*args, **kwargs):
+        res = real(*args, **kwargs)
+        edit(res)
+        return res
+    return solve
+
+
+def _set(**fields):
+    return lambda res: res.__dict__.update(fields)
+
+
+def _negate_y(res):
+    res.y = [-v for v in res.y]
+
+
+def _rescale_top(res):
+    res.x[14] = 2 * res.x[14]  # coordinate h{1,2,3,4}
+
+
+def _only_target_negative(e, h):
+    return -1 if e == ingleton_expr(IngletonQuad(4, 0b1, 0b10, 0b100, 0b1000)) else 0
+
+
+@pytest.mark.parametrize("solve, fake_eval, what", [
+    (_tampered_solve(_set(status="optimal")), None, "no Farkas vector"),
+    (_tampered_solve(_negate_y), None, "does not separate"),
+    (_tampered_solve(), lambda e, h: 0, "misses the target"),
+    (_tampered_solve(), lambda e, h: -1, "leaves the generator cone"),
+])
+def test_exact_witness_guards(monkeypatch, solve, fake_eval, what):
+    target, gens = _ingleton4()
+    system = certify._ConeSystem(gens)
+    b_exact = [target.coeffs.get(m, 0) for m in system.masks]
+    assert system._exact_witness(target, b_exact) is not None
+    monkeypatch.setattr(certify, "solve_standard", solve)
+    if fake_eval is not None:
+        monkeypatch.setattr(certify, "evaluate", fake_eval)
+    with pytest.raises(RuntimeError, match=what):
+        system._exact_witness(target, b_exact)
+
+
+@pytest.mark.parametrize("solve, fake_eval, what", [
+    (_tampered_solve(_set(status="infeasible")), None, "no Ingleton violation"),
+    (_tampered_solve(), lambda e, h: 0, "satisfies Ingleton"),
+    (_tampered_solve(), lambda e, h: -1, "not a polymatroid"),
+    (_tampered_solve(_rescale_top), _only_target_negative, "not normalized"),
+])
+def test_violator4_guards(monkeypatch, solve, fake_eval, what):
+    monkeypatch.setattr(certify, "solve_standard", solve)
+    if fake_eval is not None:
+        monkeypatch.setattr(certify, "evaluate", fake_eval)
+    with pytest.raises(RuntimeError, match=what):
+        certify.find_ingleton_violator(4)
+
+
+@pytest.mark.parametrize("fake_eval, what", [
+    (lambda e, h: 0, "padded point satisfies"),
+    (lambda e, h: -1, "padded point is not a polymatroid"),
+])
+def test_padded_violator_guards(monkeypatch, fake_eval, what):
+    base = certify.find_ingleton_violator(4)
+    monkeypatch.setattr(certify, "_violator4", lambda: base)
+    monkeypatch.setattr(certify, "evaluate", fake_eval)
+    with pytest.raises(RuntimeError, match=what):
+        certify.find_ingleton_violator(5)
+
+
+def test_guards_survive_optimize_flag():
+    # python -O strips assert statements; the guards must still fire
+    code = (
+        "from ingletonlp import certify, ingen\n"
+        "from ingletonlp.entspace import IngletonQuad, ingleton_expr\n"
+        "gens = [ci.expr for ci in ingen.gen_delta(3)]\n"
+        "target = ingleton_expr(IngletonQuad(3, 1, 2, 0, 4))\n"
+        "certify.verify_certificate = lambda *args: False\n"
+        "try:\n"
+        "    certify.conic_implies(target, gens)\n"
+        "except RuntimeError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
+    assert proc.returncode == 0

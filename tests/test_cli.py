@@ -191,6 +191,29 @@ def test_bound_needs_exactly_one_input(capsys, tmp_path):
     assert rc == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", [
+    "n\ncone gamma-in\nmaximize +1*h{1}\n",
+    "n 2\ncone gamma-in\nmaximize +1*h{1}\nst +1*h{1} <= 1/0\n",
+    "n 2\ncone\nmaximize +1*h{1}\n",
+    "n 2\ncone gamma-in\nmaximize +1/0*h{1}\n",
+])
+def test_malformed_problem_exits_two(capsys, tmp_path, text):
+    # a bare n or cone line and a zero denominator are input errors, not crashes
+    prob = tmp_path / "prob.txt"
+    prob.write_text(text, encoding="ascii")
+    rc, out, err = run_cli(capsys, ["bound", "--problem", str(prob)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_zero_capacity_denominator_exits_two(capsys, tmp_path):
+    net = tmp_path / "net.txt"
+    net.write_text("source s1\nedge e1 from s1 cap 1/0\nsink t1 wants s1 sees e1\n",
+                   encoding="ascii")
+    rc, _, err = run_cli(capsys, ["bound", "--network", str(net), "--cone", "gamma"])
+    assert rc == 2 and err.startswith("error:")
+
+
 def test_bad_quad_text_exits_two(capsys):
     rc, _, err = run_cli(capsys, ["classify", "--n", "4", "--quad", "{1};{2}"])
     assert rc == 2 and err.startswith("error:")

@@ -174,6 +174,119 @@ def test_warm_restart_rejects_stale_basis():
     assert res.status in ("optimal", "unbounded")
 
 
+def test_warm_restart_rechecks_dropped_rows():
+    # the second row repeats the first and is dropped; the appended column
+    # makes it independent again, so the old basis must not be reused as is
+    A = [[0, 0, 1], [0, 0, -1]]
+    b = [1, -1]
+    c = [0, 0, 1]
+    first = solve_standard(A, b, c)
+    assert first.warm[0] == [1]
+    A2 = [[0, 0, 1, 0], [0, 0, -1, -1]]
+    c2 = [0, 0, 1, -1]
+    warm = solve_standard(A2, b, c2, warm=first.warm)
+    assert warm.status == "optimal" and warm.objective == 1
+    check_feasible(A2, b, warm.x)
+    check_dual(A2, b, c2, warm)
+
+
 def test_result_dataclass_defaults():
     r = LPResult("infeasible")
     assert r.x is None and r.objective is None and r.warm is None
+
+
+# ---------------------------------------------------------------------------
+# property test: exact certificates, and agreement with a float solver
+
+import pytest  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from scipy.optimize import linprog  # noqa: E402
+
+from ingletonlp import simplex  # noqa: E402
+
+_rationals = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 4]))
+
+
+def check_farkas(A, b, y):
+    assert len(y) == len(A)
+    for j in range(len(A[0])):
+        assert sum(y[i] * A[i][j] for i in range(len(A))) <= 0
+    assert sum(y[i] * b[i] for i in range(len(A))) > 0
+
+
+def check_ray(A, c, ray):
+    assert all(v >= 0 for v in ray)
+    for row in A:
+        assert sum(a * r for a, r in zip(row, ray)) == 0
+    assert sum(cj * r for cj, r in zip(c, ray)) < 0
+
+
+def check_result(A, b, c, res):
+    if res.status == "optimal":
+        check_feasible(A, b, res.x)
+        check_dual(A, b, c, res)
+        assert sum(cj * xj for cj, xj in zip(c, res.x)) == res.objective
+    elif res.status == "infeasible":
+        check_farkas(A, b, res.y)
+    else:
+        assert res.status == "unbounded"
+        check_feasible(A, b, res.x)
+        check_ray(A, c, res.ray)
+
+
+@st.composite
+def small_lps(draw):
+    m = draw(st.integers(1, 4))
+    nc = draw(st.integers(1, 5))
+    A = [draw(st.lists(_rationals, min_size=nc, max_size=nc)) for _ in range(m)]
+    b = draw(st.lists(_rationals, min_size=m, max_size=m))
+    # dependent rows: scaled copies of existing rows, rhs scaled alike
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, m - 1))
+        s = draw(st.sampled_from([F(1), F(-1), F(2), F(-1, 3)]))
+        A.append([s * v for v in A[k]])
+        b.append(s * b[k])
+    c = draw(st.lists(_rationals, min_size=nc, max_size=nc))
+    extra = draw(st.lists(st.lists(_rationals, min_size=len(A) + 1, max_size=len(A) + 1),
+                          max_size=3))
+    return A, b, c, extra
+
+
+_HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_lps())
+def test_random_lps_certified_and_match_highs(lp):
+    A, b, c, extra = lp
+    res = solve_standard(A, b, c)
+    check_result(A, b, c, res)
+
+    ref = linprog([float(v) for v in c], A_eq=[[float(v) for v in row] for row in A],
+                  b_eq=[float(v) for v in b], bounds=(0, None), method="highs")
+    assert _HIGHS_STATUS.get(ref.status) == res.status
+    if res.status == "optimal":
+        assert abs(float(res.objective) - ref.fun) <= 1e-7
+
+        # appended columns: the old basis warm-starts the same optimum
+        A2 = [row + [col[i] for col in extra] for i, row in enumerate(A)]
+        c2 = c + [col[-1] for col in extra]
+        warm = solve_standard(A2, b, c2, warm=res.warm)
+        cold = solve_standard(A2, b, c2)
+        check_result(A2, b, c2, warm)
+        assert warm.status == cold.status
+        assert warm.objective == cold.objective
+
+
+def test_phase1_unbounded_guard(monkeypatch):
+    # a negated auxiliary cost row makes phase 1 unbounded, which sound
+    # arithmetic never does; the guard must raise even under python -O
+    real = simplex._int_row
+
+    def negated_cost_row(values):
+        row, den = real(values)
+        return ([-v for v in row], den) if values[-1] == 0 else (row, den)
+
+    monkeypatch.setattr(simplex, "_int_row", negated_cost_row)
+    with pytest.raises(RuntimeError, match="phase 1"):
+        solve_standard([[2, -1]], [1], [0, 0])
