@@ -78,9 +78,13 @@ def _warm_tableau(rows: list[list[int]], dens: list[int], warm: tuple, nc: int):
         return None
     live = list(live_in)
     basis = list(bcols)
-    T = [list(rows[i]) for i in live]
-    D = [dens[i] for i in live]
-    mm = len(T)
+    # rows dropped as dependent ride along: appended columns can make one
+    # independent again, and then the old basis no longer fits
+    kept = set(live)
+    order = live + [i for i in range(len(rows)) if i not in kept]
+    T = [list(rows[i]) for i in order]
+    D = [dens[i] for i in order]
+    mm = len(live)
     for pos in range(mm):
         col = basis[pos]
         r = next((k for k in range(pos, mm) if T[k][col] != 0), -1)
@@ -91,30 +95,16 @@ def _warm_tableau(rows: list[list[int]], dens: list[int], warm: tuple, nc: int):
             D[pos], D[r] = D[r], D[pos]
             live[pos], live[r] = live[r], live[pos]
         _pivot(T, D, pos, col)
-    if any(T[pos][nc] < 0 for pos in range(mm)):
+    if any(T[pos][nc] < 0 for pos in range(mm)) or any(map(any, T[mm:])):
         return None
-    # a row dropped as dependent must still reduce to zero: appended
-    # columns can make it independent again
-    kept = set(live)
-    for i in range(len(rows)):
-        if i not in kept:
-            R, d = rows[i], dens[i]
-            for pos, col in enumerate(basis):
-                if R[col]:
-                    R, d = _eliminate(R, d, T[pos], col)
-            if any(R):
-                return None
-    return T, D, basis, live
+    return T[:mm], D[:mm], basis, live
 
 
 def _solve_transposed(cols: list[list[int]], rhs: list) -> list[Fraction]:
     """Solve M^T w = rhs for integer columns cols of an invertible M."""
     mm = len(rhs)
-    T, D = [], []
-    for k in range(mm):
-        r = Fraction(rhs[k])
-        T.append([v * r.denominator for v in cols[k]] + [r.numerator])
-        D.append(r.denominator)
+    pairs = [_int_row(cols[k] + [rhs[k]]) for k in range(mm)]
+    T, D = [r for r, _ in pairs], [d for _, d in pairs]
     for col in range(mm):
         piv = next(r for r in range(col, mm) if T[r][col] != 0)
         T[col], T[piv] = T[piv], T[col]
@@ -213,7 +203,7 @@ def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -
 
     def zrow(cvec: list) -> list:
         """Objective row [Z, dz] reduced against the basis, rhs last."""
-        Z, dz = _int_row([Fraction(v) for v in cvec] + [0])
+        Z, dz = _int_row(cvec + [0])
         for pos, j in enumerate(basis):
             if Z[j]:
                 Z, dz = _eliminate(Z, dz, T[pos], j)

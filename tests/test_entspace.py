@@ -203,6 +203,13 @@ def test_vector_from_text_rejects_missing_header():
         vector_from_text("{1}=1 {2}=1 {1,2}=2\n")
 
 
+def test_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError):
+        parse_expr("+1/0*h{1}", 2)
+    with pytest.raises(ValueError):
+        vector_from_text("n=2\n{1}=1/0 {2}=1 {1,2}=2\n")
+
+
 # ---------------------------------------------------------------------------
 # quads and the ten-term form
 
