@@ -13,7 +13,6 @@ infeasibility combination, or a feasible point plus an improving ray.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,16 +20,17 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import ingen
-from ._version import __version__
 from .entspace import (
     EntropyVector,
     LinExpr,
+    accumulate,
     check_n,
     cond_entropy_expr,
     elements_of,
     evaluate,
     format_vector_pairs,
     parse_rational,
+    report_text,
 )
 from .simplex import solve_standard
 
@@ -99,11 +99,7 @@ class BoundResult:
 def cone_members(n: int, cone: str,
                  budget: int | None = ingen.DEFAULT_BUDGET) -> list[ingen.CanonicalInequality]:
     if cone == CONE_GAMMA:
-        count = n + math.comb(n, 2) * 2 ** (n - 2)
-        if budget is not None and count > budget:
-            raise ingen.BudgetExceededError(
-                f"elemental set for n={n} has {count} members, budget {budget}")
-        return ingen.gen_elemental(n)
+        return ingen.gen_elemental(n, budget=budget)
     if cone == CONE_GAMMA_IN:
         return ingen.gen_delta(n, budget=budget)
     raise ValueError(f"unknown cone {cone!r}")
@@ -477,22 +473,8 @@ def _check_feasible(problem, glist, point) -> bool:
 
 
 def _combine(problem, glist, user, cone, cone_sign: int) -> dict:
-    acc: dict[int, Fraction] = {}
-
-    def bump(expr, coeff):
-        for m, c in expr.coeffs.items():
-            v = acc.get(m, 0) + coeff * c
-            if v:
-                acc[m] = v
-            else:
-                acc.pop(m, None)
-
-    for j, (expr, _rel, _rhs) in enumerate(problem.constraints):
-        if user[j]:
-            bump(expr, user[j])
-    for k, cf in cone:
-        bump(glist[k], cone_sign * cf)
-    return acc
+    rows = [(user[j], expr) for j, (expr, _rel, _rhs) in enumerate(problem.constraints)]
+    return accumulate(rows + [(cone_sign * cf, glist[k]) for k, cf in cone])
 
 
 def _user_signs_ok(problem, user, pos_rel: str) -> bool:
@@ -779,9 +761,7 @@ def parse_network(text: str) -> NetworkDescription:
 def format_bound_report(problem: BoundProblem, result: BoundResult,
                         extra_count: int = 0) -> str:
     members = cone_members(problem.n, problem.cone)
-    lines = [f"# ingletonlp {__version__}",
-             (f"# bound n={problem.n} cone={problem.cone} "
-              f"sense={problem.sense} constraints={len(problem.constraints)}")]
+    lines = []
 
     def gen_lines(tag: str, pairs):
         out = []
@@ -812,4 +792,6 @@ def format_bound_report(problem: BoundProblem, result: BoundResult,
         lines.append(f"primal {format_vector_pairs(result.primal)}".rstrip())
         lines.append(f"ray {format_vector_pairs(result.ray)}".rstrip())
     lines.append("verified true")
-    return "\n".join(lines) + "\n"
+    params = {"cone": problem.cone, "sense": problem.sense,
+              "constraints": len(problem.constraints)}
+    return report_text("bound", problem.n, params, lines)

@@ -19,17 +19,18 @@ import numpy as np
 from scipy.optimize import linprog
 
 from . import ingen
-from ._version import __version__
 from .entspace import (
     EntropyVector,
     GroundSetError,
     IngletonQuad,
     LinExpr,
+    accumulate,
     evaluate,
     format_quad,
     format_vector_pairs,
     ingleton_expr,
-    witness_fulldim,
+    parse_rational,
+    report_text,
 )
 from .simplex import solve_standard
 
@@ -60,21 +61,13 @@ class SeparationWitness:
 
 def verify_certificate(target: LinExpr, gens, cert: FarkasCertificate) -> bool:
     """Exact round-trip check; raises IndexError on out-of-range generator ids."""
-    acc: dict[int, Fraction] = {}
     for gid, cf in zip(cert.gen_ids, cert.coeffs):
         if gid < 0 or gid >= len(gens):
             raise IndexError(f"generator id {gid} out of range")
         if cf < 0:
             return False
-        if cf == 0:
-            continue
-        for m, c in gens[gid].coeffs.items():
-            v = acc.get(m, 0) + cf * c
-            if v:
-                acc[m] = v
-            else:
-                acc.pop(m, None)
-    return acc == target.coeffs
+    terms = zip(cert.coeffs, (gens[gid] for gid in cert.gen_ids))
+    return accumulate(terms) == target.coeffs
 
 
 def verify_witness(target: LinExpr, gens, wit: SeparationWitness) -> bool:
@@ -105,10 +98,6 @@ class _ConeSystem:
         self._exact_keys = {}
         for i, g in enumerate(gens):
             self._exact_keys.setdefault(g.key(), i)
-        w = witness_fulldim(self.n)
-        self._fulldim = w
-        self._fulldim_vals = [evaluate(g, w) for g in gens]
-        self._repairable = all(v > 0 for v in self._fulldim_vals)
 
     def decide(self, target: LinExpr):
         """Returns (cert_dict, None) or (None, witness_point)."""
@@ -123,7 +112,7 @@ class _ConeSystem:
         if outside:
             # no combination can produce a coefficient there
             m = min(outside)
-            point = _unit_point(self.n, m, Fraction(-1, 1) / target.coeffs[m])
+            point = _point_from(self.n, {m: Fraction(-1, 1) / target.coeffs[m]})
             _require(evaluate(target, point) == -1, "unit witness misses the target")
             return None, point
 
@@ -185,26 +174,12 @@ class _ConeSystem:
         return None
 
     def _repair(self, target: LinExpr, coords: dict) -> EntropyVector | None:
-        point = _point_from(self.n, coords)
-        tval = evaluate(target, point)
+        """The rounded point scaled to target value -1, if it lies in the cone."""
+        tval = evaluate(target, _point_from(self.n, coords))
         if tval >= 0:
             return None
-        vals = [evaluate(g, point) for g in self.gens]
-        if min(vals) < 0:
-            if not self._repairable:
-                return None
-            # push into the cone along the strictly-positive interior direction
-            theta = max(-vals[k] / self._fulldim_vals[k]
-                        for k in range(len(vals)) if vals[k] < 0)
-            tshift = tval + theta * evaluate(target, self._fulldim)
-            if tshift >= 0:
-                return None
-            coords = {m: coords.get(m, 0) + theta * self._fulldim[m] for m in self.masks}
-            point = _point_from(self.n, coords)
-            tval = tshift
         scale = Fraction(-1, 1) / tval
-        coords = {m: coords.get(m, 0) * scale for m in self.masks}
-        point = _point_from(self.n, coords)
+        point = _point_from(self.n, {m: v * scale for m, v in coords.items()})
         if any(evaluate(g, point) < 0 for g in self.gens):
             return None
         if evaluate(target, point) != -1:
@@ -219,33 +194,39 @@ def _point_from(n: int, coords: dict) -> EntropyVector:
     return EntropyVector(n, vals)
 
 
-def _unit_point(n: int, mask: int, value: Fraction) -> EntropyVector:
-    return _point_from(n, {mask: value})
-
-
 def _cert_from_dict(d: dict[int, Fraction]) -> FarkasCertificate:
     ids = tuple(sorted(d))
     return FarkasCertificate(ids, tuple(Fraction(d[i]) for i in ids))
 
 
+def _settle(system: _ConeSystem, target: LinExpr, label: str = "the target"):
+    """Decide target, then re-check the answer exactly against system.gens.
+
+    The answer is a FarkasCertificate or a SeparationWitness normalized to
+    target value -1; one that fails its check raises RuntimeError.
+    """
+    cert, point = system.decide(target)
+    if cert is not None:
+        out = _cert_from_dict(cert)
+        _require(verify_certificate(target, system.gens, out),
+                 f"unsound certificate for {label}")
+    else:
+        out = SeparationWitness(point)
+        _require(verify_witness(target, system.gens, out)
+                 and evaluate(target, point) == -1, f"unsound witness for {label}")
+    return out
+
+
 def conic_implies(target: LinExpr, gens) -> FarkasCertificate | None:
     """Certificate iff target is a nonnegative combination of gens, else None."""
-    cert, _ = _ConeSystem(list(gens)).decide(target)
-    if cert is None:
-        return None
-    out = _cert_from_dict(cert)
-    _require(verify_certificate(target, list(gens), out), "certificate fails verification")
-    return out
+    out = _settle(_ConeSystem(list(gens)), target)
+    return out if isinstance(out, FarkasCertificate) else None
 
 
 def separation_witness(target: LinExpr, gens) -> SeparationWitness | None:
     """Witness point (normalized to target value -1) iff target is not implied."""
-    _, point = _ConeSystem(list(gens)).decide(target)
-    if point is None:
-        return None
-    out = SeparationWitness(point)
-    _require(verify_witness(target, list(gens), out), "witness fails verification")
-    return out
+    out = _settle(_ConeSystem(list(gens)), target)
+    return out if isinstance(out, SeparationWitness) else None
 
 
 # ---------------------------------------------------------------------------
@@ -321,65 +302,82 @@ def _delta_id_maps(n: int, delta: list[ingen.CanonicalInequality],
     return maps
 
 
-def _subset_covered(q: tuple[int, int, int, int]) -> bool:
-    for i in range(4):
-        others = 0
-        for j in range(4):
-            if j != i:
-                others |= q[j]
-        if not q[i] & ~others:
-            return True
-    return False
+def _choose_quads(n: int, sample: int | None, seed: int):
+    """The quads a scan decides, the orbit map, and the report fields saying how.
+
+    Exhaustive iff n <= 4 and no sample size is given: every swap class
+    (a1 <= a2, a3 <= a4) maps to its orbit representative and the index of
+    the relabeling that reaches it, and the representatives are decided.
+    Otherwise `sample` (default 1000) seeded random quads, and no map.
+    """
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample size must be at least 1, got {sample}")
+    if n > 4 or sample is not None:
+        rng = random.Random(seed)
+        top = 2 ** n
+        items = [tuple(rng.randrange(top) for _ in range(4)) for _ in range(sample or 1000)]
+        return items, None, dict(mode="sample", seed=seed, samples=len(items),
+                                 quads=len(items), classes=0, orbits=0)
+    tables = _perm_tables(n)
+    pairs = list(itertools.combinations_with_replacement(range(2 ** n), 2))
+    canon = {p + r: _canonical_quad(p + r, tables) for p in pairs for r in pairs}
+    items = sorted({rep for rep, _pi in canon.values()})
+    return items, canon, dict(mode="exhaustive", seed=seed, samples=0,
+                              quads=2 ** (4 * n), classes=len(canon), orbits=len(items))
+
+
+def _quad_text(n: int, quad) -> str:
+    return format_quad(IngletonQuad(n, *quad))
 
 
 # ---------------------------------------------------------------------------
-# worker pool plumbing; each worker builds the generator system once
+# one decide-and-verify pipeline behind the three scans
 
-_WORK: dict = {}
-
-
-def _pool_init(n: int, family: str) -> None:
-    if family == "elemental":
-        members = ingen.gen_elemental(n)
-    else:
-        members = ingen.gen_delta(n)
-    _WORK["n"] = n
-    _WORK["exprs"] = [ci.expr for ci in members]
-    _WORK["sys"] = _ConeSystem(_WORK["exprs"])
+_job = None  # set in each worker process only, by _adopt_job
 
 
-def _job_quad(quad):
-    target = ingleton_expr(IngletonQuad(_WORK["n"], *quad))
-    cert, point = _WORK["sys"].decide(target)
-    return quad, cert, point
+def _adopt_job(job) -> None:
+    global _job
+    _job = job
 
 
-def _job_drop_one(idx: int):
-    exprs = _WORK["exprs"]
-    rest = exprs[:idx] + exprs[idx + 1:]
-    cert, point = _ConeSystem(rest).decide(exprs[idx])
-    return idx, cert, point
+def _call_job(item):
+    return _job(item)
 
 
-def _run_jobs(items, job, workers: int, init_args):
+def _map(job, items: list, workers: int) -> list:
+    """[job(item) for item in items], split over forked workers if workers > 1.
+
+    A forked worker gets the job, closure and prepared state included,
+    without pickling; only items and results cross the process boundary.
+    """
     if workers <= 1:
-        _pool_init(*init_args)
         return [job(it) for it in items]
-    ctx = multiprocessing.get_context("fork")
     chunk = max(1, len(items) // (workers * 8))
-    with ctx.Pool(workers, initializer=_pool_init, initargs=init_args) as pool:
-        return pool.map(job, items, chunksize=chunk)
+    with multiprocessing.get_context("fork").Pool(
+            workers, initializer=_adopt_job, initargs=(job,)) as pool:
+        return pool.map(_call_job, items, chunksize=chunk)
 
 
-def _report_head(command: str, n: int, params) -> list[str]:
-    extra = "".join(f" {k}={v}" for k, v in params)
-    return [f"# ingletonlp {__version__}", f"# {command} n={n}{extra}"]
+def _decide_all(items: list, pose, workers: int) -> list:
+    """(label, settled answer) per item, in order; pose(item) gives (system, target, label)."""
+    def job(item):
+        system, target, label = pose(item)
+        return label, _settle(system, target, label)
+    return _map(job, items, workers)
 
 
-def _random_quad(rng: random.Random, n: int) -> tuple[int, int, int, int]:
-    top = 2 ** n
-    return (rng.randrange(top), rng.randrange(top), rng.randrange(top),
-            rng.randrange(top))
+def _decide_quads(n: int, members, quads: list, workers: int) -> list:
+    system = _ConeSystem([ci.expr for ci in members])
+
+    def pose(quad):
+        q = IngletonQuad(n, *quad)
+        return system, ingleton_expr(q), format_quad(q)
+    return _decide_all(quads, pose, workers)
+
+
+def _scan_text(command: str, n: int, params: dict, body: list[str], ok: bool) -> str:
+    return report_text(command, n, params, [*body, "status ok" if ok else "status fail"])
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +385,29 @@ def _random_quad(rng: random.Random, n: int) -> tuple[int, int, int, int]:
 
 
 @dataclass
-class Theorem1Report:
+class _QuadScanReport:
+    """What both quad scans report: the generators, and how the quads were chosen."""
+
     n: int
+    generators: tuple[ingen.CanonicalInequality, ...]
     mode: str
     seed: int
     samples: int
     quads: int
     classes: int
     orbits: int
+
+    def _text(self, command: str, body: list[str], ok: bool) -> str:
+        if self.mode == "sample":
+            counts = [f"seed {self.seed}", f"samples {self.samples}"]
+        else:
+            counts = [f"quads {self.quads}", f"classes {self.classes}", f"orbits {self.orbits}"]
+        return _scan_text(command, self.n, {"mode": self.mode},
+                          [f"mode {self.mode}", *counts, *body], ok)
+
+
+@dataclass
+class Theorem1Report(_QuadScanReport):
     implied: int
     not_implied: int
     counterexamples: tuple[str, ...]
@@ -406,99 +419,34 @@ class Theorem1Report:
         return not self.counterexamples
 
     def to_text(self) -> str:
-        lines = _report_head("check-theorem1", self.n, [("mode", self.mode)])
-        lines.append(f"mode {self.mode}")
-        if self.mode == "sample":
-            lines.append(f"seed {self.seed}")
-            lines.append(f"samples {self.samples}")
-        else:
-            lines.append(f"quads {self.quads}")
-            lines.append(f"classes {self.classes}")
-            lines.append(f"orbits {self.orbits}")
-        lines.append(f"implied {self.implied}")
-        lines.append(f"not-implied {self.not_implied}")
-        lines.append(f"counterexamples {len(self.counterexamples)}")
-        for q in self.counterexamples:
-            lines.append(f"counterexample {q}")
-        lines.append("status ok" if self.ok else "status fail")
-        return "\n".join(lines) + "\n"
+        return self._text("check-theorem1", [
+            f"implied {self.implied}", f"not-implied {self.not_implied}",
+            f"counterexamples {len(self.counterexamples)}",
+            *(f"counterexample {q}" for q in self.counterexamples)], self.ok)
 
 
-def _quad_text(n: int, quad) -> str:
-    return format_quad(IngletonQuad(n, *quad))
-
-
-def check_theorem1(n: int, sample: int | None = None, seed: int = 0,
-                   workers: int = 1) -> Theorem1Report:
+def check_theorem1(n: int, sample: int | None = None, seed: int = 0, workers: int = 1,
+                   budget: int | None = ingen.DEFAULT_BUDGET) -> Theorem1Report:
     """Basic-implication criterion vs the LP decision, per quad orbit."""
-    elem = [ci.expr for ci in ingen.gen_elemental(n)]
-    if n <= 4 and sample is None:
-        tables = _perm_tables(n)
-        top = 2 ** n
-        reps = set()
-        nclasses = 0
-        for a1 in range(top):
-            for a2 in range(a1, top):
-                for a3 in range(top):
-                    for a4 in range(a3, top):
-                        nclasses += 1
-                        reps.add(_canonical_quad((a1, a2, a3, a4), tables)[0])
-        items = sorted(reps)
-        mode = "exhaustive"
-        quads = top ** 4
-    else:
-        rng = random.Random(seed)
-        count = sample if sample is not None else 1000
-        items = [_random_quad(rng, n) for _ in range(count)]
-        mode = "sample"
-        quads = len(items)
-        nclasses = 0
-
-    results = _run_jobs(items, _job_quad, workers, (n, "elemental"))
-
-    implied = 0
-    not_implied = 0
+    elemental = ingen.gen_elemental(n, budget=budget)
+    items, _canon, fields = _choose_quads(n, sample, seed)
     bad = []
     certs = []
     wits = []
-    for quad, cert, point in results:
-        text = _quad_text(n, quad)
-        predicted = _subset_covered(quad)
-        if cert is not None:
-            fc = _cert_from_dict(cert)
-            target = ingleton_expr(IngletonQuad(n, *quad))
-            if not verify_certificate(target, elem, fc):
-                raise RuntimeError(f"unsound certificate for {text}")
-            implied += 1
-            certs.append((text, fc))
-            if not predicted:
-                bad.append(text)
-        else:
-            sw = SeparationWitness(point)
-            target = ingleton_expr(IngletonQuad(n, *quad))
-            if not verify_witness(target, elem, sw):
-                raise RuntimeError(f"unsound witness for {text}")
-            not_implied += 1
-            wits.append((text, sw))
-            if predicted:
-                bad.append(text)
+    for quad, (text, answer) in zip(items, _decide_quads(n, elemental, items, workers)):
+        implied = isinstance(answer, FarkasCertificate)
+        (certs if implied else wits).append((text, answer))
+        # an argument covered by the other three has an empty private part
+        if implied != (0 in ingen.reduce_quad(IngletonQuad(n, *quad))[:4]):
+            bad.append(text)
     return Theorem1Report(
-        n=n, mode=mode, seed=seed, samples=len(items), quads=quads,
-        classes=nclasses, orbits=len(items) if mode == "exhaustive" else 0,
-        implied=implied, not_implied=not_implied,
-        counterexamples=tuple(bad), certificates=tuple(certs),
+        n=n, generators=tuple(elemental), **fields, implied=len(certs),
+        not_implied=len(wits), counterexamples=tuple(bad), certificates=tuple(certs),
         witnesses=tuple(wits))
 
 
 @dataclass
-class CompletenessReport:
-    n: int
-    mode: str
-    seed: int
-    samples: int
-    quads: int
-    classes: int
-    orbits: int
+class CompletenessReport(_QuadScanReport):
     certified: int
     failures: tuple[str, ...]
     certificates: tuple[tuple[str, FarkasCertificate], ...]
@@ -508,102 +456,48 @@ class CompletenessReport:
         return not self.failures
 
     def to_text(self) -> str:
-        lines = _report_head("check-completeness", self.n, [("mode", self.mode)])
-        lines.append(f"mode {self.mode}")
-        if self.mode == "sample":
-            lines.append(f"seed {self.seed}")
-            lines.append(f"samples {self.samples}")
-        else:
-            lines.append(f"quads {self.quads}")
-            lines.append(f"classes {self.classes}")
-            lines.append(f"orbits {self.orbits}")
-        lines.append(f"certified {self.certified}")
-        lines.append(f"failures {len(self.failures)}")
-        for q in self.failures:
-            lines.append(f"failure {q}")
-        lines.append("status ok" if self.ok else "status fail")
-        return "\n".join(lines) + "\n"
+        return self._text("check-completeness", [
+            f"certified {self.certified}", f"failures {len(self.failures)}",
+            *(f"failure {q}" for q in self.failures)], self.ok)
 
 
-def check_completeness(n: int, sample_size: int = 1000, seed: int = 0,
+def check_completeness(n: int, sample_size: int | None = None, seed: int = 0,
                        workers: int = 1,
                        budget: int | None = ingen.DEFAULT_BUDGET) -> CompletenessReport:
     """Every Ingleton inequality receives a certificate over the minimal set."""
     delta = ingen.gen_delta(n, budget=budget)
-    delta_exprs = [ci.expr for ci in delta]
-
-    if n <= 4:
-        tables = _perm_tables(n)
-        inv_index = _inverse_perm_index(n)
-        id_maps = _delta_id_maps(n, delta, tables)
-        top = 2 ** n
-        canon: dict[tuple, tuple] = {}  # class -> (rep, inverse perm)
-        reps = {}
-        for a1 in range(top):
-            for a2 in range(a1, top):
-                for a3 in range(top):
-                    for a4 in range(a3, top):
-                        cls = (a1, a2, a3, a4)
-                        rep, pi = _canonical_quad(cls, tables)
-                        canon[cls] = (rep, inv_index[pi])
-                        reps[rep] = None
-        items = sorted(reps)
-        results = _run_jobs(items, _job_quad, workers, (n, "delta"))
-        rep_cert: dict[tuple, dict] = {}
-        failures = []
-        for quad, cert, point in results:
-            if cert is None:
-                failures.append(_quad_text(n, quad))
+    items, canon, fields = _choose_quads(n, sample_size, seed)
+    results = _decide_quads(n, delta, items, workers)
+    failures = [text for text, answer in results
+                if not isinstance(answer, FarkasCertificate)]
+    certs = [(text, answer) for text, answer in results
+             if isinstance(answer, FarkasCertificate)]
+    if canon is not None and failures:
+        certs = []  # some representative failed: report the failures alone
+    elif canon is not None:
+        # carry each representative's certificate to every class in its orbit
+        exprs = [ci.expr for ci in delta]
+        id_maps = _delta_id_maps(n, delta, _perm_tables(n))
+        inverse = _inverse_perm_index(n)
+        rep_cert = dict(zip(items, (answer for _text, answer in results)))
+        certs = []
+        for cls, (rep, pi) in sorted(canon.items()):
+            idmap = id_maps[inverse[pi]]
+            cert = rep_cert[rep]
+            fc = _cert_from_dict({idmap[g]: cf for g, cf in zip(cert.gen_ids, cert.coeffs)})
+            if verify_certificate(ingleton_expr(IngletonQuad(n, *cls)), exprs, fc):
+                certs.append((_quad_text(n, cls), fc))
             else:
-                rep_cert[quad] = cert
-        certified = 0
-        out_certs = []
-        if not failures:
-            for cls in sorted(canon):
-                rep, inv_pi = canon[cls]
-                idmap = id_maps[inv_pi]
-                mapped = {}
-                for gid, cf in rep_cert[rep].items():
-                    mapped[idmap[gid]] = mapped.get(idmap[gid], Fraction(0)) + cf
-                fc = _cert_from_dict(mapped)
-                target = ingleton_expr(IngletonQuad(n, *cls))
-                if not verify_certificate(target, delta_exprs, fc):
-                    failures.append(_quad_text(n, cls))
-                    continue
-                certified += 1
-                out_certs.append((_quad_text(n, cls), fc))
-        return CompletenessReport(
-            n=n, mode="exhaustive", seed=seed, samples=0, quads=top ** 4,
-            classes=len(canon), orbits=len(items), certified=certified,
-            failures=tuple(failures), certificates=tuple(out_certs))
-
-    rng = random.Random(seed)
-    items = [_random_quad(rng, n) for _ in range(sample_size)]
-    results = _run_jobs(items, _job_quad, workers, (n, "delta"))
-    failures = []
-    out_certs = []
-    certified = 0
-    for quad, cert, point in results:
-        text = _quad_text(n, quad)
-        if cert is None:
-            failures.append(text)
-            continue
-        fc = _cert_from_dict(cert)
-        target = ingleton_expr(IngletonQuad(n, *quad))
-        if not verify_certificate(target, delta_exprs, fc):
-            failures.append(text)
-            continue
-        certified += 1
-        out_certs.append((text, fc))
+                failures.append(_quad_text(n, cls))
     return CompletenessReport(
-        n=n, mode="sample", seed=seed, samples=sample_size, quads=len(items),
-        classes=0, orbits=0, certified=certified, failures=tuple(failures),
-        certificates=tuple(out_certs))
+        n=n, generators=tuple(delta), **fields, certified=len(certs),
+        failures=tuple(failures), certificates=tuple(certs))
 
 
 @dataclass
 class MinimalityReport:
     n: int
+    generators: tuple[ingen.CanonicalInequality, ...]
     members: int
     redundant: tuple[str, ...]
     witnesses: tuple[tuple[str, str, SeparationWitness], ...]  # (kind, payload, w)
@@ -613,16 +507,13 @@ class MinimalityReport:
         return not self.redundant
 
     def to_text(self) -> str:
-        lines = _report_head("check-minimality", self.n, [])
-        lines.append(f"members {self.members}")
-        lines.append(f"non-redundant {self.members - len(self.redundant)}")
-        lines.append(f"redundant {len(self.redundant)}")
-        for t in self.redundant:
-            lines.append(f"redundant-member {t}")
-        for kind, payload, w in self.witnesses:
-            lines.append(f"witness\t{kind}\t{payload}\t{format_vector_pairs(w.point)}")
-        lines.append("status ok" if self.ok else "status fail")
-        return "\n".join(lines) + "\n"
+        return _scan_text("check-minimality", self.n, {}, [
+            f"members {self.members}",
+            f"non-redundant {self.members - len(self.redundant)}",
+            f"redundant {len(self.redundant)}",
+            *(f"redundant-member {t}" for t in self.redundant),
+            *(f"witness\t{kind}\t{payload}\t{format_vector_pairs(w.point)}"
+              for kind, payload, w in self.witnesses)], self.ok)
 
 
 def check_minimality(n: int, workers: int = 1, allow_large: bool = False,
@@ -632,23 +523,19 @@ def check_minimality(n: int, workers: int = 1, allow_large: bool = False,
         raise ValueError("drop-one scan above n=5 requires allow_large")
     delta = ingen.gen_delta(n, budget=budget)
     exprs = [ci.expr for ci in delta]
-    results = _run_jobs(list(range(len(delta))), _job_drop_one, workers, (n, "delta"))
+
+    def pose(k):
+        rest = _ConeSystem(exprs[:k] + exprs[k + 1:])
+        return rest, exprs[k], f"{delta[k].kind}\t{delta[k].payload_text()}"
     redundant = []
     witnesses = []
-    for idx, cert, point in results:
-        ci = delta[idx]
-        if cert is not None:
-            redundant.append(f"{ci.kind}\t{ci.payload_text()}")
-            continue
-        sw = SeparationWitness(point)
-        rest = exprs[:idx] + exprs[idx + 1:]
-        if not verify_witness(exprs[idx], rest, sw):
-            raise RuntimeError(f"unsound witness for {ci.payload_text()}")
-        if evaluate(exprs[idx], sw.point) != -1:
-            raise RuntimeError(f"witness not normalized for {ci.payload_text()}")
-        witnesses.append((ci.kind, ci.payload_text(), sw))
-    return MinimalityReport(n=n, members=len(delta), redundant=tuple(redundant),
-                            witnesses=tuple(witnesses))
+    for ci, (label, answer) in zip(delta, _decide_all(list(range(len(delta))), pose, workers)):
+        if isinstance(answer, FarkasCertificate):
+            redundant.append(label)
+        else:
+            witnesses.append((ci.kind, ci.payload_text(), answer))
+    return MinimalityReport(n=n, generators=tuple(delta), members=len(delta),
+                            redundant=tuple(redundant), witnesses=tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +612,7 @@ def parse_certificate_line(line: str) -> tuple[str, FarkasCertificate]:
         for piece in body.split(","):
             gid, _, cf = piece.partition(":")
             ids.append(int(gid))
-            coeffs.append(Fraction(cf))
+            coeffs.append(parse_rational(cf))
     return target_id, FarkasCertificate(tuple(ids), tuple(coeffs))
 
 

@@ -21,7 +21,9 @@ from .entspace import (
     check_n,
     format_quad,
     format_vector_pairs,
+    ingleton_expr,
     parse_quad,
+    report_text,
     vector_from_text,
     vector_to_text,
     witness_fulldim,
@@ -33,9 +35,9 @@ ENV_BUDGET = "INGLETONLP_BUDGET"
 _FAMILIES = {
     "delta": ingen.gen_delta,
     "delta0": ingen.gen_delta0,
-    "delta1": lambda n, budget=None: ingen.gen_delta1(n),
-    "delta2": lambda n, budget=None: ingen.gen_delta2(n),
-    "elemental": lambda n, budget=None: ingen.gen_elemental(n),
+    "delta1": ingen.gen_delta1,
+    "delta2": ingen.gen_delta2,
+    "elemental": ingen.gen_elemental,
 }
 
 
@@ -69,11 +71,6 @@ def _resolve_budget(config: RunConfig) -> int:
     return ingen.DEFAULT_BUDGET
 
 
-def _head(command: str, n: int, params: str = "") -> str:
-    tail = f" {params}" if params else ""
-    return f"# ingletonlp {__version__}\n# {command} n={n}{tail}\n"
-
-
 def _cmd_gen(config: RunConfig) -> int:
     budget = _resolve_budget(config)
     make = _FAMILIES[config.family]
@@ -81,34 +78,28 @@ def _cmd_gen(config: RunConfig) -> int:
     text = ingen.inequalities_to_text(config.n, members)
     if config.out:
         Path(config.out).write_text(text, encoding="ascii")
-        sys.stdout.write(_head("gen", config.n, f"family={config.family}"))
-        sys.stdout.write(f"count {len(members)}\nout {config.out}\nstatus ok\n")
+        sys.stdout.write(report_text("gen", config.n, {"family": config.family}, [
+            f"count {len(members)}", f"out {config.out}", "status ok"]))
     else:
         sys.stdout.write(text)
     return 0
 
 
 def _cmd_count(config: RunConfig) -> int:
-    import math
     n = config.n
-    d1 = math.comb(n, 2) * 2 ** (n - 2)
-    out = _head("count", n)
-    out += f"delta0 {ingen.count_delta0(n)}\n"
-    out += f"delta1 {d1}\n"
-    out += f"delta2 {n}\n"
-    out += f"delta {ingen.count_delta(n)}\n"
-    out += f"elemental {n + d1}\n"
-    out += f"naive {(2 ** n) ** 4}\n"
-    out += "status ok\n"
-    sys.stdout.write(out)
+    elemental = ingen.count_elemental(n)
+    sys.stdout.write(report_text("count", n, {}, [
+        f"delta0 {ingen.count_delta0(n)}", f"delta1 {elemental - n}", f"delta2 {n}",
+        f"delta {ingen.count_delta(n)}", f"elemental {elemental}",
+        f"naive {(2 ** n) ** 4}", "status ok"]))
     return 0
 
 
 def _cmd_classify(config: RunConfig) -> int:
     q = parse_quad(config.quad, config.n)
     cls = ingen.classify_quad(q)
-    sys.stdout.write(_head("classify", config.n, f"quad={format_quad(q)}"))
-    sys.stdout.write(f"class {cls}\nstatus ok\n")
+    sys.stdout.write(report_text("classify", config.n, {"quad": format_quad(q)},
+                                 [f"class {cls}", "status ok"]))
     return 0
 
 
@@ -123,39 +114,25 @@ def _load_gens(config: RunConfig):
 
 
 def _cmd_implies(config: RunConfig) -> int:
-    from .entspace import IngletonQuad, ingleton_expr
     q = parse_quad(config.quad, config.n)
+    label = format_quad(q)
     target = ingleton_expr(q)
     members = _load_gens(config)
     exprs = [ci.expr for ci in members]
     cert = certify.conic_implies(target, exprs)
-    sys.stdout.write(_head("implies", config.n,
-                           f"quad={format_quad(q)} gens={len(members)}"))
     if cert is not None:
-        sys.stdout.write("implied true\n")
-        sys.stdout.write(
-            certify.format_certificate_line(format_quad(q), cert) + "\n")
-        if config.emit_dir:
-            d = Path(config.emit_dir)
-            d.mkdir(parents=True, exist_ok=True)
-            (d / "generators.txt").write_text(
-                ingen.inequalities_to_text(config.n, members), encoding="ascii")
-            certify.write_certificates(d / "certificates.txt",
-                                       [(format_quad(q), cert)])
+        body = ["implied true", certify.format_certificate_line(label, cert)]
+        _emit(config, members, certificates=[(label, cert)])
     else:
         wit = certify.separation_witness(target, exprs)
-        sys.stdout.write("implied false\n")
-        sys.stdout.write(f"witness {format_vector_pairs(wit.point)}\n")
-        if config.emit_dir:
-            d = Path(config.emit_dir)
-            d.mkdir(parents=True, exist_ok=True)
-            certify.write_witnesses(d / "witnesses.txt", config.n,
-                                    [(format_quad(q), wit)])
-    sys.stdout.write("status ok\n")
+        body = ["implied false", f"witness {format_vector_pairs(wit.point)}"]
+        _emit(config, members, witnesses=[(label, wit)])
+    sys.stdout.write(report_text("implies", config.n, {"quad": label, "gens": len(members)},
+                                 [*body, "status ok"]))
     return 0
 
 
-def _emit_scan(config: RunConfig, members, certificates=None, witnesses=None):
+def _emit(config: RunConfig, members, certificates=(), witnesses=()) -> None:
     if not config.emit_dir:
         return
     d = Path(config.emit_dir)
@@ -169,35 +146,30 @@ def _emit_scan(config: RunConfig, members, certificates=None, witnesses=None):
 
 
 def _cmd_check_theorem1(config: RunConfig) -> int:
-    report = certify.check_theorem1(config.n, sample=config.sample,
-                                    seed=config.seed, workers=config.workers)
+    report = certify.check_theorem1(config.n, sample=config.sample, seed=config.seed,
+                                    workers=config.workers, budget=_resolve_budget(config))
     sys.stdout.write(report.to_text())
-    _emit_scan(config, ingen.gen_elemental(config.n),
-               certificates=report.certificates,
-               witnesses=[(label, w) for label, w in report.witnesses])
+    _emit(config, report.generators, certificates=report.certificates,
+               witnesses=report.witnesses)
     return 0 if report.ok else 1
 
 
 def _cmd_check_completeness(config: RunConfig) -> int:
-    budget = _resolve_budget(config)
     report = certify.check_completeness(
-        config.n, sample_size=config.sample if config.sample else 1000,
-        seed=config.seed, workers=config.workers, budget=budget)
+        config.n, sample_size=config.sample, seed=config.seed, workers=config.workers,
+        budget=_resolve_budget(config))
     sys.stdout.write(report.to_text())
-    _emit_scan(config, ingen.gen_delta(config.n, budget=budget),
-               certificates=report.certificates)
+    _emit(config, report.generators, certificates=report.certificates)
     return 0 if report.ok else 1
 
 
 def _cmd_check_minimality(config: RunConfig) -> int:
-    budget = _resolve_budget(config)
     report = certify.check_minimality(config.n, workers=config.workers,
                                       allow_large=config.allow_large,
-                                      budget=budget)
+                                      budget=_resolve_budget(config))
     sys.stdout.write(report.to_text())
-    _emit_scan(config, ingen.gen_delta(config.n, budget=budget),
-               witnesses=[(f"{kind} {payload}", w)
-                          for kind, payload, w in report.witnesses])
+    _emit(config, report.generators,
+               witnesses=[(f"{kind} {payload}", w) for kind, payload, w in report.witnesses])
     return 0 if report.ok else 1
 
 
@@ -213,8 +185,8 @@ def _cmd_witness(config: RunConfig) -> int:
     text = vector_to_text(vec)
     if config.out:
         Path(config.out).write_text(text, encoding="ascii")
-        sys.stdout.write(_head("witness", config.n, f"kind={config.kind}"))
-        sys.stdout.write(f"out {config.out}\nstatus ok\n")
+        sys.stdout.write(report_text("witness", config.n, {"kind": config.kind},
+                                     [f"out {config.out}", "status ok"]))
     else:
         sys.stdout.write(text)
     return 0
@@ -224,11 +196,11 @@ def _cmd_membership(config: RunConfig) -> int:
     budget = _resolve_budget(config)
     vec = vector_from_text(Path(config.point).read_text(encoding="ascii"))
     member, violated = bound_mod.membership(vec, config.cone, budget=budget)
-    sys.stdout.write(_head("membership", vec.n, f"cone={config.cone}"))
-    sys.stdout.write(f"member {'true' if member else 'false'}\n")
+    body = [f"member {'true' if member else 'false'}"]
     if violated is not None:
-        sys.stdout.write(f"violated {violated.kind} {violated.payload_text()}\n")
-    sys.stdout.write("status ok\n")
+        body.append(f"violated {violated.kind} {violated.payload_text()}")
+    sys.stdout.write(report_text("membership", vec.n, {"cone": config.cone},
+                                 [*body, "status ok"]))
     return 0
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from ._version import __version__
+
 MIN_N = 2
 MAX_N = 20
 
@@ -83,6 +85,15 @@ def _bump(acc: dict, mask: int, coeff) -> None:
         acc[mask] = s
     else:
         acc.pop(mask, None)
+
+
+def accumulate(terms: Iterable[tuple[Rational, LinExpr]]) -> dict[int, Rational]:
+    """Coefficient map of the sum of coeff*expr over (coeff, expr) terms."""
+    acc: dict[int, Rational] = {}
+    for coeff, expr in terms:
+        for mask, c in expr.coeffs.items():
+            _bump(acc, mask, coeff * c)
+    return acc
 
 
 class LinExpr:
@@ -261,6 +272,13 @@ class EntropyVector:
 
     def __repr__(self) -> str:
         return f"<EntropyVector n={self.n} {format_vector_pairs(self)}>"
+
+
+def report_text(command: str, n: int, params: Mapping[str, object],
+                body: Iterable[str]) -> str:
+    """A plain-text report: the versioned two-line header, then the body lines."""
+    head = f"# {command} n={n}" + "".join(f" {k}={v}" for k, v in params.items())
+    return "\n".join([f"# ingletonlp {__version__}", head, *body]) + "\n"
 
 
 def format_vector_pairs(h: EntropyVector) -> str:

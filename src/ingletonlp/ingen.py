@@ -49,6 +49,11 @@ class BudgetExceededError(RuntimeError):
     """Predicted enumeration size exceeds the configured budget."""
 
 
+def _check_budget(predicted: int, budget: int | None) -> None:
+    if budget is not None and predicted > budget:
+        raise BudgetExceededError(f"predicted {predicted} members exceeds budget {budget}")
+
+
 def payload_text(kind: str, payload: tuple) -> str:
     if kind == KIND_DELTA0:
         d1, d2, d3, d4, beta = payload
@@ -87,11 +92,16 @@ def count_delta0(n: int) -> int:
     return num // 4 - 5 ** n - 3 ** n
 
 
-def count_delta(n: int) -> int:
-    """Closed-form size of the full generating set; exact integer arithmetic."""
+def count_elemental(n: int) -> int:
+    """Size of the elemental set, which is also the size of Delta1 plus Delta2."""
     if n < 2:
         raise ValueError("need n >= 2")
-    return n + math.comb(n, 2) * 2 ** (n - 2) + count_delta0(n)
+    return n + math.comb(n, 2) * 2 ** (n - 2)
+
+
+def count_delta(n: int) -> int:
+    """Closed-form size of the full generating set; exact integer arithmetic."""
+    return count_elemental(n) + count_delta0(n)
 
 
 def _delta0_payloads(n: int) -> list[tuple[int, int, int, int, int]]:
@@ -136,9 +146,7 @@ def _delta0_payloads(n: int) -> list[tuple[int, int, int, int, int]]:
 def gen_delta0(n: int, budget: int | None = DEFAULT_BUDGET) -> list[CanonicalInequality]:
     """Disjoint-support members J(d1,d2,d3,d4 | beta), deduplicated."""
     check_n(n)
-    predicted = count_delta0(n)
-    if budget is not None and predicted > budget:
-        raise BudgetExceededError(f"predicted {predicted} members exceeds budget {budget}")
+    _check_budget(count_delta0(n), budget)
     out = []
     for payload in sorted(_delta0_payloads(n)):
         d1, d2, d3, d4, beta = payload
@@ -147,9 +155,10 @@ def gen_delta0(n: int, budget: int | None = DEFAULT_BUDGET) -> list[CanonicalIne
     return out
 
 
-def gen_delta1(n: int) -> list[CanonicalInequality]:
+def gen_delta1(n: int, budget: int | None = DEFAULT_BUDGET) -> list[CanonicalInequality]:
     """Pairwise forms J(i, j, empty, mu) = I(i; j | mu), i < j, mu avoiding both."""
     check_n(n)
+    _check_budget(count_elemental(n) - n, budget)
     out = []
     for i in range(1, n + 1):
         bi = 1 << (i - 1)
@@ -166,9 +175,10 @@ def gen_delta1(n: int) -> list[CanonicalInequality]:
     return out
 
 
-def gen_delta2(n: int) -> list[CanonicalInequality]:
+def gen_delta2(n: int, budget: int | None = DEFAULT_BUDGET) -> list[CanonicalInequality]:
     """Single-element forms J(i, i, empty, N-i) = h(i | N-i)."""
     check_n(n)
+    _check_budget(n, budget)
     out = []
     for i in range(1, n + 1):
         bi = 1 << (i - 1)
@@ -180,21 +190,20 @@ def gen_delta2(n: int) -> list[CanonicalInequality]:
 def gen_delta(n: int, budget: int | None = DEFAULT_BUDGET) -> list[CanonicalInequality]:
     """The full minimal generating set in canonical order."""
     check_n(n)
-    predicted = count_delta(n)
-    if budget is not None and predicted > budget:
-        raise BudgetExceededError(f"predicted {predicted} members exceeds budget {budget}")
-    return gen_delta0(n, budget=None) + gen_delta1(n) + gen_delta2(n)
+    _check_budget(count_delta(n), budget)
+    return gen_delta0(n, budget=None) + gen_delta1(n, budget=None) + gen_delta2(n, budget=None)
 
 
-def gen_elemental(n: int) -> list[CanonicalInequality]:
+def gen_elemental(n: int, budget: int | None = DEFAULT_BUDGET) -> list[CanonicalInequality]:
     """Elemental basic inequalities: h(i|N-i) block, then I(i;j|mu) block."""
     check_n(n)
+    _check_budget(count_elemental(n), budget)
     out = []
     for i in range(1, n + 1):
         bi = 1 << (i - 1)
         out.append(CanonicalInequality(
             KIND_ELEMENTAL_H, (i,), cond_entropy_expr(n, bi, full_mask(n) & ~bi)))
-    for ci in gen_delta1(n):
+    for ci in gen_delta1(n, budget=None):
         out.append(CanonicalInequality(KIND_ELEMENTAL_I, ci.payload, ci.expr))
     return out
 
@@ -268,15 +277,10 @@ def classify_quad(q: IngletonQuad) -> QuadClass:
     for b1, b2, b3, b4 in arrangements:
         if b3 == 0 and b1 == b2 and _is_singleton(b1) and b4 == full_mask(n) & ~b1:
             return QuadClass(CLASS_IN_DELTA2, (b1.bit_length(),))
-    masks = q.masks()
-    for i in range(4):
-        others = 0
-        for j in range(4):
-            if j != i:
-                others |= masks[j]
-        if not masks[i] & ~others:
-            return QuadClass(CLASS_BASIC_IMPLIED)
-    return QuadClass(CLASS_REDUCES_TO, delta0_payload(*reduce_quad(q)))
+    reduced = reduce_quad(q)
+    if 0 in reduced[:4]:  # an empty private part: covered by the other three
+        return QuadClass(CLASS_BASIC_IMPLIED)
+    return QuadClass(CLASS_REDUCES_TO, delta0_payload(*reduced))
 
 
 def write_inequalities(path, n: int, ineqs: Sequence[CanonicalInequality]) -> None:

@@ -4,7 +4,9 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from ingletonlp import certify, ingen
@@ -91,6 +93,12 @@ def test_certificate_file_roundtrip(tmp_path):
     assert back == items
 
 
+@pytest.mark.parametrize("line", ["q\t0:1/0", "q\t0:x", "q\t0"])
+def test_bad_certificate_line_is_value_error(line):
+    with pytest.raises(ValueError):
+        certify.parse_certificate_line(line)
+
+
 def test_witness_file_roundtrip(tmp_path):
     gens = elemental_exprs(4)
     target = ingleton_expr(IngletonQuad(4, 0b1, 0b10, 0b100, 0b1000))
@@ -166,6 +174,28 @@ def test_minimality_n3_no_member_redundant():
         assert all(evaluate(g, wit.point) >= 0 for g in rest)
 
 
+def test_minimality_worker_count_does_not_change_report():
+    assert certify.check_minimality(3, workers=2).to_text() == \
+        certify.check_minimality(3).to_text()
+
+
+def test_scan_reports_carry_their_generators():
+    assert certify.check_minimality(3).generators == tuple(ingen.gen_delta(3))
+    rep = certify.check_theorem1(5, sample=5)
+    assert rep.generators == tuple(ingen.gen_elemental(5))
+    rep = certify.check_completeness(3, sample_size=5)
+    assert rep.generators == tuple(ingen.gen_delta(3))
+    assert (rep.mode, rep.samples, rep.certified) == ("sample", 5, 5)
+
+
+@pytest.mark.parametrize("sample", [0, -3])
+def test_sample_size_below_one_is_rejected(sample):
+    with pytest.raises(ValueError, match="sample size"):
+        certify.check_theorem1(5, sample=sample)
+    with pytest.raises(ValueError, match="sample size"):
+        certify.check_completeness(5, sample_size=sample)
+
+
 def test_minimality_refuses_large_n_without_optin():
     with pytest.raises(ValueError):
         certify.check_minimality(6)
@@ -218,6 +248,32 @@ def test_unit_witness_guard(monkeypatch):
     monkeypatch.setattr(certify, "evaluate", lambda e, h: 0)
     with pytest.raises(RuntimeError, match="unit witness"):
         system.decide(parse_expr("+1*h{2}", 2))
+
+
+def _failed_linprog(*args, **kwargs):
+    return SimpleNamespace(status=4, x=None, fun=None)
+
+
+def _outside_linprog(*args, **kwargs):
+    # claims the target is not implied, then offers a point far outside the cone
+    n_vars = len(args[0])
+    return SimpleNamespace(status=2 if "A_eq" in kwargs else 0,
+                           x=np.full(n_vars, -1.0), fun=-1.0)
+
+
+@pytest.mark.parametrize("fake", [_failed_linprog, _outside_linprog])
+def test_exact_fallback_when_float_solve_misleads(monkeypatch, fake):
+    # every answer then comes from the exact solves: _exact_feasible or _exact_witness
+    monkeypatch.setattr(certify, "linprog", fake)
+    target, gens = _ingleton4()
+    assert certify.conic_implies(target, gens) is None
+    wit = certify.separation_witness(target, gens)
+    assert certify.verify_witness(target, gens, wit) and evaluate(target, wit.point) == -1
+    gens = delta_exprs(3)
+    target = ingleton_expr(IngletonQuad(3, 0b1, 0b10, 0, 0b100))
+    cert = certify.conic_implies(target, gens)
+    assert cert is not None and certify.verify_certificate(target, gens, cert)
+    assert certify.separation_witness(target, gens) is None
 
 
 def _tampered_solve(edit=lambda res: None):

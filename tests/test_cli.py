@@ -237,3 +237,43 @@ def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_BUDGET, "10")
     rc, out, _ = run_cli(capsys, ["gen", "--n", "4", "--budget", "1000000"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--n", "5", "--family", "elemental", "--budget", "10"],
+    ["gen", "--n", "5", "--family", "delta1", "--budget", "1"],
+    ["implies", "--n", "4", "--quad", "{1},{2},{3},{4}", "--family", "elemental",
+     "--budget", "1"],
+    ["check-theorem1", "--n", "3", "--budget", "1"],
+])
+def test_budget_reaches_every_family(capsys, argv):
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2 and out == "" and "budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-theorem1", "--n", "5", "--sample", "0"],
+    ["check-theorem1", "--n", "5", "--sample", "-3"],
+    ["check-completeness", "--n", "5", "--sample", "0"],
+    ["check-completeness", "--n", "5", "--sample", "-2"],
+])
+def test_sample_below_one_exits_two(capsys, argv):
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2 and out == "" and "sample size" in err
+
+
+def test_completeness_sample_applies_at_small_n(capsys):
+    # exhaustive only when no sample size is given, as for check-theorem1
+    rc, out, _ = run_cli(capsys, ["check-completeness", "--n", "3", "--sample", "7"])
+    assert rc == 0
+    assert "mode sample" in out and "samples 7" in out and "certified 7" in out
+
+
+def test_implies_true_emits_its_generators(capsys, tmp_path):
+    emit = tmp_path / "out"
+    rc, _, _ = run_cli(capsys, [
+        "implies", "--n", "3", "--quad", "{1},{1},{},{2,3}", "--family", "delta2",
+        "--emit-certificates", str(emit)])
+    assert rc == 0
+    n, gens = ingen.read_inequalities(emit / "generators.txt")
+    assert n == 3 and gens == ingen.gen_delta2(3)

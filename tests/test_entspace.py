@@ -11,6 +11,7 @@ from ingletonlp.entspace import (
     LinExpr,
     MAX_N,
     MIN_N,
+    accumulate,
     check_mask,
     check_n,
     cond_entropy_expr,
@@ -316,3 +317,12 @@ def test_fulldim_vector_is_strictly_submodular():
         for b in range(1, 8):
             if a & ~b and b & ~a:
                 assert v[a] + v[b] > v[a | b] + (v[a & b] if a & b else 0)
+
+
+def test_accumulate_sums_and_drops_cancelled_terms():
+    a = parse_expr("+1*h{1} +2*h{1,2}", 2)
+    b = parse_expr("-1*h{1} +1/2*h{2}", 2)
+    assert accumulate([(1, a), (1, b)]) == (a + b).coeffs
+    assert accumulate([(Fraction(3), a), (-3, a)]) == {}
+    assert accumulate([(0, a), (2, b)]) == (2 * b).coeffs
+    assert accumulate([]) == {}

@@ -214,3 +214,17 @@ def test_generation_is_deterministic():
     a = ingen.inequalities_to_text(4, ingen.gen_delta(4))
     b = ingen.inequalities_to_text(4, ingen.gen_delta(4))
     assert a == b
+
+
+def test_count_elemental_matches_generation():
+    for n in range(2, 7):
+        assert ingen.count_elemental(n) == len(ingen.gen_elemental(n))
+        assert ingen.count_elemental(n) == len(ingen.gen_delta1(n)) + len(ingen.gen_delta2(n))
+    assert ingen.count_elemental(20) == 49_807_380
+
+
+@pytest.mark.parametrize("gen", [ingen.gen_delta1, ingen.gen_delta2, ingen.gen_elemental])
+def test_budget_guard_every_family(gen):
+    with pytest.raises(ingen.BudgetExceededError):
+        gen(20, budget=1)
+    assert gen(3, budget=None) == gen(3)
