@@ -16,9 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-from scipy.optimize import linprog
-
 from . import ingen
 from .entspace import (
     EntropyVector,
@@ -32,7 +29,7 @@ from .entspace import (
     parse_rational,
     report_text,
 )
-from .simplex import solve_standard
+from .simplex import linprog, solve_standard
 
 CONE_GAMMA = "gamma"
 CONE_GAMMA_IN = "gamma-in"
@@ -245,9 +242,7 @@ def _float_seed(problem: BoundProblem, glist: list[LinExpr]) -> list[int]:
             a_eq.append(dense(expr))
             b_eq.append(float(rhs))
     cost = [-c for c in dense(problem.objective)]
-    res = linprog(cost, A_ub=np.array(a_ub), b_ub=np.array(b_ub),
-                  A_eq=np.array(a_eq) if a_eq else None,
-                  b_eq=np.array(b_eq) if b_eq else None,
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq or None, b_eq=b_eq or None,
                   bounds=(0, None), method="highs")
     if res.status != 0:
         return []
@@ -402,9 +397,14 @@ def _farkas_from(problem, members, asm, chosen, ray) -> BoundResult:
 
 
 def solve_bound(problem: BoundProblem, extra_inequalities=None,
-                budget: int | None = ingen.DEFAULT_BUDGET) -> BoundResult:
-    """Exact optimum with a re-verified certificate for whichever status holds."""
-    members = cone_members(problem.n, problem.cone, budget=budget)
+                budget: int | None = ingen.DEFAULT_BUDGET, members=None) -> BoundResult:
+    """Exact optimum with a re-verified certificate for whichever status holds.
+
+    `members` is the problem's cone family when the caller has built it
+    already; otherwise it is generated here under `budget`.
+    """
+    if members is None:
+        members = cone_members(problem.n, problem.cone, budget=budget)
     extras = [e for e in (extra_inequalities or [])]
     for e in extras:
         if e.n != problem.n:
@@ -419,8 +419,7 @@ def solve_bound(problem: BoundProblem, extra_inequalities=None,
     result = _solve_max(inner, members, glist)
     if flipped:
         result = _flip_sense(result)
-    if not verify_bound_result(problem, result,
-                               extra_inequalities=extras, budget=budget):
+    if not verify_bound_result(problem, result, extra_inequalities=extras, members=members):
         raise RuntimeError("certificate failed verification")
     return result
 
@@ -441,8 +440,10 @@ def _flip_sense(result: BoundResult) -> BoundResult:
 
 def verify_bound_result(problem: BoundProblem, result: BoundResult,
                         extra_inequalities=None,
-                        budget: int | None = ingen.DEFAULT_BUDGET) -> bool:
-    members = cone_members(problem.n, problem.cone, budget=budget)
+                        budget: int | None = ingen.DEFAULT_BUDGET, members=None) -> bool:
+    """Re-check result's certificate exactly; `members` as in solve_bound."""
+    if members is None:
+        members = cone_members(problem.n, problem.cone, budget=budget)
     glist = [ci.expr for ci in members] + [e for e in (extra_inequalities or [])]
     if result.status == "optimal":
         return (_check_feasible(problem, glist, result.primal)
@@ -759,8 +760,9 @@ def parse_network(text: str) -> NetworkDescription:
 
 
 def format_bound_report(problem: BoundProblem, result: BoundResult,
-                        extra_count: int = 0) -> str:
-    members = cone_members(problem.n, problem.cone)
+                        extra_count: int = 0, members=None) -> str:
+    if members is None:
+        members = cone_members(problem.n, problem.cone)
     lines = []
 
     def gen_lines(tag: str, pairs):

@@ -15,9 +15,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-from scipy.optimize import linprog
-
 from . import ingen
 from .entspace import (
     EntropyVector,
@@ -32,7 +29,7 @@ from .entspace import (
     parse_rational,
     report_text,
 )
-from .simplex import solve_standard
+from .simplex import linprog, solve_standard
 
 
 def _require(ok: bool, what: str) -> None:
@@ -93,8 +90,7 @@ class _ConeSystem:
             support.update(g.coeffs)
         self.masks = sorted(support)
         self.index = {m: i for i, m in enumerate(self.masks)}
-        self.float_cols = np.array(
-            [[float(g.coeffs.get(m, 0)) for m in self.masks] for g in gens]).T
+        self._float_cols = None
         self._exact_keys = {}
         for i, g in enumerate(gens):
             self._exact_keys.setdefault(g.key(), i)
@@ -117,10 +113,10 @@ class _ConeSystem:
             return None, point
 
         b_exact = [target.coeffs.get(m, 0) for m in self.masks]
-        b_float = np.array([float(v) for v in b_exact])
+        b_float = [float(v) for v in b_exact]
         ngen = len(self.gens)
 
-        res = linprog(np.zeros(ngen), A_eq=self.float_cols, b_eq=b_float,
+        res = linprog([0.0] * ngen, A_eq=self.float_cols(), b_eq=b_float,
                       bounds=(0, None), method="highs")
         if res.status == 0:
             support = [j for j in range(ngen) if res.x[j] > 1e-9]
@@ -136,6 +132,14 @@ class _ConeSystem:
         if cert is not None:
             return cert, None
         return None, self._exact_witness(target, b_exact)
+
+    def float_cols(self):
+        """Generator columns as a float array, built for the first presolve."""
+        if self._float_cols is None:
+            import numpy as np
+            self._float_cols = np.array(
+                [[float(g.coeffs.get(m, 0)) for m in self.masks] for g in self.gens]).T
+        return self._float_cols
 
     def _exact_feasible(self, support: list[int], b_exact) -> dict | None:
         rows = range(len(self.masks))
@@ -161,8 +165,8 @@ class _ConeSystem:
 
     def _float_witness(self, target: LinExpr, b_float) -> EntropyVector | None:
         # direction p with g.p >= 0 for all generators and target.p < 0
-        res = linprog(b_float, A_ub=-self.float_cols.T,
-                      b_ub=np.zeros(len(self.gens)), bounds=(-1, 1), method="highs")
+        res = linprog(b_float, A_ub=-self.float_cols().T,
+                      b_ub=[0.0] * len(self.gens), bounds=(-1, 1), method="highs")
         if res.status != 0 or res.fun > -1e-7:
             return None
         for den in (16, 1024, 10 ** 6, 10 ** 12):
@@ -217,15 +221,21 @@ def _settle(system: _ConeSystem, target: LinExpr, label: str = "the target"):
     return out
 
 
+def decide_implication(target: LinExpr, gens) -> FarkasCertificate | SeparationWitness:
+    """One exact decision: a certificate if target is a nonnegative combination
+    of gens, else a witness point normalized to target value -1."""
+    return _settle(_ConeSystem(list(gens)), target)
+
+
 def conic_implies(target: LinExpr, gens) -> FarkasCertificate | None:
     """Certificate iff target is a nonnegative combination of gens, else None."""
-    out = _settle(_ConeSystem(list(gens)), target)
+    out = decide_implication(target, gens)
     return out if isinstance(out, FarkasCertificate) else None
 
 
 def separation_witness(target: LinExpr, gens) -> SeparationWitness | None:
     """Witness point (normalized to target value -1) iff target is not implied."""
-    out = _settle(_ConeSystem(list(gens)), target)
+    out = decide_implication(target, gens)
     return out if isinstance(out, SeparationWitness) else None
 
 

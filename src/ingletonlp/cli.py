@@ -118,15 +118,13 @@ def _cmd_implies(config: RunConfig) -> int:
     label = format_quad(q)
     target = ingleton_expr(q)
     members = _load_gens(config)
-    exprs = [ci.expr for ci in members]
-    cert = certify.conic_implies(target, exprs)
-    if cert is not None:
-        body = ["implied true", certify.format_certificate_line(label, cert)]
-        _emit(config, members, certificates=[(label, cert)])
+    answer = certify.decide_implication(target, [ci.expr for ci in members])
+    if isinstance(answer, certify.FarkasCertificate):
+        body = ["implied true", certify.format_certificate_line(label, answer)]
+        _emit(config, members, certificates=[(label, answer)])
     else:
-        wit = certify.separation_witness(target, exprs)
-        body = ["implied false", f"witness {format_vector_pairs(wit.point)}"]
-        _emit(config, members, witnesses=[(label, wit)])
+        body = ["implied false", f"witness {format_vector_pairs(answer.point)}"]
+        _emit(config, members, witnesses=[(label, answer)])
     sys.stdout.write(report_text("implies", config.n, {"quad": label, "gens": len(members)},
                                  [*body, "status ok"]))
     return 0
@@ -215,8 +213,9 @@ def _cmd_bound(config: RunConfig) -> int:
         net = bound_mod.parse_network(
             Path(config.network).read_text(encoding="ascii"))
         problem = bound_mod.compile_network(net, cone=config.cone)
-    result = bound_mod.solve_bound(problem, budget=budget)
-    text = bound_mod.format_bound_report(problem, result)
+    members = bound_mod.cone_members(problem.n, problem.cone, budget=budget)
+    result = bound_mod.solve_bound(problem, members=members)
+    text = bound_mod.format_bound_report(problem, result, members=members)
     sys.stdout.write(text)
     if config.out:
         Path(config.out).write_text(text, encoding="ascii")

@@ -63,6 +63,20 @@ def format_subset(mask: int) -> str:
     return "{" + ",".join(str(e) for e in elements_of(mask)) + "}"
 
 
+class SubsetNames(dict):
+    """format_subset text by mask, filled in as masks are first met.
+
+    A writer keeps one for the text it builds, so the memo holds no more
+    masks than that text names.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, mask: int) -> str:
+        text = self[mask] = format_subset(mask)
+        return text
+
+
 def parse_subset(text: str) -> int:
     s = text.strip()
     if not (s.startswith("{") and s.endswith("}")):
@@ -180,14 +194,17 @@ class LinExpr:
         return f"<LinExpr n={self.n} {format_expr(self)}>"
 
 
-def format_expr(e: LinExpr) -> str:
+def format_expr(e: LinExpr, names: SubsetNames | None = None) -> str:
+    """Signed terms `+c*h{..}` in mask order; `names` memoizes the subset text."""
     if e.is_zero():
         return "0"
+    if names is None:
+        names = SubsetNames()
     parts = []
     for mask, c in e.terms():
-        c = Fraction(c)
-        sign = "+" if c > 0 else "-"
-        parts.append(f"{sign}{abs(c)}*h{format_subset(mask)}")
+        if not isinstance(c, int):
+            c = Fraction(c)
+        parts.append(f"{'+' if c > 0 else '-'}{abs(c)}*h{names[mask]}")
     return " ".join(parts)
 
 

@@ -17,11 +17,11 @@ from typing import Sequence
 from .entspace import (
     IngletonQuad,
     LinExpr,
+    SubsetNames,
     check_n,
     cond_entropy_expr,
     cond_mutinfo_expr,
     format_expr,
-    format_subset,
     full_mask,
     ingleton_expr,
     parse_expr,
@@ -54,16 +54,17 @@ def _check_budget(predicted: int, budget: int | None) -> None:
         raise BudgetExceededError(f"predicted {predicted} members exceeds budget {budget}")
 
 
-def payload_text(kind: str, payload: tuple) -> str:
+def payload_text(kind: str, payload: tuple, names: SubsetNames | None = None) -> str:
+    if names is None:
+        names = SubsetNames()
     if kind == KIND_DELTA0:
         d1, d2, d3, d4, beta = payload
-        return (f"{format_subset(d1)},{format_subset(d2)};"
-                f"{format_subset(d3)},{format_subset(d4)}|{format_subset(beta)}")
+        return f"{names[d1]},{names[d2]};{names[d3]},{names[d4]}|{names[beta]}"
     if kind in (KIND_DELTA1, KIND_ELEMENTAL_I):
         i, j, mu = payload
-        return f"{format_subset(1 << (i - 1))},{format_subset(1 << (j - 1))}|{format_subset(mu)}"
+        return f"{names[1 << (i - 1)]},{names[1 << (j - 1)]}|{names[mu]}"
     # Delta2 / ElementalH carry a single element
-    return format_subset(1 << (payload[0] - 1))
+    return names[1 << (payload[0] - 1)]
 
 
 @dataclass(frozen=True)
@@ -80,16 +81,18 @@ class CanonicalInequality:
     def payload_text(self) -> str:
         return payload_text(self.kind, self.payload)
 
-    def line(self) -> str:
-        return f"{self.kind}\t{self.payload_text()}\t{format_expr(self.expr)}"
+    def line(self, names: SubsetNames | None = None) -> str:
+        return (f"{self.kind}\t{payload_text(self.kind, self.payload, names)}"
+                f"\t{format_expr(self.expr, names)}")
 
 
 def count_delta0(n: int) -> int:
     if n < 2:
         raise ValueError("need n >= 2")
-    num = 6 ** n + 6 * 4 ** n + 2 ** n
-    assert num % 4 == 0
-    return num // 4 - 5 ** n - 3 ** n
+    quarter, rest = divmod(6 ** n + 6 * 4 ** n + 2 ** n, 4)
+    if rest:
+        raise RuntimeError(f"closed form for |Delta0| at n={n} is not an integer")
+    return quarter - 5 ** n - 3 ** n
 
 
 def count_elemental(n: int) -> int:
@@ -289,8 +292,9 @@ def write_inequalities(path, n: int, ineqs: Sequence[CanonicalInequality]) -> No
 
 
 def inequalities_to_text(n: int, ineqs: Sequence[CanonicalInequality]) -> str:
+    names = SubsetNames()
     lines = [f"n={n} count={len(ineqs)}"]
-    lines.extend(ci.line() for ci in ineqs)
+    lines.extend(ci.line(names) for ci in ineqs)
     return "\n".join(lines) + "\n"
 
 

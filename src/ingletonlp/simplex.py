@@ -15,6 +15,9 @@ gcd.  A sign test or a comparison within one row reads the numerators
 directly, and the ratio test cross-multiplies them, so each pivot is the
 one plain rational arithmetic would choose.  Inputs may mix ints and
 Fractions; outputs are Fractions.
+
+`linprog` is the package's one way into the float solver (HiGHS through
+scipy); it imports scipy at its first call.
 """
 
 from __future__ import annotations
@@ -34,6 +37,16 @@ class LPResult:
     # opaque restart data (surviving rows, basis columns); feed back as
     # `warm` when re-solving the same rows with extra columns appended
     warm: tuple | None = None
+
+
+def linprog(c, **kwargs):
+    """Float LP through scipy.optimize.linprog, imported at the first call.
+
+    Only the HiGHS presolves of `certify` and `bound` call it, so a command
+    that runs no presolve never loads scipy or numpy.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(c, **kwargs)
 
 
 def _reduce(row: list[int], den: int) -> tuple[list[int], int]:

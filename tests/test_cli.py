@@ -1,8 +1,12 @@
 """Command-line behavior: reports, files, exit codes."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from ingletonlp import cli, ingen
+from ingletonlp import certify, cli, ingen
 from ingletonlp.cli import main
 from ingletonlp.entspace import vector_from_text
 
@@ -277,3 +281,50 @@ def test_implies_true_emits_its_generators(capsys, tmp_path):
     assert rc == 0
     n, gens = ingen.read_inequalities(emit / "generators.txt")
     assert n == 3 and gens == ingen.gen_delta2(3)
+
+
+def test_implies_decides_once(capsys, monkeypatch):
+    calls = []
+    decide = certify._ConeSystem.decide
+
+    def counted(self, target):
+        calls.append(target)
+        return decide(self, target)
+    monkeypatch.setattr(certify._ConeSystem, "decide", counted)
+    for family, verdict in (("elemental", "implied false"), ("delta", "implied true")):
+        calls.clear()
+        rc, out, _ = run_cli(capsys, ["implies", "--n", "4", "--quad", "{1},{2},{3},{4}",
+                                      "--family", family])
+        assert rc == 0 and verdict in out
+        assert len(calls) == 1
+
+
+def test_bound_builds_its_family_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    gen_delta = ingen.gen_delta
+
+    def counted(n, budget=ingen.DEFAULT_BUDGET):
+        calls.append(n)
+        return gen_delta(n, budget=budget)
+    monkeypatch.setattr(ingen, "gen_delta", counted)
+    prob = tmp_path / "prob.txt"
+    prob.write_text("n 3\ncone gamma-in\nmaximize +1*h{1,2,3}\nst +1*h{1} <= 1\n"
+                    "st +1*h{2} <= 1\nst +1*h{3} <= 1\n", encoding="ascii")
+    rc, out, _ = run_cli(capsys, ["bound", "--problem", str(prob)])
+    assert rc == 0 and "value 3" in out and "verified true" in out
+    assert calls == [3]
+
+
+def test_gen_and_count_leave_the_float_stack_unloaded():
+    # numpy and scipy serve only the HiGHS presolves, which gen and count never run
+    code = (
+        "import sys\n"
+        "from ingletonlp import cli\n"
+        "codes = [cli.main(['gen', '--n', '4']), cli.main(['count', '--n', '6'])]\n"
+        "loaded = [m for m in ('numpy', 'scipy') if m in sys.modules]\n"
+        "sys.stderr.write(f'codes={codes} loaded={loaded}')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.endswith("codes=[0, 0] loaded=[]")

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ingletonlp.entspace import (
     EntropyVector,
@@ -11,6 +12,7 @@ from ingletonlp.entspace import (
     LinExpr,
     MAX_N,
     MIN_N,
+    SubsetNames,
     accumulate,
     check_mask,
     check_n,
@@ -141,6 +143,32 @@ def test_expr_text_roundtrip():
     assert dict(e.terms()) == {0b11: Fraction(3, 2), 0b100: -1}
     assert format_expr(e) == text
     assert parse_expr(format_expr(e), 3) == e
+
+
+def _reference_format_expr(e):
+    # the writer's formula before int coefficients were printed directly
+    parts = []
+    for mask, c in e.terms():
+        c = Fraction(c)
+        parts.append(f"{'+' if c > 0 else '-'}{abs(c)}*h{format_subset(mask)}")
+    return " ".join(parts) if parts else "0"
+
+
+_coefficients = st.one_of(
+    st.integers(-12, 12),
+    st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.dictionaries(st.integers(1, 2 ** n - 1), _coefficients, max_size=8))))
+def test_format_expr_matches_reference_and_roundtrips(case):
+    n, coeffs = case
+    e = LinExpr(n, coeffs)
+    text = format_expr(e)
+    assert text == _reference_format_expr(e)
+    assert format_expr(e, SubsetNames()) == text
+    assert parse_expr(text, n) == e
 
 
 def test_parse_expr_zero_literal():

@@ -1,5 +1,6 @@
 """Family generation, counting formulas, quad classification, file format."""
 
+import hashlib
 import itertools
 import math
 
@@ -228,3 +229,26 @@ def test_budget_guard_every_family(gen):
     with pytest.raises(ingen.BudgetExceededError):
         gen(20, budget=1)
     assert gen(3, budget=None) == gen(3)
+
+
+def test_count_delta0_integer_guard(monkeypatch):
+    # the closed form is divisible by four for every n; the check must not be an assert
+    monkeypatch.setattr(ingen, "divmod", lambda a, b: (a // b, 1), raising=False)
+    with pytest.raises(RuntimeError, match="not an integer"):
+        ingen.count_delta0(5)
+
+
+# sha256 of inequalities_to_text(7, ...), recorded before the member writer
+# was made table-driven
+WRITER_SHA256 = {
+    "delta": "1d3e08c12cb5c015036947ce8de3e4741f91c70fbc86d06947dc07b49e43f9b1",
+    "elemental": "d491c1ec0a11b04c4b198e61c826f113322a10f5be400df50d63e1456fa28804",
+}
+
+
+@pytest.mark.parametrize("family,gen", [("delta", ingen.gen_delta),
+                                        ("elemental", ingen.gen_elemental)])
+def test_writer_bytes_at_n7(family, gen):
+    members = gen(7)
+    text = ingen.inequalities_to_text(7, members)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == WRITER_SHA256[family]
