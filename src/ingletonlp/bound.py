@@ -138,9 +138,10 @@ def _entropy_decomposition(n: int, alpha: int) -> list[tuple]:
 def _elemental_index(members) -> dict[tuple, int]:
     by_key = {}
     for idx, ci in enumerate(members):
-        if ci.kind in (ingen.KIND_ELEMENTAL_H, ingen.KIND_DELTA2):
+        kind = ingen.shape(ci.kind)
+        if kind == ingen.KIND_DELTA2:
             by_key[("H", ci.payload[0])] = idx
-        elif ci.kind in (ingen.KIND_ELEMENTAL_I, ingen.KIND_DELTA1):
+        elif kind == ingen.KIND_DELTA1:
             by_key[("I",) + ci.payload] = idx
     return by_key
 
@@ -216,12 +217,16 @@ class _DualAssembly:
         return mu, nu, w[base + dim:], w[base:base + dim]
 
 
-def _price(glist, kset, vec, cap: int = 256) -> list[int]:
-    """Cone members violated at vec, worst first, at most cap of them."""
+# most violated members priced in per round
+_PRICE_CAP = 256
+
+
+def _price(glist, kset, vec) -> list[int]:
+    """Cone members violated at vec, worst first, at most _PRICE_CAP of them."""
     bad = [(v, k) for k in range(len(glist)) if k not in kset
            and (v := evaluate(glist[k], vec)) < 0]
     bad.sort()
-    return [k for _v, k in bad[:cap]]
+    return [k for _v, k in bad[:_PRICE_CAP]]
 
 
 def _float_seed(problem: BoundProblem, glist: list[LinExpr]) -> list[int]:
@@ -259,6 +264,28 @@ def _float_seed(problem: BoundProblem, glist: list[LinExpr]) -> list[int]:
 _ALL_COLUMNS_LIMIT = 800
 
 
+def _close(asm: _DualAssembly, glist, chosen: list[int], objective: LinExpr):
+    """Solve over chosen columns, pricing in violated members until none is left.
+
+    Returns the last solve and the columns it ran over.  Each re-solve
+    starts from the previous basis; only an optimal solve has a point
+    (its row duals) to price, so any other status ends the loop.
+    """
+    kset = set(chosen)
+    warm = None
+    for _round in range(len(glist) + 10):
+        res = asm.solve(chosen, objective, warm=warm)
+        warm = res.warm
+        if res.status != "optimal":
+            return res, chosen
+        add = _price(glist, kset, _vector_from(asm.p.n, res.y))
+        if not add:
+            return res, chosen
+        kset.update(add)
+        chosen = chosen + sorted(add)
+    raise RuntimeError("column generation failed to close")
+
+
 def _solve_max(problem: BoundProblem, members, glist) -> BoundResult:
     """Column generation over cone members; problem.sense must be max."""
     asm = _DualAssembly(problem, glist)
@@ -266,23 +293,12 @@ def _solve_max(problem: BoundProblem, members, glist) -> BoundResult:
         chosen = list(range(len(glist)))
     else:
         chosen = sorted(set(_float_seed(problem, glist)))
-    kset = set(chosen)
-    warm = None
     for _round in range(len(glist) + 10):
-        res = asm.solve(chosen, problem.objective, warm=warm)
-        warm = res.warm
-        if res.status == "unbounded":
-            # multipliers shrink without bound: nothing satisfies the
-            # constraint rows, and dropping cone columns only relaxed them
-            return _farkas_from(problem, members, asm, chosen, res.ray)
-        if res.status == "optimal":
-            point = _vector_from(problem.n, res.y)
-            add = _price(glist, kset, point)
-            if add:
-                kset.update(add)
-                chosen = chosen + sorted(add)
-                continue
-            return _optimal_from(problem, members, asm, chosen, res, point)
+        res, chosen = _close(asm, glist, chosen, problem.objective)
+        # optimal is the answer; unbounded multipliers mean nothing satisfies
+        # the constraint rows, and dropping cone columns only relaxed them
+        if res.status != "infeasible":
+            return _result(problem, members, asm, chosen, res)
         # no multiplier combination covers the objective over these
         # columns: the rows admit no point, or an improving ray exists
         out = _feasible_point(problem, members, glist, asm, chosen)
@@ -293,10 +309,9 @@ def _solve_max(problem: BoundProblem, members, glist) -> BoundResult:
             return BoundResult(status="unbounded", primal=out, ray=ray)
         # the no-ray certificate is itself a multiplier combination
         # covering the objective, so these columns restore feasibility
-        new = sorted(set(bound_ids) - kset)
+        new = sorted(set(bound_ids) - set(chosen))
         if not new:
             raise RuntimeError("boundedness certificate added no columns")
-        kset.update(new)
         chosen = chosen + new
     raise RuntimeError("column generation failed to close")
 
@@ -321,24 +336,12 @@ def _improving_ray(problem, members, glist, chosen):
 
 def _feasible_point(problem, members, glist, asm: _DualAssembly, chosen):
     """Point satisfying every row, or a BoundResult proving there is none."""
-    kset = set(chosen)
-    zero = LinExpr.zero(problem.n)
-    warm = None
-    for _round in range(len(glist) + 10):
-        res = asm.solve(chosen, zero, warm=warm)
-        warm = res.warm
-        if res.status == "unbounded":
-            return _farkas_from(problem, members, asm, chosen, res.ray)
-        if res.status != "optimal":
-            raise RuntimeError("zero-objective system cannot be infeasible")
-        point = _vector_from(problem.n, res.y)
-        add = _price(glist, kset, point)
-        if add:
-            kset.update(add)
-            chosen = chosen + sorted(add)
-            continue
-        return point
-    raise RuntimeError("column generation failed to close")
+    res, chosen = _close(asm, glist, chosen, LinExpr.zero(problem.n))
+    if res.status == "infeasible":
+        raise RuntimeError("zero-objective system cannot be infeasible")
+    if res.status == "unbounded":
+        return _result(problem, members, asm, chosen, res)
+    return _vector_from(problem.n, res.y)
 
 
 def _vector_from(n: int, coords) -> EntropyVector:
@@ -379,32 +382,30 @@ def _user_multipliers(asm: _DualAssembly, w, chosen, negate: bool) -> list:
     return out
 
 
-def _optimal_from(problem, members, asm, chosen, res, point) -> BoundResult:
-    lam = _cone_fold(problem, members, asm, chosen, res.x)
-    user = _user_multipliers(asm, res.x, chosen, negate=False)
+def _result(problem, members, asm, chosen, res) -> BoundResult:
+    """The optimum of an optimal multiplier solve, or the infeasibility
+    certificate read off the ray of an unbounded one."""
+    optimal = res.status == "optimal"
+    w = res.x if optimal else res.ray
+    lam = _cone_fold(problem, members, asm, chosen, w)
+    user = tuple(_user_multipliers(asm, w, chosen, negate=not optimal))
     cone = tuple(sorted((k, cf) for k, cf in lam.items() if cf))
-    dual = DualCertificate(user=tuple(user), cone=cone)
-    return BoundResult(status="optimal", value=Fraction(res.objective),
-                       primal=point, dual=dual)
+    if optimal:
+        return BoundResult(status="optimal", value=Fraction(res.objective),
+                           primal=_vector_from(problem.n, res.y),
+                           dual=DualCertificate(user=user, cone=cone))
+    return BoundResult(status="infeasible",
+                       farkas=InfeasibilityCertificate(user=user, cone=cone))
 
 
-def _farkas_from(problem, members, asm, chosen, ray) -> BoundResult:
-    lam = _cone_fold(problem, members, asm, chosen, ray)
-    user = _user_multipliers(asm, ray, chosen, negate=True)
-    cone = tuple(sorted((k, cf) for k, cf in lam.items() if cf))
-    cert = InfeasibilityCertificate(user=tuple(user), cone=cone)
-    return BoundResult(status="infeasible", farkas=cert)
-
-
-def solve_bound(problem: BoundProblem, extra_inequalities=None,
-                budget: int | None = ingen.DEFAULT_BUDGET, members=None) -> BoundResult:
+def solve_bound(problem: BoundProblem, extra_inequalities=None, members=None) -> BoundResult:
     """Exact optimum with a re-verified certificate for whichever status holds.
 
     `members` is the problem's cone family when the caller has built it
-    already; otherwise it is generated here under `budget`.
+    already; otherwise it is generated here.
     """
     if members is None:
-        members = cone_members(problem.n, problem.cone, budget=budget)
+        members = cone_members(problem.n, problem.cone)
     extras = [e for e in (extra_inequalities or [])]
     for e in extras:
         if e.n != problem.n:
@@ -439,31 +440,41 @@ def _flip_sense(result: BoundResult) -> BoundResult:
 
 
 def verify_bound_result(problem: BoundProblem, result: BoundResult,
-                        extra_inequalities=None,
-                        budget: int | None = ingen.DEFAULT_BUDGET, members=None) -> bool:
+                        extra_inequalities=None, members=None) -> bool:
     """Re-check result's certificate exactly; `members` as in solve_bound."""
     if members is None:
-        members = cone_members(problem.n, problem.cone, budget=budget)
+        members = cone_members(problem.n, problem.cone)
     glist = [ci.expr for ci in members] + [e for e in (extra_inequalities or [])]
     if result.status == "optimal":
-        return (_check_feasible(problem, glist, result.primal)
+        maximize = problem.sense == "max"
+        return (_check_rows(problem, glist, result.primal, homogeneous=False)
                 and evaluate(problem.objective, result.primal) == result.value
-                and _check_dual(problem, glist, result.dual, result.value))
+                and _combination(problem, glist, result.dual, "<=" if maximize else ">=",
+                                 -1 if maximize else 1)
+                == (problem.objective.coeffs, result.value))
     if result.status == "infeasible":
-        return _check_farkas(problem, glist, result.farkas)
+        comb = _combination(problem, glist, result.farkas, ">=", 1)
+        return comb is not None and not comb[0] and comb[1] > 0
     if result.status == "unbounded":
-        return (_check_feasible(problem, glist, result.primal)
-                and _check_ray(problem, glist, result.ray))
+        if not (_check_rows(problem, glist, result.primal, homogeneous=False)
+                and _check_rows(problem, glist, result.ray, homogeneous=True)):
+            return False
+        gain = evaluate(problem.objective, result.ray)
+        return gain > 0 if problem.sense == "max" else gain < 0
     return False
 
 
-def _check_feasible(problem, glist, point) -> bool:
+def _check_rows(problem, glist, point, homogeneous: bool) -> bool:
+    """point satisfies every cone member and constraint row; homogeneous
+    checks the rows against zero right-hand sides, as a ray must."""
     if point is None or point.n != problem.n:
         return False
     if any(evaluate(g, point) < 0 for g in glist):
         return False
     for expr, rel, rhs in problem.constraints:
         v = evaluate(expr, point)
+        if homogeneous:
+            rhs = 0
         if rel == "<=" and v > rhs:
             return False
         if rel == ">=" and v < rhs:
@@ -473,71 +484,26 @@ def _check_feasible(problem, glist, point) -> bool:
     return True
 
 
-def _combine(problem, glist, user, cone, cone_sign: int) -> dict:
-    rows = [(user[j], expr) for j, (expr, _rel, _rhs) in enumerate(problem.constraints)]
-    return accumulate(rows + [(cone_sign * cf, glist[k]) for k, cf in cone])
+def _combination(problem, glist, cert, pos_rel: str, cone_sign: int):
+    """(coefficients, rhs total) of cert's multiplier combination of the rows.
 
-
-def _user_signs_ok(problem, user, pos_rel: str) -> bool:
-    """pos_rel is the relation whose multiplier must be >= 0; its mirror <= 0."""
-    neg_rel = ">=" if pos_rel == "<=" else "<="
-    for j, (_e, rel, _r) in enumerate(problem.constraints):
-        if rel == pos_rel and user[j] < 0:
-            return False
-        if rel == neg_rel and user[j] > 0:
-            return False
-    return True
-
-
-def _check_dual(problem, glist, dual, value) -> bool:
-    if dual is None or len(dual.user) != len(problem.constraints):
-        return False
-    if any(cf < 0 for _k, cf in dual.cone):
-        return False
-    if not _user_signs_ok(problem, dual.user,
-                          "<=" if problem.sense == "max" else ">="):
-        return False
-    cone_sign = -1 if problem.sense == "max" else 1
-    acc = _combine(problem, glist, dual.user, dual.cone, cone_sign)
-    if acc != problem.objective.coeffs:
-        return False
-    total = sum((dual.user[j] * rhs
-                 for j, (_e, _rel, rhs) in enumerate(problem.constraints)),
-                Fraction(0))
-    return total == value
-
-
-def _check_farkas(problem, glist, cert) -> bool:
+    None when cert is missing, has the wrong length, or breaks a sign rule:
+    cone multipliers must be >= 0, user multipliers >= 0 on pos_rel rows
+    and <= 0 on the mirror relation.  The cone members enter with cone_sign.
+    """
     if cert is None or len(cert.user) != len(problem.constraints):
-        return False
+        return None
     if any(cf < 0 for _k, cf in cert.cone):
-        return False
-    if not _user_signs_ok(problem, cert.user, ">="):
-        return False
-    acc = _combine(problem, glist, cert.user, cert.cone, 1)
-    if acc:
-        return False
-    total = sum((cert.user[j] * rhs
-                 for j, (_e, _rel, rhs) in enumerate(problem.constraints)),
+        return None
+    neg_rel = ">=" if pos_rel == "<=" else "<="
+    for u, (_e, rel, _r) in zip(cert.user, problem.constraints):
+        if (rel == pos_rel and u < 0) or (rel == neg_rel and u > 0):
+            return None
+    rows = [(u, expr) for u, (expr, _rel, _rhs) in zip(cert.user, problem.constraints)]
+    acc = accumulate(rows + [(cone_sign * cf, glist[k]) for k, cf in cert.cone])
+    total = sum((u * rhs for u, (_e, _rel, rhs) in zip(cert.user, problem.constraints)),
                 Fraction(0))
-    return total > 0
-
-
-def _check_ray(problem, glist, ray) -> bool:
-    if ray is None or ray.n != problem.n:
-        return False
-    if any(evaluate(g, ray) < 0 for g in glist):
-        return False
-    for expr, rel, _rhs in problem.constraints:
-        v = evaluate(expr, ray)
-        if rel == "<=" and v > 0:
-            return False
-        if rel == ">=" and v < 0:
-            return False
-        if rel == "=" and v != 0:
-            return False
-    gain = evaluate(problem.objective, ray)
-    return gain > 0 if problem.sense == "max" else gain < 0
+    return acc, total
 
 
 # ---------------------------------------------------------------------------
@@ -759,8 +725,7 @@ def parse_network(text: str) -> NetworkDescription:
     return net
 
 
-def format_bound_report(problem: BoundProblem, result: BoundResult,
-                        extra_count: int = 0, members=None) -> str:
+def format_bound_report(problem: BoundProblem, result: BoundResult, members=None) -> str:
     if members is None:
         members = cone_members(problem.n, problem.cone)
     lines = []

@@ -120,18 +120,14 @@ class _ConeSystem:
                       bounds=(0, None), method="highs")
         if res.status == 0:
             support = [j for j in range(ngen) if res.x[j] > 1e-9]
-            cert = self._exact_feasible(support, b_exact)
-            if cert is not None:
-                return cert, None
+            sol = self._exact_solve(support, b_exact)
+            if sol.status == "optimal":
+                return _cert_over(support, sol.x), None
         elif res.status == 2:
             point = self._float_witness(target, b_float)
             if point is not None:
                 return None, point
-
-        cert = self._exact_feasible(list(range(ngen)), b_exact)
-        if cert is not None:
-            return cert, None
-        return None, self._exact_witness(target, b_exact)
+        return self._exact_decide(target, b_exact)
 
     def float_cols(self):
         """Generator columns as a float array, built for the first presolve."""
@@ -141,17 +137,21 @@ class _ConeSystem:
                 [[float(g.coeffs.get(m, 0)) for m in self.masks] for g in self.gens]).T
         return self._float_cols
 
-    def _exact_feasible(self, support: list[int], b_exact) -> dict | None:
-        rows = range(len(self.masks))
-        A = [[self.gens[j].coeffs.get(self.masks[i], 0) for j in support] for i in rows]
-        res = solve_standard(A, b_exact, [0] * len(support))
-        if res.status != "optimal":
-            return None
-        return {support[j]: res.x[j] for j in range(len(support)) if res.x[j] != 0}
+    def _exact_solve(self, support: list[int], b_exact):
+        """Exact feasibility solve of sum_j x_j gens[support[j]] = target, x >= 0."""
+        A = [[self.gens[j].coeffs.get(m, 0) for j in support] for m in self.masks]
+        return solve_standard(A, b_exact, [0] * len(support))
 
-    def _exact_witness(self, target: LinExpr, b_exact) -> EntropyVector:
-        A = [[g.coeffs.get(m, 0) for g in self.gens] for m in self.masks]
-        res = solve_standard(A, b_exact, [0] * len(self.gens))
+    def _exact_decide(self, target: LinExpr, b_exact):
+        """decide's answer from one exact solve over every generator.
+
+        An optimal solve is the certificate; otherwise its Farkas vector y
+        (y.gen <= 0 for every generator, y.b > 0) scales to the witness.
+        """
+        every = list(range(len(self.gens)))
+        res = self._exact_solve(every, b_exact)
+        if res.status == "optimal":
+            return _cert_over(every, res.x), None
         _require(res.status == "infeasible", "exact solve found no Farkas vector")
         y = res.y
         ty = sum(y[i] * b_exact[i] for i in range(len(self.masks)))
@@ -161,7 +161,7 @@ class _ConeSystem:
         _require(evaluate(target, point) == -1, "witness misses the target")
         _require(all(evaluate(g, point) >= 0 for g in self.gens),
                  "witness leaves the generator cone")
-        return point
+        return None, point
 
     def _float_witness(self, target: LinExpr, b_float) -> EntropyVector | None:
         # direction p with g.p >= 0 for all generators and target.p < 0
@@ -196,6 +196,11 @@ def _point_from(n: int, coords: dict) -> EntropyVector:
     for m, v in coords.items():
         vals[m - 1] = Fraction(v)
     return EntropyVector(n, vals)
+
+
+def _cert_over(support: list[int], x) -> dict[int, Fraction]:
+    """Nonzero multipliers of an exact solve, keyed by generator id."""
+    return {gid: v for gid, v in zip(support, x) if v != 0}
 
 
 def _cert_from_dict(d: dict[int, Fraction]) -> FarkasCertificate:
@@ -301,7 +306,7 @@ def _delta_id_maps(n: int, delta: list[ingen.CanonicalInequality],
             if ci.kind == ingen.KIND_DELTA0:
                 d1, d2, d3, d4, beta = ci.payload
                 pl = ingen.delta0_payload(tab[d1], tab[d2], tab[d3], tab[d4], tab[beta])
-            elif ci.kind in (ingen.KIND_DELTA1, ingen.KIND_ELEMENTAL_I):
+            elif ingen.shape(ci.kind) == ingen.KIND_DELTA1:
                 i, j, mu = ci.payload
                 a, b = sorted((perm[i - 1] + 1, perm[j - 1] + 1))
                 pl = (a, b, tab[mu])

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import bound as bound_mod
@@ -41,52 +40,31 @@ _FAMILIES = {
 }
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: int = 4
-    family: str = "delta"
-    out: str | None = None
-    emit_dir: str | None = None
-    budget: int | None = None
-    workers: int = 1
-    seed: int = 0
-    sample: int | None = None
-    allow_large: bool = False
-    quad: str | None = None
-    gens_path: str | None = None
-    kind: str | None = None
-    cone: str = bound_mod.CONE_GAMMA_IN
-    point: str | None = None
-    problem: str | None = None
-    network: str | None = None
-
-
-def _resolve_budget(config: RunConfig) -> int:
-    if config.budget is not None:
-        return config.budget
+def _resolve_budget(args: argparse.Namespace) -> int:
+    if args.budget is not None:
+        return args.budget
     env = os.environ.get(ENV_BUDGET)
     if env is not None:
         return int(env)
     return ingen.DEFAULT_BUDGET
 
 
-def _cmd_gen(config: RunConfig) -> int:
-    budget = _resolve_budget(config)
-    make = _FAMILIES[config.family]
-    members = make(config.n, budget=budget)
-    text = ingen.inequalities_to_text(config.n, members)
-    if config.out:
-        Path(config.out).write_text(text, encoding="ascii")
-        sys.stdout.write(report_text("gen", config.n, {"family": config.family}, [
-            f"count {len(members)}", f"out {config.out}", "status ok"]))
+def _cmd_gen(args: argparse.Namespace) -> int:
+    budget = _resolve_budget(args)
+    make = _FAMILIES[args.family]
+    members = make(args.n, budget=budget)
+    text = ingen.inequalities_to_text(args.n, members)
+    if args.out:
+        Path(args.out).write_text(text, encoding="ascii")
+        sys.stdout.write(report_text("gen", args.n, {"family": args.family}, [
+            f"count {len(members)}", f"out {args.out}", "status ok"]))
     else:
         sys.stdout.write(text)
     return 0
 
 
-def _cmd_count(config: RunConfig) -> int:
-    n = config.n
+def _cmd_count(args: argparse.Namespace) -> int:
+    n = args.n
     elemental = ingen.count_elemental(n)
     sys.stdout.write(report_text("count", n, {}, [
         f"delta0 {ingen.count_delta0(n)}", f"delta1 {elemental - n}", f"delta2 {n}",
@@ -95,130 +73,130 @@ def _cmd_count(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_classify(config: RunConfig) -> int:
-    q = parse_quad(config.quad, config.n)
+def _cmd_classify(args: argparse.Namespace) -> int:
+    q = parse_quad(args.quad, args.n)
     cls = ingen.classify_quad(q)
-    sys.stdout.write(report_text("classify", config.n, {"quad": format_quad(q)},
+    sys.stdout.write(report_text("classify", args.n, {"quad": format_quad(q)},
                                  [f"class {cls}", "status ok"]))
     return 0
 
 
-def _load_gens(config: RunConfig):
-    budget = _resolve_budget(config)
-    if config.gens_path:
-        n, members = ingen.read_inequalities(config.gens_path)
-        if n != config.n:
-            raise ValueError(f"generator file is for n={n}, requested n={config.n}")
+def _load_gens(args: argparse.Namespace):
+    budget = _resolve_budget(args)
+    if args.gens_path:
+        n, members = ingen.read_inequalities(args.gens_path)
+        if n != args.n:
+            raise ValueError(f"generator file is for n={n}, requested n={args.n}")
         return members
-    return _FAMILIES[config.family](config.n, budget=budget)
+    return _FAMILIES[args.family](args.n, budget=budget)
 
 
-def _cmd_implies(config: RunConfig) -> int:
-    q = parse_quad(config.quad, config.n)
+def _cmd_implies(args: argparse.Namespace) -> int:
+    q = parse_quad(args.quad, args.n)
     label = format_quad(q)
     target = ingleton_expr(q)
-    members = _load_gens(config)
+    members = _load_gens(args)
     answer = certify.decide_implication(target, [ci.expr for ci in members])
     if isinstance(answer, certify.FarkasCertificate):
         body = ["implied true", certify.format_certificate_line(label, answer)]
-        _emit(config, members, certificates=[(label, answer)])
+        _emit(args, members, certificates=[(label, answer)])
     else:
         body = ["implied false", f"witness {format_vector_pairs(answer.point)}"]
-        _emit(config, members, witnesses=[(label, answer)])
-    sys.stdout.write(report_text("implies", config.n, {"quad": label, "gens": len(members)},
+        _emit(args, members, witnesses=[(label, answer)])
+    sys.stdout.write(report_text("implies", args.n, {"quad": label, "gens": len(members)},
                                  [*body, "status ok"]))
     return 0
 
 
-def _emit(config: RunConfig, members, certificates=(), witnesses=()) -> None:
-    if not config.emit_dir:
+def _emit(args: argparse.Namespace, members, certificates=(), witnesses=()) -> None:
+    if not args.emit_dir:
         return
-    d = Path(config.emit_dir)
+    d = Path(args.emit_dir)
     d.mkdir(parents=True, exist_ok=True)
     (d / "generators.txt").write_text(
-        ingen.inequalities_to_text(config.n, members), encoding="ascii")
+        ingen.inequalities_to_text(args.n, members), encoding="ascii")
     if certificates:
         certify.write_certificates(d / "certificates.txt", certificates)
     if witnesses:
-        certify.write_witnesses(d / "witnesses.txt", config.n, witnesses)
+        certify.write_witnesses(d / "witnesses.txt", args.n, witnesses)
 
 
-def _cmd_check_theorem1(config: RunConfig) -> int:
-    report = certify.check_theorem1(config.n, sample=config.sample, seed=config.seed,
-                                    workers=config.workers, budget=_resolve_budget(config))
+def _cmd_check_theorem1(args: argparse.Namespace) -> int:
+    report = certify.check_theorem1(args.n, sample=args.sample, seed=args.seed,
+                                    workers=args.workers, budget=_resolve_budget(args))
     sys.stdout.write(report.to_text())
-    _emit(config, report.generators, certificates=report.certificates,
-               witnesses=report.witnesses)
+    _emit(args, report.generators, certificates=report.certificates,
+          witnesses=report.witnesses)
     return 0 if report.ok else 1
 
 
-def _cmd_check_completeness(config: RunConfig) -> int:
+def _cmd_check_completeness(args: argparse.Namespace) -> int:
     report = certify.check_completeness(
-        config.n, sample_size=config.sample, seed=config.seed, workers=config.workers,
-        budget=_resolve_budget(config))
+        args.n, sample_size=args.sample, seed=args.seed, workers=args.workers,
+        budget=_resolve_budget(args))
     sys.stdout.write(report.to_text())
-    _emit(config, report.generators, certificates=report.certificates)
+    _emit(args, report.generators, certificates=report.certificates)
     return 0 if report.ok else 1
 
 
-def _cmd_check_minimality(config: RunConfig) -> int:
-    report = certify.check_minimality(config.n, workers=config.workers,
-                                      allow_large=config.allow_large,
-                                      budget=_resolve_budget(config))
+def _cmd_check_minimality(args: argparse.Namespace) -> int:
+    report = certify.check_minimality(args.n, workers=args.workers,
+                                      allow_large=args.allow_large,
+                                      budget=_resolve_budget(args))
     sys.stdout.write(report.to_text())
-    _emit(config, report.generators,
-               witnesses=[(f"{kind} {payload}", w) for kind, payload, w in report.witnesses])
+    _emit(args, report.generators,
+          witnesses=[(f"{kind} {payload}", w) for kind, payload, w in report.witnesses])
     return 0 if report.ok else 1
 
 
-def _cmd_witness(config: RunConfig) -> int:
-    if config.kind == "fulldim":
-        vec = witness_fulldim(config.n)
-    elif config.kind == "modular":
-        vec = witness_modular(config.n)
-    elif config.kind == "violator":
-        vec = certify.find_ingleton_violator(config.n)
+def _cmd_witness(args: argparse.Namespace) -> int:
+    if args.kind == "fulldim":
+        vec = witness_fulldim(args.n)
+    elif args.kind == "modular":
+        vec = witness_modular(args.n)
+    elif args.kind == "violator":
+        vec = certify.find_ingleton_violator(args.n)
     else:
-        raise ValueError(f"unknown witness kind {config.kind!r}")
+        raise ValueError(f"unknown witness kind {args.kind!r}")
     text = vector_to_text(vec)
-    if config.out:
-        Path(config.out).write_text(text, encoding="ascii")
-        sys.stdout.write(report_text("witness", config.n, {"kind": config.kind},
-                                     [f"out {config.out}", "status ok"]))
+    if args.out:
+        Path(args.out).write_text(text, encoding="ascii")
+        sys.stdout.write(report_text("witness", args.n, {"kind": args.kind},
+                                     [f"out {args.out}", "status ok"]))
     else:
         sys.stdout.write(text)
     return 0
 
 
-def _cmd_membership(config: RunConfig) -> int:
-    budget = _resolve_budget(config)
-    vec = vector_from_text(Path(config.point).read_text(encoding="ascii"))
-    member, violated = bound_mod.membership(vec, config.cone, budget=budget)
+def _cmd_membership(args: argparse.Namespace) -> int:
+    budget = _resolve_budget(args)
+    vec = vector_from_text(Path(args.point).read_text(encoding="ascii"))
+    member, violated = bound_mod.membership(vec, args.cone, budget=budget)
     body = [f"member {'true' if member else 'false'}"]
     if violated is not None:
         body.append(f"violated {violated.kind} {violated.payload_text()}")
-    sys.stdout.write(report_text("membership", vec.n, {"cone": config.cone},
+    sys.stdout.write(report_text("membership", vec.n, {"cone": args.cone},
                                  [*body, "status ok"]))
     return 0
 
 
-def _cmd_bound(config: RunConfig) -> int:
-    budget = _resolve_budget(config)
-    if (config.problem is None) == (config.network is None):
+def _cmd_bound(args: argparse.Namespace) -> int:
+    budget = _resolve_budget(args)
+    if (args.problem is None) == (args.network is None):
         raise ValueError("bound needs exactly one of --problem or --network")
-    if config.problem:
+    if args.problem:
         problem = bound_mod.parse_problem(
-            Path(config.problem).read_text(encoding="ascii"))
+            Path(args.problem).read_text(encoding="ascii"))
     else:
         net = bound_mod.parse_network(
-            Path(config.network).read_text(encoding="ascii"))
-        problem = bound_mod.compile_network(net, cone=config.cone)
+            Path(args.network).read_text(encoding="ascii"))
+        problem = bound_mod.compile_network(net, cone=args.cone)
     members = bound_mod.cone_members(problem.n, problem.cone, budget=budget)
     result = bound_mod.solve_bound(problem, members=members)
     text = bound_mod.format_bound_report(problem, result, members=members)
     sys.stdout.write(text)
-    if config.out:
-        Path(config.out).write_text(text, encoding="ascii")
+    if args.out:
+        Path(args.out).write_text(text, encoding="ascii")
     return 0
 
 
@@ -234,11 +212,6 @@ _HANDLERS = {
     "membership": _cmd_membership,
     "bound": _cmd_bound,
 }
-
-
-def run(config: RunConfig) -> int:
-    check_n(config.n)
-    return _HANDLERS[config.command](config)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -308,11 +281,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ns = _build_parser().parse_args(argv)
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    config = RunConfig(**{k: v for k, v in vars(ns).items() if k in fields})
+    args = _build_parser().parse_args(argv)
     try:
-        return run(config)
+        check_n(args.n)
+        return _HANDLERS[args.command](args)
     except (ValueError, OSError, ingen.BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -255,6 +255,7 @@ class EntropyVector:
 
     @classmethod
     def from_dict(cls, n: int, mapping: Mapping[int, Rational]) -> "EntropyVector":
+        check_n(n)  # before allocating 2^n - 1 values
         vals = [0] * full_mask(n)
         for mask, v in mapping.items():
             if mask == 0:

@@ -34,13 +34,14 @@ KIND_DELTA2 = "Delta2"
 KIND_ELEMENTAL_H = "ElementalH"
 KIND_ELEMENTAL_I = "ElementalI"
 
-_KIND_RANK = {
-    KIND_DELTA0: 0,
-    KIND_DELTA1: 1,
-    KIND_DELTA2: 2,
-    KIND_ELEMENTAL_H: 3,
-    KIND_ELEMENTAL_I: 4,
-}
+# the elemental set is Delta2 then Delta1, written under its own tags
+ELEMENTAL_TAGS = {KIND_DELTA2: KIND_ELEMENTAL_H, KIND_DELTA1: KIND_ELEMENTAL_I}
+_SHAPES = {tag: kind for kind, tag in ELEMENTAL_TAGS.items()}
+
+
+def shape(kind: str) -> str:
+    """The family whose payload and expression a kind tag stands for."""
+    return _SHAPES.get(kind, kind)
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -57,14 +58,28 @@ def _check_budget(predicted: int, budget: int | None) -> None:
 def payload_text(kind: str, payload: tuple, names: SubsetNames | None = None) -> str:
     if names is None:
         names = SubsetNames()
+    kind = shape(kind)
     if kind == KIND_DELTA0:
         d1, d2, d3, d4, beta = payload
         return f"{names[d1]},{names[d2]};{names[d3]},{names[d4]}|{names[beta]}"
-    if kind in (KIND_DELTA1, KIND_ELEMENTAL_I):
+    if kind == KIND_DELTA1:
         i, j, mu = payload
         return f"{names[1 << (i - 1)]},{names[1 << (j - 1)]}|{names[mu]}"
-    # Delta2 / ElementalH carry a single element
+    # Delta2 carries a single element
     return names[1 << (payload[0] - 1)]
+
+
+def member_expr(n: int, kind: str, payload: tuple) -> LinExpr:
+    """The >= 0 form a member of the given kind and payload stands for."""
+    kind = shape(kind)
+    if kind == KIND_DELTA0:
+        d1, d2, d3, d4, beta = payload
+        return ingleton_expr(IngletonQuad(n, d1 | beta, d2 | beta, d3 | beta, d4 | beta))
+    if kind == KIND_DELTA1:
+        i, j, mu = payload
+        return cond_mutinfo_expr(n, 1 << (i - 1), 1 << (j - 1), mu)
+    bi = 1 << (payload[0] - 1)
+    return cond_entropy_expr(n, bi, full_mask(n) & ~bi)
 
 
 @dataclass(frozen=True)
@@ -74,9 +89,6 @@ class CanonicalInequality:
     kind: str
     payload: tuple
     expr: LinExpr
-
-    def sort_key(self) -> tuple:
-        return (_KIND_RANK[self.kind], self.payload)
 
     def payload_text(self) -> str:
         return payload_text(self.kind, self.payload)
@@ -150,12 +162,8 @@ def gen_delta0(n: int, budget: int | None = DEFAULT_BUDGET) -> list[CanonicalIne
     """Disjoint-support members J(d1,d2,d3,d4 | beta), deduplicated."""
     check_n(n)
     _check_budget(count_delta0(n), budget)
-    out = []
-    for payload in sorted(_delta0_payloads(n)):
-        d1, d2, d3, d4, beta = payload
-        quad = IngletonQuad(n, d1 | beta, d2 | beta, d3 | beta, d4 | beta)
-        out.append(CanonicalInequality(KIND_DELTA0, payload, ingleton_expr(quad)))
-    return out
+    return [CanonicalInequality(KIND_DELTA0, payload, member_expr(n, KIND_DELTA0, payload))
+            for payload in sorted(_delta0_payloads(n))]
 
 
 def gen_delta1(n: int, budget: int | None = DEFAULT_BUDGET) -> list[CanonicalInequality]:
@@ -164,14 +172,12 @@ def gen_delta1(n: int, budget: int | None = DEFAULT_BUDGET) -> list[CanonicalIne
     _check_budget(count_elemental(n) - n, budget)
     out = []
     for i in range(1, n + 1):
-        bi = 1 << (i - 1)
         for j in range(i + 1, n + 1):
-            bj = 1 << (j - 1)
-            rest = full_mask(n) & ~(bi | bj)
+            rest = full_mask(n) & ~(1 << (i - 1) | 1 << (j - 1))
             mu = 0
             while True:
                 out.append(CanonicalInequality(
-                    KIND_DELTA1, (i, j, mu), cond_mutinfo_expr(n, bi, bj, mu)))
+                    KIND_DELTA1, (i, j, mu), member_expr(n, KIND_DELTA1, (i, j, mu))))
                 if mu == rest:
                     break
                 mu = (mu - rest) & rest  # next subset of rest
@@ -182,12 +188,8 @@ def gen_delta2(n: int, budget: int | None = DEFAULT_BUDGET) -> list[CanonicalIne
     """Single-element forms J(i, i, empty, N-i) = h(i | N-i)."""
     check_n(n)
     _check_budget(n, budget)
-    out = []
-    for i in range(1, n + 1):
-        bi = 1 << (i - 1)
-        out.append(CanonicalInequality(
-            KIND_DELTA2, (i,), cond_entropy_expr(n, bi, full_mask(n) & ~bi)))
-    return out
+    return [CanonicalInequality(KIND_DELTA2, (i,), member_expr(n, KIND_DELTA2, (i,)))
+            for i in range(1, n + 1)]
 
 
 def gen_delta(n: int, budget: int | None = DEFAULT_BUDGET) -> list[CanonicalInequality]:
@@ -201,14 +203,8 @@ def gen_elemental(n: int, budget: int | None = DEFAULT_BUDGET) -> list[Canonical
     """Elemental basic inequalities: h(i|N-i) block, then I(i;j|mu) block."""
     check_n(n)
     _check_budget(count_elemental(n), budget)
-    out = []
-    for i in range(1, n + 1):
-        bi = 1 << (i - 1)
-        out.append(CanonicalInequality(
-            KIND_ELEMENTAL_H, (i,), cond_entropy_expr(n, bi, full_mask(n) & ~bi)))
-    for ci in gen_delta1(n, budget=None):
-        out.append(CanonicalInequality(KIND_ELEMENTAL_I, ci.payload, ci.expr))
-    return out
+    return [CanonicalInequality(ELEMENTAL_TAGS[ci.kind], ci.payload, ci.expr)
+            for ci in gen_delta2(n, budget=None) + gen_delta1(n, budget=None)]
 
 
 def reduce_quad(q: IngletonQuad) -> tuple[int, int, int, int, int]:
@@ -299,6 +295,7 @@ def inequalities_to_text(n: int, ineqs: Sequence[CanonicalInequality]) -> str:
 
 
 def _parse_payload(kind: str, text: str) -> tuple:
+    kind = shape(kind)
     if kind == KIND_DELTA0:
         pairs, beta_s = text.split("|")
         left, right = pairs.split(";")
@@ -306,12 +303,12 @@ def _parse_payload(kind: str, text: str) -> tuple:
         d3_s, d4_s = _split_subsets(right, 2)
         return (parse_subset(d1_s), parse_subset(d2_s), parse_subset(d3_s),
                 parse_subset(d4_s), parse_subset(beta_s))
-    if kind in (KIND_DELTA1, KIND_ELEMENTAL_I):
+    if kind == KIND_DELTA1:
         head, mu_s = text.split("|")
         i_s, j_s = _split_subsets(head, 2)
         i, j = parse_subset(i_s).bit_length(), parse_subset(j_s).bit_length()
         return (i, j, parse_subset(mu_s))
-    if kind in (KIND_DELTA2, KIND_ELEMENTAL_H):
+    if kind == KIND_DELTA2:
         return (parse_subset(text).bit_length(),)
     raise ValueError(f"unknown inequality kind {kind!r}")
 
@@ -321,17 +318,6 @@ def _split_subsets(text: str, count: int) -> list[str]:
     if len(parts) != count:
         raise ValueError(f"expected {count} subsets in {text!r}")
     return parts
-
-
-def _rebuild_expr(n: int, kind: str, payload: tuple) -> LinExpr:
-    if kind == KIND_DELTA0:
-        d1, d2, d3, d4, beta = payload
-        return ingleton_expr(IngletonQuad(n, d1 | beta, d2 | beta, d3 | beta, d4 | beta))
-    if kind in (KIND_DELTA1, KIND_ELEMENTAL_I):
-        i, j, mu = payload
-        return cond_mutinfo_expr(n, 1 << (i - 1), 1 << (j - 1), mu)
-    i = payload[0]
-    return cond_entropy_expr(n, 1 << (i - 1), full_mask(n) & ~(1 << (i - 1)))
 
 
 def read_inequalities(path) -> tuple[int, list[CanonicalInequality]]:
@@ -353,7 +339,7 @@ def inequalities_from_text(text: str) -> tuple[int, list[CanonicalInequality]]:
         kind, payload_text, expr_text = ln.split("\t")
         payload = _parse_payload(kind, payload_text)
         expr = parse_expr(expr_text, n)
-        if expr != _rebuild_expr(n, kind, payload):
+        if expr != member_expr(n, kind, payload):
             raise ValueError(f"expression does not match its payload: {ln!r}")
         out.append(CanonicalInequality(kind, payload, expr))
     if len(out) != count:

@@ -422,6 +422,44 @@ sink t2 wants s1,s2 sees b,m
         "3b43c599219c0528232f7336e57ca8d5a50adbc55ebb637271ee0d2bb92c6a85")
 
 
+def _random_problem(rng, n):
+    dim = 2 ** n - 1
+
+    def expr():
+        return LinExpr(n, {rng.randrange(1, dim + 1): rng.choice((-2, -1, 1, 2))
+                           for _ in range(rng.randint(1, 3))})
+    cons = tuple((expr(), rng.choice(bound.RELATIONS), F(rng.randint(-1, 2)))
+                 for _ in range(rng.randint(1, 3)))
+    return bound.BoundProblem(n, rng.choice((bound.CONE_GAMMA, bound.CONE_GAMMA_IN)),
+                              rng.choice(bound.SENSES), expr(), cons)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_column_generation_matches_all_columns(monkeypatch, n):
+    # with no all-columns shortcut, small problems run the float seed,
+    # pricing and the improving-ray search that otherwise only n=7 reaches
+    rng = random.Random(n)
+    problems = [_random_problem(rng, n) for _ in range(30)]
+    expected = [bound.solve_bound(p) for p in problems]
+    priced = []
+    real_price = bound._price
+
+    def price(*args):
+        out = real_price(*args)
+        priced.extend(out)
+        return out
+    monkeypatch.setattr(bound, "_price", price)
+    monkeypatch.setattr(bound, "_ALL_COLUMNS_LIMIT", 0)
+    for problem, want in zip(problems, expected):
+        got = bound.solve_bound(problem)
+        assert (got.status, got.value) == (want.status, want.value)
+        assert bound.verify_bound_result(problem, got)
+    assert {r.status for r in expected} == {"optimal", "infeasible", "unbounded"}
+    assert priced
+    assert {p.cone for p in problems} == {bound.CONE_GAMMA, bound.CONE_GAMMA_IN}
+    assert {p.sense for p in problems} == set(bound.SENSES)
+
+
 # ---------------------------------------------------------------------------
 # report text
 

@@ -263,7 +263,7 @@ def _outside_linprog(*args, **kwargs):
 
 @pytest.mark.parametrize("fake", [_failed_linprog, _outside_linprog])
 def test_exact_fallback_when_float_solve_misleads(monkeypatch, fake):
-    # every answer then comes from the exact solves: _exact_feasible or _exact_witness
+    # every answer then comes from the exact solves in _exact_solve
     monkeypatch.setattr(certify, "linprog", fake)
     target, gens = _ingleton4()
     assert certify.conic_implies(target, gens) is None
@@ -274,6 +274,22 @@ def test_exact_fallback_when_float_solve_misleads(monkeypatch, fake):
     cert = certify.conic_implies(target, gens)
     assert cert is not None and certify.verify_certificate(target, gens, cert)
     assert certify.separation_witness(target, gens) is None
+
+
+def test_exact_fallback_solves_once(monkeypatch):
+    # with no float hint, one exact solve over every generator settles
+    # either outcome: the certificate or the Farkas vector behind the witness
+    calls = []
+    real = certify.solve_standard
+    monkeypatch.setattr(certify, "linprog", _failed_linprog)
+    monkeypatch.setattr(certify, "solve_standard",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    target, gens = _ingleton4()
+    assert isinstance(certify.decide_implication(target, gens), certify.SeparationWitness)
+    assert len(calls) == 1
+    gens = delta_exprs(3)
+    cert = certify.decide_implication(gens[0] + gens[-1], gens)
+    assert isinstance(cert, certify.FarkasCertificate) and len(calls) == 2
 
 
 def _tampered_solve(edit=lambda res: None):
@@ -303,7 +319,7 @@ def _only_target_negative(e, h):
 
 
 @pytest.mark.parametrize("solve, fake_eval, what", [
-    (_tampered_solve(_set(status="optimal")), None, "no Farkas vector"),
+    (_tampered_solve(_set(status="unbounded")), None, "no Farkas vector"),
     (_tampered_solve(_negate_y), None, "does not separate"),
     (_tampered_solve(), lambda e, h: 0, "misses the target"),
     (_tampered_solve(), lambda e, h: -1, "leaves the generator cone"),
@@ -312,12 +328,12 @@ def test_exact_witness_guards(monkeypatch, solve, fake_eval, what):
     target, gens = _ingleton4()
     system = certify._ConeSystem(gens)
     b_exact = [target.coeffs.get(m, 0) for m in system.masks]
-    assert system._exact_witness(target, b_exact) is not None
+    assert system._exact_decide(target, b_exact)[1] is not None
     monkeypatch.setattr(certify, "solve_standard", solve)
     if fake_eval is not None:
         monkeypatch.setattr(certify, "evaluate", fake_eval)
     with pytest.raises(RuntimeError, match=what):
-        system._exact_witness(target, b_exact)
+        system._exact_decide(target, b_exact)
 
 
 @pytest.mark.parametrize("solve, fake_eval, what", [

@@ -5,10 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ingletonlp import certify, cli, ingen
 from ingletonlp.cli import main
-from ingletonlp.entspace import vector_from_text
+from ingletonlp.entspace import vector_from_text, vector_to_text, witness_fulldim
 
 
 def run_cli(capsys, argv):
@@ -328,3 +329,52 @@ def test_gen_and_count_leave_the_float_stack_unloaded():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.endswith("codes=[0, 0] loaded=[]")
+
+
+def test_huge_n_in_a_vector_file_exits_two(capsys, tmp_path):
+    # the header is range-checked before 2^n - 1 values are allocated
+    point = tmp_path / "point.txt"
+    point.write_text("n=70\n{1}=1\n", encoding="ascii")
+    rc, out, err = run_cli(capsys, ["membership", "--point", str(point)])
+    assert rc == 2 and out == "" and err.startswith("error:")
+
+
+# near-valid n=3 inputs, each with the arguments that read it; the budget
+# turns a mutated header asking for a large n into a fast exit 2
+_FUZZ_SEEDS = [
+    (["bound", "--problem"],
+     "n 3\ncone gamma-in\nmaximize +1*h{1} +1*h{2}\nst +1*h{1,2} <= 1\n"
+     "st +1*h{3} >= 1/2\n"),
+    (["bound", "--cone", "gamma", "--network"],
+     "source s1\nsource s2\nedge e from s1,s2 cap 1\nsink t wants s1,s2 sees e\n"),
+    (["membership", "--point"], vector_to_text(witness_fulldim(3))),
+    (["implies", "--n", "3", "--quad", "{1},{2},{},{3}", "--gens"],
+     ingen.inequalities_to_text(3, ingen.gen_delta(3))),
+    (["implies", "--n", "3", "--quad", "{1},{2},{},{3}", "--gens"],
+     ingen.inequalities_to_text(3, ingen.gen_elemental(3))),
+]
+_FUZZ_EDITS = st.lists(st.tuples(st.sampled_from(("insert", "replace", "delete")),
+                                 st.integers(0, 10 ** 4),
+                                 st.sampled_from("0123456789{}=,;|+-*/ \t\nhn")),
+                       min_size=1, max_size=4)
+
+
+def _mutate(text, edits):
+    for op, at, ch in edits:
+        at %= len(text) + 1
+        if op == "insert":
+            text = text[:at] + ch + text[at:]
+        else:
+            text = text[:at] + (ch if op == "replace" else "") + text[at + 1:]
+    return text
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_FUZZ_SEEDS), _FUZZ_EDITS)
+def test_mutated_input_files_exit_zero_or_two(capsys, tmp_path, seed, edits):
+    argv, text = seed
+    path = tmp_path / "input.txt"
+    path.write_text(_mutate(text, edits), encoding="ascii")
+    rc, _out, _err = run_cli(capsys, [*argv, str(path), "--budget", "210"])
+    assert rc in (0, 2)
