@@ -278,7 +278,7 @@ def _close(asm: _DualAssembly, glist, chosen: list[int], objective: LinExpr):
         warm = res.warm
         if res.status != "optimal":
             return res, chosen
-        add = _price(glist, kset, _vector_from(asm.p.n, res.y))
+        add = _price(glist, kset, EntropyVector(asm.p.n, res.y))
         if not add:
             return res, chosen
         kset.update(add)
@@ -341,11 +341,7 @@ def _feasible_point(problem, members, glist, asm: _DualAssembly, chosen):
         raise RuntimeError("zero-objective system cannot be infeasible")
     if res.status == "unbounded":
         return _result(problem, members, asm, chosen, res)
-    return _vector_from(problem.n, res.y)
-
-
-def _vector_from(n: int, coords) -> EntropyVector:
-    return EntropyVector(n, [Fraction(v) for v in coords])
+    return EntropyVector(problem.n, res.y)
 
 
 def _cone_fold(problem, members, asm: _DualAssembly, chosen, w) -> dict:
@@ -392,7 +388,7 @@ def _result(problem, members, asm, chosen, res) -> BoundResult:
     cone = tuple(sorted((k, cf) for k, cf in lam.items() if cf))
     if optimal:
         return BoundResult(status="optimal", value=Fraction(res.objective),
-                           primal=_vector_from(problem.n, res.y),
+                           primal=EntropyVector(problem.n, res.y),
                            dual=DualCertificate(user=user, cone=cone))
     return BoundResult(status="infeasible",
                        farkas=InfeasibilityCertificate(user=user, cone=cone))

@@ -108,7 +108,7 @@ class _ConeSystem:
         if outside:
             # no combination can produce a coefficient there
             m = min(outside)
-            point = _point_from(self.n, {m: Fraction(-1, 1) / target.coeffs[m]})
+            point = EntropyVector.from_dict(self.n, {m: Fraction(-1, 1) / target.coeffs[m]})
             _require(evaluate(target, point) == -1, "unit witness misses the target")
             return None, point
 
@@ -133,8 +133,11 @@ class _ConeSystem:
         """Generator columns as a float array, built for the first presolve."""
         if self._float_cols is None:
             import numpy as np
-            self._float_cols = np.array(
-                [[float(g.coeffs.get(m, 0)) for m in self.masks] for g in self.gens]).T
+            rows = np.zeros((len(self.gens), len(self.masks)))
+            for row, g in zip(rows, self.gens):
+                for m, c in g.coeffs.items():
+                    row[self.index[m]] = c
+            self._float_cols = rows.T
         return self._float_cols
 
     def _exact_solve(self, support: list[int], b_exact):
@@ -157,7 +160,7 @@ class _ConeSystem:
         ty = sum(y[i] * b_exact[i] for i in range(len(self.masks)))
         _require(ty > 0, "Farkas vector does not separate the target")
         coords = {m: -y[i] / ty for i, m in enumerate(self.masks)}
-        point = _point_from(self.n, coords)
+        point = EntropyVector.from_dict(self.n, coords)
         _require(evaluate(target, point) == -1, "witness misses the target")
         _require(all(evaluate(g, point) >= 0 for g in self.gens),
                  "witness leaves the generator cone")
@@ -179,23 +182,19 @@ class _ConeSystem:
 
     def _repair(self, target: LinExpr, coords: dict) -> EntropyVector | None:
         """The rounded point scaled to target value -1, if it lies in the cone."""
-        tval = evaluate(target, _point_from(self.n, coords))
+        rounded = EntropyVector.from_dict(self.n, coords)
+        tval = evaluate(target, rounded)
         if tval >= 0:
             return None
-        scale = Fraction(-1, 1) / tval
-        point = _point_from(self.n, {m: v * scale for m, v in coords.items()})
+        # rounded is nums/den, so the scaled point is nums/q with q = -tval*den
+        nums, den = rounded.scaled()
+        q = Fraction(-tval * den)
+        point = EntropyVector.over(self.n, [a * q.denominator for a in nums], q.numerator)
         if any(evaluate(g, point) < 0 for g in self.gens):
             return None
         if evaluate(target, point) != -1:
             return None
         return point
-
-
-def _point_from(n: int, coords: dict) -> EntropyVector:
-    vals = [Fraction(0)] * (2 ** n - 1)
-    for m, v in coords.items():
-        vals[m - 1] = Fraction(v)
-    return EntropyVector(n, vals)
 
 
 def _cert_over(support: list[int], x) -> dict[int, Fraction]:

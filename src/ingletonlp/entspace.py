@@ -3,11 +3,14 @@
 The coordinate space for a ground set {1..n} has one axis per nonempty
 subset.  Subsets are int bitmasks (bit k-1 = element k), coefficients and
 point values are exact rationals (int or fractions.Fraction), and the
-empty set always evaluates to zero and is never stored.
+empty set always evaluates to zero and is never stored.  A point also
+keeps its values as int numerators over one common denominator, so
+evaluating an expression is one int dot product divided once.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -243,15 +246,33 @@ def parse_expr(text: str, n: int) -> LinExpr:
 class EntropyVector:
     """Point of the coordinate space: one exact rational per nonempty subset."""
 
-    __slots__ = ("n", "_values")
+    __slots__ = ("n", "_values", "_scaled")
 
     def __init__(self, n: int, values: Sequence[Rational]):
         check_n(n)
         vals = tuple(values)
         if len(vals) != full_mask(n):
             raise GroundSetError(f"need {full_mask(n)} values for n={n}, got {len(vals)}")
+        bad = next((v for v in vals if not isinstance(v, (int, Fraction))), None)
+        if bad is not None:
+            raise TypeError(f"point values must be int or Fraction, got {bad!r}")
         self.n = n
         self._values = vals
+        self._scaled = None
+
+    @classmethod
+    def over(cls, n: int, nums: Sequence[int], den: int) -> "EntropyVector":
+        """The point nums/den, keeping nums and den > 0 as its scaled form."""
+        h = cls(n, [Fraction(a, den) for a in nums])
+        h._scaled = (nums, den)
+        return h
+
+    def scaled(self) -> tuple[Sequence[int], int]:
+        """(numerators, den): the values as ints over one positive denominator."""
+        if self._scaled is None:
+            den = math.lcm(*(v.denominator for v in self._values))
+            self._scaled = ([v.numerator * (den // v.denominator) for v in self._values], den)
+        return self._scaled
 
     @classmethod
     def from_dict(cls, n: int, mapping: Mapping[int, Rational]) -> "EntropyVector":
@@ -421,8 +442,9 @@ def project_away(e: LinExpr, beta: int) -> LinExpr:
 def evaluate(e: LinExpr, h: EntropyVector) -> Rational:
     if e.n != h.n:
         raise GroundSetError("expression and point use different ground sets")
-    vals = h._values
-    return sum(c * vals[m - 1] for m, c in e.coeffs.items())
+    nums, den = h._scaled or h.scaled()
+    s = sum(c * nums[m - 1] for m, c in e.coeffs.items())
+    return s if den == 1 else Fraction(s, den)
 
 
 def witness_fulldim(n: int) -> EntropyVector:

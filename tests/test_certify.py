@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ingletonlp import certify, ingen
+from ingletonlp import bound, certify, ingen
 from ingletonlp.entspace import (
     GroundSetError,
     IngletonQuad,
@@ -179,6 +179,13 @@ def test_minimality_worker_count_does_not_change_report():
         certify.check_minimality(3).to_text()
 
 
+def test_minimality_worker_count_does_not_change_report_with_fractional_witnesses():
+    # n=4 is the smallest scan whose witnesses have fractional values
+    rep = certify.check_minimality(4, workers=2)
+    assert rep.to_text() == certify.check_minimality(4, workers=1).to_text()
+    assert any(v.denominator > 1 for _k, _p, w in rep.witnesses for _m, v in w.point.items())
+
+
 def test_scan_reports_carry_their_generators():
     assert certify.check_minimality(3).generators == tuple(ingen.gen_delta(3))
     rep = certify.check_theorem1(5, sample=5)
@@ -248,6 +255,43 @@ def test_unit_witness_guard(monkeypatch):
     monkeypatch.setattr(certify, "evaluate", lambda e, h: 0)
     with pytest.raises(RuntimeError, match="unit witness"):
         system.decide(parse_expr("+1*h{2}", 2))
+
+
+# ---------------------------------------------------------------------------
+# certify and bound evaluate through their module name `evaluate`, which
+# the per-layer trace (perfbench/spans.py) rebinds
+
+
+def _counting(monkeypatch, module):
+    calls = []
+
+    def counted(e, h):
+        calls.append(e)
+        return evaluate(e, h)
+    monkeypatch.setattr(module, "evaluate", counted)
+    return calls
+
+
+def test_settle_evaluates_through_certify_evaluate(monkeypatch):
+    calls = _counting(monkeypatch, certify)
+    target, gens = _ingleton4()
+    assert isinstance(certify.decide_implication(target, gens), certify.SeparationWitness)
+    assert calls
+
+
+def test_bound_verify_evaluates_through_bound_evaluate(monkeypatch):
+    problem = bound.parse_problem("n 2\ncone gamma-in\nmaximize +1*h{1}\nst +1*h{1,2} <= 1\n")
+    result = bound.solve_bound(problem)
+    calls = _counting(monkeypatch, bound)
+    assert bound.verify_bound_result(problem, result)
+    assert calls
+
+
+def test_float_cols_match_the_dense_coefficients():
+    gens = delta_exprs(4) + [parse_expr("+1/2*h{1} -3*h{2,3}", 4)]
+    system = certify._ConeSystem(gens)
+    dense = np.array([[float(g.coeffs.get(m, 0)) for m in system.masks] for g in gens]).T
+    assert np.array_equal(system.float_cols(), dense)
 
 
 def _failed_linprog(*args, **kwargs):

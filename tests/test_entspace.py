@@ -1,7 +1,9 @@
 """Coordinate conventions, expression arithmetic, and text formats."""
 
+import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -203,6 +205,14 @@ def test_vector_from_function():
     assert len(list(v.items())) == 7
 
 
+@pytest.mark.parametrize("bad", [0.5, np.float64(1), np.int64(1), "1"])
+def test_vector_rejects_values_that_are_not_rational(bad):
+    with pytest.raises(TypeError, match="int or Fraction"):
+        EntropyVector(2, [1, bad, 2])
+    with pytest.raises(TypeError, match="int or Fraction"):
+        EntropyVector.from_dict(2, {0b11: bad})
+
+
 def test_vector_empty_set_and_range_checks():
     v = witness_modular(3)
     assert v[0] == 0  # h of the empty set
@@ -313,6 +323,37 @@ def test_evaluate_is_linear():
     assert (evaluate(e1 + e2, v)
             == evaluate(e1, v) + evaluate(e2, v))
     assert evaluate(e1 * Fraction(5, 3), v) == Fraction(5, 3) * evaluate(e1, v)
+
+
+_point_values = st.one_of(
+    st.integers(-40, 40),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-40, 40)))  # denominator 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_evaluate_matches_fraction_sum(data):
+    n = data.draw(st.integers(2, 6))
+    values = data.draw(st.lists(_point_values, min_size=2 ** n - 1, max_size=2 ** n - 1))
+    e = LinExpr(n, data.draw(st.dictionaries(st.integers(1, 2 ** n - 1), _coefficients,
+                                             max_size=12)))
+    h = EntropyVector(n, values)
+    expected = sum((Fraction(c) * Fraction(h[m]) for m, c in e.coeffs.items()), Fraction(0))
+    got = evaluate(e, h)
+    assert got == expected
+    if all(type(x) is int for x in [*values, *e.coeffs.values()]):
+        assert type(got) is int
+    # the scaled form is exact, and an evaluated point still equals a fresh one
+    nums, den = h.scaled()
+    assert den > 0 and [Fraction(a, den) for a in nums] == list(values)
+    fresh = EntropyVector(n, values)
+    assert h == fresh and hash(h) == hash(fresh)
+    back = pickle.loads(pickle.dumps(h))
+    assert back == h and evaluate(e, back) == expected
+    # a point built from unreduced numerators evaluates the same
+    over = EntropyVector.over(n, [3 * a for a in nums], 3 * den)
+    assert over == h and evaluate(e, over) == expected
 
 
 def test_projection_helpers():
