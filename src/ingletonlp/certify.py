@@ -5,6 +5,10 @@ with either a nonnegative-combination certificate or a separating point.
 A floating-point solve may propose where to look, but every returned
 object is re-verified in exact rational arithmetic; the float layer never
 decides an answer.
+
+The drop-one minimality scan expects every target not to be implied, so
+it asks HiGHS for the separating point first and falls back to the full
+decision only when no rounded point verifies: one LP per member, not two.
 """
 
 from __future__ import annotations
@@ -166,6 +170,17 @@ class _ConeSystem:
                  "witness leaves the generator cone")
         return None, point
 
+    def separate(self, target: LinExpr) -> EntropyVector | None:
+        """decide's float witness for target, without the feasibility LP first.
+
+        None where decide answers without HiGHS (a zero target, a coefficient
+        outside the generators' support) and where no rounded point verifies.
+        """
+        if (target.n != self.n or target.is_zero()
+                or any(m not in self.index for m in target.coeffs)):
+            return None
+        return self._float_witness(target, [float(target.coeffs.get(m, 0)) for m in self.masks])
+
     def _float_witness(self, target: LinExpr, b_float) -> EntropyVector | None:
         # direction p with g.p >= 0 for all generators and target.p < 0
         res = linprog(b_float, A_ub=-self.float_cols().T,
@@ -207,13 +222,19 @@ def _cert_from_dict(d: dict[int, Fraction]) -> FarkasCertificate:
     return FarkasCertificate(ids, tuple(Fraction(d[i]) for i in ids))
 
 
-def _settle(system: _ConeSystem, target: LinExpr, label: str = "the target"):
+def _settle(system: _ConeSystem, target: LinExpr, label: str = "the target",
+            witness_first: bool = False):
     """Decide target, then re-check the answer exactly against system.gens.
 
     The answer is a FarkasCertificate or a SeparationWitness normalized to
-    target value -1; one that fails its check raises RuntimeError.
+    target value -1; one that fails its check raises RuntimeError.  With
+    witness_first, system.separate runs before system.decide, which then
+    runs only if it finds no point.
     """
-    cert, point = system.decide(target)
+    cert = None
+    point = system.separate(target) if witness_first else None
+    if point is None:
+        cert, point = system.decide(target)
     if cert is not None:
         out = _cert_from_dict(cert)
         _require(verify_certificate(target, system.gens, out),
@@ -365,7 +386,9 @@ def _map(job, items: list, workers: int) -> list:
     A forked worker gets the job, closure and prepared state included,
     without pickling; only items and results cross the process boundary.
     """
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
+    if workers == 1:
         return [job(it) for it in items]
     chunk = max(1, len(items) // (workers * 8))
     with multiprocessing.get_context("fork").Pool(
@@ -373,11 +396,11 @@ def _map(job, items: list, workers: int) -> list:
         return pool.map(_call_job, items, chunksize=chunk)
 
 
-def _decide_all(items: list, pose, workers: int) -> list:
+def _decide_all(items: list, pose, workers: int, witness_first: bool = False) -> list:
     """(label, settled answer) per item, in order; pose(item) gives (system, target, label)."""
     def job(item):
         system, target, label = pose(item)
-        return label, _settle(system, target, label)
+        return label, _settle(system, target, label, witness_first)
     return _map(job, items, workers)
 
 
@@ -534,7 +557,7 @@ def check_minimality(n: int, workers: int = 1, allow_large: bool = False,
                      budget: int | None = ingen.DEFAULT_BUDGET) -> MinimalityReport:
     """Drop-one scan: every member must get a separation witness against the rest."""
     if n > 5 and not allow_large:
-        raise ValueError("drop-one scan above n=5 requires allow_large")
+        raise ValueError("drop-one scan above n=5 requires --allow-large (allow_large=True)")
     delta = ingen.gen_delta(n, budget=budget)
     exprs = [ci.expr for ci in delta]
 
@@ -543,7 +566,8 @@ def check_minimality(n: int, workers: int = 1, allow_large: bool = False,
         return rest, exprs[k], f"{delta[k].kind}\t{delta[k].payload_text()}"
     redundant = []
     witnesses = []
-    for ci, (label, answer) in zip(delta, _decide_all(list(range(len(delta))), pose, workers)):
+    answers = _decide_all(list(range(len(delta))), pose, workers, witness_first=True)
+    for ci, (label, answer) in zip(delta, answers):
         if isinstance(answer, FarkasCertificate):
             redundant.append(label)
         else:

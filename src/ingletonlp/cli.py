@@ -250,11 +250,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         common(p)
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--sample", type=int, default=None)
         p.add_argument("--emit-certificates", dest="emit_dir", default=None)
         if name == "check-minimality":
             p.add_argument("--allow-large", action="store_true")
+        else:
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--sample", type=int, default=None)
 
     p = sub.add_parser("witness", help="print a named entropy vector")
     common(p)

@@ -156,8 +156,7 @@ def test_completeness_sampled_mode():
     assert rep.ok
 
 
-def test_minimality_n3_no_member_redundant():
-    rep = certify.check_minimality(3)
+def _assert_minimality_n3(rep):
     assert rep.members == 9
     assert len(rep.witnesses) == 9
     assert not rep.redundant
@@ -172,6 +171,48 @@ def test_minimality_n3_no_member_redundant():
         assert evaluate(gens[k], wit.point) == -1
         rest = gens[:k] + gens[k + 1:]
         assert all(evaluate(g, wit.point) >= 0 for g in rest)
+
+
+def test_minimality_n3_no_member_redundant():
+    _assert_minimality_n3(certify.check_minimality(3))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_witness_first_settles_drop_one_like_decide(n):
+    # the scan's order (separating point first) and decide's order (feasibility
+    # LP first) give the same answer, witness point included
+    gens = delta_exprs(n)
+    for k, target in enumerate(gens):
+        rest = certify._ConeSystem(gens[:k] + gens[k + 1:])
+        first = certify._settle(rest, target, witness_first=True)
+        assert isinstance(first, certify.SeparationWitness)
+        assert first == certify._settle(rest, target)
+
+
+def test_separate_leaves_lp_free_answers_to_decide(monkeypatch):
+    monkeypatch.setattr(certify, "linprog", None)  # any HiGHS call would raise
+    system = certify._ConeSystem([parse_expr("+1*h{1}", 2)])
+    assert system.separate(parse_expr("0", 2)) is None
+    assert system.separate(parse_expr("+1*h{2}", 2)) is None
+    unit = certify._settle(system, parse_expr("+1*h{2}", 2), witness_first=True)
+    assert unit.point[0b10] == -1
+
+
+def _counting_linprog(monkeypatch):
+    calls = []
+    real = certify.linprog
+    monkeypatch.setattr(certify, "linprog", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
+def test_one_lp_per_drop_one_member(monkeypatch):
+    calls = _counting_linprog(monkeypatch)
+    assert certify.check_minimality(4).ok
+    assert len(calls) == 34
+    calls.clear()
+    gens = delta_exprs(3)
+    cert = certify.decide_implication(gens[0] + gens[-1], gens)
+    assert isinstance(cert, certify.FarkasCertificate) and len(calls) == 1
 
 
 def test_minimality_worker_count_does_not_change_report():
@@ -206,6 +247,14 @@ def test_sample_size_below_one_is_rejected(sample):
 def test_minimality_refuses_large_n_without_optin():
     with pytest.raises(ValueError):
         certify.check_minimality(6)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize("scan", [certify.check_theorem1, certify.check_completeness,
+                                  certify.check_minimality])
+def test_worker_count_below_one_is_rejected(scan, workers):
+    with pytest.raises(ValueError, match="worker count"):
+        scan(3, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +367,19 @@ def test_exact_fallback_when_float_solve_misleads(monkeypatch, fake):
     cert = certify.conic_implies(target, gens)
     assert cert is not None and certify.verify_certificate(target, gens, cert)
     assert certify.separation_witness(target, gens) is None
+
+
+@pytest.mark.parametrize("fake", [_failed_linprog, _outside_linprog])
+def test_minimality_falls_back_to_the_exact_decision(monkeypatch, fake):
+    # no float point verifies, so each member's witness is the Farkas point
+    # of one exact solve over the other members
+    monkeypatch.setattr(certify, "linprog", fake)
+    solves = []
+    real = certify.solve_standard
+    monkeypatch.setattr(certify, "solve_standard",
+                        lambda *a, **kw: solves.append(1) or real(*a, **kw))
+    _assert_minimality_n3(certify.check_minimality(3))
+    assert len(solves) == 9
 
 
 def test_exact_fallback_solves_once(monkeypatch):

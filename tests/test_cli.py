@@ -267,6 +267,28 @@ def test_sample_below_one_exits_two(capsys, argv):
     assert rc == 2 and out == "" and "sample size" in err
 
 
+@pytest.mark.parametrize("scan", ["check-theorem1", "check-completeness", "check-minimality"])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exits_two(capsys, scan, workers):
+    rc, out, err = run_cli(capsys, [scan, "--n", "3", "--workers", workers])
+    assert rc == 2 and out == "" and "worker count" in err
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--sample", "5"]])
+def test_minimality_takes_no_sampling_flags(capsys, flag):
+    # the drop-one scan always decides every member
+    with pytest.raises(SystemExit) as exc:
+        main(["check-minimality", "--n", "3", *flag])
+    assert exc.value.code == 2
+    _out, err = capsys.readouterr()
+    assert "unrecognized arguments" in err
+
+
+def test_minimality_above_five_names_the_optin_flag(capsys):
+    rc, out, err = run_cli(capsys, ["check-minimality", "--n", "6"])
+    assert rc == 2 and out == "" and "requires --allow-large" in err
+
+
 def test_completeness_sample_applies_at_small_n(capsys):
     # exhaustive only when no sample size is given, as for check-theorem1
     rc, out, _ = run_cli(capsys, ["check-completeness", "--n", "3", "--sample", "7"])

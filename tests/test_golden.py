@@ -56,6 +56,7 @@ CASES = {
     "completeness-5-sample": (["check-completeness", "--n", "5", "--sample", "100",
                                "--seed", "0", "--emit-certificates", "{tmp}/out"], {}),
     "minimality-4": (["check-minimality", "--n", "4", "--emit-certificates", "{tmp}/out"], {}),
+    "minimality-5": (["check-minimality", "--n", "5"], {}),
     "witness-violator": (["witness", "--n", "4", "--kind", "violator",
                           "--out", "{tmp}/point.txt"], {}),
     "membership-gamma": (["membership", "--point", "{tmp}/point.txt", "--cone", "gamma"],
@@ -85,10 +86,14 @@ GOLDEN = {
     "membership-gamma": (0, "860576b876011bab268681f64c83bfad8d5f11e53ae3cd1341d5dce9fe653d2a", {}),
     "membership-gamma-in": (0, "6fcf5b5a6401bdeee91cbd6d4d636ee62266380ed6b2c92e9d87bead1b1be5f5", {}),
     "minimality-4": (0, "39b11e11c5ccab40a70052d65b77a185ae7601190f76720f1aa5ceaa9ef041ce", {"out/generators.txt": "a110162dbc18921f2ae92414ce0b4858f5a13b303ebe612d88f6c377c58b6822", "out/witnesses.txt": "e8d9da1a1de71961b1319e280b985cb55b32c5b6bfd2b0fe173a1a5298f44635"}),
+    "minimality-5": (0, "1ba5dd8b7f9a2bbc69e06810734c86a72582c977e4eba0372db31169790f438f", {}),
     "theorem1-4": (0, "dddf070f7e4b5bd5a15fbff061894ced9be2858f2f8c2056e6a66ad53fd09bc7", {"out/certificates.txt": "cea4469c49d23502170810a11b89fe5c2f9dd6ca224593794c4cb549f9ff17a1", "out/generators.txt": "0b117b58457cd48ec93f2872108ee47fdccc24e09db128ac0bad666779415374", "out/witnesses.txt": "350b7d7ad41c07e6c1248077d695f4e460da6310fa4aad9fb3ce1a03f3a66d65"}),
     "theorem1-5-sample": (0, "3a84b8df1c2324a6e16c49bc210c75bac7cca161234ef366f76957a016ceb70a", {"out/certificates.txt": "ea6366b6521c3852210a09bffada37a36762c2903821e2f38855ea6455b9eeab", "out/generators.txt": "728cf622aa35ceca8723fb7f187701e218603f2759cda6f39043350cbb343c08"}),
     "witness-violator": (0, "0459536eef3402fe9388fa312106c5a3085ef2657b01fda9b837761439607d33", {"point.txt": "d118a97d7e27224760996f057f66cef94c41fd14b1e50040f122d1a2e2dc02c3"}),
 }
+
+# minimality-5 (all 205 drop-one witnesses at n=5) was recorded at de772fc;
+# bc5e705 prints the same bytes.
 
 # Files the corpus gained on purpose since bc5e705: `implies --emit-certificates`
 # now writes the generator list in both outcomes, so the witness case writes
