@@ -93,19 +93,32 @@ class BoundResult:
     ray: EntropyVector | None = None
 
 
+# the family whose inequalities cut out each cone
+_CONE_FAMILY = {CONE_GAMMA: "elemental", CONE_GAMMA_IN: "delta"}
+
+
+def _cone_family(cone: str) -> str:
+    try:
+        return _CONE_FAMILY[cone]
+    except KeyError:
+        raise ValueError(f"unknown cone {cone!r}") from None
+
+
 def cone_members(n: int, cone: str,
                  budget: int | None = ingen.DEFAULT_BUDGET) -> list[ingen.CanonicalInequality]:
-    if cone == CONE_GAMMA:
-        return ingen.gen_elemental(n, budget=budget)
-    if cone == CONE_GAMMA_IN:
-        return ingen.gen_delta(n, budget=budget)
-    raise ValueError(f"unknown cone {cone!r}")
+    # the list builder is looked up when called, so a rebound gen_* is the one used
+    return getattr(ingen, "gen_" + _cone_family(cone))(n, budget=budget)
 
 
 def membership(h: EntropyVector, cone: str,
                budget: int | None = ingen.DEFAULT_BUDGET):
-    """(True, None) if h satisfies every member, else (False, first violated)."""
-    for ci in cone_members(h.n, cone, budget=budget):
+    """(True, None) if h satisfies every member, else (False, first violated).
+
+    The members are enumerated lazily, so the scan stops at the first
+    violated one without building the family.
+    """
+    members = ingen.family(_cone_family(cone), h.n, budget=budget)
+    for ci in members:
         if evaluate(ci.expr, h) < 0:
             return False, ci
     return True, None

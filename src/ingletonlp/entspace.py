@@ -382,15 +382,28 @@ def parse_quad(text: str, n: int) -> IngletonQuad:
     return IngletonQuad(n, *masks)
 
 
+def _cond_entropy_acc(alpha: int, beta: int) -> dict:
+    acc: dict[int, Rational] = {}
+    _bump(acc, alpha | beta, 1)
+    _bump(acc, beta, -1)
+    return acc
+
+
 def cond_entropy_expr(n: int, alpha: int, beta: int) -> LinExpr:
     """h(alpha | beta) = h(alpha+beta) - h(beta) as a coefficient map."""
     check_n(n)
     check_mask(alpha, n)
     check_mask(beta, n)
+    return LinExpr._raw(n, _cond_entropy_acc(alpha, beta))
+
+
+def _mutinfo_acc(alpha: int, beta: int, delta: int) -> dict:
     acc: dict[int, Rational] = {}
-    _bump(acc, alpha | beta, 1)
-    _bump(acc, beta, -1)
-    return LinExpr._raw(n, acc)
+    _bump(acc, alpha | delta, 1)
+    _bump(acc, beta | delta, 1)
+    _bump(acc, delta, -1)
+    _bump(acc, alpha | beta | delta, -1)
+    return acc
 
 
 def cond_mutinfo_expr(n: int, alpha: int, beta: int, delta: int) -> LinExpr:
@@ -398,12 +411,7 @@ def cond_mutinfo_expr(n: int, alpha: int, beta: int, delta: int) -> LinExpr:
     check_n(n)
     for m in (alpha, beta, delta):
         check_mask(m, n)
-    acc: dict[int, Rational] = {}
-    _bump(acc, alpha | delta, 1)
-    _bump(acc, beta | delta, 1)
-    _bump(acc, delta, -1)
-    _bump(acc, alpha | beta | delta, -1)
-    return LinExpr._raw(n, acc)
+    return LinExpr._raw(n, _mutinfo_acc(alpha, beta, delta))
 
 
 def _ingleton_acc(a1: int, a2: int, a3: int, a4: int) -> dict:

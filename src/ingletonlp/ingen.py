@@ -5,6 +5,13 @@ the pairwise mutual-information forms (Delta1), and the single-element
 conditional-entropy forms (Delta2).  Union of the three is the minimal
 generating set; Delta1 and Delta2 together coincide with the elemental
 basic inequalities.
+
+Each family is one lazy enumerator that yields its members in canonical
+order (`family`), so a writer holds one block of members at a time and
+its memory does not grow with n; the `gen_*` functions list the same
+members.
+Payloads are built here from masks inside {1..n} and are not checked
+again; the inequality-file parser checks every mask it reads.
 """
 
 from __future__ import annotations
@@ -12,15 +19,18 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .entspace import (
     IngletonQuad,
     LinExpr,
     SubsetNames,
+    _cond_entropy_acc,
+    _ingleton_acc,
+    _mutinfo_acc,
+    check_mask,
     check_n,
-    cond_entropy_expr,
-    cond_mutinfo_expr,
     format_expr,
     full_mask,
     ingleton_expr,
@@ -34,9 +44,8 @@ KIND_DELTA2 = "Delta2"
 KIND_ELEMENTAL_H = "ElementalH"
 KIND_ELEMENTAL_I = "ElementalI"
 
-# the elemental set is Delta2 then Delta1, written under its own tags
-ELEMENTAL_TAGS = {KIND_DELTA2: KIND_ELEMENTAL_H, KIND_DELTA1: KIND_ELEMENTAL_I}
-_SHAPES = {tag: kind for kind, tag in ELEMENTAL_TAGS.items()}
+# the elemental tags stand for the Delta2 and Delta1 shapes
+_SHAPES = {KIND_ELEMENTAL_H: KIND_DELTA2, KIND_ELEMENTAL_I: KIND_DELTA1}
 
 
 def shape(kind: str) -> str:
@@ -70,16 +79,19 @@ def payload_text(kind: str, payload: tuple, names: SubsetNames | None = None) ->
 
 
 def member_expr(n: int, kind: str, payload: tuple) -> LinExpr:
-    """The >= 0 form a member of the given kind and payload stands for."""
+    """The >= 0 form a member of the given kind and payload stands for.
+
+    The payload's masks must lie in {1..n}; they are not checked here.
+    """
     kind = shape(kind)
     if kind == KIND_DELTA0:
         d1, d2, d3, d4, beta = payload
-        return ingleton_expr(IngletonQuad(n, d1 | beta, d2 | beta, d3 | beta, d4 | beta))
+        return LinExpr._raw(n, _ingleton_acc(d1 | beta, d2 | beta, d3 | beta, d4 | beta))
     if kind == KIND_DELTA1:
         i, j, mu = payload
-        return cond_mutinfo_expr(n, 1 << (i - 1), 1 << (j - 1), mu)
+        return LinExpr._raw(n, _mutinfo_acc(1 << (i - 1), 1 << (j - 1), mu))
     bi = 1 << (payload[0] - 1)
-    return cond_entropy_expr(n, bi, full_mask(n) & ~bi)
+    return LinExpr._raw(n, _cond_entropy_acc(bi, full_mask(n) & ~bi))
 
 
 @dataclass(frozen=True)
@@ -119,92 +131,125 @@ def count_delta(n: int) -> int:
     return count_elemental(n) + count_delta0(n)
 
 
-def _delta0_payloads(n: int) -> list[tuple[int, int, int, int, int]]:
-    # Walk the 6-way element assignments (d1..d4, shared part, unused) in
-    # increasing element order.  Forbidding d2 before d1 (and d4 before d3)
-    # emits exactly one representative per unordered-pair orbit, and the
-    # remaining-slots prune only removes assignments with an empty d.
-    out: list[tuple[int, int, int, int, int]] = []
-    masks = [0, 0, 0, 0, 0]
+def _nonempty_submasks(mask: int) -> Iterator[int]:
+    """The nonempty submasks of mask in increasing order."""
+    sub = 0
+    while sub != mask:
+        sub = (sub - mask) & mask
+        yield sub
 
-    def walk(k: int, need: int) -> None:
-        if n - k < need:
-            return
-        if k == n:
-            out.append((masks[0], masks[1], masks[2], masks[3], masks[4]))
-            return
-        bit = 1 << k
-        for slot in range(4):
-            prev = masks[slot]
-            if prev == 0:
-                if slot == 1 and masks[0] == 0:
-                    continue
-                if slot == 3 and masks[2] == 0:
-                    continue
-                masks[slot] = bit
-                walk(k + 1, need - 1)
-                masks[slot] = 0
-            else:
-                masks[slot] = prev | bit
-                walk(k + 1, need)
-                masks[slot] = prev
-        prev = masks[4]
-        masks[4] = prev | bit
-        walk(k + 1, need)
-        masks[4] = prev
-        walk(k + 1, need)  # element unused
 
-    walk(0, 4)
-    return out
+def _delta0_payloads(n: int) -> Iterator[tuple[int, int, int, int, int]]:
+    # Nested loops over increasing submasks yield the payloads in
+    # lexicographic order.  Keeping every element of d2 above the lowest
+    # element of d1 (and d4 above that of d3) leaves one payload per orbit
+    # of the two within-pair swaps; the d's are nonempty and disjoint, and
+    # beta is any subset of what they leave.
+    top = full_mask(n)
+    for d1 in range(1, top + 1):
+        rest1 = top & ~d1
+        for d2 in _nonempty_submasks(rest1 & -((d1 & -d1) << 1)):
+            rest2 = rest1 & ~d2
+            for d3 in _nonempty_submasks(rest2):
+                rest3 = rest2 & ~d3
+                for d4 in _nonempty_submasks(rest3 & -((d3 & -d3) << 1)):
+                    rest4 = rest3 & ~d4
+                    yield d1, d2, d3, d4, 0
+                    for beta in _nonempty_submasks(rest4):
+                        yield d1, d2, d3, d4, beta
+
+
+def _delta1_payloads(n: int) -> Iterator[tuple[int, int, int]]:
+    # i < j, then mu over the subsets avoiding both, in increasing order
+    top = full_mask(n)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            rest = top & ~(1 << (i - 1) | 1 << (j - 1))
+            yield i, j, 0
+            for mu in _nonempty_submasks(rest):
+                yield i, j, mu
+
+
+def _delta2_payloads(n: int) -> Iterator[tuple[int]]:
+    return ((i,) for i in range(1, n + 1))
+
+
+# family -> (closed-form size, blocks of (kind tag, payload enumerator)),
+# the blocks in canonical order; the elemental set is Delta2 then Delta1
+# under its own tags
+FAMILIES = {
+    "delta": (count_delta,
+              ((KIND_DELTA0, _delta0_payloads), (KIND_DELTA1, _delta1_payloads),
+               (KIND_DELTA2, _delta2_payloads))),
+    "delta0": (count_delta0, ((KIND_DELTA0, _delta0_payloads),)),
+    "delta1": (lambda n: count_elemental(n) - n, ((KIND_DELTA1, _delta1_payloads),)),
+    "delta2": (lambda n: n, ((KIND_DELTA2, _delta2_payloads),)),
+    "elemental": (count_elemental,
+                  ((KIND_ELEMENTAL_H, _delta2_payloads), (KIND_ELEMENTAL_I, _delta1_payloads))),
+}
+
+
+def _members(n: int, blocks) -> Iterator[CanonicalInequality]:
+    for kind, payloads in blocks:
+        for payload in payloads(n):
+            yield CanonicalInequality(kind, payload, member_expr(n, kind, payload))
+
+
+class Family:
+    """One family's members at one n, in canonical order.
+
+    Its length is the closed form; each iteration enumerates the members
+    afresh and lazily, so nothing is held between one member and the next.
+    """
+
+    __slots__ = ("n", "_size", "_blocks")
+
+    def __init__(self, n: int, size: int, blocks) -> None:
+        self.n, self._size, self._blocks = n, size, blocks
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[CanonicalInequality]:
+        return _members(self.n, self._blocks)
+
+
+def family(name: str, n: int, budget: int | None = DEFAULT_BUDGET) -> Family:
+    """The members of the family named in FAMILIES, enumerated lazily.
+
+    The budget is checked against the closed-form size before anything
+    is generated.
+    """
+    check_n(n)
+    size, blocks = FAMILIES[name]
+    predicted = size(n)
+    _check_budget(predicted, budget)
+    return Family(n, predicted, blocks)
 
 
 def gen_delta0(n: int, budget: int | None = DEFAULT_BUDGET) -> list[CanonicalInequality]:
     """Disjoint-support members J(d1,d2,d3,d4 | beta), deduplicated."""
-    check_n(n)
-    _check_budget(count_delta0(n), budget)
-    return [CanonicalInequality(KIND_DELTA0, payload, member_expr(n, KIND_DELTA0, payload))
-            for payload in sorted(_delta0_payloads(n))]
+    return list(family("delta0", n, budget))
 
 
 def gen_delta1(n: int, budget: int | None = DEFAULT_BUDGET) -> list[CanonicalInequality]:
     """Pairwise forms J(i, j, empty, mu) = I(i; j | mu), i < j, mu avoiding both."""
-    check_n(n)
-    _check_budget(count_elemental(n) - n, budget)
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            rest = full_mask(n) & ~(1 << (i - 1) | 1 << (j - 1))
-            mu = 0
-            while True:
-                out.append(CanonicalInequality(
-                    KIND_DELTA1, (i, j, mu), member_expr(n, KIND_DELTA1, (i, j, mu))))
-                if mu == rest:
-                    break
-                mu = (mu - rest) & rest  # next subset of rest
-    return out
+    return list(family("delta1", n, budget))
 
 
 def gen_delta2(n: int, budget: int | None = DEFAULT_BUDGET) -> list[CanonicalInequality]:
     """Single-element forms J(i, i, empty, N-i) = h(i | N-i)."""
-    check_n(n)
-    _check_budget(n, budget)
-    return [CanonicalInequality(KIND_DELTA2, (i,), member_expr(n, KIND_DELTA2, (i,)))
-            for i in range(1, n + 1)]
+    return list(family("delta2", n, budget))
 
 
 def gen_delta(n: int, budget: int | None = DEFAULT_BUDGET) -> list[CanonicalInequality]:
     """The full minimal generating set in canonical order."""
-    check_n(n)
-    _check_budget(count_delta(n), budget)
-    return gen_delta0(n, budget=None) + gen_delta1(n, budget=None) + gen_delta2(n, budget=None)
+    return list(family("delta", n, budget))
 
 
 def gen_elemental(n: int, budget: int | None = DEFAULT_BUDGET) -> list[CanonicalInequality]:
     """Elemental basic inequalities: h(i|N-i) block, then I(i;j|mu) block."""
-    check_n(n)
-    _check_budget(count_elemental(n), budget)
-    return [CanonicalInequality(ELEMENTAL_TAGS[ci.kind], ci.payload, ci.expr)
-            for ci in gen_delta2(n, budget=None) + gen_delta1(n, budget=None)]
+    return list(family("elemental", n, budget))
 
 
 def reduce_quad(q: IngletonQuad) -> tuple[int, int, int, int, int]:
@@ -282,34 +327,70 @@ def classify_quad(q: IngletonQuad) -> QuadClass:
     return QuadClass(CLASS_REDUCES_TO, delta0_payload(*reduced))
 
 
+# members rendered per inequalities_to_text call when a file is streamed
+_BLOCK = 1024
+
+
+def _header(n: int, count: int) -> str:
+    return f"n={n} count={count}\n"
+
+
+def write_inequality_stream(f, n: int, members) -> None:
+    """Write the inequality file of `members` (sized and iterable) to the text stream f.
+
+    The header names len(members).  The lines are rendered by
+    inequalities_to_text (the writer perfbench times) _BLOCK members at a
+    time, so one block and its text are all that is held.  After the last
+    block a RuntimeError is
+    raised if the members were not len(members) many.
+    """
+    count = len(members)
+    f.write(_header(n, count))
+    written = 0
+    it = iter(members)
+    while block := list(islice(it, _BLOCK)):
+        f.write(inequalities_to_text(n, block, header=False))
+        written += len(block)
+    if written != count:
+        raise RuntimeError(f"header says count={count}, wrote {written} members")
+
+
 def write_inequalities(path, n: int, ineqs: Sequence[CanonicalInequality]) -> None:
     with open(path, "w", encoding="ascii") as f:
-        f.write(inequalities_to_text(n, ineqs))
+        write_inequality_stream(f, n, ineqs)
 
 
-def inequalities_to_text(n: int, ineqs: Sequence[CanonicalInequality]) -> str:
+def inequalities_to_text(n: int, ineqs: Sequence[CanonicalInequality],
+                         header: bool = True) -> str:
+    """The inequality file of ineqs; with header=False, its member lines alone."""
     names = SubsetNames()
-    lines = [f"n={n} count={len(ineqs)}"]
-    lines.extend(ci.line(names) for ci in ineqs)
-    return "\n".join(lines) + "\n"
+    lines = [_header(n, len(ineqs))] if header else []
+    lines.extend(f"{ci.line(names)}\n" for ci in ineqs)
+    return "".join(lines)
 
 
-def _parse_payload(kind: str, text: str) -> tuple:
+def _subset_in(text: str, n: int) -> int:
+    mask = parse_subset(text)
+    check_mask(mask, n)
+    return mask
+
+
+def _parse_payload(kind: str, text: str, n: int) -> tuple:
+    # the one place a payload arrives from outside: every mask is checked here
     kind = shape(kind)
     if kind == KIND_DELTA0:
         pairs, beta_s = text.split("|")
         left, right = pairs.split(";")
         d1_s, d2_s = _split_subsets(left, 2)
         d3_s, d4_s = _split_subsets(right, 2)
-        return (parse_subset(d1_s), parse_subset(d2_s), parse_subset(d3_s),
-                parse_subset(d4_s), parse_subset(beta_s))
+        return tuple(_subset_in(t, n) for t in (d1_s, d2_s, d3_s, d4_s, beta_s))
     if kind == KIND_DELTA1:
         head, mu_s = text.split("|")
         i_s, j_s = _split_subsets(head, 2)
-        i, j = parse_subset(i_s).bit_length(), parse_subset(j_s).bit_length()
-        return (i, j, parse_subset(mu_s))
+        i, j = _subset_in(i_s, n).bit_length(), _subset_in(j_s, n).bit_length()
+        return (i, j, _subset_in(mu_s, n))
     if kind == KIND_DELTA2:
-        return (parse_subset(text).bit_length(),)
+        return (_subset_in(text, n).bit_length(),)
     raise ValueError(f"unknown inequality kind {kind!r}")
 
 
@@ -333,11 +414,12 @@ def inequalities_from_text(text: str) -> tuple[int, list[CanonicalInequality]]:
     if len(head) != 2 or not head[0].startswith("n=") or not head[1].startswith("count="):
         raise ValueError(f"bad header {lines[0]!r}")
     n = int(head[0][2:])
+    check_n(n)
     count = int(head[1][6:])
     out = []
     for ln in lines[1:]:
         kind, payload_text, expr_text = ln.split("\t")
-        payload = _parse_payload(kind, payload_text)
+        payload = _parse_payload(kind, payload_text, n)
         expr = parse_expr(expr_text, n)
         if expr != member_expr(n, kind, payload):
             raise ValueError(f"expression does not match its payload: {ln!r}")

@@ -8,6 +8,7 @@ import pytest
 
 from ingletonlp import bound, ingen
 from ingletonlp.entspace import (
+    EntropyVector,
     IngletonQuad,
     LinExpr,
     evaluate,
@@ -286,6 +287,33 @@ def test_violator_separates_the_cones():
     member, violated = bound.membership(v, bound.CONE_GAMMA_IN)
     assert not member
     assert violated.kind == "Delta0"
+
+
+@pytest.mark.parametrize("cone", [bound.CONE_GAMMA, bound.CONE_GAMMA_IN])
+def test_membership_stops_where_a_full_scan_does(cone):
+    rng = random.Random(11)
+    for n in (3, 4, 5):
+        members = bound.cone_members(n, cone)
+        base = witness_fulldim(n)
+        for _ in range(20):
+            # two coordinates of a strictly submodular point moved: a mix of
+            # members and of violations early and late in the list
+            values = [4 * v for _m, v in base.items()]
+            for _ in range(2):
+                values[rng.randrange(len(values))] += rng.randint(-8, 8)
+            point = EntropyVector(n, values)
+            first = next((ci for ci in members if evaluate(ci.expr, point) < 0), None)
+            assert bound.membership(point, cone) == (first is None, first)
+
+
+def test_membership_answers_early_violation_without_the_family_list(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("membership built the member list")
+    monkeypatch.setattr(ingen, "gen_delta", refuse)
+    point = EntropyVector.from_dict(8, {0b1100: 1})  # -h{3,4} in the first member
+    member, violated = bound.membership(point, bound.CONE_GAMMA_IN)
+    assert not member
+    assert (violated.kind, violated.payload) == ("Delta0", (1, 2, 4, 8, 0))
 
 
 # ---------------------------------------------------------------------------

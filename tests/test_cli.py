@@ -1,8 +1,10 @@
 """Command-line behavior: reports, files, exit codes."""
 
+import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -55,6 +57,62 @@ def test_gen_to_file(tmp_path, capsys):
     assert n == 4 and len(members) == 34
 
 
+# sha256 of `gen --n 6 --family F` stdout, recorded before gen streamed its lines
+GEN6_STDOUT_SHA256 = {
+    "delta": "6fe69acf01a52ac7095b54072e9d1e6a9ccc3aad04f2eb163165d8160eac6602",
+    "delta0": "60f471dc4d49fb852b4c43311f14848db2c991253ef2b82414277c8a684e838b",
+    "delta1": "51ea60012420a1f8a5ce3bb8778ea506836a7d4266ac9e125884ff401befaf39",
+    "delta2": "d2a85e5eca363570f814b18a06653c1f45dfea6066bbb16d3bcc8f769d2d0699",
+    "elemental": "710a9a6cc9dde2064da677776919dab47e6136a2faa7fd0d1d69b8ff38ac2722",
+}
+
+
+@pytest.mark.parametrize("family", sorted(GEN6_STDOUT_SHA256))
+def test_gen_bytes_at_n6_on_stdout_and_in_file(capsys, tmp_path, family):
+    rc, out, _ = run_cli(capsys, ["gen", "--n", "6", "--family", family])
+    assert rc == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == GEN6_STDOUT_SHA256[family]
+    target = tmp_path / "members.txt"
+    rc, _, _ = run_cli(capsys, ["gen", "--n", "6", "--family", family, "--out", str(target)])
+    assert rc == 0 and target.read_bytes() == out.encode("ascii")
+
+
+def test_gen_takes_members_from_the_family_table_and_text_from_the_writer(
+        tmp_path, capsys, monkeypatch):
+    # perfbench times gen by rebinding cli._FAMILIES and ingen.inequalities_to_text
+    calls = {"gen": 0, "write": 0}
+    to_text = ingen.inequalities_to_text
+
+    def gen_delta(n, budget):
+        calls["gen"] += 1
+        return ingen.gen_delta(n, budget=budget)
+
+    def counted_to_text(*args, **kwargs):
+        calls["write"] += 1
+        return to_text(*args, **kwargs)
+
+    monkeypatch.setitem(cli._FAMILIES, "delta", gen_delta)
+    monkeypatch.setattr(ingen, "inequalities_to_text", counted_to_text)
+    target = tmp_path / "delta.txt"
+    rc, _, _ = run_cli(capsys, ["gen", "--n", "4", "--out", str(target)])
+    assert rc == 0 and calls == {"gen": 1, "write": 1}
+    assert target.read_text() == to_text(4, ingen.gen_delta(4))
+
+
+def test_gen_streams_in_bounded_memory(tmp_path, capsys):
+    # n=7 writes 14,959 members (2.4 MB); holding them or their text costs
+    # about 17 MB of Python allocations, streaming them well under 1 MB
+    tracemalloc.start()
+    try:
+        rc = main(["gen", "--n", "7", "--out", str(tmp_path / "delta7.txt")])
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert rc == 0
+    assert peak < 4_000_000
+
+
 def test_classify(capsys):
     rc, out, _ = run_cli(capsys,
                          ["classify", "--n", "4", "--quad", "{1},{2},{3},{4}"])
@@ -99,6 +157,20 @@ def test_implies_with_generator_file(capsys, tmp_path):
         "implies", "--n", "4", "--quad", "{1,2},{3},{2,4},{1}",
         "--gens", str(gens)])
     assert rc == 0 and "implied true" in out
+
+
+@pytest.mark.parametrize("kind,payload", [("Delta0", "{1},{2};{3},{5}|{}"),
+                                          ("Delta1", "{1},{5}|{}"),
+                                          ("Delta2", "{5}")])
+def test_out_of_range_payload_in_generator_file_exits_two(capsys, tmp_path, kind, payload):
+    lines = ingen.inequalities_to_text(4, ingen.gen_delta(4)).splitlines()
+    at = next(k for k, ln in enumerate(lines) if ln.startswith(kind + "\t"))
+    lines[at] = "\t".join((kind, payload, lines[at].split("\t")[2]))
+    gens = tmp_path / "gens.txt"
+    gens.write_text("\n".join(lines) + "\n", encoding="ascii")
+    rc, out, err = run_cli(capsys, ["implies", "--n", "4", "--quad", "{1},{2},{3},{4}",
+                                    "--gens", str(gens)])
+    assert rc == 2 and out == "" and "not a subset" in err
 
 
 def test_implies_generator_file_wrong_n(capsys, tmp_path):

@@ -1,12 +1,13 @@
 """Family generation, counting formulas, quad classification, file format."""
 
 import hashlib
+import io
 import itertools
 import math
 
 import pytest
 
-from ingletonlp import ingen
+from ingletonlp import entspace, ingen
 from ingletonlp.entspace import (
     IngletonQuad,
     LinExpr,
@@ -66,6 +67,30 @@ def test_budget_guard():
 
 # ---------------------------------------------------------------------------
 # member structure
+
+
+def _brute_force_delta0_payloads(n):
+    # every assignment of the elements to d1, d2, d3, d4, beta or unused,
+    # kept when each d is nonempty and both pairs are in canonical order
+    out = []
+    for slots in itertools.product(range(6), repeat=n):
+        masks = [0] * 6
+        for e, slot in enumerate(slots):
+            masks[slot] |= 1 << e
+        payload = tuple(masks[:5])
+        if all(payload[:4]) and ingen.delta0_payload(*payload) == payload:
+            out.append(payload)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_delta0_order_matches_brute_force(n):
+    assert [ci.payload for ci in ingen.gen_delta0(n)] == _brute_force_delta0_payloads(n)
+
+
+def test_delta0_enumeration_size_through_n8():
+    for n in range(2, 9):
+        assert sum(1 for _ in ingen._delta0_payloads(n)) == ingen.count_delta0(n)
 
 
 def test_members_carry_distinct_payload_and_expr():
@@ -209,6 +234,42 @@ def test_inequality_text_rejects_count_mismatch():
     broken = text.replace("count=6", "count=7")
     with pytest.raises(ValueError):
         ingen.inequalities_from_text(broken)
+
+
+class _ShortFamily:
+    """Claims one member more than it yields."""
+
+    def __init__(self, members):
+        self.members = members
+
+    def __len__(self):
+        return len(self.members) + 1
+
+    def __iter__(self):
+        return iter(self.members)
+
+
+def test_stream_writer_checks_the_header_count():
+    out = io.StringIO()
+    with pytest.raises(RuntimeError, match="count=6, wrote 5"):
+        ingen.write_inequality_stream(out, 3, _ShortFamily(ingen.gen_delta1(3)[:-1]))
+
+
+def test_stream_writer_matches_the_text_across_blocks(monkeypatch):
+    members = ingen.gen_delta(4)
+    monkeypatch.setattr(ingen, "_BLOCK", 5)
+    out = io.StringIO()
+    ingen.write_inequality_stream(out, 4, ingen.family("delta", 4))
+    assert out.getvalue() == ingen.inequalities_to_text(4, members)
+
+
+def test_generation_checks_no_mask_it_made(monkeypatch):
+    # masks are validated where they arrive from outside, not per generated member
+    calls = []
+    check = entspace.check_mask
+    monkeypatch.setattr(entspace, "check_mask", lambda m, n: calls.append(m) or check(m, n))
+    assert len(ingen.gen_delta(5)) == 205 and len(ingen.gen_elemental(5)) == 85
+    assert calls == []
 
 
 def test_generation_is_deterministic():
