@@ -313,3 +313,30 @@ def test_writer_bytes_at_n7(family, gen):
     members = gen(7)
     text = ingen.inequalities_to_text(7, members)
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == WRITER_SHA256[family]
+
+
+# ---------------------------------------------------------------------------
+# member expressions and lines against the checked public constructors
+
+
+def _oracle_expr(n, ci):
+    """The member's >= 0 form, built only from the mask-checking constructors."""
+    shape = ingen.shape(ci.kind)
+    if shape == ingen.KIND_DELTA0:
+        d1, d2, d3, d4, beta = ci.payload
+        return ingleton_expr(IngletonQuad(n, d1 | beta, d2 | beta, d3 | beta, d4 | beta))
+    if shape == ingen.KIND_DELTA1:
+        i, j, mu = ci.payload
+        return entspace.cond_mutinfo_expr(n, 1 << (i - 1), 1 << (j - 1), mu)
+    bit = 1 << (ci.payload[0] - 1)
+    return entspace.cond_entropy_expr(n, bit, entspace.full_mask(n) & ~bit)
+
+
+@pytest.mark.parametrize("name", sorted(ingen.FAMILIES))
+def test_members_match_the_public_constructors(name):
+    for n in range(2, 7):
+        for ci in ingen.family(name, n):
+            want = _oracle_expr(n, ci)
+            assert ci.expr == want
+            assert ci.line() == (f"{ci.kind}\t{ingen.payload_text(ci.kind, ci.payload)}"
+                                 f"\t{entspace.format_expr(want)}")
