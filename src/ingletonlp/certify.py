@@ -49,9 +49,6 @@ class FarkasCertificate:
     gen_ids: tuple[int, ...]
     coeffs: tuple[Fraction, ...]
 
-    def as_dict(self) -> dict[int, Fraction]:
-        return dict(zip(self.gen_ids, self.coeffs))
-
 
 @dataclass(frozen=True)
 class SeparationWitness:
@@ -99,8 +96,12 @@ class _ConeSystem:
         for i, g in enumerate(gens):
             self._exact_keys.setdefault(g.key(), i)
 
-    def decide(self, target: LinExpr):
-        """Returns (cert_dict, None) or (None, witness_point)."""
+    def decide(self, target: LinExpr, float_witness: bool = True):
+        """Returns (cert_dict, None) or (None, witness_point).
+
+        float_witness=False skips the float-witness step after an
+        infeasible presolve: a failed `separate` has already run it.
+        """
         if target.n != self.n:
             raise GroundSetError("target disagrees with generators on the ground set")
         if target.is_zero():
@@ -127,7 +128,7 @@ class _ConeSystem:
             sol = self._exact_solve(support, b_exact)
             if sol.status == "optimal":
                 return _cert_over(support, sol.x), None
-        elif res.status == 2:
+        elif res.status == 2 and float_witness:
             point = self._float_witness(target, b_float)
             if point is not None:
                 return None, point
@@ -229,12 +230,13 @@ def _settle(system: _ConeSystem, target: LinExpr, label: str = "the target",
     The answer is a FarkasCertificate or a SeparationWitness normalized to
     target value -1; one that fails its check raises RuntimeError.  With
     witness_first, system.separate runs before system.decide, which then
-    runs only if it finds no point.
+    runs only if it finds no point, and without repeating its LP.
     """
     cert = None
-    point = system.separate(target) if witness_first else None
-    if point is None:
+    if not witness_first:
         cert, point = system.decide(target)
+    elif (point := system.separate(target)) is None:
+        cert, point = system.decide(target, float_witness=False)
     if cert is not None:
         out = _cert_from_dict(cert)
         _require(verify_certificate(target, system.gens, out),

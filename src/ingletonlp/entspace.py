@@ -66,8 +66,14 @@ def format_subset(mask: int) -> str:
     return "{" + ",".join(str(e) for e in elements_of(mask)) + "}"
 
 
+def _term_text(c: Rational, subset_text: str) -> str:
+    return f"{'+' if c > 0 else '-'}{abs(c)}*h{subset_text}"
+
+
 class SubsetNames(dict):
-    """format_subset text by mask, filled in as masks are first met.
+    """Memoized text, filled in as first met: format_subset text by mask,
+    and by (mask, +-1) the format_expr text of that unit term, `+1*h{..}`
+    or `-1*h{..}`.
 
     A writer keeps one for the text it builds, so the memo holds no more
     masks than that text names.
@@ -75,8 +81,12 @@ class SubsetNames(dict):
 
     __slots__ = ()
 
-    def __missing__(self, mask: int) -> str:
-        text = self[mask] = format_subset(mask)
+    def __missing__(self, key: int | tuple[int, int]) -> str:
+        if isinstance(key, tuple):
+            mask, sign = key
+            text = self[key] = _term_text(sign, self[mask])
+        else:
+            text = self[key] = format_subset(key)
         return text
 
 
@@ -197,18 +207,12 @@ class LinExpr:
         return f"<LinExpr n={self.n} {format_expr(self)}>"
 
 
-def format_expr(e: LinExpr, names: SubsetNames | None = None) -> str:
-    """Signed terms `+c*h{..}` in mask order; `names` memoizes the subset text."""
+def format_expr(e: LinExpr) -> str:
+    """Signed terms `+c*h{..}` in mask order."""
     if e.is_zero():
         return "0"
-    if names is None:
-        names = SubsetNames()
-    parts = []
-    for mask, c in e.terms():
-        if not isinstance(c, int):
-            c = Fraction(c)
-        parts.append(f"{'+' if c > 0 else '-'}{abs(c)}*h{names[mask]}")
-    return " ".join(parts)
+    return " ".join(_term_text(c if isinstance(c, int) else Fraction(c), format_subset(mask))
+                    for mask, c in e.terms())
 
 
 def parse_rational(text: str) -> Fraction:
@@ -382,28 +386,15 @@ def parse_quad(text: str, n: int) -> IngletonQuad:
     return IngletonQuad(n, *masks)
 
 
-def _cond_entropy_acc(alpha: int, beta: int) -> dict:
-    acc: dict[int, Rational] = {}
-    _bump(acc, alpha | beta, 1)
-    _bump(acc, beta, -1)
-    return acc
-
-
 def cond_entropy_expr(n: int, alpha: int, beta: int) -> LinExpr:
     """h(alpha | beta) = h(alpha+beta) - h(beta) as a coefficient map."""
     check_n(n)
     check_mask(alpha, n)
     check_mask(beta, n)
-    return LinExpr._raw(n, _cond_entropy_acc(alpha, beta))
-
-
-def _mutinfo_acc(alpha: int, beta: int, delta: int) -> dict:
     acc: dict[int, Rational] = {}
-    _bump(acc, alpha | delta, 1)
-    _bump(acc, beta | delta, 1)
-    _bump(acc, delta, -1)
-    _bump(acc, alpha | beta | delta, -1)
-    return acc
+    _bump(acc, alpha | beta, 1)
+    _bump(acc, beta, -1)
+    return LinExpr._raw(n, acc)
 
 
 def cond_mutinfo_expr(n: int, alpha: int, beta: int, delta: int) -> LinExpr:
@@ -411,22 +402,24 @@ def cond_mutinfo_expr(n: int, alpha: int, beta: int, delta: int) -> LinExpr:
     check_n(n)
     for m in (alpha, beta, delta):
         check_mask(m, n)
-    return LinExpr._raw(n, _mutinfo_acc(alpha, beta, delta))
+    acc: dict[int, Rational] = {}
+    _bump(acc, alpha | delta, 1)
+    _bump(acc, beta | delta, 1)
+    _bump(acc, delta, -1)
+    _bump(acc, alpha | beta | delta, -1)
+    return LinExpr._raw(n, acc)
 
 
-def _ingleton_acc(a1: int, a2: int, a3: int, a4: int) -> dict:
+def ingleton_expr(q: IngletonQuad) -> LinExpr:
+    """Ten-term inequality form for the quad, with merged coefficients."""
     # ten formal terms; coefficients merge and may cancel entirely
+    a1, a2, a3, a4 = q.masks()
     acc: dict[int, Rational] = {}
     for m in (a1 | a2, a1 | a3, a1 | a4, a2 | a3, a2 | a4):
         _bump(acc, m, 1)
     for m in (a1, a2, a3 | a4, a1 | a2 | a3, a1 | a2 | a4):
         _bump(acc, m, -1)
-    return acc
-
-
-def ingleton_expr(q: IngletonQuad) -> LinExpr:
-    """Ten-term inequality form for the quad, with merged coefficients."""
-    return LinExpr._raw(q.n, _ingleton_acc(q.a1, q.a2, q.a3, q.a4))
+    return LinExpr._raw(q.n, acc)
 
 
 def project_onto(e: LinExpr, beta: int) -> LinExpr:

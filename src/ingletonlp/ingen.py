@@ -12,13 +12,18 @@ its memory does not grow with n; the `gen_*` functions list the same
 members.
 Payloads are built here from masks inside {1..n} and are not checked
 again; the inequality-file parser checks every mask it reads.
+
+A member is its (n, kind, payload), and its `expr` always equals
+`member_expr(n, kind, payload)`: the unit terms of `member_terms`, built
+into an expression on first read.  Its file line is rendered from those
+terms without building the expression.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator, Sequence
 
@@ -26,12 +31,8 @@ from .entspace import (
     IngletonQuad,
     LinExpr,
     SubsetNames,
-    _cond_entropy_acc,
-    _ingleton_acc,
-    _mutinfo_acc,
     check_mask,
     check_n,
-    format_expr,
     full_mask,
     ingleton_expr,
     parse_expr,
@@ -78,36 +79,76 @@ def payload_text(kind: str, payload: tuple, names: SubsetNames | None = None) ->
     return names[1 << (payload[0] - 1)]
 
 
+def member_terms(n: int, kind: str, payload: tuple) -> list[tuple[int, int]]:
+    """The (mask, +-1) terms, in mask order, of the >= 0 form a member stands for.
+
+    The d's of a Delta0 payload are nonempty and disjoint, so its ten
+    masks are distinct; so are the masks of the other shapes, and no
+    term cancels.  The payload's masks must lie in {1..n}; they are not
+    checked here.
+    """
+    kind = shape(kind)
+    if kind == KIND_DELTA0:
+        # J(a1,a2,a3,a4) with a_k = d_k | beta
+        d1, d2, d3, d4, beta = payload
+        a1, a2 = d1 | beta, d2 | beta
+        terms = [(a1 | d2, 1), (a1 | d3, 1), (a1 | d4, 1), (a2 | d3, 1), (a2 | d4, 1),
+                 (a1, -1), (a2, -1), (d3 | d4 | beta, -1), (a1 | d2 | d3, -1),
+                 (a1 | d2 | d4, -1)]
+    elif kind == KIND_DELTA1:
+        # I(i; j | mu) = h(i mu) + h(j mu) - h(mu) - h(i j mu)
+        i, j, mu = payload
+        bi, bj = 1 << (i - 1), 1 << (j - 1)
+        terms = [(bi | mu, 1), (bj | mu, 1), (bi | bj | mu, -1)]
+        if mu:
+            terms.append((mu, -1))
+    else:
+        # h(i | N - i) = h(N) - h(N - i), already in mask order
+        top = full_mask(n)
+        return [(top & ~(1 << (payload[0] - 1)), -1), (top, 1)]
+    terms.sort()
+    return terms
+
+
 def member_expr(n: int, kind: str, payload: tuple) -> LinExpr:
     """The >= 0 form a member of the given kind and payload stands for.
 
     The payload's masks must lie in {1..n}; they are not checked here.
     """
-    kind = shape(kind)
-    if kind == KIND_DELTA0:
-        d1, d2, d3, d4, beta = payload
-        return LinExpr._raw(n, _ingleton_acc(d1 | beta, d2 | beta, d3 | beta, d4 | beta))
-    if kind == KIND_DELTA1:
-        i, j, mu = payload
-        return LinExpr._raw(n, _mutinfo_acc(1 << (i - 1), 1 << (j - 1), mu))
-    bi = 1 << (payload[0] - 1)
-    return LinExpr._raw(n, _cond_entropy_acc(bi, full_mask(n) & ~bi))
+    return LinExpr._raw(n, dict(member_terms(n, kind, payload)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalInequality:
-    """One >= 0 generator with its family tag and identifying payload."""
+    """One >= 0 generator with its family tag and identifying payload.
 
+    `expr` is always `member_expr(n, kind, payload)`: it is built on first
+    read and kept, or given at once by the file parser, which checks it.
+    Equality and hashing read (n, kind, payload), which fix it.
+    """
+
+    n: int
     kind: str
     payload: tuple
-    expr: LinExpr
+    _expr: LinExpr | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def expr(self) -> LinExpr:
+        e = self._expr
+        if e is None:
+            e = member_expr(self.n, self.kind, self.payload)
+            object.__setattr__(self, "_expr", e)
+        return e
 
     def payload_text(self) -> str:
         return payload_text(self.kind, self.payload)
 
     def line(self, names: SubsetNames | None = None) -> str:
-        return (f"{self.kind}\t{payload_text(self.kind, self.payload, names)}"
-                f"\t{format_expr(self.expr, names)}")
+        """The member's file line, rendered from its payload and unit terms."""
+        if names is None:
+            names = SubsetNames()
+        body = " ".join(map(names.__getitem__, member_terms(self.n, self.kind, self.payload)))
+        return f"{self.kind}\t{payload_text(self.kind, self.payload, names)}\t{body}"
 
 
 def count_delta0(n: int) -> int:
@@ -192,7 +233,7 @@ FAMILIES = {
 def _members(n: int, blocks) -> Iterator[CanonicalInequality]:
     for kind, payloads in blocks:
         for payload in payloads(n):
-            yield CanonicalInequality(kind, payload, member_expr(n, kind, payload))
+            yield CanonicalInequality(n, kind, payload)
 
 
 class Family:
@@ -423,7 +464,7 @@ def inequalities_from_text(text: str) -> tuple[int, list[CanonicalInequality]]:
         expr = parse_expr(expr_text, n)
         if expr != member_expr(n, kind, payload):
             raise ValueError(f"expression does not match its payload: {ln!r}")
-        out.append(CanonicalInequality(kind, payload, expr))
+        out.append(CanonicalInequality(n, kind, payload, expr))
     if len(out) != count:
         raise ValueError(f"header says count={count}, found {len(out)} lines")
     return n, out

@@ -382,6 +382,16 @@ def test_minimality_falls_back_to_the_exact_decision(monkeypatch, fake):
     assert len(solves) == 9
 
 
+def test_failed_separation_is_not_repeated(monkeypatch):
+    # per member: the separating-direction LP of `separate`, then decide's
+    # feasibility LP, and not the separating-direction LP a second time
+    calls = []
+    monkeypatch.setattr(certify, "linprog",
+                        lambda *a, **kw: calls.append(1) or _outside_linprog(*a, **kw))
+    _assert_minimality_n3(certify.check_minimality(3))
+    assert len(calls) == 2 * 9
+
+
 def test_exact_fallback_solves_once(monkeypatch):
     # with no float hint, one exact solve over every generator settles
     # either outcome: the certificate or the Farkas vector behind the witness

@@ -77,6 +77,17 @@ def test_gen_bytes_at_n6_on_stdout_and_in_file(capsys, tmp_path, family):
     assert rc == 0 and target.read_bytes() == out.encode("ascii")
 
 
+def test_gen_builds_no_member_expression(capsys, monkeypatch):
+    # lines are rendered from payloads; an expression is built only when read
+    def member_expr(*args):
+        raise AssertionError("gen built a member expression")
+
+    monkeypatch.setattr(ingen, "member_expr", member_expr)
+    rc, out, _ = run_cli(capsys, ["gen", "--n", "6", "--family", "delta"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == GEN6_STDOUT_SHA256["delta"]
+
+
 def test_gen_takes_members_from_the_family_table_and_text_from_the_writer(
         tmp_path, capsys, monkeypatch):
     # perfbench times gen by rebinding cli._FAMILIES and ingen.inequalities_to_text

@@ -169,7 +169,10 @@ def test_format_expr_matches_reference_and_roundtrips(case):
     e = LinExpr(n, coeffs)
     text = format_expr(e)
     assert text == _reference_format_expr(e)
-    assert format_expr(e, SubsetNames()) == text
+    names = SubsetNames()
+    for mask, c in e.terms():
+        if c in (1, -1):
+            assert names[mask, int(c)] == format_expr(LinExpr.single(n, mask, c))
     assert parse_expr(text, n) == e
 
 

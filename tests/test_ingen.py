@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import math
+import pickle
 
 import pytest
 
@@ -340,3 +341,30 @@ def test_members_match_the_public_constructors(name):
             assert ci.expr == want
             assert ci.line() == (f"{ci.kind}\t{ingen.payload_text(ci.kind, ci.payload)}"
                                  f"\t{entspace.format_expr(want)}")
+
+
+def test_member_expression_is_built_once_on_first_read():
+    ci = ingen.gen_delta(4)[0]
+    first = ci.expr
+    assert ci.expr is first
+    assert first == ingen.member_expr(4, ci.kind, ci.payload)
+
+
+def test_parsed_and_generated_members_compare_and_hash_alike():
+    members = ingen.gen_delta(5)
+    n, back = ingen.inequalities_from_text(ingen.inequalities_to_text(5, members))
+    assert n == 5 and back == members
+    assert [hash(ci) for ci in back] == [hash(ci) for ci in members]
+    assert set(back) == set(members)
+    # equal members carry equal expressions, whichever way each was made
+    assert [ci.expr for ci in back] == [ci.expr for ci in members]
+    assert ingen.gen_delta1(5)[0] != ingen.gen_elemental(5)[5]
+
+
+def test_members_pickle_before_and_after_the_expression_is_read():
+    # forked scan workers send members across processes
+    for ci in ingen.gen_delta(4)[::7]:
+        before = pickle.loads(pickle.dumps(ci))  # ci.expr not read yet
+        assert before == ci and before.expr == ci.expr
+        after = pickle.loads(pickle.dumps(ci))
+        assert after == ci and after.expr == ci.expr
