@@ -96,11 +96,12 @@ class _ConeSystem:
         for i, g in enumerate(gens):
             self._exact_keys.setdefault(g.key(), i)
 
-    def decide(self, target: LinExpr, float_witness: bool = True):
+    def decide(self, target: LinExpr, witness_first: bool = False):
         """Returns (cert_dict, None) or (None, witness_point).
 
-        float_witness=False skips the float-witness step after an
-        infeasible presolve: a failed `separate` has already run it.
+        The float witness (a separating-direction LP) runs before the
+        feasibility presolve with witness_first, and otherwise only after
+        an infeasible one; either way HiGHS sees each LP at most once.
         """
         if target.n != self.n:
             raise GroundSetError("target disagrees with generators on the ground set")
@@ -121,6 +122,10 @@ class _ConeSystem:
         b_float = [float(v) for v in b_exact]
         ngen = len(self.gens)
 
+        if witness_first:
+            point = self._float_witness(target, b_float)
+            if point is not None:
+                return None, point
         res = linprog([0.0] * ngen, A_eq=self.float_cols(), b_eq=b_float,
                       bounds=(0, None), method="highs")
         if res.status == 0:
@@ -128,7 +133,7 @@ class _ConeSystem:
             sol = self._exact_solve(support, b_exact)
             if sol.status == "optimal":
                 return _cert_over(support, sol.x), None
-        elif res.status == 2 and float_witness:
+        elif res.status == 2 and not witness_first:
             point = self._float_witness(target, b_float)
             if point is not None:
                 return None, point
@@ -170,17 +175,6 @@ class _ConeSystem:
         _require(all(evaluate(g, point) >= 0 for g in self.gens),
                  "witness leaves the generator cone")
         return None, point
-
-    def separate(self, target: LinExpr) -> EntropyVector | None:
-        """decide's float witness for target, without the feasibility LP first.
-
-        None where decide answers without HiGHS (a zero target, a coefficient
-        outside the generators' support) and where no rounded point verifies.
-        """
-        if (target.n != self.n or target.is_zero()
-                or any(m not in self.index for m in target.coeffs)):
-            return None
-        return self._float_witness(target, [float(target.coeffs.get(m, 0)) for m in self.masks])
 
     def _float_witness(self, target: LinExpr, b_float) -> EntropyVector | None:
         # direction p with g.p >= 0 for all generators and target.p < 0
@@ -228,15 +222,10 @@ def _settle(system: _ConeSystem, target: LinExpr, label: str = "the target",
     """Decide target, then re-check the answer exactly against system.gens.
 
     The answer is a FarkasCertificate or a SeparationWitness normalized to
-    target value -1; one that fails its check raises RuntimeError.  With
-    witness_first, system.separate runs before system.decide, which then
-    runs only if it finds no point, and without repeating its LP.
+    target value -1; one that fails its check raises RuntimeError.
+    witness_first is passed to system.decide.
     """
-    cert = None
-    if not witness_first:
-        cert, point = system.decide(target)
-    elif (point := system.separate(target)) is None:
-        cert, point = system.decide(target, float_witness=False)
+    cert, point = system.decide(target, witness_first)
     if cert is not None:
         out = _cert_from_dict(cert)
         _require(verify_certificate(target, system.gens, out),

@@ -11,7 +11,9 @@ order (`family`), so a writer holds one block of members at a time and
 its memory does not grow with n; the `gen_*` functions list the same
 members.
 Payloads are built here from masks inside {1..n} and are not checked
-again; the inequality-file parser checks every mask it reads.
+again; the inequality-file parser checks every mask it reads and the
+shape of every payload (nonempty disjoint d's, a beta outside them; two
+distinct elements, a mu avoiding both; one element).
 
 A member is its (n, kind, payload), and its `expr` always equals
 `member_expr(n, kind, payload)`: the unit terms of `member_terms`, built
@@ -84,8 +86,9 @@ def member_terms(n: int, kind: str, payload: tuple) -> list[tuple[int, int]]:
 
     The d's of a Delta0 payload are nonempty and disjoint, so its ten
     masks are distinct; so are the masks of the other shapes, and no
-    term cancels.  The payload's masks must lie in {1..n}; they are not
-    checked here.
+    term cancels.  The payload must have that shape and its masks must
+    lie in {1..n}: the enumerators and the file parser see to it, and
+    nothing is checked here.
     """
     kind = shape(kind)
     if kind == KIND_DELTA0:
@@ -416,22 +419,41 @@ def _subset_in(text: str, n: int) -> int:
     return mask
 
 
+def _element_in(kind: str, text: str, n: int) -> int:
+    mask = _subset_in(text, n)
+    if not _is_singleton(mask):
+        raise ValueError(f"{kind} payload subset {text!r} is not a single element")
+    return mask.bit_length()
+
+
 def _parse_payload(kind: str, text: str, n: int) -> tuple:
-    # the one place a payload arrives from outside: every mask is checked here
-    kind = shape(kind)
-    if kind == KIND_DELTA0:
+    # the one place a payload arrives from outside: every mask is checked
+    # here, and so is the shape member_terms relies on
+    form = shape(kind)
+    if form == KIND_DELTA0:
         pairs, beta_s = text.split("|")
         left, right = pairs.split(";")
         d1_s, d2_s = _split_subsets(left, 2)
         d3_s, d4_s = _split_subsets(right, 2)
-        return tuple(_subset_in(t, n) for t in (d1_s, d2_s, d3_s, d4_s, beta_s))
-    if kind == KIND_DELTA1:
+        payload = tuple(_subset_in(t, n) for t in (d1_s, d2_s, d3_s, d4_s, beta_s))
+        union, overlap = 0, 0
+        for m in payload:
+            overlap |= m & union
+            union |= m
+        if overlap or 0 in payload[:4]:
+            raise ValueError(f"{kind} payload {text!r} needs nonempty disjoint d's "
+                             "and a beta outside them")
+        return payload
+    if form == KIND_DELTA1:
         head, mu_s = text.split("|")
         i_s, j_s = _split_subsets(head, 2)
-        i, j = _subset_in(i_s, n).bit_length(), _subset_in(j_s, n).bit_length()
-        return (i, j, _subset_in(mu_s, n))
-    if kind == KIND_DELTA2:
-        return (_subset_in(text, n).bit_length(),)
+        i, j, mu = _element_in(kind, i_s, n), _element_in(kind, j_s, n), _subset_in(mu_s, n)
+        if i == j or mu & (1 << (i - 1) | 1 << (j - 1)):
+            raise ValueError(f"{kind} payload {text!r} needs two distinct elements "
+                             "and a mu avoiding both")
+        return (i, j, mu)
+    if form == KIND_DELTA2:
+        return (_element_in(kind, text, n),)
     raise ValueError(f"unknown inequality kind {kind!r}")
 
 

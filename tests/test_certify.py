@@ -191,9 +191,9 @@ def test_witness_first_settles_drop_one_like_decide(n):
 
 def test_separate_leaves_lp_free_answers_to_decide(monkeypatch):
     monkeypatch.setattr(certify, "linprog", None)  # any HiGHS call would raise
+    # witness_first puts no LP before the zero and outside-the-support answers
     system = certify._ConeSystem([parse_expr("+1*h{1}", 2)])
-    assert system.separate(parse_expr("0", 2)) is None
-    assert system.separate(parse_expr("+1*h{2}", 2)) is None
+    assert system.decide(parse_expr("0", 2), witness_first=True) == ({}, None)
     unit = certify._settle(system, parse_expr("+1*h{2}", 2), witness_first=True)
     assert unit.point[0b10] == -1
 
@@ -383,8 +383,8 @@ def test_minimality_falls_back_to_the_exact_decision(monkeypatch, fake):
 
 
 def test_failed_separation_is_not_repeated(monkeypatch):
-    # per member: the separating-direction LP of `separate`, then decide's
-    # feasibility LP, and not the separating-direction LP a second time
+    # per member: the separating-direction LP, then the feasibility LP,
+    # and not the separating-direction LP a second time
     calls = []
     monkeypatch.setattr(certify, "linprog",
                         lambda *a, **kw: calls.append(1) or _outside_linprog(*a, **kw))

@@ -184,6 +184,46 @@ def test_out_of_range_payload_in_generator_file_exits_two(capsys, tmp_path, kind
     assert rc == 2 and out == "" and "not a subset" in err
 
 
+def _true_expr(kind, payload):
+    """The payload's form at n=4 with repeated masks summed, from the public constructors."""
+    from ingletonlp.entspace import (IngletonQuad, cond_entropy_expr, cond_mutinfo_expr,
+                                     format_expr, ingleton_expr, parse_subset)
+    masks = [parse_subset(t) for t in ingen._split_subsets(payload, payload.count("{"))]
+    if kind == "Delta0":
+        *ds, beta = masks
+        return format_expr(ingleton_expr(IngletonQuad(4, *(d | beta for d in ds))))
+    if kind == "Delta1":
+        return format_expr(cond_mutinfo_expr(4, *masks))
+    return format_expr(cond_entropy_expr(4, masks[0], 0b1111 & ~masks[0]))
+
+
+# payloads no enumerator yields: their terms repeat masks or reach h{}
+_OFF_SHAPE = [("Delta0", "{},{2};{3},{4}|{}"),
+              ("Delta0", "{1},{1};{3},{4}|{}"),
+              ("Delta0", "{1},{2};{3},{4}|{1}"),
+              ("Delta1", "{1},{2}|{1}"),
+              ("Delta1", "{1},{1}|{}"),
+              ("Delta1", "{1,2},{3}|{}"),
+              ("Delta2", "{1,2}"),
+              ("Delta2", "{}")]
+
+
+@pytest.mark.parametrize("kind,payload,expr",
+                         [(k, p, _true_expr(k, p)) for k, p in _OFF_SHAPE]
+                         + [("Delta1", "{1},{2}|{1}", "+1*h{1} +1*h{1,2}")])
+def test_off_shape_payload_in_generator_file_exits_two(capsys, tmp_path, kind, payload, expr):
+    # rejected whatever the expression: the true form with repeated masks
+    # summed, or the one keeping the last term per mask
+    lines = ingen.inequalities_to_text(4, ingen.gen_delta(4)).splitlines()
+    at = next(k for k, ln in enumerate(lines) if ln.startswith(kind + "\t"))
+    lines[at] = "\t".join((kind, payload, expr))
+    gens = tmp_path / "gens.txt"
+    gens.write_text("\n".join(lines) + "\n", encoding="ascii")
+    rc, out, err = run_cli(capsys, ["implies", "--n", "4", "--quad", "{1},{2},{3},{4}",
+                                    "--gens", str(gens)])
+    assert rc == 2 and out == "" and f"{kind} payload" in err
+
+
 def test_implies_generator_file_wrong_n(capsys, tmp_path):
     gens = tmp_path / "gens.txt"
     ingen.write_inequalities(gens, 3, ingen.gen_delta(3))
@@ -393,9 +433,9 @@ def test_implies_decides_once(capsys, monkeypatch):
     calls = []
     decide = certify._ConeSystem.decide
 
-    def counted(self, target):
+    def counted(self, target, *args):
         calls.append(target)
-        return decide(self, target)
+        return decide(self, target, *args)
     monkeypatch.setattr(certify._ConeSystem, "decide", counted)
     for family, verdict in (("elemental", "implied false"), ("delta", "implied true")):
         calls.clear()
