@@ -8,13 +8,21 @@ Every terminal status ships checkable data:
   infeasible Farkas vector y with y.A_j <= 0 for every column and y.b > 0
   unbounded  a feasible x plus a ray r >= 0 with A r = 0 and c.r < 0
 
-The kernel is fraction-free: every tableau row, and the objective row, is
-a list of Python ints over one positive denominator, and every elimination
-is the single integer row operation `_eliminate`, reduced by the row's
-gcd.  A sign test or a comparison within one row reads the numerators
-directly, and the ratio test cross-multiplies them, so each pivot is the
-one plain rational arithmetic would choose.  Inputs may mix ints and
-Fractions; outputs are Fractions.
+The kernel is fraction-free and packed.  Each tableau row, the objective
+row included, is integer numerators over one positive denominator, held
+as one Python int with a w-bit lane per entry, plus an upper bound on the
+bit length of its entries.  Clearing a column from a row is X.p - f.P on
+two ints, with no gcd.  A row is decoded and divided by its gcd only when
+the next elimination could overflow a lane, and the pivot row once per
+pivot, which makes its pivot entry positive.  When a reduced row still
+does not fit, every row is repacked at twice the width.
+
+So every row is its gcd-reduced form times a positive factor and stands
+for the same rational row.  Each pivot decision reads only signs, the
+order of entries within one row, and cross-multiplied entries of two rows
+with positive denominators.  No positive factor changes any of these, so
+each pivot is the one plain rational arithmetic would choose.  Inputs may
+mix ints and Fractions; outputs are Fractions.
 
 `linprog` is the package's one way into the float solver (HiGHS through
 scipy); it imports scipy at its first call.
@@ -22,9 +30,16 @@ scipy); it imports scipy at its first call.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+
+_WIDTH = 64  # lane width a tableau starts at; tests patch it smaller
+_CODES = {array(code).itemsize * 8: code for code in "bhiq"}  # lane width -> typecode
+_SWAP = sys.byteorder == "big"  # packed bytes are little-endian
 
 
 @dataclass
@@ -49,37 +64,150 @@ def linprog(c, **kwargs):
     return scipy_linprog(c, **kwargs)
 
 
-def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
-    """row/den divided through by gcd(den, *row), with a positive denominator."""
-    g = gcd(den, *row)
-    if den < 0:
-        g = -g
-    if g == 1:
-        return row, den
-    return [v // g for v in row], den // g
+def _bits(vals: list[int]) -> int:
+    """Bit length of the largest magnitude in vals."""
+    return max(max(vals), -min(vals)).bit_length()
 
 
-def _eliminate(R: list[int], dR: int, P: list[int], col: int) -> tuple[list[int], int]:
-    """Row R/dR minus the multiple of pivot row P that clears column col.
+class _Tableau:
+    """Equal-length integer rows, each packed into one int over a denominator.
 
-    (R.p - R[col].P) / (dR.p) with p = P[col]; P's own denominator cancels.
+    Row i holds numerators r_k over D[i] > 0, none longer than bits[i] bits,
+    as X[i] = bias + sum r_k 2^(w k).  `bias` puts half = 2^(w-1) in every
+    w-bit lane, so lane k holds r_k + half in [0, 2^w) and reads off with a
+    mask and a shift, without borrows.
     """
-    p, f = P[col], R[col]
-    return _reduce([a * p - f * b for a, b in zip(R, P)], dR * p)
 
+    def __init__(self, rows: list[list[int]], dens: list[int]):
+        self.cells = len(rows[0])
+        flat = list(chain.from_iterable(rows))
+        self.X, self.D, self.bits = [], list(dens), [_bits(flat)] * len(rows)
+        self.w = _WIDTH
+        self.widen(self.bits[0], flat)
 
-def _pivot(T: list[list[int]], D: list[int], pi: int, col: int) -> list[int]:
-    """Scale row pi to a unit at col and clear col from every other row."""
-    P = T[pi]
-    for i, R in enumerate(T):
-        if i != pi and R[col]:
-            T[i], D[i] = _eliminate(R, D[i], P, col)
-    T[pi], D[pi] = _reduce(P, P[col])
-    return T[pi]
+    def widen(self, b: int, flat: list[int] | None = None) -> None:
+        """Repack every row, or the given entries, in lanes wider than b bits."""
+        if flat is None:
+            flat = list(chain.from_iterable(map(self.row, range(len(self.X)))))
+        while self.w <= b:
+            self.w *= 2
+        self.half = 1 << (self.w - 1)
+        self.bias = self.half * ((1 << (self.w * self.cells)) - 1) // (2 * self.half - 1)
+        self.X[:] = self.pack(flat)
+
+    def pack(self, flat: list[int]) -> list[int]:
+        """Each run of `cells` entries as one biased int."""
+        nb = self.w // 8
+        if self.w in _CODES:
+            a = array(_CODES[self.w], flat)
+            if _SWAP:
+                a.byteswap()
+            raw = memoryview(a.tobytes())
+        else:
+            raw = memoryview(b"".join(v.to_bytes(nb, "little", signed=True) for v in flat))
+        nb *= self.cells
+        # flipping each lane's top bit turns two's complement r into r + half
+        return [int.from_bytes(raw[k:k + nb], "little") ^ self.bias
+                for k in range(0, len(raw), nb)]
+
+    def row(self, i: int) -> list[int]:
+        nb = self.w // 8
+        raw = (self.X[i] ^ self.bias).to_bytes(nb * self.cells, "little")
+        if self.w not in _CODES:
+            return [int.from_bytes(raw[k:k + nb], "little", signed=True)
+                    for k in range(0, len(raw), nb)]
+        a = array(_CODES[self.w], raw)
+        if _SWAP:
+            a.byteswap()
+        return a.tolist()
+
+    def column(self, k: int) -> list[int]:
+        """Entry k of every row."""
+        s, half = self.w * k, self.half
+        top = (1 << (s + self.w)) - 1  # masking first keeps the shift small
+        return [((x & top) >> s) - half for x in self.X]
+
+    def lane(self, i: int, k: int) -> int:
+        s = self.w * k
+        return ((self.X[i] & ((1 << (s + self.w)) - 1)) >> s) - self.half
+
+    def first(self, i: int) -> int:
+        """Index of row i's first nonzero entry, or -1 for a zero row."""
+        x = self.X[i] - self.bias
+        # the lowest set bit of the unbiased row lies in that entry's lane
+        return ((x & -x).bit_length() - 1) // self.w if x else -1
+
+    def append(self, row: list[int], den: int) -> None:
+        b = _bits(row)
+        if b >= self.w:
+            self.widen(b)
+        self.X += self.pack(row)
+        self.D.append(den)
+        self.bits.append(b)
+
+    def drop(self, which) -> None:
+        """Delete a row (an index) or rows (a slice)."""
+        for rows in (self.X, self.D, self.bits):
+            del rows[which]
+
+    def swap(self, i: int, j: int) -> None:
+        for rows in (self.X, self.D, self.bits):
+            rows[i], rows[j] = rows[j], rows[i]
+
+    def reduce(self, i: int, col: int = -1) -> int:
+        """Divide row i by gcd(D[i], *row); returns the divisor.
+
+        With col >= 0 the row becomes row/row[col] instead: its numerators
+        over their gcd, signed to leave a positive denominator.
+        """
+        vals = self.row(i)
+        den = vals[col] if col >= 0 else self.D[i]
+        g = -gcd(*vals) if den < 0 else gcd(den, *vals)
+        if g != 1:
+            # g divides every entry, so it divides the unbiased int lane by lane
+            self.X[i] = (self.X[i] - self.bias) // g + self.bias
+        self.D[i] = den // g
+        self.bits[i] = (max(max(vals), -min(vals)) // abs(g)).bit_length()
+        return g
+
+    def pivot(self, pi: int, col: int, fs: list[int]) -> None:
+        """Scale row pi to a unit at col and clear col from every other row.
+
+        fs is column col of every row, as `column(col)` reads it.
+        """
+        self.reduce(pi, col)
+        self.clear(pi, [(i, f) for i, f in enumerate(fs) if f and i != pi])
+
+    def clear(self, pi: int, targets) -> None:
+        """For each (i, f), row i minus f/p times row pi, where p = D[pi].
+
+        Row pi holds p where row i holds f.  For numerators R and P, row i
+        becomes (R.p - f.P) / (D[i].p): row pi's own denominator cancels.
+        On the biased ints that is X[i].p - f.X[pi] + bias.(f - p + 1).
+        """
+        X, D, bits = self.X, self.D, self.bits
+        for i, f in targets:
+            # if the result could overflow a lane: reduce row i, then row pi, then widen
+            for fix in range(3):
+                b = max(bits[i] + D[pi].bit_length(), f.bit_length() + bits[pi]) + 1
+                if b < self.w:
+                    break
+                if fix == 0:
+                    f //= self.reduce(i)
+                elif fix == 1:
+                    self.reduce(pi)
+                else:
+                    self.widen(b)
+            p = D[pi]
+            X[i] = X[i] * p - f * X[pi] + self.bias * (f - p + 1)
+            D[i] *= p
+            bits[i] = b
 
 
 def _int_row(values) -> tuple[list[int], int]:
     """Rationals as integer numerators over their least common denominator."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
     den = lcm(*(int(v.denominator) for v in values))
     return [int(v.numerator) * (den // int(v.denominator)) for v in values], den
 
@@ -95,35 +223,40 @@ def _warm_tableau(rows: list[list[int]], dens: list[int], warm: tuple, nc: int):
     # independent again, and then the old basis no longer fits
     kept = set(live)
     order = live + [i for i in range(len(rows)) if i not in kept]
-    T = [list(rows[i]) for i in order]
-    D = [dens[i] for i in order]
+    tab = _Tableau([rows[i] for i in order], [dens[i] for i in order])
     mm = len(live)
     for pos in range(mm):
         col = basis[pos]
-        r = next((k for k in range(pos, mm) if T[k][col] != 0), -1)
+        fs = tab.column(col)
+        r = next((k for k in range(pos, mm) if fs[k] != 0), -1)
         if r < 0:
             return None
-        if r != pos:
-            T[pos], T[r] = T[r], T[pos]
-            D[pos], D[r] = D[r], D[pos]
-            live[pos], live[r] = live[r], live[pos]
-        _pivot(T, D, pos, col)
-    if any(T[pos][nc] < 0 for pos in range(mm)) or any(map(any, T[mm:])):
+        tab.pivot(r, col, fs)
+        tab.swap(pos, r)
+        live[pos], live[r] = live[r], live[pos]
+    if any(v < 0 for v in tab.column(nc)[:mm]):
         return None
-    return T[:mm], D[:mm], basis, live
+    if any(tab.first(i) >= 0 for i in range(mm, len(order))):
+        return None
+    tab.drop(slice(mm, None))
+    return tab, basis, live
 
 
 def _solve_transposed(cols: list[list[int]], rhs: list) -> list[Fraction]:
     """Solve M^T w = rhs for integer columns cols of an invertible M."""
     mm = len(rhs)
+    if mm == 0:
+        return []
     pairs = [_int_row(cols[k] + [rhs[k]]) for k in range(mm)]
-    T, D = [r for r, _ in pairs], [d for _, d in pairs]
+    tab = _Tableau([r for r, _ in pairs], [d for _, d in pairs])
     for col in range(mm):
-        piv = next(r for r in range(col, mm) if T[r][col] != 0)
-        T[col], T[piv] = T[piv], T[col]
-        D[col], D[piv] = D[piv], D[col]
-        _pivot(T, D, col, col)
-    return [Fraction(T[r][mm], D[r]) for r in range(mm)]
+        fs = tab.column(col)
+        piv = next((r for r in range(col, mm) if fs[r] != 0), -1)
+        if piv < 0:
+            raise RuntimeError(f"singular basis: column {col} has no pivot in the dual solve")
+        tab.pivot(piv, col, fs)
+        tab.swap(col, piv)
+    return [Fraction(v, d) for v, d in zip(tab.column(mm), tab.D)]
 
 
 def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -> LPResult:
@@ -150,37 +283,26 @@ def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -
         rows.append(r)
         dens.append(d)
 
-    T = None
     art_of_row = {}
     n_art = 0
-    if warm is not None:
-        built = _warm_tableau(rows, dens, warm, nc)
-        if built is not None:
-            T, D, basis, live_rows = built
-
-    if T is None:
+    built = None if warm is None else _warm_tableau(rows, dens, warm, nc)
+    if built is not None:
+        tab, basis, live_rows = built
+    else:
         # crash basis from unit columns; a -1 unit on a zero-rhs row counts
         # too, after flipping that row
         basis = [-1] * m
         for j in range(nc):
-            hit = -1
-            val = None
-            for i in range(m):
-                v = rows[i][j]
-                if v != 0:
-                    if hit >= 0:
-                        hit = -1
-                        break
-                    hit = i
-                    val = v
-            if hit < 0 or basis[hit] >= 0:
+            nonzero = [i for i in range(m) if rows[i][j]]
+            if len(nonzero) != 1 or basis[nonzero[0]] >= 0:
                 continue
-            if val == dens[hit]:
-                basis[hit] = j
-            elif val == -dens[hit] and rows[hit][nc] == 0:
-                rows[hit] = [-v for v in rows[hit]]
-                sign[hit] = -sign[hit]
-                basis[hit] = j
+            i = nonzero[0]
+            if rows[i][j] == dens[i]:
+                basis[i] = j
+            elif rows[i][j] == -dens[i] and rows[i][nc] == 0:
+                rows[i] = [-v for v in rows[i]]
+                sign[i] = -sign[i]
+                basis[i] = j
 
         for i in range(m):
             if basis[i] < 0:
@@ -189,13 +311,10 @@ def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -
                 n_art += 1
 
         # tableau rows carry the rhs in the last slot
-        T = []
-        for i in range(m):
-            row = rows[i][:nc] + [0] * n_art + [rows[i][nc]]
-            if basis[i] >= nc:
-                row[basis[i]] = dens[i]
-            T.append(row)
-        D = list(dens)
+        T = [rows[i][:nc] + [0] * n_art + rows[i][nc:] for i in range(m)]
+        for i, j in art_of_row.items():
+            T[i][j] = dens[i]
+        tab = _Tableau(T, dens)
         live_rows = list(range(m))  # indices into rows/sign surviving deletion
 
     ncols = nc + n_art
@@ -214,15 +333,20 @@ def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -
             y_full[i] = w[pos] * dens[i] * sign[i]
         return y_full
 
-    def zrow(cvec: list) -> list:
-        """Objective row [Z, dz] reduced against the basis, rhs last."""
+    def zrow(cvec: list) -> int:
+        """Append the objective row reduced against the basis, rhs last.
+
+        It sits below the basis rows, so every pivot clears it too; returns its index.
+        """
         Z, dz = _int_row(cvec + [0])
+        z = len(basis)
+        tab.append(Z, dz)
         for pos, j in enumerate(basis):
             if Z[j]:
-                Z, dz = _eliminate(Z, dz, T[pos], j)
-        return [Z, dz]
+                tab.clear(pos, [(z, tab.lane(z, j))])
+        return z
 
-    def run_phase(z: list) -> int | None:
+    def run_phase(z: int) -> int | None:
         """Pivot to optimality; returns an entering column on unboundedness.
 
         Leaving rows follow the lexicographic ratio rule, comparing rhs
@@ -237,14 +361,14 @@ def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -
             in_basis[j] = True
         order = list(basis) + [j for j in range(ncols) if not in_basis[j]]
 
-        def lex_less(i: int, j: int, enter: int) -> bool:
-            # rows i and j share positive denominators, so the sign of each
+        def lex_less(i: int, j: int) -> bool:
+            # rows i and j have positive denominators, so the sign of each
             # cross-multiplied numerator decides
-            ti, tj = T[i], T[j]
-            vi, vj = ti[enter], tj[enter]
-            d = ti[ncols] * vj - tj[ncols] * vi
+            vi, vj = fs[i], fs[j]
+            d = tab.lane(i, ncols) * vj - tab.lane(j, ncols) * vi
             if d != 0:
                 return d < 0
+            ti, tj = tab.row(i), tab.row(j)
             for k in order:
                 d = ti[k] * vj - tj[k] * vi
                 if d != 0:
@@ -253,19 +377,19 @@ def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -
 
         while True:
             # Dantzig pricing, lowest index on ties
-            priced = z[0][:nc]
+            priced = tab.row(z)[:nc]
             best = min(priced, default=0)
             if best >= 0:
                 return None
             enter = priced.index(best)
+            fs = tab.column(enter)
             leave = -1
-            for i in range(len(T)):
-                if T[i][enter] > 0 and (leave < 0 or lex_less(i, leave, enter)):
+            for i in range(z):
+                if fs[i] > 0 and (leave < 0 or lex_less(i, leave)):
                     leave = i
             if leave < 0:
                 return enter
-            P = _pivot(T, D, leave, enter)
-            z[0], z[1] = _eliminate(z[0], z[1], P, enter)
+            tab.pivot(leave, enter, fs)
             basis[leave] = enter
 
     if n_art:
@@ -274,34 +398,36 @@ def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -
         # the auxiliary objective is bounded below by zero
         if run_phase(z) is not None:
             raise RuntimeError("phase 1 reported an unbounded auxiliary objective")
-        if z[0][ncols] < 0:
+        if tab.lane(z, ncols) < 0:
             return LPResult("infeasible", y=duals(pcost))
+        tab.drop(z)
         # drive artificials out of the basis, deleting dependent rows
         pos = 0
-        while pos < len(T):
+        while pos < len(basis):
             if basis[pos] >= nc:
-                pj = next((j for j in range(nc) if T[pos][j] != 0), -1)
-                if pj >= 0:
-                    _pivot(T, D, pos, pj)
+                pj = tab.first(pos)
+                if 0 <= pj < nc:
+                    tab.pivot(pos, pj, tab.column(pj))
                     basis[pos] = pj
                 else:
-                    del T[pos], D[pos], live_rows[pos], basis[pos]
+                    tab.drop(pos)
+                    del live_rows[pos], basis[pos]
                     continue
             pos += 1
 
     ext_cost = list(c) + [0] * n_art
-    hit = run_phase(zrow(ext_cost))
-    nr = len(T)
+    nr = zrow(ext_cost)
+    hit = run_phase(nr)
 
     x = [Fraction(0)] * nc
-    for i in range(nr):
-        x[basis[i]] = Fraction(T[i][ncols], D[i])
+    for i, v in enumerate(tab.column(ncols)[:nr]):
+        x[basis[i]] = Fraction(v, tab.D[i])
     if hit is not None:
         ray = [Fraction(0)] * nc
         ray[hit] = Fraction(1)
-        for i in range(nr):
-            if T[i][hit] != 0:
-                ray[basis[i]] = Fraction(-T[i][hit], D[i])
+        for i, v in enumerate(tab.column(hit)[:nr]):
+            if v != 0:
+                ray[basis[i]] = Fraction(-v, tab.D[i])
         return LPResult("unbounded", x=x, ray=ray)
 
     objective = sum((x[j] * c[j] for j in range(nc) if x[j]), Fraction(0))

@@ -2,11 +2,13 @@
 
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ingletonlp import bound, ingen
+from ingletonlp import bound, ingen, simplex
 from ingletonlp.entspace import (
     EntropyVector,
     IngletonQuad,
@@ -450,6 +452,12 @@ sink t2 wants s1,s2 sees b,m
         "3b43c599219c0528232f7336e57ca8d5a50adbc55ebb637271ee0d2bb92c6a85")
 
 
+def test_butterfly5_report_bytes_with_narrow_lanes(monkeypatch):
+    # tableaux that start at 8-bit lanes widen as they go and print the same bytes
+    monkeypatch.setattr(simplex, "_WIDTH", 8)
+    test_butterfly5_report_bytes()
+
+
 def _random_problem(rng, n):
     dim = 2 ** n - 1
 
@@ -486,6 +494,35 @@ def test_column_generation_matches_all_columns(monkeypatch, n):
     assert priced
     assert {p.cone for p in problems} == {bound.CONE_GAMMA, bound.CONE_GAMMA_IN}
     assert {p.sense for p in problems} == set(bound.SENSES)
+
+
+def _outcome(res):
+    return res.status, res.value
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(0, 2 ** 32), st.integers(1, 5))
+def test_solve_bound_properties(n, seed, k):
+    problem = _random_problem(random.Random(seed), n)
+    f = problem.objective
+    other = "min" if problem.sense == "max" else "max"
+    status, value = _outcome(bound.solve_bound(problem))
+    # max f = -min(-f), and the other way round
+    flipped = bound.solve_bound(replace(problem, sense=other, objective=-f))
+    assert _outcome(flipped) == (status, None if value is None else -value)
+    # a positive multiple of the objective scales the value alike
+    scaled = bound.solve_bound(replace(problem, objective=f * k))
+    assert _outcome(scaled) == (status, None if value is None else value * k)
+    # gamma-in lies inside gamma, so its maximum is never the larger one
+    up = replace(problem, sense="max")
+    wide = bound.solve_bound(replace(up, cone=bound.CONE_GAMMA))
+    narrow = bound.solve_bound(replace(up, cone=bound.CONE_GAMMA_IN))
+    if narrow.status != "infeasible":
+        assert wide.status != "infeasible"
+    if narrow.status == "unbounded":
+        assert wide.status == "unbounded"
+    if wide.status == narrow.status == "optimal":
+        assert wide.value >= narrow.value
 
 
 # ---------------------------------------------------------------------------

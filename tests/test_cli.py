@@ -476,6 +476,27 @@ def test_gen_and_count_leave_the_float_stack_unloaded():
     assert proc.stderr.endswith("codes=[0, 0] loaded=[]")
 
 
+def test_exact_bound_leaves_the_float_stack_unloaded(tmp_path):
+    # 205 gamma-in members are under the all-columns limit, so no HiGHS seed
+    # runs and the exact simplex must make do with the standard library
+    net = tmp_path / "net.txt"
+    net.write_text("source s1\nsource s2\nedge a from s1 cap 1\nedge b from s2 cap 1\n"
+                   "edge m from s1,s2 cap 1\nsink t1 wants s1,s2 sees a,m\n"
+                   "sink t2 wants s1,s2 sees b,m\n", encoding="ascii")
+    code = (
+        "import sys\n"
+        "from ingletonlp import cli\n"
+        f"code = cli.main(['bound', '--network', {str(net)!r}, '--cone', 'gamma-in'])\n"
+        "loaded = [m for m in ('numpy', 'scipy') if m in sys.modules]\n"
+        "sys.stderr.write(f'code={code} loaded={loaded}')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "value 2" in proc.stdout.splitlines()
+    assert proc.stderr.endswith("code=0 loaded=[]")
+
+
 def test_huge_n_in_a_vector_file_exits_two(capsys, tmp_path):
     # the header is range-checked before 2^n - 1 values are allocated
     point = tmp_path / "point.txt"

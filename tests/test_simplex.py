@@ -290,3 +290,101 @@ def test_phase1_unbounded_guard(monkeypatch):
     monkeypatch.setattr(simplex, "_int_row", negated_cost_row)
     with pytest.raises(RuntimeError, match="phase 1"):
         solve_standard([[2, -1]], [1], [0, 0])
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel against plain Fraction Gauss-Jordan elimination
+
+
+@st.composite
+def pivot_runs(draw):
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 12))
+    entries = st.integers(-2 ** 40, 2 ** 40)
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
+    dens = draw(st.lists(st.integers(1, 2 ** 20), min_size=m, max_size=m))
+    picks = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), max_size=12))
+    return rows, dens, picks
+
+
+def _check_rows(tab, ref):
+    assert len(tab.X) == len(ref)
+    for i, want in enumerate(ref):
+        got = tab.row(i)
+        assert tab.D[i] > 0
+        assert max(map(abs, got)).bit_length() <= tab.bits[i] < tab.w
+        assert [F(v, tab.D[i]) for v in got] == want
+
+
+@pytest.mark.parametrize("width", [None, 8])
+def test_packed_pivots_match_fractions(monkeypatch, width):
+    if width:
+        monkeypatch.setattr(simplex, "_WIDTH", width)
+    repacks = []
+    real_widen = simplex._Tableau.widen
+
+    def widen(self, b, flat=None):
+        if flat is None:  # live rows repacked, not a first packing
+            repacks.append(b)
+        real_widen(self, b, flat)
+    monkeypatch.setattr(simplex._Tableau, "widen", widen)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pivot_runs())
+    def check(run):
+        rows, dens, picks = run
+        tab = simplex._Tableau(rows, dens)
+        ref = [[F(v, d) for v in row] for row, d in zip(rows, dens)]
+        _check_rows(tab, ref)
+        for pi, col in picks:
+            fs = tab.column(col)
+            assert fs == [r[col] * tab.D[i] for i, r in enumerate(ref)]
+            if not fs[pi]:
+                continue
+            tab.pivot(pi, col, fs)
+            ref[pi] = [v / ref[pi][col] for v in ref[pi]]
+            for i, r in enumerate(ref):
+                if i != pi and r[col]:
+                    ref[i] = [a - r[col] * b for a, b in zip(r, ref[pi])]
+            _check_rows(tab, ref)
+
+    check()
+    if width:
+        assert repacks, "no tableau outgrew its 8-bit lanes"
+
+
+def test_wide_coefficients_widen_lanes(monkeypatch):
+    # rows scaled by different factors near 2^70 outgrow 64-bit lanes; the
+    # optimum is nondegenerate, so x and the objective stay, and y scales back
+    widths = []
+    real_widen = simplex._Tableau.widen
+
+    def widen(self, b, flat=None):
+        real_widen(self, b, flat)
+        widths.append(self.w)
+    monkeypatch.setattr(simplex._Tableau, "widen", widen)
+    A = [[1, 1, 1, 0], [1, 3, 0, 1]]
+    b = [4, 6]
+    c = [-1, -2, 0, 0]
+    plain = solve_standard(A, b, c)
+    s = [2 ** 70 + 1, 2 ** 70 - 3]
+    A2 = [[si * v for v in row] for si, row in zip(s, A)]
+    b2 = [si * v for si, v in zip(s, b)]
+    wide = solve_standard(A2, b2, c)
+    assert max(widths) > 64
+    assert wide.status == plain.status == "optimal"
+    assert wide.x == plain.x and wide.objective == plain.objective
+    assert [y * si for y, si in zip(wide.y, s)] == plain.y
+    check_dual(A2, b2, c, wide)
+
+
+def test_random_lps_with_narrow_lanes(monkeypatch):
+    # the same properties when every tableau starts at 8-bit lanes and widens
+    monkeypatch.setattr(simplex, "_WIDTH", 8)
+    test_random_lps_certified_and_match_highs()
+
+
+def test_singular_basis_is_runtime_error():
+    # a soundness guard, so it must hold under python -O as well
+    with pytest.raises(RuntimeError, match="singular basis"):
+        simplex._solve_transposed([[1, 2], [2, 4]], [1, 1])
