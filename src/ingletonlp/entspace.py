@@ -70,10 +70,17 @@ def _term_text(c: Rational, subset_text: str) -> str:
     return f"{'+' if c > 0 else '-'}{abs(c)}*h{subset_text}"
 
 
+def term_key(mask: int, sign: int) -> int:
+    """The SubsetNames key of sign * h(mask), mask nonempty: negative, so apart
+    from the subset keys, and term_key(x | y, s) == term_key(x, s) - (y << 1)
+    for y disjoint from x."""
+    return -(mask << 1 | (sign < 0))
+
+
 class SubsetNames(dict):
     """Memoized text, filled in as first met: format_subset text by mask,
-    and by (mask, +-1) the format_expr text of that unit term, `+1*h{..}`
-    or `-1*h{..}`.
+    and by term_key(mask, +-1) the format_expr text of that unit term,
+    `+1*h{..}` or `-1*h{..}`.
 
     A writer keeps one for the text it builds, so the memo holds no more
     masks than that text names.
@@ -81,12 +88,11 @@ class SubsetNames(dict):
 
     __slots__ = ()
 
-    def __missing__(self, key: int | tuple[int, int]) -> str:
-        if isinstance(key, tuple):
-            mask, sign = key
-            text = self[key] = _term_text(sign, self[mask])
-        else:
+    def __missing__(self, key: int) -> str:
+        if key >= 0:
             text = self[key] = format_subset(key)
+        else:
+            text = self[key] = _term_text(-1 if -key & 1 else 1, self[-key >> 1])
         return text
 
 

@@ -7,9 +7,9 @@ generating set; Delta1 and Delta2 together coincide with the elemental
 basic inequalities.
 
 Each family is one lazy enumerator that yields its members in canonical
-order (`family`), so a writer holds one block of members at a time and
-its memory does not grow with n; the `gen_*` functions list the same
-members.
+order (`family`) as runs: the members sharing all of their payload but
+its last entry (a Delta0 beta, a Delta1 mu), so a writer holds one run
+at a time; the `gen_*` functions list the same members.
 Payloads are built here from masks inside {1..n} and are not checked
 again; the inequality-file parser checks every mask it reads and the
 shape of every payload (nonempty disjoint d's, a beta outside them; two
@@ -17,8 +17,8 @@ distinct elements, a mu avoiding both; one element).
 
 A member is its (n, kind, payload), and its `expr` always equals
 `member_expr(n, kind, payload)`: the unit terms of `member_terms`, built
-into an expression on first read.  Its file line is rendered from those
-terms without building the expression.
+into an expression on first read.  File lines are rendered a run at a
+time from those terms, without building any expression.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
 from typing import Iterator, Sequence
 
 from .entspace import (
@@ -39,6 +39,7 @@ from .entspace import (
     ingleton_expr,
     parse_expr,
     parse_subset,
+    term_key,
 )
 
 KIND_DELTA0 = "Delta0"
@@ -81,6 +82,14 @@ def payload_text(kind: str, payload: tuple, names: SubsetNames | None = None) ->
     return names[1 << (payload[0] - 1)]
 
 
+def _delta0_run_terms(d1: int, d2: int, d3: int, d4: int) -> list[tuple[int, int]]:
+    """The (mask, +-1) terms of J(d1,d2,d3,d4) in mask order: or-ing a beta
+    disjoint from the d's into each mask gives the member (d1,d2,d3,d4 | beta)'s,
+    still in order, so one sort serves a whole run of betas."""
+    return sorted([(d1 | d2, 1), (d1 | d3, 1), (d1 | d4, 1), (d2 | d3, 1), (d2 | d4, 1),
+                   (d1, -1), (d2, -1), (d3 | d4, -1), (d1 | d2 | d3, -1), (d1 | d2 | d4, -1)])
+
+
 def member_terms(n: int, kind: str, payload: tuple) -> list[tuple[int, int]]:
     """The (mask, +-1) terms, in mask order, of the >= 0 form a member stands for.
 
@@ -93,12 +102,9 @@ def member_terms(n: int, kind: str, payload: tuple) -> list[tuple[int, int]]:
     kind = shape(kind)
     if kind == KIND_DELTA0:
         # J(a1,a2,a3,a4) with a_k = d_k | beta
-        d1, d2, d3, d4, beta = payload
-        a1, a2 = d1 | beta, d2 | beta
-        terms = [(a1 | d2, 1), (a1 | d3, 1), (a1 | d4, 1), (a2 | d3, 1), (a2 | d4, 1),
-                 (a1, -1), (a2, -1), (d3 | d4 | beta, -1), (a1 | d2 | d3, -1),
-                 (a1 | d2 | d4, -1)]
-    elif kind == KIND_DELTA1:
+        *ds, beta = payload
+        return [(x | beta, s) for x, s in _delta0_run_terms(*ds)]
+    if kind == KIND_DELTA1:
         # I(i; j | mu) = h(i mu) + h(j mu) - h(mu) - h(i j mu)
         i, j, mu = payload
         bi, bj = 1 << (i - 1), 1 << (j - 1)
@@ -146,13 +152,6 @@ class CanonicalInequality:
     def payload_text(self) -> str:
         return payload_text(self.kind, self.payload)
 
-    def line(self, names: SubsetNames | None = None) -> str:
-        """The member's file line, rendered from its payload and unit terms."""
-        if names is None:
-            names = SubsetNames()
-        body = " ".join(map(names.__getitem__, member_terms(self.n, self.kind, self.payload)))
-        return f"{self.kind}\t{payload_text(self.kind, self.payload, names)}\t{body}"
-
 
 def count_delta0(n: int) -> int:
     if n < 2:
@@ -183,7 +182,7 @@ def _nonempty_submasks(mask: int) -> Iterator[int]:
         yield sub
 
 
-def _delta0_payloads(n: int) -> Iterator[tuple[int, int, int, int, int]]:
+def _delta0_runs(n: int) -> Iterator[tuple[tuple[int, int, int, int], tuple[int, ...]]]:
     # Nested loops over increasing submasks yield the payloads in
     # lexicographic order.  Keeping every element of d2 above the lowest
     # element of d1 (and d4 above that of d3) leaves one payload per orbit
@@ -197,53 +196,42 @@ def _delta0_payloads(n: int) -> Iterator[tuple[int, int, int, int, int]]:
             for d3 in _nonempty_submasks(rest2):
                 rest3 = rest2 & ~d3
                 for d4 in _nonempty_submasks(rest3 & -((d3 & -d3) << 1)):
-                    rest4 = rest3 & ~d4
-                    yield d1, d2, d3, d4, 0
-                    for beta in _nonempty_submasks(rest4):
-                        yield d1, d2, d3, d4, beta
+                    yield (d1, d2, d3, d4), (0, *_nonempty_submasks(rest3 & ~d4))
 
 
-def _delta1_payloads(n: int) -> Iterator[tuple[int, int, int]]:
+def _delta1_runs(n: int) -> Iterator[tuple[tuple[int, int], tuple[int, ...]]]:
     # i < j, then mu over the subsets avoiding both, in increasing order
     top = full_mask(n)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            rest = top & ~(1 << (i - 1) | 1 << (j - 1))
-            yield i, j, 0
-            for mu in _nonempty_submasks(rest):
-                yield i, j, mu
+            yield (i, j), (0, *_nonempty_submasks(top & ~(1 << (i - 1) | 1 << (j - 1))))
 
 
-def _delta2_payloads(n: int) -> Iterator[tuple[int]]:
-    return ((i,) for i in range(1, n + 1))
+def _delta2_runs(n: int) -> Iterator[tuple[tuple, tuple[int, ...]]]:
+    yield (), tuple(range(1, n + 1))
 
 
-# family -> (closed-form size, blocks of (kind tag, payload enumerator)),
-# the blocks in canonical order; the elemental set is Delta2 then Delta1
-# under its own tags
+# family -> (closed-form size, blocks of (kind tag, run enumerator)), the
+# blocks in canonical order; the elemental set is Delta2 then Delta1 under
+# its own tags.  A run enumerator yields (head, tails): the members with
+# payload head + (tail,), tail over tails, in canonical order.
 FAMILIES = {
     "delta": (count_delta,
-              ((KIND_DELTA0, _delta0_payloads), (KIND_DELTA1, _delta1_payloads),
-               (KIND_DELTA2, _delta2_payloads))),
-    "delta0": (count_delta0, ((KIND_DELTA0, _delta0_payloads),)),
-    "delta1": (lambda n: count_elemental(n) - n, ((KIND_DELTA1, _delta1_payloads),)),
-    "delta2": (lambda n: n, ((KIND_DELTA2, _delta2_payloads),)),
+              ((KIND_DELTA0, _delta0_runs), (KIND_DELTA1, _delta1_runs),
+               (KIND_DELTA2, _delta2_runs))),
+    "delta0": (count_delta0, ((KIND_DELTA0, _delta0_runs),)),
+    "delta1": (lambda n: count_elemental(n) - n, ((KIND_DELTA1, _delta1_runs),)),
+    "delta2": (lambda n: n, ((KIND_DELTA2, _delta2_runs),)),
     "elemental": (count_elemental,
-                  ((KIND_ELEMENTAL_H, _delta2_payloads), (KIND_ELEMENTAL_I, _delta1_payloads))),
+                  ((KIND_ELEMENTAL_H, _delta2_runs), (KIND_ELEMENTAL_I, _delta1_runs))),
 }
-
-
-def _members(n: int, blocks) -> Iterator[CanonicalInequality]:
-    for kind, payloads in blocks:
-        for payload in payloads(n):
-            yield CanonicalInequality(n, kind, payload)
 
 
 class Family:
     """One family's members at one n, in canonical order.
 
     Its length is the closed form; each iteration enumerates the members
-    afresh and lazily, so nothing is held between one member and the next.
+    afresh and lazily, so nothing is held between one run and the next.
     """
 
     __slots__ = ("n", "_size", "_blocks")
@@ -255,7 +243,12 @@ class Family:
         return self._size
 
     def __iter__(self) -> Iterator[CanonicalInequality]:
-        return _members(self.n, self._blocks)
+        return (CanonicalInequality(self.n, kind, (*head, tail))
+                for kind, head, tails in self.runs() for tail in tails)
+
+    def runs(self) -> Iterator[tuple[str, tuple, tuple[int, ...]]]:
+        """(kind, head, tails): the members (kind, head + (tail,)), tail over tails."""
+        return ((kind, *run) for kind, runs in self._blocks for run in runs(self.n))
 
 
 def family(name: str, n: int, budget: int | None = DEFAULT_BUDGET) -> Family:
@@ -299,17 +292,9 @@ def gen_elemental(n: int, budget: int | None = DEFAULT_BUDGET) -> list[Canonical
 def reduce_quad(q: IngletonQuad) -> tuple[int, int, int, int, int]:
     """Private parts d_i = a_i minus the other three, and the shared rest."""
     a = q.masks()
-    ds = []
-    for i in range(4):
-        others = 0
-        for j in range(4):
-            if j != i:
-                others |= a[j]
-        ds.append(a[i] & ~others)
-    beta = 0
-    for i in range(4):
-        beta |= a[i] & ~ds[i]
-    return (ds[0], ds[1], ds[2], ds[3], beta)
+    # a[i - 1], a[i - 2], a[i - 3] are the other three, indices taken mod 4
+    d1, d2, d3, d4 = (a[i] & ~(a[i - 1] | a[i - 2] | a[i - 3]) for i in range(4))
+    return (d1, d2, d3, d4, (a[0] | a[1] | a[2] | a[3]) & ~(d1 | d2 | d3 | d4))
 
 
 def delta0_payload(d1: int, d2: int, d3: int, d4: int, beta: int) -> tuple[int, int, int, int, int]:
@@ -379,22 +364,47 @@ def _header(n: int, count: int) -> str:
     return f"n={n} count={count}\n"
 
 
+def _run_text(n: int, kind: str, head: tuple, tails, names: SubsetNames) -> str:
+    """The file lines of the members (kind, head + (tail,)), tail over tails; a
+    Delta0 run sorts its terms and names its d's once for all of its betas."""
+    if shape(kind) != KIND_DELTA0:
+        return "".join([f"{kind}\t{payload_text(kind, p, names)}\t"
+                        f"{' '.join([names[term_key(*t)] for t in member_terms(n, kind, p)])}\n"
+                        for p in [(*head, tail) for tail in tails]])
+    d1, d2, d3, d4 = head
+    prefix = f"{kind}\t{names[d1]},{names[d2]};{names[d3]},{names[d4]}|"
+    # the ten terms spelled out: a comprehension per line costs a call
+    k0, k1, k2, k3, k4, k5, k6, k7, k8, k9 = [term_key(x, s) for x, s in _delta0_run_terms(*head)]
+    lines = []
+    for beta in tails:
+        b = beta << 1  # term_key(x | beta, s) == term_key(x, s) - b
+        lines.append(f"{prefix}{names[beta]}\t{names[k0 - b]} {names[k1 - b]} {names[k2 - b]}"
+                     f" {names[k3 - b]} {names[k4 - b]} {names[k5 - b]} {names[k6 - b]}"
+                     f" {names[k7 - b]} {names[k8 - b]} {names[k9 - b]}\n")
+    return "".join(lines)
+
+
 def write_inequality_stream(f, n: int, members) -> None:
     """Write the inequality file of `members` (sized and iterable) to the text stream f.
 
-    The header names len(members).  The lines are rendered by
-    inequalities_to_text (the writer perfbench times) _BLOCK members at a
-    time, so one block and its text are all that is held.  After the last
-    block a RuntimeError is
-    raised if the members were not len(members) many.
-    """
+    The header names len(members).  A Family's lines are rendered a run at
+    a time from its enumerators, building no member; other members go
+    through inequalities_to_text (the writer perfbench times) _BLOCK at a
+    time.  A RuntimeError follows the last line if the members were not
+    len(members) many."""
     count = len(members)
     f.write(_header(n, count))
     written = 0
-    it = iter(members)
-    while block := list(islice(it, _BLOCK)):
-        f.write(inequalities_to_text(n, block, header=False))
-        written += len(block)
+    if isinstance(members, Family):
+        names = SubsetNames()
+        for kind, head, tails in members.runs():
+            f.write(_run_text(n, kind, head, tails, names))
+            written += len(tails)
+    else:
+        it = iter(members)
+        while block := list(islice(it, _BLOCK)):
+            f.write(inequalities_to_text(n, block, header=False))
+            written += len(block)
     if written != count:
         raise RuntimeError(f"header says count={count}, wrote {written} members")
 
@@ -406,11 +416,13 @@ def write_inequalities(path, n: int, ineqs: Sequence[CanonicalInequality]) -> No
 
 def inequalities_to_text(n: int, ineqs: Sequence[CanonicalInequality],
                          header: bool = True) -> str:
-    """The inequality file of ineqs; with header=False, its member lines alone."""
+    """The inequality file of ineqs, rendered run by run (consecutive members that
+    differ only in their payload's last entry); header=False leaves the lines alone."""
     names = SubsetNames()
-    lines = [_header(n, len(ineqs))] if header else []
-    lines.extend(f"{ci.line(names)}\n" for ci in ineqs)
-    return "".join(lines)
+    runs = groupby(ineqs, lambda ci: (ci.kind, ci.payload[:-1]))
+    text = "".join([_run_text(n, kind, head, [ci.payload[-1] for ci in run], names)
+                    for (kind, head), run in runs])
+    return _header(n, len(ineqs)) + text if header else text
 
 
 def _subset_in(text: str, n: int) -> int:

@@ -22,6 +22,7 @@ from ingletonlp.entspace import (
     evaluate,
     ingleton_expr,
     parse_quad,
+    vector_from_text,
     witness_fulldim,
 )
 
@@ -93,23 +94,41 @@ def test_every_ingleton_inequality_certified_over_minimal_set():
         assert combo == target
 
 
-def test_minimal_set_has_no_redundant_member():
-    for n, size in ((4, 34), (5, 205)):
-        rep = certify.check_minimality(n)
-        assert rep.members == size
-        assert not rep.redundant
-        assert len(rep.witnesses) == size
-        assert rep.ok
-        # re-check every witness: own member negative, all others kept
-        members = ingen.gen_delta(n)
-        exprs = [ci.expr for ci in members]
-        index = {(ci.kind, ci.payload_text()): k
-                 for k, ci in enumerate(members)}
-        for kind, payload, wit in rep.witnesses:
-            k = index[(kind, payload)]
-            assert evaluate(exprs[k], wit.point) == -1
-            assert all(evaluate(exprs[j], wit.point) >= 0
-                       for j in range(size) if j != k)
+def _check_drop_one_witnesses(n, witnesses):
+    """Each (kind, payload text, point) names a distinct member of Delta at n,
+    together all of them; its own member is -1 at the point, every other >= 0."""
+    members = ingen.gen_delta(n)
+    exprs = [ci.expr for ci in members]
+    index = {(ci.kind, ci.payload_text()): k
+             for k, ci in enumerate(members)}
+    owners = [index[(kind, payload)] for kind, payload, _point in witnesses]
+    assert sorted(owners) == list(range(len(members)))
+    for k, (_kind, _payload, point) in zip(owners, witnesses):
+        assert evaluate(exprs[k], point) == -1
+        assert all(evaluate(exprs[j], point) >= 0
+                   for j in range(len(members)) if j != k)
+
+
+def test_minimal_set_has_no_redundant_member(minimality5_run):
+    rep = certify.check_minimality(4)
+    assert rep.members == 34
+    assert not rep.redundant
+    assert len(rep.witnesses) == 34
+    assert rep.ok
+    _check_drop_one_witnesses(4, [(kind, payload, wit.point)
+                                  for kind, payload, wit in rep.witnesses])
+    # n=5 from the CLI report, whose bytes the golden corpus also checks
+    code, out = minimality5_run
+    lines = out.splitlines()
+    assert code == 0 and lines[-1] == "status ok"
+    assert {"members 205", "non-redundant 205", "redundant 0"} <= set(lines)
+    witnesses = []
+    for line in lines:
+        if line.startswith("witness\t"):
+            _tag, kind, payload, pairs = line.split("\t")
+            witnesses.append((kind, payload, vector_from_text(f"n=5\n{pairs}\n")))
+    assert len(witnesses) == 205
+    _check_drop_one_witnesses(5, witnesses)
 
 
 def test_reduction_identities_hold_exactly():

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ingletonlp import certify, cli, ingen
 from ingletonlp.cli import main
-from ingletonlp.entspace import vector_from_text, vector_to_text, witness_fulldim
+from ingletonlp.entspace import LinExpr, vector_from_text, vector_to_text, witness_fulldim
 
 
 def run_cli(capsys, argv):
@@ -78,14 +78,28 @@ def test_gen_bytes_at_n6_on_stdout_and_in_file(capsys, tmp_path, family):
 
 
 def test_gen_builds_no_member_expression(capsys, monkeypatch):
-    # lines are rendered from payloads; an expression is built only when read
-    def member_expr(*args):
-        raise AssertionError("gen built a member expression")
+    # a family's lines are rendered run by run from its enumerators: no
+    # member object and no expression is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen built a member object or expression")
 
-    monkeypatch.setattr(ingen, "member_expr", member_expr)
+    monkeypatch.setattr(ingen, "member_expr", refuse)
+    monkeypatch.setattr(ingen, "CanonicalInequality", refuse)
+    monkeypatch.setattr(LinExpr, "_raw", refuse)
     rc, out, _ = run_cli(capsys, ["gen", "--n", "6", "--family", "delta"])
     assert rc == 0
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == GEN6_STDOUT_SHA256["delta"]
+
+
+# sha256 of `gen --n 8` output, the same value as GEN8_SHA256 in perfbench/workloads.py
+GEN8_SHA256 = "f457d393cba5f67127e6676ca9717597f61193cafdaca1406aced867db1d160a"
+
+
+def test_gen_bytes_at_n8(tmp_path, capsys):
+    target = tmp_path / "members.txt"
+    rc, _, _ = run_cli(capsys, ["gen", "--n", "8", "--out", str(target)])
+    assert rc == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == GEN8_SHA256
 
 
 def test_gen_takes_members_from_the_family_table_and_text_from_the_writer(

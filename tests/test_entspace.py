@@ -34,6 +34,7 @@ from ingletonlp.entspace import (
     parse_subset,
     project_away,
     project_onto,
+    term_key,
     vector_from_text,
     vector_to_text,
     witness_fulldim,
@@ -172,7 +173,7 @@ def test_format_expr_matches_reference_and_roundtrips(case):
     names = SubsetNames()
     for mask, c in e.terms():
         if c in (1, -1):
-            assert names[mask, int(c)] == format_expr(LinExpr.single(n, mask, c))
+            assert names[term_key(mask, int(c))] == format_expr(LinExpr.single(n, mask, c))
     assert parse_expr(text, n) == e
 
 

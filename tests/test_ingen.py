@@ -7,12 +7,15 @@ import math
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ingletonlp import entspace, ingen
 from ingletonlp.entspace import (
     IngletonQuad,
     LinExpr,
+    SubsetNames,
     evaluate,
+    format_subset,
     ingleton_expr,
     parse_expr,
     witness_modular,
@@ -91,7 +94,7 @@ def test_delta0_order_matches_brute_force(n):
 
 def test_delta0_enumeration_size_through_n8():
     for n in range(2, 9):
-        assert sum(1 for _ in ingen._delta0_payloads(n)) == ingen.count_delta0(n)
+        assert sum(len(betas) for _ds, betas in ingen._delta0_runs(n)) == ingen.count_delta0(n)
 
 
 def test_members_carry_distinct_payload_and_expr():
@@ -264,6 +267,56 @@ def test_stream_writer_matches_the_text_across_blocks(monkeypatch):
     assert out.getvalue() == ingen.inequalities_to_text(4, members)
 
 
+def test_runs_cross_block_edges(monkeypatch):
+    # blocks of 3 split runs: at n=5 a Delta0 run has up to 2 betas, a Delta1 run 8 mus
+    members = ingen.gen_delta(5)
+    want = ingen.inequalities_to_text(5, members)
+    monkeypatch.setattr(ingen, "_BLOCK", 3)
+    for source in (ingen.family("delta", 5), members):
+        out = io.StringIO()
+        ingen.write_inequality_stream(out, 5, source)
+        assert out.getvalue() == want
+    # a reversed list groups into reversed runs
+    by_member = [ingen.inequalities_to_text(5, [ci], header=False) for ci in members]
+    assert ingen.inequalities_to_text(5, members[::-1], header=False) == "".join(by_member[::-1])
+    with pytest.raises(RuntimeError, match="count=6, wrote 5"):
+        ingen.write_inequality_stream(io.StringIO(), 3, _ShortFamily(ingen.gen_delta1(3)[:-1]))
+
+
+@st.composite
+def _delta0_run_cases(draw):
+    """(n, (d1, d2, d3, d4), betas): nonempty disjoint d's in canonical order
+    and a few betas from the elements they leave."""
+    n = draw(st.integers(4, 12))
+    elements = draw(st.permutations(range(n)))
+    # one element for each d, then each other element to a d or to the rest
+    slots = list(range(4)) + draw(st.lists(st.integers(0, 4), min_size=n - 4, max_size=n - 4))
+    masks = [0] * 5
+    for e, slot in zip(elements, slots):
+        masks[slot] |= 1 << e
+    d1, d2, d3, d4, _beta = ingen.delta0_payload(*masks[:4], 0)
+    rest = masks[4]
+    betas = draw(st.lists(st.integers(0, rest).map(lambda b: b & rest), min_size=1, max_size=6))
+    return n, (d1, d2, d3, d4), betas
+
+
+@settings(max_examples=200, deadline=None)
+@given(_delta0_run_cases())
+def test_delta0_run_text_matches_member_by_member(case):
+    n, ds, betas = case
+    want = []
+    for beta in betas:
+        payload = (*ds, beta)
+        terms = ingen.member_terms(n, "Delta0", payload)
+        masks = [m for m, _s in terms]
+        assert all(a < b for a, b in zip(masks, masks[1:]))
+        a1, a2, a3, a4 = (d | beta for d in ds)
+        assert dict(terms) == ingleton_expr(IngletonQuad(n, a1, a2, a3, a4)).coeffs
+        body = " ".join(f"{'+' if s > 0 else '-'}1*h{format_subset(m)}" for m, s in terms)
+        want.append(f"Delta0\t{ingen.payload_text('Delta0', payload)}\t{body}\n")
+    assert ingen._run_text(n, "Delta0", ds, betas, SubsetNames()) == "".join(want)
+
+
 def test_generation_checks_no_mask_it_made(monkeypatch):
     # masks are validated where they arrive from outside, not per generated member
     calls = []
@@ -339,8 +392,9 @@ def test_members_match_the_public_constructors(name):
         for ci in ingen.family(name, n):
             want = _oracle_expr(n, ci)
             assert ci.expr == want
-            assert ci.line() == (f"{ci.kind}\t{ingen.payload_text(ci.kind, ci.payload)}"
-                                 f"\t{entspace.format_expr(want)}")
+            line = ingen.inequalities_to_text(n, [ci], header=False)
+            assert line == (f"{ci.kind}\t{ingen.payload_text(ci.kind, ci.payload)}"
+                            f"\t{entspace.format_expr(want)}\n")
 
 
 def test_member_expression_is_built_once_on_first_read():
