@@ -29,7 +29,7 @@ from .entspace import (
     parse_rational,
     report_text,
 )
-from .simplex import linprog, solve_standard
+from .simplex import float_rows, linprog, solve_standard
 
 CONE_GAMMA = "gamma"
 CONE_GAMMA_IN = "gamma-in"
@@ -242,35 +242,21 @@ def _price(glist, kset, vec) -> list[int]:
     return [k for _v, k in bad[:_PRICE_CAP]]
 
 
-def _float_seed(problem: BoundProblem, glist: list[LinExpr]) -> list[int]:
+def _float_seed(asm: _DualAssembly) -> list[int]:
     """Float presolve; guesses which cone rows matter.  Never decides."""
-    dim = 2 ** problem.n - 1
-    dense = lambda e: [float(e.coeffs.get(m, 0)) for m in range(1, dim + 1)]
-    a_ub = [[-c for c in dense(g)] for g in glist]
-    b_ub = [0.0] * len(glist)
-    a_eq, b_eq = [], []
-    for expr, rel, rhs in problem.constraints:
-        if rel == "<=":
-            a_ub.append(dense(expr))
-            b_ub.append(float(rhs))
-        elif rel == ">=":
-            a_ub.append([-c for c in dense(expr)])
-            b_ub.append(-float(rhs))
-        else:
-            a_eq.append(dense(expr))
-            b_eq.append(float(rhs))
-    cost = [-c for c in dense(problem.objective)]
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq or None, b_eq=b_eq or None,
-                  bounds=(0, None), method="highs")
+    index = {m: m - 1 for m in range(1, asm.dim + 1)}
+    # cone members g >= 0 enter as -g <= 0 beside the assembled <= rows
+    a_ub = float_rows(asm.glist + [-u for u, _e in asm.ub], index, sign=-1)
+    b_ub = [0.0] * len(asm.glist) + [float(e) for _u, e in asm.ub]
+    cost = [-float(asm.p.objective.coeffs.get(m, 0)) for m in index]
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=float_rows([f for f, _r in asm.eq], index),
+                  b_eq=[float(r) for _f, r in asm.eq], bounds=(0, None), method="highs")
     if res.status != 0:
         return []
-    marg = res.ineqlin.marginals if res.ineqlin is not None else None
-    if marg is None:
-        slack = res.slack
-        return [k for k in range(len(glist)) if abs(slack[k]) <= 1e-7]
     # dual support is at most basis-sized; tight-but-unused rows would
     # bloat the exact solve on degenerate vertices
-    return [k for k in range(len(glist)) if abs(marg[k]) > 1e-9]
+    marg = res.ineqlin.marginals
+    return [k for k in range(len(asm.glist)) if abs(marg[k]) > 1e-9]
 
 
 # below this size every cone member enters up front; one exact solve
@@ -305,7 +291,7 @@ def _solve_max(problem: BoundProblem, members, glist) -> BoundResult:
     if len(glist) <= _ALL_COLUMNS_LIMIT:
         chosen = list(range(len(glist)))
     else:
-        chosen = sorted(set(_float_seed(problem, glist)))
+        chosen = _float_seed(asm)
     for _round in range(len(glist) + 10):
         res, chosen = _close(asm, glist, chosen, problem.objective)
         # optimal is the answer; unbounded multipliers mean nothing satisfies
@@ -567,32 +553,23 @@ def _validate_network(net: NetworkDescription) -> None:
         for ref in s.wants:
             if ref not in sources:
                 raise ValueError(f"sink {s.ident} demands non-source id {ref}")
-    # cycle check over edge -> input-edge references
-    state: dict[str, int] = {}
+    # one depth-first pass gives every id the sources upstream of it;
+    # an edge met again while its inputs are still open closes a cycle
+    upstream = {src: {src} for src in net.sources}
+    entered: set[str] = set()
 
-    def visit(eid: str) -> None:
-        state[eid] = 1
-        for ref in edge_by_id[eid].inputs:
-            if ref in edge_by_id:
-                if state.get(ref) == 1:
-                    raise ValueError(f"cycle through edge {ref}")
-                if ref not in state:
-                    visit(ref)
-        state[eid] = 2
+    def visit(ref: str) -> set[str]:
+        if ref not in upstream:
+            if ref in entered:
+                raise ValueError(f"cycle through edge {ref}")
+            entered.add(ref)
+            upstream[ref] = set().union(*map(visit, edge_by_id[ref].inputs))
+        return upstream[ref]
 
     for e in net.edges:
-        if e.ident not in state:
-            visit(e.ident)
+        visit(e.ident)
     for s in net.sinks:
-        reach = set(s.sees)
-        frontier = list(s.sees)
-        while frontier:
-            ref = frontier.pop()
-            if ref in edge_by_id:
-                for up in edge_by_id[ref].inputs:
-                    if up not in reach:
-                        reach.add(up)
-                        frontier.append(up)
+        reach = set().union(*map(visit, s.sees))
         for want in s.wants:
             if want not in reach:
                 raise ValueError(

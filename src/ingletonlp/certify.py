@@ -33,7 +33,7 @@ from .entspace import (
     parse_rational,
     report_text,
 )
-from .simplex import linprog, solve_standard
+from .simplex import float_rows, linprog, solve_standard
 
 
 def _require(ok: bool, what: str) -> None:
@@ -91,7 +91,7 @@ class _ConeSystem:
             support.update(g.coeffs)
         self.masks = sorted(support)
         self.index = {m: i for i, m in enumerate(self.masks)}
-        self._float_cols = None
+        self._float_gens = None
         self._exact_keys = {}
         for i, g in enumerate(gens):
             self._exact_keys.setdefault(g.key(), i)
@@ -126,7 +126,7 @@ class _ConeSystem:
             point = self._float_witness(target, b_float)
             if point is not None:
                 return None, point
-        res = linprog([0.0] * ngen, A_eq=self.float_cols(), b_eq=b_float,
+        res = linprog([0.0] * ngen, A_eq=self.float_gens().T, b_eq=b_float,
                       bounds=(0, None), method="highs")
         if res.status == 0:
             support = [j for j in range(ngen) if res.x[j] > 1e-9]
@@ -139,16 +139,11 @@ class _ConeSystem:
                 return None, point
         return self._exact_decide(target, b_exact)
 
-    def float_cols(self):
-        """Generator columns as a float array, built for the first presolve."""
-        if self._float_cols is None:
-            import numpy as np
-            rows = np.zeros((len(self.gens), len(self.masks)))
-            for row, g in zip(rows, self.gens):
-                for m, c in g.coeffs.items():
-                    row[self.index[m]] = c
-            self._float_cols = rows.T
-        return self._float_cols
+    def float_gens(self):
+        """Generators as float sparse rows, built for the first presolve."""
+        if self._float_gens is None:
+            self._float_gens = float_rows(self.gens, self.index)
+        return self._float_gens
 
     def _exact_solve(self, support: list[int], b_exact):
         """Exact feasibility solve of sum_j x_j gens[support[j]] = target, x >= 0."""
@@ -178,7 +173,7 @@ class _ConeSystem:
 
     def _float_witness(self, target: LinExpr, b_float) -> EntropyVector | None:
         # direction p with g.p >= 0 for all generators and target.p < 0
-        res = linprog(b_float, A_ub=-self.float_cols().T,
+        res = linprog(b_float, A_ub=-self.float_gens(),
                       b_ub=[0.0] * len(self.gens), bounds=(-1, 1), method="highs")
         if res.status != 0 or res.fun > -1e-7:
             return None

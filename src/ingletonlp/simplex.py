@@ -24,8 +24,10 @@ with positive denominators.  No positive factor changes any of these, so
 each pivot is the one plain rational arithmetic would choose.  Inputs may
 mix ints and Fractions; outputs are Fractions.
 
-`linprog` is the package's one way into the float solver (HiGHS through
-scipy); it imports scipy at its first call.
+This is the package's only float module.  `linprog` is its one way into
+the float solver (HiGHS through scipy) and `float_rows` builds the scipy
+sparse matrices the presolves hand it; each imports scipy at its first
+call.
 """
 
 from __future__ import annotations
@@ -62,6 +64,19 @@ def linprog(c, **kwargs):
     """
     from scipy.optimize import linprog as scipy_linprog
     return scipy_linprog(c, **kwargs)
+
+
+def float_rows(exprs, index: dict[int, int], sign: int = 1):
+    """Float CSR matrix with one row per LinExpr: mask m's coefficient,
+    times sign, in column index[m].  Imports scipy at the first call."""
+    from scipy.sparse import csr_matrix
+    data, cols, ptr = [], [], [0]
+    for e in exprs:
+        for m, c in e.coeffs.items():
+            cols.append(index[m])
+            data.append(sign * float(c))
+        ptr.append(len(cols))
+    return csr_matrix((data, cols, ptr), shape=(len(ptr) - 1, len(index)))
 
 
 def _bits(vals: list[int]) -> int:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -353,14 +354,28 @@ edge e1 from s1 cap 1
 sink t1 wants s1 sees e1
 """)
     assert [e.ident for e in net.edges] == ["e1"]
-    for text in (
-            "source s1\nedge e1 from s0 cap 1\nsink t1 wants s1 sees e1\n",
-            "source s1\nedge e1 from s1 cap 1\nsink t1 wants e1 sees e1\n",
-            "source s1\nedge e1 from s1 cap 1\nsink t1 wants s1 sees e9\n",
-            "source s1\nedge e1 from s1 cap -1\nsink t1 wants s1 sees e1\n",
-            "source s1\nedge e1 s1 cap 1\n",
+    for text, message in (
+            ("source s1\nedge e1 from s0 cap 1\nsink t1 wants s1 sees e1\n",
+             "edge e1 references unknown id s0"),
+            ("source s1\nedge e1 from s1 cap 1\nsink t1 wants e1 sees e1\n",
+             "sink t1 demands non-source id e1"),
+            ("source s1\nedge e1 from s1 cap 1\nsink t1 wants s1 sees e9\n",
+             "sink t1 sees unknown id e9"),
+            ("source s1\nedge e1 from s1 cap -1\nsink t1 wants s1 sees e1\n",
+             "edge e1 has negative capacity"),
+            ("source s1\nedge e1 s1 cap 1\n", "malformed network line"),
+            ("source s1\nedge a from s1,b cap 1\nedge b from a cap 1\n"
+             "sink t1 wants s1 sees b\n", "cycle through edge a"),
+            ("source s1\nedge a from a cap 1\nsink t1 wants s1 sees a\n",
+             "cycle through edge a"),
+            ("source s1\nsource s2\nedge a from s1 cap 1\nedge b from s2,a cap 1\n"
+             "sink t1 wants s1,s2 sees a\n", "sink t1 cannot reach demanded source s2"),
+            ("source s1\nedge s1 from s1 cap 1\nsink t1 wants s1 sees s1\n",
+             "duplicate source/edge id"),
+            ("source s1\nedge e1 from s1 cap 1\nsink t1 wants s1 sees e1\n"
+             "sink t1 wants s1 sees s1\n", "duplicate sink id"),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             bound.parse_network(text)
 
 
@@ -494,6 +509,69 @@ def test_column_generation_matches_all_columns(monkeypatch, n):
     assert priced
     assert {p.cone for p in problems} == {bound.CONE_GAMMA, bound.CONE_GAMMA_IN}
     assert {p.sense for p in problems} == set(bound.SENSES)
+
+
+def _dense_float_seed(problem, glist):
+    """The float seed as one dense float list per row: the sparse seed's reference."""
+    from scipy.optimize import linprog
+    dim = 2 ** problem.n - 1
+    dense = lambda e: [float(e.coeffs.get(m, 0)) for m in range(1, dim + 1)]
+    a_ub = [[-c for c in dense(g)] for g in glist]
+    b_ub = [0.0] * len(glist)
+    a_eq, b_eq = [], []
+    for expr, rel, rhs in problem.constraints:
+        if rel == "<=":
+            a_ub.append(dense(expr))
+            b_ub.append(float(rhs))
+        elif rel == ">=":
+            a_ub.append([-c for c in dense(expr)])
+            b_ub.append(-float(rhs))
+        else:
+            a_eq.append(dense(expr))
+            b_eq.append(float(rhs))
+    cost = [-c for c in dense(problem.objective)]
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq or None, b_eq=b_eq or None,
+                  bounds=(0, None), method="highs")
+    if res.status != 0:
+        return []
+    marg = res.ineqlin.marginals
+    return [k for k in range(len(glist)) if abs(marg[k]) > 1e-9]
+
+
+def _seed_columns(problem):
+    glist = [ci.expr for ci in bound.cone_members(problem.n, problem.cone)]
+    asm = bound._DualAssembly(problem, glist)
+    return bound._float_seed(asm), _dense_float_seed(problem, glist)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_float_seed_matches_the_dense_reference(n):
+    # the problems of test_column_generation_matches_all_columns
+    rng = random.Random(n)
+    seeds = [_seed_columns(_random_problem(rng, n)) for _ in range(30)]
+    assert all(got == want for got, want in seeds)
+    assert any(got for got, _want in seeds) and not all(got for got, _want in seeds)
+
+
+def test_float_seed_memory_at_n6():
+    # 1,716 gamma-in members, past the all-columns limit: the seed's matrix
+    # is sparse, where one dense float list per member took about 6 MB
+    n = 6
+    cons = tuple((LinExpr.single(n, 1 << i), "<=", F(1)) for i in range(n))
+    problem = bound.BoundProblem(n, bound.CONE_GAMMA_IN, "max",
+                                 LinExpr.single(n, 2 ** n - 1), cons)
+    glist = [ci.expr for ci in bound.cone_members(n, problem.cone)]
+    assert len(glist) > bound._ALL_COLUMNS_LIMIT
+    asm = bound._DualAssembly(problem, glist)
+    want = bound._float_seed(asm)  # loads scipy before tracing starts
+    tracemalloc.start()
+    try:
+        got = bound._float_seed(asm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want == _dense_float_seed(problem, glist) and got
+    assert peak < 2_000_000
 
 
 def _outcome(res):

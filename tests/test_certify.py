@@ -336,13 +336,6 @@ def test_bound_verify_evaluates_through_bound_evaluate(monkeypatch):
     assert calls
 
 
-def test_float_cols_match_the_dense_coefficients():
-    gens = delta_exprs(4) + [parse_expr("+1/2*h{1} -3*h{2,3}", 4)]
-    system = certify._ConeSystem(gens)
-    dense = np.array([[float(g.coeffs.get(m, 0)) for m in system.masks] for g in gens]).T
-    assert np.array_equal(system.float_cols(), dense)
-
-
 def _failed_linprog(*args, **kwargs):
     return SimpleNamespace(status=4, x=None, fun=None)
 

@@ -356,6 +356,14 @@ def test_zero_capacity_denominator_exits_two(capsys, tmp_path):
     assert rc == 2 and err.startswith("error:")
 
 
+def test_cyclic_network_exits_two(capsys, tmp_path):
+    net = tmp_path / "net.txt"
+    net.write_text("source s1\nedge a from s1,b cap 1\nedge b from a cap 1\n"
+                   "sink t1 wants s1 sees b\n", encoding="ascii")
+    rc, out, err = run_cli(capsys, ["bound", "--network", str(net), "--cone", "gamma"])
+    assert rc == 2 and out == "" and err.startswith("error:") and "cycle" in err
+
+
 def test_bad_quad_text_exits_two(capsys):
     rc, _, err = run_cli(capsys, ["classify", "--n", "4", "--quad", "{1};{2}"])
     assert rc == 2 and err.startswith("error:")

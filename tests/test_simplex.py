@@ -388,3 +388,53 @@ def test_singular_basis_is_runtime_error():
     # a soundness guard, so it must hold under python -O as well
     with pytest.raises(RuntimeError, match="singular basis"):
         simplex._solve_transposed([[1, 2], [2, 4]], [1, 1])
+
+
+# ---------------------------------------------------------------------------
+# the float stack: one sparse builder, reached only through this module
+
+import ast  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from ingletonlp import ingen  # noqa: E402
+from ingletonlp.entspace import LinExpr, parse_expr  # noqa: E402
+
+
+def test_float_rows_match_the_dense_coefficients():
+    # Delta at n=4, a Fraction coefficient and an all-zero row, over the
+    # column order a certify cone system gives its masks
+    exprs = [ci.expr for ci in ingen.gen_delta(4)]
+    exprs += [parse_expr("+1/2*h{1} -3*h{2,3}", 4), LinExpr.zero(4)]
+    masks = sorted({m for e in exprs for m in e.coeffs})
+    index = {m: i for i, m in enumerate(masks)}
+    for sign in (1, -1):
+        dense = np.array([[sign * float(e.coeffs.get(m, 0)) for m in masks] for e in exprs])
+        got = simplex.float_rows(exprs, index, sign)
+        assert got.shape == dense.shape and np.array_equal(got.toarray(), dense)
+
+
+def _float_stack_imports(path):
+    """(line, inside a function) of each numpy or scipy import in path."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    nested = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] in ("numpy", "scipy") for name in names):
+            yield node.lineno, id(node) in nested
+
+
+def test_only_simplex_imports_the_float_stack_and_only_in_functions():
+    found = {path.name: list(_float_stack_imports(path))
+             for path in sorted(Path(simplex.__file__).parent.glob("*.py"))}
+    assert len(found) > 5 and found["simplex.py"]
+    assert {name for name, hits in found.items() if hits} == {"simplex.py"}
+    assert all(inside for _line, inside in found["simplex.py"])
