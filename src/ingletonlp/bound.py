@@ -129,7 +129,7 @@ def membership(h: EntropyVector, cone: str,
 
 
 def _entropy_decomposition(n: int, alpha: int) -> list[tuple]:
-    """h(alpha) as a coefficient-1 sum of elemental forms, as payload keys."""
+    """h(alpha) as a coefficient-1 sum of elemental forms, as (shape, payload) keys."""
     keys: list[tuple] = []
     elems = elements_of(alpha)
     for pos, a in enumerate(elems):
@@ -142,21 +142,10 @@ def _entropy_decomposition(n: int, alpha: int) -> list[tuple]:
             if j == a or cur & bj:
                 continue
             lo, hi = (a, j) if a < j else (j, a)
-            keys.append(("I", lo, hi, cur))
+            keys.append((ingen.KIND_DELTA1, (lo, hi, cur)))
             cur |= bj
-        keys.append(("H", a))
+        keys.append((ingen.KIND_DELTA2, (a,)))
     return keys
-
-
-def _elemental_index(members) -> dict[tuple, int]:
-    by_key = {}
-    for idx, ci in enumerate(members):
-        kind = ingen.shape(ci.kind)
-        if kind == ingen.KIND_DELTA2:
-            by_key[("H", ci.payload[0])] = idx
-        elif kind == ingen.KIND_DELTA1:
-            by_key[("I",) + ci.payload] = idx
-    return by_key
 
 
 class _DualAssembly:
@@ -355,7 +344,7 @@ def _cone_fold(problem, members, asm: _DualAssembly, chosen, w) -> dict:
     for pos, k in enumerate(chosen):
         if lam_block[pos]:
             lam[k] = Fraction(lam_block[pos])
-    by_key = _elemental_index(members)
+    by_key = {(ingen.shape(ci.kind), ci.payload): idx for idx, ci in enumerate(members)}
     for alpha in range(1, asm.dim + 1):
         gap = surplus[alpha - 1]
         if gap:
@@ -482,13 +471,14 @@ def _check_rows(problem, glist, point, homogeneous: bool) -> bool:
 def _combination(problem, glist, cert, pos_rel: str, cone_sign: int):
     """(coefficients, rhs total) of cert's multiplier combination of the rows.
 
-    None when cert is missing, has the wrong length, or breaks a sign rule:
-    cone multipliers must be >= 0, user multipliers >= 0 on pos_rel rows
-    and <= 0 on the mirror relation.  The cone members enter with cone_sign.
+    None when cert is missing, has the wrong length, names a row outside
+    glist, or breaks a sign rule: cone multipliers must be >= 0, user
+    multipliers >= 0 on pos_rel rows and <= 0 on the mirror relation.
+    The cone members enter with cone_sign.
     """
     if cert is None or len(cert.user) != len(problem.constraints):
         return None
-    if any(cf < 0 for _k, cf in cert.cone):
+    if any(cf < 0 or not 0 <= k < len(glist) for k, cf in cert.cone):
         return None
     neg_rel = ">=" if pos_rel == "<=" else "<="
     for u, (_e, rel, _r) in zip(cert.user, problem.constraints):

@@ -58,7 +58,12 @@ class SeparationWitness:
 
 
 def verify_certificate(target: LinExpr, gens, cert: FarkasCertificate) -> bool:
-    """Exact round-trip check; raises IndexError on out-of-range generator ids."""
+    """Exact round-trip check; raises IndexError on out-of-range generator ids.
+
+    A certificate whose ids and coefficients differ in number is rejected.
+    """
+    if len(cert.gen_ids) != len(cert.coeffs):
+        return False
     for gid, cf in zip(cert.gen_ids, cert.coeffs):
         if gid < 0 or gid >= len(gens):
             raise IndexError(f"generator id {gid} out of range")
@@ -287,49 +292,34 @@ def _canonical_quad(q, tables) -> tuple[tuple[int, int, int, int], int]:
     return best, best_pi
 
 
-def _inverse_perm_index(n: int) -> list[int]:
-    perms = list(itertools.permutations(range(n)))
-    where = {p: i for i, p in enumerate(perms)}
-    out = []
-    for p in perms:
-        inv = [0] * n
-        for k, v in enumerate(p):
-            inv[v] = k
-        out.append(where[tuple(inv)])
-    return out
-
-
-def _delta_id_maps(n: int, delta: list[ingen.CanonicalInequality],
-                   tables) -> list[list[int]]:
-    """For each relabeling, the induced permutation of canonical member ids."""
+def _delta_id_maps(delta: list[ingen.CanonicalInequality], tables) -> list[list[int]]:
+    """For each relabeling, the member ids it maps back: back[id of the image of k] = k."""
     by_payload = {(ci.kind, ci.payload): i for i, ci in enumerate(delta)}
-    perms = list(itertools.permutations(range(n)))
     maps = []
-    for pi, tab in enumerate(tables):
-        perm = perms[pi]
-        one = []
-        for ci in delta:
+    for tab in tables:
+        back = [0] * len(delta)
+        for k, ci in enumerate(delta):
             if ci.kind == ingen.KIND_DELTA0:
-                d1, d2, d3, d4, beta = ci.payload
-                pl = ingen.delta0_payload(tab[d1], tab[d2], tab[d3], tab[d4], tab[beta])
+                image = ingen.delta0_payload(*[tab[m] for m in ci.payload])
             elif ingen.shape(ci.kind) == ingen.KIND_DELTA1:
                 i, j, mu = ci.payload
-                a, b = sorted((perm[i - 1] + 1, perm[j - 1] + 1))
-                pl = (a, b, tab[mu])
+                a, b = sorted((tab[1 << (i - 1)].bit_length(), tab[1 << (j - 1)].bit_length()))
+                image = (a, b, tab[mu])
             else:
-                pl = (perm[ci.payload[0] - 1] + 1,)
-            one.append(by_payload[(ci.kind, pl)])
-        maps.append(one)
+                image = (tab[1 << (ci.payload[0] - 1)].bit_length(),)
+            back[by_payload[(ci.kind, image)]] = k
+        maps.append(back)
     return maps
 
 
 def _choose_quads(n: int, sample: int | None, seed: int):
-    """The quads a scan decides, the orbit map, and the report fields saying how.
+    """The quads a scan decides, the orbits, and the report fields saying how.
 
-    Exhaustive iff n <= 4 and no sample size is given: every swap class
-    (a1 <= a2, a3 <= a4) maps to its orbit representative and the index of
-    the relabeling that reaches it, and the representatives are decided.
-    Otherwise `sample` (default 1000) seeded random quads, and no map.
+    Exhaustive iff n <= 4 and no sample size is given: the orbits are
+    (canon, tables), where canon maps every swap class (a1 <= a2, a3 <= a4)
+    to its orbit representative and the index in tables of the relabeling
+    that reaches it, and the representatives are decided.
+    Otherwise `sample` (default 1000) seeded random quads, and no orbits.
     """
     if sample is not None and sample < 1:
         raise ValueError(f"sample size must be at least 1, got {sample}")
@@ -343,8 +333,8 @@ def _choose_quads(n: int, sample: int | None, seed: int):
     pairs = list(itertools.combinations_with_replacement(range(2 ** n), 2))
     canon = {p + r: _canonical_quad(p + r, tables) for p in pairs for r in pairs}
     items = sorted({rep for rep, _pi in canon.values()})
-    return items, canon, dict(mode="exhaustive", seed=seed, samples=0,
-                              quads=2 ** (4 * n), classes=len(canon), orbits=len(items))
+    return items, (canon, tables), dict(mode="exhaustive", seed=seed, samples=0,
+                                        quads=2 ** (4 * n), classes=len(canon), orbits=len(items))
 
 
 def _quad_text(n: int, quad) -> str:
@@ -452,7 +442,7 @@ def check_theorem1(n: int, sample: int | None = None, seed: int = 0, workers: in
                    budget: int | None = ingen.DEFAULT_BUDGET) -> Theorem1Report:
     """Basic-implication criterion vs the LP decision, per quad orbit."""
     elemental = ingen.gen_elemental(n, budget=budget)
-    items, _canon, fields = _choose_quads(n, sample, seed)
+    items, _orbits, fields = _choose_quads(n, sample, seed)
     bad = []
     certs = []
     wits = []
@@ -489,23 +479,23 @@ def check_completeness(n: int, sample_size: int | None = None, seed: int = 0,
                        budget: int | None = ingen.DEFAULT_BUDGET) -> CompletenessReport:
     """Every Ingleton inequality receives a certificate over the minimal set."""
     delta = ingen.gen_delta(n, budget=budget)
-    items, canon, fields = _choose_quads(n, sample_size, seed)
+    items, orbits, fields = _choose_quads(n, sample_size, seed)
     results = _decide_quads(n, delta, items, workers)
     failures = [text for text, answer in results
                 if not isinstance(answer, FarkasCertificate)]
     certs = [(text, answer) for text, answer in results
              if isinstance(answer, FarkasCertificate)]
-    if canon is not None and failures:
+    if orbits is not None and failures:
         certs = []  # some representative failed: report the failures alone
-    elif canon is not None:
+    elif orbits is not None:
         # carry each representative's certificate to every class in its orbit
+        canon, tables = orbits
         exprs = [ci.expr for ci in delta]
-        id_maps = _delta_id_maps(n, delta, _perm_tables(n))
-        inverse = _inverse_perm_index(n)
+        id_maps = _delta_id_maps(delta, tables)
         rep_cert = dict(zip(items, (answer for _text, answer in results)))
         certs = []
         for cls, (rep, pi) in sorted(canon.items()):
-            idmap = id_maps[inverse[pi]]
+            idmap = id_maps[pi]
             cert = rep_cert[rep]
             fc = _cert_from_dict({idmap[g]: cf for g, cf in zip(cert.gen_ids, cert.coeffs)})
             if verify_certificate(ingleton_expr(IngletonQuad(n, *cls)), exprs, fc):

@@ -6,6 +6,10 @@ point values are exact rationals (int or fractions.Fraction), and the
 empty set always evaluates to zero and is never stored.  A point also
 keeps its values as int numerators over one common denominator, so
 evaluating an expression is one int dot product divided once.
+
+`ingleton_terms` and `mutinfo_terms` are the only spelling of the ten-term
+form J and of I(a; b | d), here and in `ingen`; `_combine` is the only
+loop that sums (mask, coeff) pairs into a coefficient map.
 """
 
 from __future__ import annotations
@@ -109,24 +113,26 @@ def parse_subset(text: str) -> int:
         raise ValueError(f"bad subset syntax: {text!r}") from exc
 
 
-def _bump(acc: dict, mask: int, coeff) -> None:
-    # h(empty) is identically zero; such terms vanish silently
-    if not mask:
-        return
-    s = acc.get(mask, 0) + coeff
-    if s:
-        acc[mask] = s
-    else:
-        acc.pop(mask, None)
+def _combine(pairs: Iterable[tuple[int, Rational]], acc: dict | None = None) -> dict:
+    """acc (a new dict if None) plus each (mask, coeff) of pairs: mask 0 is skipped,
+    as h(empty) is zero, and a sum reaching zero is popped, so its key re-enters last."""
+    if acc is None:
+        acc = {}
+    for mask, c in pairs:
+        if mask in acc:
+            s = acc[mask] + c
+            if s:
+                acc[mask] = s
+            else:
+                del acc[mask]
+        elif mask and c:
+            acc[mask] = c
+    return acc
 
 
 def accumulate(terms: Iterable[tuple[Rational, LinExpr]]) -> dict[int, Rational]:
     """Coefficient map of the sum of coeff*expr over (coeff, expr) terms."""
-    acc: dict[int, Rational] = {}
-    for coeff, expr in terms:
-        for mask, c in expr.coeffs.items():
-            _bump(acc, mask, coeff * c)
-    return acc
+    return _combine([(mask, coeff * c) for coeff, expr in terms for mask, c in expr.coeffs.items()])
 
 
 class LinExpr:
@@ -138,12 +144,10 @@ class LinExpr:
         check_n(n)
         clean: dict[int, Rational] = {}
         if coeffs:
-            top = full_mask(n)
             for mask, c in coeffs.items():
                 if mask == 0:
                     continue
-                if not isinstance(mask, int) or mask < 0 or mask & ~top:
-                    raise GroundSetError(f"mask {mask!r} is not a subset of {{1..{n}}}")
+                check_mask(mask, n)
                 if c:
                     clean[mask] = c
         self.n = n
@@ -187,10 +191,7 @@ class LinExpr:
             return NotImplemented
         if other.n != self.n:
             raise GroundSetError("ground-set mismatch between expressions")
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            _bump(out, m, c)
-        return LinExpr._raw(self.n, out)
+        return LinExpr._raw(self.n, _combine(other.coeffs.items(), dict(self.coeffs)))
 
     def __sub__(self, other) -> "LinExpr":
         if not isinstance(other, LinExpr):
@@ -236,21 +237,18 @@ def parse_expr(text: str, n: int) -> LinExpr:
     s = text.strip()
     if s == "0":
         return LinExpr.zero(n)
-    acc: dict[int, Rational] = {}
+    pairs: list[tuple[int, Rational]] = []
     pos = 0
     for m in _TERM_RE.finditer(s):
         if s[pos:m.start()].strip():
             raise ValueError(f"bad expression syntax near {s[pos:m.start()]!r}")
         sign, num, body = m.groups()
         c = parse_rational(num)
-        if sign == "-":
-            c = -c
-        mask = parse_subset("{" + body + "}")
-        _bump(acc, mask, c)
+        pairs.append((parse_subset("{" + body + "}"), -c if sign == "-" else c))
         pos = m.end()
     if s[pos:].strip() or pos == 0:
         raise ValueError(f"bad expression syntax: {text!r}")
-    return LinExpr(n, acc)
+    return LinExpr(n, _combine(pairs))
 
 
 class EntropyVector:
@@ -392,15 +390,23 @@ def parse_quad(text: str, n: int) -> IngletonQuad:
     return IngletonQuad(n, *masks)
 
 
+def mutinfo_terms(alpha: int, beta: int, delta: int) -> tuple[tuple[int, int], ...]:
+    """The (mask, +-1) terms h(a d) + h(b d) - h(d) - h(a b d) of I(a; b | d)."""
+    return ((alpha | delta, 1), (beta | delta, 1), (delta, -1), (alpha | beta | delta, -1))
+
+
+def ingleton_terms(a1: int, a2: int, a3: int, a4: int) -> tuple[tuple[int, int], ...]:
+    """The ten (mask, +-1) terms of J = I(a1;a2|a3) + I(a1;a2|a4) + I(a3;a4) - I(a1;a2)."""
+    return ((a1 | a2, 1), (a1 | a3, 1), (a1 | a4, 1), (a2 | a3, 1), (a2 | a4, 1),
+            (a1, -1), (a2, -1), (a3 | a4, -1), (a1 | a2 | a3, -1), (a1 | a2 | a4, -1))
+
+
 def cond_entropy_expr(n: int, alpha: int, beta: int) -> LinExpr:
     """h(alpha | beta) = h(alpha+beta) - h(beta) as a coefficient map."""
     check_n(n)
     check_mask(alpha, n)
     check_mask(beta, n)
-    acc: dict[int, Rational] = {}
-    _bump(acc, alpha | beta, 1)
-    _bump(acc, beta, -1)
-    return LinExpr._raw(n, acc)
+    return LinExpr._raw(n, _combine(((alpha | beta, 1), (beta, -1))))
 
 
 def cond_mutinfo_expr(n: int, alpha: int, beta: int, delta: int) -> LinExpr:
@@ -408,42 +414,24 @@ def cond_mutinfo_expr(n: int, alpha: int, beta: int, delta: int) -> LinExpr:
     check_n(n)
     for m in (alpha, beta, delta):
         check_mask(m, n)
-    acc: dict[int, Rational] = {}
-    _bump(acc, alpha | delta, 1)
-    _bump(acc, beta | delta, 1)
-    _bump(acc, delta, -1)
-    _bump(acc, alpha | beta | delta, -1)
-    return LinExpr._raw(n, acc)
+    return LinExpr._raw(n, _combine(mutinfo_terms(alpha, beta, delta)))
 
 
 def ingleton_expr(q: IngletonQuad) -> LinExpr:
-    """Ten-term inequality form for the quad, with merged coefficients."""
-    # ten formal terms; coefficients merge and may cancel entirely
-    a1, a2, a3, a4 = q.masks()
-    acc: dict[int, Rational] = {}
-    for m in (a1 | a2, a1 | a3, a1 | a4, a2 | a3, a2 | a4):
-        _bump(acc, m, 1)
-    for m in (a1, a2, a3 | a4, a1 | a2 | a3, a1 | a2 | a4):
-        _bump(acc, m, -1)
-    return LinExpr._raw(q.n, acc)
+    """Ten-term inequality form for the quad; coefficients merge and may cancel."""
+    return LinExpr._raw(q.n, _combine(ingleton_terms(q.a1, q.a2, q.a3, q.a4)))
 
 
 def project_onto(e: LinExpr, beta: int) -> LinExpr:
     """Replace every coordinate mask alpha by alpha & beta."""
     check_mask(beta, e.n)
-    acc: dict[int, Rational] = {}
-    for m, c in e.coeffs.items():
-        _bump(acc, m & beta, c)
-    return LinExpr._raw(e.n, acc)
+    return LinExpr._raw(e.n, _combine([(m & beta, c) for m, c in e.coeffs.items()]))
 
 
 def project_away(e: LinExpr, beta: int) -> LinExpr:
     """Replace every coordinate mask alpha by alpha minus beta."""
     check_mask(beta, e.n)
-    acc: dict[int, Rational] = {}
-    for m, c in e.coeffs.items():
-        _bump(acc, m & ~beta, c)
-    return LinExpr._raw(e.n, acc)
+    return LinExpr._raw(e.n, _combine([(m & ~beta, c) for m, c in e.coeffs.items()]))
 
 
 def evaluate(e: LinExpr, h: EntropyVector) -> Rational:

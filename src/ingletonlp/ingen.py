@@ -17,7 +17,9 @@ distinct elements, a mu avoiding both; one element).
 
 A member is its (n, kind, payload), and its `expr` always equals
 `member_expr(n, kind, payload)`: the unit terms of `member_terms`, built
-into an expression on first read.  File lines are rendered a run at a
+into an expression on first read.  Those terms come from
+`entspace.ingleton_terms` and `entspace.mutinfo_terms`, the one spelling
+of each form.  File lines are rendered a run at a
 time from those terms, without building any expression.
 """
 
@@ -37,6 +39,8 @@ from .entspace import (
     check_n,
     full_mask,
     ingleton_expr,
+    ingleton_terms,
+    mutinfo_terms,
     parse_expr,
     parse_subset,
     term_key,
@@ -82,14 +86,6 @@ def payload_text(kind: str, payload: tuple, names: SubsetNames | None = None) ->
     return names[1 << (payload[0] - 1)]
 
 
-def _delta0_run_terms(d1: int, d2: int, d3: int, d4: int) -> list[tuple[int, int]]:
-    """The (mask, +-1) terms of J(d1,d2,d3,d4) in mask order: or-ing a beta
-    disjoint from the d's into each mask gives the member (d1,d2,d3,d4 | beta)'s,
-    still in order, so one sort serves a whole run of betas."""
-    return sorted([(d1 | d2, 1), (d1 | d3, 1), (d1 | d4, 1), (d2 | d3, 1), (d2 | d4, 1),
-                   (d1, -1), (d2, -1), (d3 | d4, -1), (d1 | d2 | d3, -1), (d1 | d2 | d4, -1)])
-
-
 def member_terms(n: int, kind: str, payload: tuple) -> list[tuple[int, int]]:
     """The (mask, +-1) terms, in mask order, of the >= 0 form a member stands for.
 
@@ -101,22 +97,18 @@ def member_terms(n: int, kind: str, payload: tuple) -> list[tuple[int, int]]:
     """
     kind = shape(kind)
     if kind == KIND_DELTA0:
-        # J(a1,a2,a3,a4) with a_k = d_k | beta
+        # J(a1,a2,a3,a4) with a_k = d_k | beta: or-ing a beta disjoint from
+        # the d's keeps J(d1,d2,d3,d4)'s terms in mask order
         *ds, beta = payload
-        return [(x | beta, s) for x, s in _delta0_run_terms(*ds)]
+        return [(x | beta, s) for x, s in sorted(ingleton_terms(*ds))]
     if kind == KIND_DELTA1:
-        # I(i; j | mu) = h(i mu) + h(j mu) - h(mu) - h(i j mu)
+        # I(i; j | mu), whose h(mu) term vanishes when mu is empty
         i, j, mu = payload
-        bi, bj = 1 << (i - 1), 1 << (j - 1)
-        terms = [(bi | mu, 1), (bj | mu, 1), (bi | bj | mu, -1)]
-        if mu:
-            terms.append((mu, -1))
-    else:
-        # h(i | N - i) = h(N) - h(N - i), already in mask order
-        top = full_mask(n)
-        return [(top & ~(1 << (payload[0] - 1)), -1), (top, 1)]
-    terms.sort()
-    return terms
+        terms = sorted(mutinfo_terms(1 << (i - 1), 1 << (j - 1), mu))
+        return terms if mu else terms[1:]
+    # h(i | N - i) = h(N) - h(N - i), already in mask order
+    top = full_mask(n)
+    return [(top & ~(1 << (payload[0] - 1)), -1), (top, 1)]
 
 
 def member_expr(n: int, kind: str, payload: tuple) -> LinExpr:
@@ -374,7 +366,8 @@ def _run_text(n: int, kind: str, head: tuple, tails, names: SubsetNames) -> str:
     d1, d2, d3, d4 = head
     prefix = f"{kind}\t{names[d1]},{names[d2]};{names[d3]},{names[d4]}|"
     # the ten terms spelled out: a comprehension per line costs a call
-    k0, k1, k2, k3, k4, k5, k6, k7, k8, k9 = [term_key(x, s) for x, s in _delta0_run_terms(*head)]
+    terms = sorted(ingleton_terms(*head))
+    k0, k1, k2, k3, k4, k5, k6, k7, k8, k9 = [term_key(x, s) for x, s in terms]
     lines = []
     for beta in tails:
         b = beta << 1  # term_key(x | beta, s) == term_key(x, s) - b

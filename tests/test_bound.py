@@ -176,6 +176,33 @@ st +1*h{1} <= -1
     recheck_farkas(problem, res)
 
 
+def test_verify_bound_result_rejects_cone_ids_outside_the_members():
+    problem, res = solve_text("""
+n 2
+cone gamma-in
+maximize +1*h{1} +1*h{2}
+st +1*h{1,2} <= 1
+""")
+    inf_problem, infeasible = solve_text("""
+n 2
+cone gamma-in
+minimize +1*h{1}
+st +1*h{1} <= -1
+""")
+    size = len(bound.cone_members(2, bound.CONE_GAMMA_IN))
+    assert res.dual.cone and infeasible.farkas.cone
+    assert bound.verify_bound_result(problem, res)
+    assert bound.verify_bound_result(inf_problem, infeasible)
+    # shifted back by the member count, Python indexing would wrap onto the
+    # same members; past the end it would raise
+    for shift in (-size, 10 ** 6):
+        dual = replace(res.dual, cone=tuple((k + shift, cf) for k, cf in res.dual.cone))
+        assert not bound.verify_bound_result(problem, replace(res, dual=dual))
+        farkas = replace(infeasible.farkas,
+                         cone=tuple((k + shift, cf) for k, cf in infeasible.farkas.cone))
+        assert not bound.verify_bound_result(inf_problem, replace(infeasible, farkas=farkas))
+
+
 def test_equality_row():
     problem, res = solve_text("""
 n 2

@@ -63,6 +63,17 @@ def test_verify_certificate_rejects_negative_multiplier():
     assert certify.conic_implies(target, gens) is None
 
 
+def test_verify_certificate_rejects_ids_and_coeffs_of_different_lengths():
+    gens = delta_exprs(3)
+    # zip would drop the unpaired id 99 and check gens[0] against itself
+    one = (Fraction(1),)
+    assert not certify.verify_certificate(gens[0], gens, certify.FarkasCertificate((0, 99), one))
+    assert not certify.verify_certificate(gens[0], gens, certify.FarkasCertificate((0,), one * 2))
+    assert certify.verify_certificate(gens[0], gens, certify.FarkasCertificate((0,), one))
+    with pytest.raises(IndexError):
+        certify.verify_certificate(gens[0], gens, certify.FarkasCertificate((99,), one))
+
+
 def test_separation_witness_when_not_implied():
     gens = elemental_exprs(4)
     target = ingleton_expr(IngletonQuad(4, 0b1, 0b10, 0b100, 0b1000))

@@ -399,3 +399,46 @@ def test_accumulate_sums_and_drops_cancelled_terms():
     assert accumulate([(Fraction(3), a), (-3, a)]) == {}
     assert accumulate([(0, a), (2, b)]) == (2 * b).coeffs
     assert accumulate([]) == {}
+
+
+def _dense_reference(n, pairs):
+    """The sum of (mask, coeff) pairs over 2^n dense Fractions, h(empty)
+    left out; the masks come in the order each last turned nonzero."""
+    dense = [Fraction(0)] * (1 << n)
+    turned = {}
+    for step, (mask, c) in enumerate(pairs):
+        if not dense[mask] and dense[mask] + c:
+            turned[mask] = step
+        dense[mask] += c
+    live = sorted((m for m in range(1, 1 << n) if dense[m]), key=turned.get)
+    return {m: dense[m] for m in live}
+
+
+def _same_map(got, want):
+    # equal, and in the same key order: the float presolve reads dict order
+    return got == want and list(got) == list(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_accumulate_matches_a_dense_fraction_sum(data):
+    n = data.draw(st.integers(2, 4))
+    mask = st.integers(0, 2 ** n - 1)  # mask 0 included
+    maps = st.lists(st.dictionaries(mask, _coefficients, max_size=6), min_size=1, max_size=5)
+    terms = [(data.draw(_coefficients), LinExpr(n, m)) for m in data.draw(maps)]
+    # take some terms out again and put them back, so their keys leave and re-enter
+    again = data.draw(st.lists(st.sampled_from(terms), max_size=4))
+    terms += [(-c, e) for c, e in again] + again
+    want = _dense_reference(n, [(m, c * x) for c, e in terms for m, x in e.coeffs.items()])
+    assert _same_map(accumulate(terms), want)
+    total = sum((c * e for c, e in terms), LinExpr.zero(n))
+    assert _same_map(total.coeffs, want)
+    # projecting sends masks to the empty set, which the sum drops
+    beta = data.draw(mask)
+    assert _same_map(project_away(total, beta).coeffs,
+                     _dense_reference(n, [(m & ~beta, c) for m, c in total.coeffs.items()]))
+    # parsed text sums repeated and empty subsets the same way
+    pairs = data.draw(st.lists(st.tuples(mask, _coefficients), min_size=1, max_size=8))
+    pairs += [(m, -c) for m, c in pairs[:3]] + pairs[:3]
+    text = " ".join(f"{'-' if c < 0 else '+'}{abs(c)}*h{format_subset(m)}" for m, c in pairs)
+    assert _same_map(parse_expr(text, n).coeffs, _dense_reference(n, pairs))

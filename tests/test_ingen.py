@@ -5,6 +5,7 @@ import io
 import itertools
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -395,6 +396,46 @@ def test_members_match_the_public_constructors(name):
             line = ingen.inequalities_to_text(n, [ci], header=False)
             assert line == (f"{ci.kind}\t{ingen.payload_text(ci.kind, ci.payload)}"
                             f"\t{entspace.format_expr(want)}\n")
+
+
+def _forms_read_off(values):
+    """I(a;b|d) and J(a1,a2,a3,a4) computed straight from values[mask], values[0] == 0."""
+    def mutinfo(a, b, d):
+        return values[a | d] + values[b | d] - values[d] - values[a | b | d]
+
+    def ingleton(a1, a2, a3, a4):
+        return (mutinfo(a1, a2, a3) + mutinfo(a1, a2, a4) + mutinfo(a3, a4, 0)
+                - mutinfo(a1, a2, 0))
+    return mutinfo, ingleton
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_forms_match_values_read_off_random_points(n):
+    rng = random.Random(n)
+    top = entspace.full_mask(n)
+    members = ingen.gen_delta(n) + ingen.gen_elemental(n)
+    for _ in range(3):
+        values = [0] + [rng.randrange(-50, 51) for _ in range(top)]
+        mutinfo, ingleton = _forms_read_off(values)
+        h = entspace.EntropyVector(n, values[1:])
+        for _ in range(300):
+            a1, a2, a3, a4 = (rng.randrange(top + 1) for _ in range(4))
+            quad = IngletonQuad(n, a1, a2, a3, a4)
+            assert evaluate(ingleton_expr(quad), h) == ingleton(a1, a2, a3, a4)
+            assert evaluate(entspace.cond_mutinfo_expr(n, a1, a2, a3), h) == mutinfo(a1, a2, a3)
+            cond = values[a1 | a2] - values[a2]
+            assert evaluate(entspace.cond_entropy_expr(n, a1, a2), h) == cond
+        for ci in members:
+            shape = ingen.shape(ci.kind)
+            if shape == ingen.KIND_DELTA0:
+                *ds, beta = ci.payload
+                want = ingleton(*(d | beta for d in ds))
+            elif shape == ingen.KIND_DELTA1:
+                i, j, mu = ci.payload
+                want = mutinfo(1 << (i - 1), 1 << (j - 1), mu)
+            else:
+                want = values[top] - values[top & ~(1 << (ci.payload[0] - 1))]
+            assert evaluate(ci.expr, h) == want
 
 
 def test_member_expression_is_built_once_on_first_read():
