@@ -29,7 +29,7 @@ from .entspace import (
     parse_rational,
     report_text,
 )
-from .simplex import float_rows, linprog, solve_standard
+from .simplex import exact_columns, float_rows, linprog, solve_standard
 
 CONE_GAMMA = "gamma"
 CONE_GAMMA_IN = "gamma-in"
@@ -161,20 +161,18 @@ class _DualAssembly:
         self.p = problem
         self.glist = glist
         self.dim = 2 ** problem.n - 1
-        # assembled <= rows; >= rows enter negated so one sign rule applies
-        self.ub: list[tuple[LinExpr, Fraction]] = []
-        self.eq: list[tuple[LinExpr, Fraction]] = []
-        self.user_map: list[tuple[str, int, bool]] = []
-        for expr, rel, rhs in problem.constraints:
-            if rel == "=":
-                self.user_map.append(("eq", len(self.eq), False))
-                self.eq.append((expr, rhs))
-            elif rel == ">=":
-                self.user_map.append(("ub", len(self.ub), True))
-                self.ub.append((-expr, -rhs))
-            else:
-                self.user_map.append(("ub", len(self.ub), False))
-                self.ub.append((expr, rhs))
+        self.index = {m: m - 1 for m in range(1, self.dim + 1)}
+        cons = problem.constraints
+        # one (constraint id, sign) per user column: <= rows, >= rows negated
+        # so one sign rule applies, then = rows and = rows negated
+        eqs = [j for j, (_e, rel, _r) in enumerate(cons) if rel == "="]
+        self.user = [(j, -1 if rel == ">=" else 1)
+                     for j, (_e, rel, _r) in enumerate(cons) if rel != "="]
+        self.user += [(j, 1) for j in eqs] + [(j, -1) for j in eqs]
+        # the fixed block: user columns, then a -1 surplus unit per coordinate
+        units = [LinExpr.single(problem.n, m, -1) for m in self.index]
+        self.fixed = exact_columns([s * cons[j][0] for j, s in self.user] + units, self.index)
+        self.cost = [s * cons[j][2] for j, s in self.user] + [0] * self.dim
 
     def solve(self, chosen: list[int], objective: LinExpr, warm=None):
         """Multiplier variables: user rows, surpluses, chosen cone columns.
@@ -183,40 +181,10 @@ class _DualAssembly:
         are appended, which lets the previous basis warm-start the next
         solve.
         """
-        m2, m3, nk, dim = len(self.ub), len(self.eq), len(chosen), self.dim
-        width = m2 + 2 * m3 + dim + nk
-        rows = []
-        b = []
-        base = m2 + 2 * m3 + dim
-        for alpha in range(1, dim + 1):
-            row = [0] * width
-            for j, (u, _e) in enumerate(self.ub):
-                c = u.coeffs.get(alpha)
-                if c:
-                    row[j] = c
-            for i, (f, _r) in enumerate(self.eq):
-                c = f.coeffs.get(alpha)
-                if c:
-                    row[m2 + i] = c
-                    row[m2 + m3 + i] = -c
-            row[m2 + 2 * m3 + alpha - 1] = -1
-            for pos, k in enumerate(chosen):
-                c = self.glist[k].coeffs.get(alpha)
-                if c:
-                    row[base + pos] = -c
-            rows.append(row)
-            b.append(objective.coeffs.get(alpha, 0))
-        cost = ([e for _u, e in self.ub] + [r for _f, r in self.eq]
-                + [-r for _f, r in self.eq] + [0] * (dim + nk))
-        return solve_standard(rows, b, cost, warm=warm)
-
-    def split(self, w, chosen):
-        """(mu, nu, lam, surplus) blocks of a multiplier vector."""
-        m2, m3, dim = len(self.ub), len(self.eq), self.dim
-        mu = w[:m2]
-        nu = [w[m2 + i] - w[m2 + m3 + i] for i in range(m3)]
-        base = m2 + 2 * m3
-        return mu, nu, w[base + dim:], w[base:base + dim]
+        cone = exact_columns([self.glist[k] for k in chosen], self.index, sign=-1)
+        rows = [f + c for f, c in zip(self.fixed, cone)]
+        b = [objective.coeffs.get(m, 0) for m in self.index]
+        return solve_standard(rows, b, self.cost + [0] * len(chosen), warm=warm)
 
 
 # most violated members priced in per round
@@ -233,13 +201,15 @@ def _price(glist, kset, vec) -> list[int]:
 
 def _float_seed(asm: _DualAssembly) -> list[int]:
     """Float presolve; guesses which cone rows matter.  Never decides."""
-    index = {m: m - 1 for m in range(1, asm.dim + 1)}
+    cons = asm.p.constraints
+    ub = [(j, s) for j, s in asm.user if cons[j][1] != "="]
+    eq = [(e, r) for e, rel, r in cons if rel == "="]
     # cone members g >= 0 enter as -g <= 0 beside the assembled <= rows
-    a_ub = float_rows(asm.glist + [-u for u, _e in asm.ub], index, sign=-1)
-    b_ub = [0.0] * len(asm.glist) + [float(e) for _u, e in asm.ub]
-    cost = [-float(asm.p.objective.coeffs.get(m, 0)) for m in index]
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=float_rows([f for f, _r in asm.eq], index),
-                  b_eq=[float(r) for _f, r in asm.eq], bounds=(0, None), method="highs")
+    a_ub = float_rows(asm.glist + [-s * cons[j][0] for j, s in ub], asm.index, sign=-1)
+    b_ub = [0.0] * len(asm.glist) + [float(s * cons[j][2]) for j, s in ub]
+    cost = [-float(asm.p.objective.coeffs.get(m, 0)) for m in asm.index]
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=float_rows([e for e, _r in eq], asm.index),
+                  b_eq=[float(r) for _e, r in eq], bounds=(0, None), method="highs")
     if res.status != 0:
         return []
     # dual support is at most basis-sized; tight-but-unused rows would
@@ -339,11 +309,12 @@ def _cone_fold(problem, members, asm: _DualAssembly, chosen, w) -> dict:
     the cone already implies; rewriting h(alpha) as a coefficient-1 sum
     of single-element forms turns it into ordinary cone multipliers.
     """
-    _mu, _nu, lam_block, surplus = asm.split(w, chosen)
+    base = len(asm.user)
+    surplus = w[base:base + asm.dim]
     lam: dict[int, Fraction] = {}
-    for pos, k in enumerate(chosen):
-        if lam_block[pos]:
-            lam[k] = Fraction(lam_block[pos])
+    for k, v in zip(chosen, w[base + asm.dim:]):
+        if v:
+            lam[k] = Fraction(v)
     by_key = {(ingen.shape(ci.kind), ci.payload): idx for idx, ci in enumerate(members)}
     for alpha in range(1, asm.dim + 1):
         gap = surplus[alpha - 1]
@@ -354,15 +325,11 @@ def _cone_fold(problem, members, asm: _DualAssembly, chosen, w) -> dict:
     return lam
 
 
-def _user_multipliers(asm: _DualAssembly, w, chosen, negate: bool) -> list:
+def _user_multipliers(asm: _DualAssembly, w, negate: bool) -> list:
     """Per original constraint; negate undoes the assembly for Farkas use."""
-    mu, nu, _lam, _s = asm.split(w, chosen)
-    out = []
-    for block, idx, flipped in asm.user_map:
-        v = mu[idx] if block == "ub" else nu[idx]
-        if flipped != negate:
-            v = -v
-        out.append(Fraction(v))
+    out = [Fraction(0)] * len(asm.p.constraints)
+    for v, (j, s) in zip(w, asm.user):
+        out[j] += -s * v if negate else s * v
     return out
 
 
@@ -372,7 +339,7 @@ def _result(problem, members, asm, chosen, res) -> BoundResult:
     optimal = res.status == "optimal"
     w = res.x if optimal else res.ray
     lam = _cone_fold(problem, members, asm, chosen, w)
-    user = tuple(_user_multipliers(asm, w, chosen, negate=not optimal))
+    user = tuple(_user_multipliers(asm, w, negate=not optimal))
     cone = tuple(sorted((k, cf) for k, cf in lam.items() if cf))
     if optimal:
         return BoundResult(status="optimal", value=Fraction(res.objective),
@@ -517,6 +484,8 @@ class NetworkDescription:
 
 
 def _validate_network(net: NetworkDescription) -> None:
+    # the size check bounds the depth of the pass below
+    check_n(len(net.sources) + len(net.edges))
     names = list(net.sources) + [e.ident for e in net.edges]
     if len(set(names)) != len(names):
         raise ValueError("duplicate source/edge id")
@@ -575,7 +544,6 @@ def compile_network(net: NetworkDescription, demands=None,
     """
     _validate_network(net)
     n = len(net.sources) + len(net.edges)
-    check_n(n)
     bit = {}
     for name in list(net.sources) + [e.ident for e in net.edges]:
         bit[name] = 1 << len(bit)

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import ingen
+from . import bound, ingen
 from .entspace import (
     EntropyVector,
     GroundSetError,
@@ -33,7 +34,7 @@ from .entspace import (
     parse_rational,
     report_text,
 )
-from .simplex import float_rows, linprog, solve_standard
+from .simplex import exact_columns, float_rows, linprog, solve_standard
 
 
 def _require(ok: bool, what: str) -> None:
@@ -152,7 +153,7 @@ class _ConeSystem:
 
     def _exact_solve(self, support: list[int], b_exact):
         """Exact feasibility solve of sum_j x_j gens[support[j]] = target, x >= 0."""
-        A = [[self.gens[j].coeffs.get(m, 0) for j in support] for m in self.masks]
+        A = exact_columns([self.gens[j] for j in support], self.index)
         return solve_standard(A, b_exact, [0] * len(support))
 
     def _exact_decide(self, target: LinExpr, b_exact):
@@ -359,12 +360,14 @@ def _call_job(item):
 def _map(job, items: list, workers: int) -> list:
     """[job(item) for item in items], split over forked workers if workers > 1.
 
-    A forked worker gets the job, closure and prepared state included,
-    without pickling; only items and results cross the process boundary.
+    No more workers are forked than there are items or CPUs.  A forked
+    worker gets the job, closure and prepared state included, without
+    pickling; only items and results cross the process boundary.
     """
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
-    if workers == 1:
+    workers = min(workers, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [job(it) for it in items]
     chunk = max(1, len(items) // (workers * 8))
     with multiprocessing.get_context("fork").Pool(
@@ -582,27 +585,16 @@ def find_ingleton_violator(n: int = 4) -> EntropyVector:
 
 
 def _violator4() -> EntropyVector:
-    elem = [ci.expr for ci in ingen.gen_elemental(4)]
+    members = ingen.gen_elemental(4)
+    elem = [ci.expr for ci in members]
     target = ingleton_expr(IngletonQuad(4, 1, 2, 4, 8))
-    nm = 15
     # minimize the Ingleton value over the polymatroid cone sliced at h(N)=1
-    rows = []
-    b = []
-    for g in elem:
-        row = [-g.coeffs.get(m, 0) for m in range(1, 16)] + [0] * len(elem)
-        rows.append(row)
-        b.append(0)
-    for k, row in enumerate(rows):
-        row[nm + k] = 1
-    full_row = [0] * (nm + len(elem))
-    full_row[nm - 1] = 1
-    rows.append(full_row)
-    b.append(1)
-    cost = [target.coeffs.get(m, 0) for m in range(1, 16)] + [0] * len(elem)
-    res = solve_standard(rows, b, cost)
-    _require(res.status == "optimal" and res.objective < 0,
+    problem = bound.BoundProblem(4, bound.CONE_GAMMA, "min", target,
+                                 ((LinExpr.single(4, 15), "=", Fraction(1)),))
+    res = bound.solve_bound(problem, members=members)
+    _require(res.status == "optimal" and res.value < 0,
              "no Ingleton violation in the polymatroid cone")
-    point = EntropyVector(4, res.x[:nm])
+    point = res.primal
     _require(evaluate(target, point) < 0, "violator satisfies Ingleton")
     _require(all(evaluate(g, point) >= 0 for g in elem), "violator is not a polymatroid")
     _require(point[15] == 1, "violator is not normalized to h(N) = 1")

@@ -47,9 +47,10 @@ def check_mask(mask: int, n: int) -> None:
 
 
 def mask_from_elements(elements: Iterable[int], n: int | None = None) -> int:
+    """Bit mask of the elements, each checked against n (MAX_N if None) before shifting."""
     mask = 0
     for e in elements:
-        if not isinstance(e, int) or e < 1 or (n is not None and e > n):
+        if not isinstance(e, int) or not 1 <= e <= (MAX_N if n is None else n):
             raise GroundSetError(f"element {e!r} outside ground set")
         mask |= 1 << (e - 1)
     return mask
@@ -351,7 +352,10 @@ def vector_from_text(text: str) -> EntropyVector:
     for m in _PAIR_RE.finditer(body):
         if body[pos:m.start()].strip():
             raise ValueError(f"bad vector syntax near {body[pos:m.start()]!r}")
-        acc[parse_subset(m.group(1))] = parse_rational(m.group(2))
+        mask = parse_subset(m.group(1))
+        if mask in acc:
+            raise ValueError(f"repeated subset {m.group(1)}")
+        acc[mask] = parse_rational(m.group(2))
         pos = m.end()
     if body[pos:].strip():
         raise ValueError(f"bad vector syntax near {body[pos:]!r}")

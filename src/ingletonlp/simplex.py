@@ -24,10 +24,11 @@ with positive denominators.  No positive factor changes any of these, so
 each pivot is the one plain rational arithmetic would choose.  Inputs may
 mix ints and Fractions; outputs are Fractions.
 
-This is the package's only float module.  `linprog` is its one way into
-the float solver (HiGHS through scipy) and `float_rows` builds the scipy
-sparse matrices the presolves hand it; each imports scipy at its first
-call.
+`exact_columns` builds every exact matrix the package hands the solver.
+This is also the package's only float module.  `linprog` is its one way
+into the float solver (HiGHS through scipy) and `float_rows` builds the
+scipy sparse matrices the presolves hand it; each imports scipy at its
+first call.
 """
 
 from __future__ import annotations
@@ -77,6 +78,16 @@ def float_rows(exprs, index: dict[int, int], sign: int = 1):
             data.append(sign * float(c))
         ptr.append(len(cols))
     return csr_matrix((data, cols, ptr), shape=(len(ptr) - 1, len(index)))
+
+
+def exact_columns(exprs, index: dict[int, int], sign: int = 1) -> list[list]:
+    """Dense exact matrix with one column per LinExpr: mask m's coefficient,
+    times sign, in row index[m]; index maps onto range(len(index))."""
+    rows = [[0] * len(exprs) for _ in index]
+    for j, e in enumerate(exprs):
+        for m, c in e.coeffs.items():
+            rows[index[m]][j] = sign * c
+    return rows
 
 
 def _bits(vals: list[int]) -> int:

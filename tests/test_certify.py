@@ -11,6 +11,7 @@ import pytest
 
 from ingletonlp import bound, certify, ingen
 from ingletonlp.entspace import (
+    EntropyVector,
     GroundSetError,
     IngletonQuad,
     evaluate,
@@ -272,6 +273,36 @@ def test_worker_count_below_one_is_rejected(scan, workers):
 # named violator
 
 
+def test_map_forks_no_more_workers_than_items_or_cpus(monkeypatch):
+    # a fake fork context records each pool's size and maps in process
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return [fn(it) for it in items]
+
+    monkeypatch.setattr(certify.multiprocessing, "get_context",
+                        lambda method: SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(certify, "_job", None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    items = list(range(10))
+    for few in (items, items[:2], items[:1], []):
+        assert certify._map(lambda x: x * x, few, 64) == [x * x for x in few]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert certify._map(lambda x: -x, items, 64) == [-x for x in items]
+    assert sizes == [3, 2]
+
+
 def test_violator_below_four_elements_is_impossible():
     with pytest.raises(GroundSetError):
         certify.find_ingleton_violator(3)
@@ -430,8 +461,19 @@ def _negate_y(res):
     res.y = [-v for v in res.y]
 
 
-def _rescale_top(res):
-    res.x[14] = 2 * res.x[14]  # coordinate h{1,2,3,4}
+def _tampered_bound(edit=lambda res: None):
+    real = bound.solve_bound
+
+    def solve(*args, **kwargs):
+        res = real(*args, **kwargs)
+        edit(res)
+        return res
+    return solve
+
+
+def _rescale_primal_top(res):
+    h = res.primal  # coordinate h{1,2,3,4} doubled
+    _set(primal=EntropyVector.from_function(4, lambda m: 2 * h[m] if m == 15 else h[m]))(res)
 
 
 def _only_target_negative(e, h):
@@ -457,13 +499,14 @@ def test_exact_witness_guards(monkeypatch, solve, fake_eval, what):
 
 
 @pytest.mark.parametrize("solve, fake_eval, what", [
-    (_tampered_solve(_set(status="infeasible")), None, "no Ingleton violation"),
-    (_tampered_solve(), lambda e, h: 0, "satisfies Ingleton"),
-    (_tampered_solve(), lambda e, h: -1, "not a polymatroid"),
-    (_tampered_solve(_rescale_top), _only_target_negative, "not normalized"),
+    (_tampered_bound(_set(status="infeasible")), None, "no Ingleton violation"),
+    (_tampered_bound(), lambda e, h: 0, "satisfies Ingleton"),
+    (_tampered_bound(), lambda e, h: -1, "not a polymatroid"),
+    (_tampered_bound(_rescale_primal_top), _only_target_negative, "not normalized"),
 ])
 def test_violator4_guards(monkeypatch, solve, fake_eval, what):
-    monkeypatch.setattr(certify, "solve_standard", solve)
+    # the violator is one bound solve; the guards re-check what it returns
+    monkeypatch.setattr(bound, "solve_bound", solve)
     if fake_eval is not None:
         monkeypatch.setattr(certify, "evaluate", fake_eval)
     with pytest.raises(RuntimeError, match=what):

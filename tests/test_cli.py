@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -519,12 +520,74 @@ def test_exact_bound_leaves_the_float_stack_unloaded(tmp_path):
     assert proc.stderr.endswith("code=0 loaded=[]")
 
 
+def test_violator_witness_leaves_the_float_stack_unloaded():
+    # the violator is one exact bound solve over the 28 elemental members at n=4
+    code = (
+        "import sys\n"
+        "from ingletonlp import cli\n"
+        "code = cli.main(['witness', '--n', '4', '--kind', 'violator'])\n"
+        "loaded = [m for m in ('numpy', 'scipy') if m in sys.modules]\n"
+        "sys.stderr.write(f'code={code} loaded={loaded}')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("{1,2,3,4}=1\n")
+    assert proc.stderr.endswith("code=0 loaded=[]")
+
+
 def test_huge_n_in_a_vector_file_exits_two(capsys, tmp_path):
     # the header is range-checked before 2^n - 1 values are allocated
     point = tmp_path / "point.txt"
     point.write_text("n=70\n{1}=1\n", encoding="ascii")
     rc, out, err = run_cli(capsys, ["membership", "--point", str(point)])
     assert rc == 2 and out == "" and err.startswith("error:")
+
+
+def _capped_cli(argv, limit=1 << 30):
+    """(exit code, stderr) of the CLI in a child process whose address space
+    is capped at limit bytes, so a runaway allocation fails fast there."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    code = f"import sys\nfrom ingletonlp import cli\nsys.exit(cli.main({argv!r}))\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, preexec_fn=cap)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("args, text", [
+    (["classify", "--n", "4", "--quad", "{40000000000},{2},{3},{4}"], None),
+    (["membership", "--point"], "n=4\n{40000000000}=1\n"),
+    (["bound", "--problem"], "n 4\ncone gamma\nmaximize +1*h{40000000000}\n"),
+])
+def test_huge_element_in_subset_text_exits_two(tmp_path, args, text):
+    # an element is range-checked before it is shifted into a 2^e mask
+    if text is not None:
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="ascii")
+        args = [*args, str(path)]
+    rc, err = _capped_cli(args)
+    assert rc == 2 and err.startswith("error:"), err
+
+
+def test_deep_network_file_exits_two(capsys, tmp_path):
+    # a 3,000-edge chain, last edge first, is refused by its size before
+    # the depth-first pass that would recurse once per edge
+    edges = [f"edge e{k} from {f'e{k - 1}' if k > 1 else 's'} cap 1" for k in range(3000, 0, -1)]
+    net = tmp_path / "net.txt"
+    net.write_text("\n".join(["source s", *edges, "sink t wants s sees e3000"]) + "\n",
+                   encoding="ascii")
+    rc, out, err = run_cli(capsys, ["bound", "--network", str(net), "--cone", "gamma"])
+    assert rc == 2 and out == "" and "ground-set size" in err
+
+
+@pytest.mark.parametrize("pairs", ["{1}=1 {1}=2", "{1,2}=1 {2,1}=1", "{}=0 {}=0"])
+def test_repeated_subset_in_a_point_file_exits_two(capsys, tmp_path, pairs):
+    point = tmp_path / "point.txt"
+    point.write_text(f"n=3\n{pairs}\n", encoding="ascii")
+    rc, out, err = run_cli(capsys, ["membership", "--point", str(point)])
+    assert rc == 2 and out == "" and "repeated subset" in err
 
 
 # near-valid n=3 inputs, each with the arguments that read it; the budget

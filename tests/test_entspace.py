@@ -82,6 +82,16 @@ def test_mask_elements_roundtrip():
         assert mask_from_elements(elements_of(m), n=4) == m
 
 
+def test_elements_are_range_checked_before_shifting():
+    # a huge element would otherwise build a 2^e-bit int first
+    for elements, n in (([MAX_N + 1], None), ([40000000000], None), ([5], 4), ([0], None)):
+        with pytest.raises(GroundSetError):
+            mask_from_elements(elements, n=n)
+    assert mask_from_elements([MAX_N]) == 1 << (MAX_N - 1)
+    with pytest.raises(ValueError):
+        parse_subset("{40000000000}")
+
+
 def test_subset_text_roundtrip():
     assert format_subset(0b101) == "{1,3}"
     assert format_subset(0) == "{}"

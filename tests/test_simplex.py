@@ -415,6 +415,21 @@ def test_float_rows_match_the_dense_coefficients():
         assert got.shape == dense.shape and np.array_equal(got.toarray(), dense)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_exact_columns_match_the_dense_coefficients(data):
+    # int and Fraction coefficients, both signs, rows in any index order
+    n = data.draw(st.integers(2, 4))
+    masks = data.draw(st.permutations(range(1, 2 ** n)))
+    coeff = st.one_of(st.integers(-5, 5), _rationals)
+    exprs = [LinExpr(n, d) for d in data.draw(st.lists(
+        st.dictionaries(st.sampled_from(masks), coeff, max_size=6), max_size=6))]
+    index = {m: i for i, m in enumerate(masks)}
+    for sign in (1, -1):
+        dense = [[sign * e.coeffs.get(m, 0) for e in exprs] for m in masks]
+        assert simplex.exact_columns(exprs, index, sign) == dense
+
+
 def _float_stack_imports(path):
     """(line, inside a function) of each numpy or scipy import in path."""
     tree = ast.parse(path.read_text(encoding="utf-8"))

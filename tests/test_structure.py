@@ -22,11 +22,28 @@ def test_no_assert_statement_in_the_package():
     assert found == []
 
 
+def _defined(trees):
+    """(module file, function name) of every function definition."""
+    return [(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _calls(tree, func):
+    """Calls of func in tree, by plain or attribute name."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == func]
+
+
 def test_one_accumulator_and_one_permutation_walk():
     trees = _trees()
-    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    defined = {fn for _name, fn in _defined(trees)}
     assert "_combine" in defined and "_bump" not in defined
-    walks = [node for node in ast.walk(trees["certify.py"]) if isinstance(node, ast.Call)
-             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "permutations"]
-    assert len(walks) == 1
+    assert len(_calls(trees["certify.py"], "permutations")) == 1
+
+
+def test_one_exact_matrix_builder_and_one_exact_solve_per_module():
+    # simplex builds every exact matrix; the violator is a bound solve
+    trees = _trees()
+    assert [name for name, fn in _defined(trees) if fn == "exact_columns"] == ["simplex.py"]
+    assert len(_calls(trees["certify.py"], "solve_standard")) == 1
+    assert len(_calls(trees["bound.py"], "solve_standard")) == 1
