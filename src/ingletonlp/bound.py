@@ -204,12 +204,16 @@ def _float_seed(asm: _DualAssembly) -> list[int]:
     cons = asm.p.constraints
     ub = [(j, s) for j, s in asm.user if cons[j][1] != "="]
     eq = [(e, r) for e, rel, r in cons if rel == "="]
-    # cone members g >= 0 enter as -g <= 0 beside the assembled <= rows
-    a_ub = float_rows(asm.glist + [-s * cons[j][0] for j, s in ub], asm.index, sign=-1)
-    b_ub = [0.0] * len(asm.glist) + [float(s * cons[j][2]) for j, s in ub]
-    cost = [-float(asm.p.objective.coeffs.get(m, 0)) for m in asm.index]
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=float_rows([e for e, _r in eq], asm.index),
-                  b_eq=[float(r) for _e, r in eq], bounds=(0, None), method="highs")
+    try:
+        # cone members g >= 0 enter as -g <= 0 beside the assembled <= rows
+        a_ub = float_rows(asm.glist + [-s * cons[j][0] for j, s in ub], asm.index, sign=-1)
+        b_ub = [0.0] * len(asm.glist) + [float(s * cons[j][2]) for j, s in ub]
+        cost = [-float(asm.p.objective.coeffs.get(m, 0)) for m in asm.index]
+        a_eq, b_eq = float_rows([e for e, _r in eq], asm.index), [float(r) for _e, r in eq]
+    except OverflowError:  # a value beyond float range: seed nothing
+        return []
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs")
     if res.status != 0:
         return []
     # dual support is at most basis-sized; tight-but-unused rows would

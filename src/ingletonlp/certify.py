@@ -125,7 +125,11 @@ class _ConeSystem:
             return None, point
 
         b_exact = [target.coeffs.get(m, 0) for m in self.masks]
-        b_float = [float(v) for v in b_exact]
+        try:  # the float stage only proposes, so it steps aside beyond float range
+            b_float = [float(v) for v in b_exact]
+            self.float_gens()
+        except OverflowError:
+            return self._exact_decide(target, b_exact)
         ngen = len(self.gens)
 
         if witness_first:
@@ -198,9 +202,8 @@ class _ConeSystem:
         if tval >= 0:
             return None
         # rounded is nums/den, so the scaled point is nums/q with q = -tval*den
-        nums, den = rounded.scaled()
-        q = Fraction(-tval * den)
-        point = EntropyVector.over(self.n, [a * q.denominator for a in nums], q.numerator)
+        q = -tval * rounded.den
+        point = EntropyVector.over(self.n, [a * q.denominator for a in rounded.nums], q.numerator)
         if any(evaluate(g, point) < 0 for g in self.gens):
             return None
         if evaluate(target, point) != -1:
@@ -313,18 +316,19 @@ def _delta_id_maps(delta: list[ingen.CanonicalInequality], tables) -> list[list[
     return maps
 
 
-def _choose_quads(n: int, sample: int | None, seed: int):
+def _choose_quads(n: int, sample: int | None, seed: int, budget: int | None):
     """The quads a scan decides, the orbits, and the report fields saying how.
 
     Exhaustive iff n <= 4 and no sample size is given: the orbits are
     (canon, tables), where canon maps every swap class (a1 <= a2, a3 <= a4)
     to its orbit representative and the index in tables of the relabeling
     that reaches it, and the representatives are decided.
-    Otherwise `sample` (default 1000) seeded random quads, and no orbits.
+    Otherwise `sample` (default 1000, budgeted before any is drawn) seeded quads, no orbits.
     """
     if sample is not None and sample < 1:
         raise ValueError(f"sample size must be at least 1, got {sample}")
     if n > 4 or sample is not None:
+        ingen.check_budget(sample or 1000, budget, "sampled quads")
         rng = random.Random(seed)
         top = 2 ** n
         items = [tuple(rng.randrange(top) for _ in range(4)) for _ in range(sample or 1000)]
@@ -445,7 +449,7 @@ def check_theorem1(n: int, sample: int | None = None, seed: int = 0, workers: in
                    budget: int | None = ingen.DEFAULT_BUDGET) -> Theorem1Report:
     """Basic-implication criterion vs the LP decision, per quad orbit."""
     elemental = ingen.gen_elemental(n, budget=budget)
-    items, _orbits, fields = _choose_quads(n, sample, seed)
+    items, _orbits, fields = _choose_quads(n, sample, seed, budget)
     bad = []
     certs = []
     wits = []
@@ -482,7 +486,7 @@ def check_completeness(n: int, sample_size: int | None = None, seed: int = 0,
                        budget: int | None = ingen.DEFAULT_BUDGET) -> CompletenessReport:
     """Every Ingleton inequality receives a certificate over the minimal set."""
     delta = ingen.gen_delta(n, budget=budget)
-    items, orbits, fields = _choose_quads(n, sample_size, seed)
+    items, orbits, fields = _choose_quads(n, sample_size, seed, budget)
     results = _decide_quads(n, delta, items, workers)
     failures = [text for text, answer in results
                 if not isinstance(answer, FarkasCertificate)]
@@ -566,16 +570,11 @@ def find_ingleton_violator(n: int = 4) -> EntropyVector:
     base = _violator4()
     if n == 4:
         return base
-    # pad with independent unit-entropy elements, then renormalize h(N)=1
-    extra = n - 4
-    scale = Fraction(1, 1 + extra)
-
-    def val(mask: int) -> Fraction:
-        inner = mask & 0xF
-        inner_val = base[inner] if inner else Fraction(0)
-        return (inner_val + (mask >> 4).bit_count()) * scale
-
-    out = EntropyVector.from_function(n, val)
+    # pad with independent unit-entropy elements, then renormalize h(N)=1:
+    # h(mask) = (base(mask & 0xF) + |mask >> 4|) / (n - 3), over base's denominator
+    inner, den = (0, *base.nums), base.den
+    out = EntropyVector.over(n, [inner[m & 0xF] + (m >> 4).bit_count() * den
+                                 for m in range(1, 1 << n)], den * (n - 3))
     quad = IngletonQuad(n, 1, 2, 4, 8)
     _require(evaluate(ingleton_expr(quad), out) < 0, "padded point satisfies Ingleton")
     if n <= 8:

@@ -3,9 +3,9 @@
 The coordinate space for a ground set {1..n} has one axis per nonempty
 subset.  Subsets are int bitmasks (bit k-1 = element k), coefficients and
 point values are exact rationals (int or fractions.Fraction), and the
-empty set always evaluates to zero and is never stored.  A point also
-keeps its values as int numerators over one common denominator, so
-evaluating an expression is one int dot product divided once.
+empty set always evaluates to zero and is never stored.  A point is int
+numerators over one positive denominator (`int_form`, which also builds the
+exact simplex rows), so evaluating is one int dot product divided once.
 
 `ingleton_terms` and `mutinfo_terms` are the only spelling of the ten-term
 form J and of I(a; b | d), here and in `ingen`; `_combine` is the only
@@ -26,6 +26,14 @@ MIN_N = 2
 MAX_N = 20
 
 Rational = int | Fraction
+
+
+def int_form(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """Rationals as int numerators over their lcm denominator: lowest terms if each is reduced."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 class GroundSetError(ValueError):
@@ -253,35 +261,28 @@ def parse_expr(text: str, n: int) -> LinExpr:
 
 
 class EntropyVector:
-    """Point of the coordinate space: one exact rational per nonempty subset."""
+    """Point of the coordinate space: h(mask) = nums[mask - 1] / den, den > 0, in lowest terms."""
 
-    __slots__ = ("n", "_values", "_scaled")
+    __slots__ = ("n", "nums", "den")
 
     def __init__(self, n: int, values: Sequence[Rational]):
         check_n(n)
-        vals = tuple(values)
+        vals = list(values)
         if len(vals) != full_mask(n):
             raise GroundSetError(f"need {full_mask(n)} values for n={n}, got {len(vals)}")
         bad = next((v for v in vals if not isinstance(v, (int, Fraction))), None)
         if bad is not None:
             raise TypeError(f"point values must be int or Fraction, got {bad!r}")
-        self.n = n
-        self._values = vals
-        self._scaled = None
+        nums, self.den = int_form(vals)
+        self.n, self.nums = n, tuple(nums)
 
     @classmethod
     def over(cls, n: int, nums: Sequence[int], den: int) -> "EntropyVector":
-        """The point nums/den, keeping nums and den > 0 as its scaled form."""
-        h = cls(n, [Fraction(a, den) for a in nums])
-        h._scaled = (nums, den)
+        """The point nums/den for int nums and den > 0, stored in lowest terms."""
+        h = cls(n, nums)
+        g = math.gcd(den, *h.nums)
+        h.nums, h.den = tuple(a // g for a in h.nums), den // g
         return h
-
-    def scaled(self) -> tuple[Sequence[int], int]:
-        """(numerators, den): the values as ints over one positive denominator."""
-        if self._scaled is None:
-            den = math.lcm(*(v.denominator for v in self._values))
-            self._scaled = ([v.numerator * (den // v.denominator) for v in self._values], den)
-        return self._scaled
 
     @classmethod
     def from_dict(cls, n: int, mapping: Mapping[int, Rational]) -> "EntropyVector":
@@ -304,19 +305,22 @@ class EntropyVector:
         if mask == 0:
             return 0
         check_mask(mask, self.n)
-        return self._values[mask - 1]
+        return self._value(self.nums[mask - 1])
+
+    def _value(self, a: int) -> Rational:
+        return a if self.den == 1 else Fraction(a, self.den)
 
     def items(self) -> Iterator[tuple[int, Rational]]:
-        for mask, v in enumerate(self._values, start=1):
-            yield mask, v
+        for mask, a in enumerate(self.nums, start=1):
+            yield mask, self._value(a)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EntropyVector):
             return NotImplemented
-        return self.n == other.n and all(a == b for a, b in zip(self._values, other._values))
+        return (self.n, self.den, self.nums) == (other.n, other.den, other.nums)
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(Fraction(v) for v in self._values)))
+        return hash((self.n, self.den, self.nums))
 
     def __repr__(self) -> str:
         return f"<EntropyVector n={self.n} {format_vector_pairs(self)}>"
@@ -385,13 +389,19 @@ def format_quad(q: IngletonQuad) -> str:
     return ",".join(format_subset(m) for m in q.masks())
 
 
+_SUBSET_RE = re.compile(r"\{[0-9,\s]*\}")
+
+
+def split_subsets(text: str, count: int) -> list[str]:
+    """The count `{..}` subset texts of text, with only `,()` and whitespace around them."""
+    parts = _SUBSET_RE.findall(text)
+    if len(parts) != count or not re.fullmatch(r"[,()\s]*", _SUBSET_RE.sub("", text)):
+        raise ValueError(f"expected {count} subsets, got {text!r}")
+    return parts
+
+
 def parse_quad(text: str, n: int) -> IngletonQuad:
-    parts = re.findall(r"\{[0-9,\s]*\}", text)
-    leftover = re.sub(r"\{[0-9,\s]*\}", "", text).replace(",", "").replace("(", "").replace(")", "").strip()
-    if len(parts) != 4 or leftover:
-        raise ValueError(f"expected four subsets, got {text!r}")
-    masks = [parse_subset(p) for p in parts]
-    return IngletonQuad(n, *masks)
+    return IngletonQuad(n, *(parse_subset(p) for p in split_subsets(text, 4)))
 
 
 def mutinfo_terms(alpha: int, beta: int, delta: int) -> tuple[tuple[int, int], ...]:
@@ -441,9 +451,8 @@ def project_away(e: LinExpr, beta: int) -> LinExpr:
 def evaluate(e: LinExpr, h: EntropyVector) -> Rational:
     if e.n != h.n:
         raise GroundSetError("expression and point use different ground sets")
-    nums, den = h._scaled or h.scaled()
-    s = sum(c * nums[m - 1] for m, c in e.coeffs.items())
-    return s if den == 1 else Fraction(s, den)
+    nums = h.nums
+    return h._value(sum(c * nums[m - 1] for m, c in e.coeffs.items()))
 
 
 def witness_fulldim(n: int) -> EntropyVector:

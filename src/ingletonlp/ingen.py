@@ -26,7 +26,6 @@ time from those terms, without building any expression.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from itertools import groupby, islice
 from typing import Iterator, Sequence
@@ -43,6 +42,7 @@ from .entspace import (
     mutinfo_terms,
     parse_expr,
     parse_subset,
+    split_subsets,
     term_key,
 )
 
@@ -67,9 +67,9 @@ class BudgetExceededError(RuntimeError):
     """Predicted enumeration size exceeds the configured budget."""
 
 
-def _check_budget(predicted: int, budget: int | None) -> None:
+def check_budget(predicted: int, budget: int | None, what: str) -> None:
     if budget is not None and predicted > budget:
-        raise BudgetExceededError(f"predicted {predicted} members exceeds budget {budget}")
+        raise BudgetExceededError(f"predicted {predicted} {what} exceeds budget {budget}")
 
 
 def payload_text(kind: str, payload: tuple, names: SubsetNames | None = None) -> str:
@@ -252,7 +252,7 @@ def family(name: str, n: int, budget: int | None = DEFAULT_BUDGET) -> Family:
     check_n(n)
     size, blocks = FAMILIES[name]
     predicted = size(n)
-    _check_budget(predicted, budget)
+    check_budget(predicted, budget, "members")
     return Family(n, predicted, blocks)
 
 
@@ -438,8 +438,8 @@ def _parse_payload(kind: str, text: str, n: int) -> tuple:
     if form == KIND_DELTA0:
         pairs, beta_s = text.split("|")
         left, right = pairs.split(";")
-        d1_s, d2_s = _split_subsets(left, 2)
-        d3_s, d4_s = _split_subsets(right, 2)
+        d1_s, d2_s = split_subsets(left, 2)
+        d3_s, d4_s = split_subsets(right, 2)
         payload = tuple(_subset_in(t, n) for t in (d1_s, d2_s, d3_s, d4_s, beta_s))
         union, overlap = 0, 0
         for m in payload:
@@ -451,7 +451,7 @@ def _parse_payload(kind: str, text: str, n: int) -> tuple:
         return payload
     if form == KIND_DELTA1:
         head, mu_s = text.split("|")
-        i_s, j_s = _split_subsets(head, 2)
+        i_s, j_s = split_subsets(head, 2)
         i, j, mu = _element_in(kind, i_s, n), _element_in(kind, j_s, n), _subset_in(mu_s, n)
         if i == j or mu & (1 << (i - 1) | 1 << (j - 1)):
             raise ValueError(f"{kind} payload {text!r} needs two distinct elements "
@@ -460,13 +460,6 @@ def _parse_payload(kind: str, text: str, n: int) -> tuple:
     if form == KIND_DELTA2:
         return (_element_in(kind, text, n),)
     raise ValueError(f"unknown inequality kind {kind!r}")
-
-
-def _split_subsets(text: str, count: int) -> list[str]:
-    parts = re.findall(r"\{[0-9,\s]*\}", text)
-    if len(parts) != count:
-        raise ValueError(f"expected {count} subsets in {text!r}")
-    return parts
 
 
 def read_inequalities(path) -> tuple[int, list[CanonicalInequality]]:

@@ -38,7 +38,9 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
+
+from .entspace import int_form
 
 _WIDTH = 64  # lane width a tableau starts at; tests patch it smaller
 _CODES = {array(code).itemsize * 8: code for code in "bhiq"}  # lane width -> typecode
@@ -230,14 +232,6 @@ class _Tableau:
             bits[i] = b
 
 
-def _int_row(values) -> tuple[list[int], int]:
-    """Rationals as integer numerators over their least common denominator."""
-    if all(type(v) is int for v in values):
-        return list(values), 1
-    den = lcm(*(int(v.denominator) for v in values))
-    return [int(v.numerator) * (den // int(v.denominator)) for v in values], den
-
-
 def _warm_tableau(rows: list[list[int]], dens: list[int], warm: tuple, nc: int):
     """Tableau reduced to a remembered basis, or None when it no longer fits."""
     live_in, bcols = warm
@@ -273,7 +267,7 @@ def _solve_transposed(cols: list[list[int]], rhs: list) -> list[Fraction]:
     mm = len(rhs)
     if mm == 0:
         return []
-    pairs = [_int_row(cols[k] + [rhs[k]]) for k in range(mm)]
+    pairs = [int_form(cols[k] + [rhs[k]]) for k in range(mm)]
     tab = _Tableau([r for r, _ in pairs], [d for _, d in pairs])
     for col in range(mm):
         fs = tab.column(col)
@@ -302,7 +296,7 @@ def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -
     rows = []
     dens = []
     for i in range(m):
-        r, d = _int_row(list(A[i]) + [b[i]])
+        r, d = int_form(list(A[i]) + [b[i]])
         if r[nc] < 0:
             r = [-v for v in r]
             sign[i] = -1
@@ -364,7 +358,7 @@ def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -
 
         It sits below the basis rows, so every pivot clears it too; returns its index.
         """
-        Z, dz = _int_row(cvec + [0])
+        Z, dz = int_form(cvec + [0])
         z = len(basis)
         tab.append(Z, dz)
         for pos, j in enumerate(basis):

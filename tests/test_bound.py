@@ -538,6 +538,27 @@ def test_column_generation_matches_all_columns(monkeypatch, n):
     assert {p.sense for p in problems} == set(bound.SENSES)
 
 
+
+def test_rhs_beyond_float_range_seeds_no_columns(monkeypatch, capsys, tmp_path):
+    # the float seed never decides: a value it cannot hold leaves it out,
+    # and the exact column generation finds the all-columns answer alone
+    text = "n 3\ncone gamma-in\nmaximize +1*h{1,2,3}\nst +1*h{1} <= 1%s\nst +1*h{2,3} <= 1\n"
+    problem = bound.parse_problem(text % ("0" * 400))
+    want = bound.solve_bound(problem)
+    assert (want.status, want.value) == ("optimal", 10 ** 400 + 1)
+    monkeypatch.setattr(bound, "_ALL_COLUMNS_LIMIT", 0)
+    asm = bound._DualAssembly(problem, [ci.expr for ci in bound.cone_members(3, problem.cone)])
+    assert bound._float_seed(asm) == []
+    got = bound.solve_bound(problem)
+    assert (got.status, got.value) == (want.status, want.value)
+    assert bound.verify_bound_result(problem, got)
+    path = tmp_path / "problem.txt"
+    path.write_text(text % ("0" * 400), encoding="ascii")
+    from ingletonlp.cli import main
+    assert main(["bound", "--problem", str(path)]) == 0
+    assert f"value {10 ** 400 + 1}" in capsys.readouterr().out
+
+
 def _dense_float_seed(problem, glist):
     """The float seed as one dense float list per row: the sparse seed's reference."""
     from scipy.optimize import linprog

@@ -92,6 +92,22 @@ def test_separation_witness_absent_when_implied():
     assert certify.separation_witness(target, gens) is None
 
 
+
+@pytest.mark.parametrize("implied", [True, False])
+def test_target_beyond_float_range_is_decided_exactly(implied):
+    # coefficients of 10**400 overflow a float; the presolve steps aside
+    gens = elemental_exprs(4)
+    base = gens[0] + gens[3] if implied else ingleton_expr(IngletonQuad(4, 1, 2, 4, 8))
+    target = base * 10 ** 400
+    out = certify.decide_implication(target, gens)
+    if implied:
+        assert isinstance(out, certify.FarkasCertificate)
+        assert certify.verify_certificate(target, gens, out)
+    else:
+        assert isinstance(out, certify.SeparationWitness)
+        assert certify.verify_witness(target, gens, out) and evaluate(target, out.point) == -1
+
+
 def test_certificate_file_roundtrip(tmp_path):
     gens = delta_exprs(3)
     items = []

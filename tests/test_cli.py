@@ -2,9 +2,11 @@
 
 import hashlib
 import os
+import re
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -203,7 +205,7 @@ def _true_expr(kind, payload):
     """The payload's form at n=4 with repeated masks summed, from the public constructors."""
     from ingletonlp.entspace import (IngletonQuad, cond_entropy_expr, cond_mutinfo_expr,
                                      format_expr, ingleton_expr, parse_subset)
-    masks = [parse_subset(t) for t in ingen._split_subsets(payload, payload.count("{"))]
+    masks = [parse_subset(t) for t in re.findall(r"\{[^}]*\}", payload)]
     if kind == "Delta0":
         *ds, beta = masks
         return format_expr(ingleton_expr(IngletonQuad(4, *(d | beta for d in ds))))
@@ -237,6 +239,25 @@ def test_off_shape_payload_in_generator_file_exits_two(capsys, tmp_path, kind, p
     rc, out, err = run_cli(capsys, ["implies", "--n", "4", "--quad", "{1},{2},{3},{4}",
                                     "--gens", str(gens)])
     assert rc == 2 and out == "" and f"{kind} payload" in err
+
+
+
+@pytest.mark.parametrize("kind,payload", [("Delta0", "{1}garbage{2};{3},{4}|{}"),
+                                          ("Delta0", "{1},{2};{3}|{4}|{}"),
+                                          ("Delta0", "{1},{2};{3};{4}|{}"),
+                                          ("Delta0", "{1},{2};{3},x{4}|{}"),
+                                          ("Delta1", "{1}.{2}|{}"),
+                                          ("Delta1", "{1}{2}h|{}")])
+def test_junk_between_payload_subsets_exits_two(capsys, tmp_path, kind, payload):
+    # the first line of the kind, payload mutated, expression kept
+    lines = ingen.inequalities_to_text(4, ingen.gen_delta(4)).splitlines()
+    at = next(k for k, ln in enumerate(lines) if ln.startswith(kind + "\t"))
+    lines[at] = "\t".join((kind, payload, lines[at].split("\t")[2]))
+    gens = tmp_path / "gens.txt"
+    gens.write_text("\n".join(lines) + "\n", encoding="ascii")
+    rc, out, err = run_cli(capsys, ["implies", "--n", "4", "--quad", "{1},{2},{3},{4}",
+                                    "--gens", str(gens)])
+    assert rc == 2 and out == "" and err.startswith("error:")
 
 
 def test_implies_generator_file_wrong_n(capsys, tmp_path):
@@ -569,6 +590,25 @@ def test_huge_element_in_subset_text_exits_two(tmp_path, args, text):
         args = [*args, str(path)]
     rc, err = _capped_cli(args)
     assert rc == 2 and err.startswith("error:"), err
+
+
+
+@pytest.mark.parametrize("scan", ["check-theorem1", "check-completeness"])
+def test_sample_size_is_budgeted(capsys, scan):
+    # n=3 families fit a budget of 10, so only the sample size can exceed it
+    rc, out, err = run_cli(capsys, [scan, "--n", "3", "--sample", "11", "--budget", "10"])
+    assert rc == 2 and out == "" and "exceeds budget 10" in err
+    rc, out, _ = run_cli(capsys, [scan, "--n", "3", "--sample", "10", "--budget", "10"])
+    assert rc == 0 and "samples 10" in out
+
+
+@pytest.mark.parametrize("scan", ["check-theorem1", "check-completeness"])
+def test_huge_sample_exits_two_before_drawing(scan):
+    # counted before any quad is drawn, so 10**12 of them never reach memory
+    start = time.monotonic()
+    rc, err = _capped_cli([scan, "--n", "5", "--sample", str(10 ** 12)])
+    assert rc == 2 and "exceeds budget" in err, err
+    assert time.monotonic() - start < 30
 
 
 def test_deep_network_file_exits_two(capsys, tmp_path):

@@ -359,7 +359,7 @@ def test_evaluate_matches_fraction_sum(data):
     if all(type(x) is int for x in [*values, *e.coeffs.values()]):
         assert type(got) is int
     # the scaled form is exact, and an evaluated point still equals a fresh one
-    nums, den = h.scaled()
+    nums, den = h.nums, h.den
     assert den > 0 and [Fraction(a, den) for a in nums] == list(values)
     fresh = EntropyVector(n, values)
     assert h == fresh and hash(h) == hash(fresh)

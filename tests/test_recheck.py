@@ -1,0 +1,366 @@
+"""Independent re-check of the files and reports the CLI emits.
+
+Runs `cli.main` on the golden cases that write files, and on the
+butterfly5 `bound` report, then reads what they wrote with the parsers
+below and re-verifies every claim with dense vectors of ints and
+Fractions: index m of a vector is the subset with bitmask m, and index 0
+(the empty set) is 0.
+Nothing here uses the package's expressions, points, evaluators or
+parsers; the Ingleton form is spelled afresh as
+J = I(1;2|3) + I(1;2|4) + I(3;4) - I(1;2).
+"""
+
+import re
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+from ingletonlp.cli import main
+
+# ---------------------------------------------------------------------------
+# parsers
+
+
+def rational(text: str):
+    """An int or a/b token; ints stay ints, which keeps the dense sums fast."""
+    return Fraction(text) if "/" in text else int(text)
+
+
+def subset(text: str) -> int:
+    body = text.strip()
+    assert body[0] == "{" and body[-1] == "}", text
+    return sum(1 << (int(e) - 1) for e in body[1:-1].split(",") if e.strip())
+
+
+def subsets(text: str) -> list[int]:
+    return [subset(t) for t in re.findall(r"\{[^}]*\}", text)]
+
+
+def functional(text: str, n: int) -> list:
+    """A signed-term expression `+c*h{..} ...` (or `0`) as a dense vector."""
+    out = [0] * (1 << n)
+    if text.strip() == "0":
+        return out
+    terms = re.findall(r"([+-])(\d+(?:/\d+)?)\*h(\{[^}]*\})", text)
+    assert " ".join(f"{s}{c}*h{t}" for s, c, t in terms) == text.strip(), text
+    for sign, c, t in terms:
+        out[subset(t)] += rational(c) if sign == "+" else -rational(c)
+    return out
+
+
+def point(pairs: str, n: int) -> list:
+    """`{..}=v` pairs (zeros left out) as a dense vector."""
+    out = [0] * (1 << n)
+    for t, v in re.findall(r"(\{[^}]*\})=(-?\d+(?:/\d+)?)", pairs):
+        out[subset(t)] = rational(v)
+    assert " ".join(f"{t}={v}" for t, v in re.findall(r"(\{[^}]*\})=(\S+)", pairs)) == pairs
+    return out
+
+
+def read_generators(path: Path) -> tuple[int, list[tuple[str, str, list]]]:
+    lines = path.read_text(encoding="ascii").splitlines()
+    head = re.fullmatch(r"n=(\d+) count=(\d+)", lines[0])
+    n, count = int(head[1]), int(head[2])
+    gens = []
+    for ln in lines[1:]:
+        kind, payload, expr = ln.split("\t")
+        form = member_form(kind, payload, n)
+        assert form == functional(expr, n), ln
+        gens.append((kind, payload, form))
+    assert len(gens) == count
+    return n, gens
+
+
+def read_certificates(path: Path) -> list[tuple[str, list[tuple[int, int | Fraction]]]]:
+    out = []
+    for ln in path.read_text(encoding="ascii").splitlines():
+        label, body = ln.split("\t")
+        pairs = [piece.split(":") for piece in body.split(",")] if body else []
+        out.append((label, [(int(g), rational(c)) for g, c in pairs]))
+    return out
+
+
+def read_witnesses(path: Path, n: int) -> list[tuple[str, list]]:
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert lines[0] == f"n={n}"
+    return [(label, point(pairs, n)) for label, pairs in (ln.split("\t") for ln in lines[1:])]
+
+
+def report_fields(text: str) -> dict[str, str]:
+    """`key value` body lines of a report, after its two header lines."""
+    lines = text.splitlines()
+    assert lines[0].startswith("# ingletonlp ") and lines[1].startswith("# ")
+    fields = {}
+    for ln in lines[2:]:
+        key, _, value = ln.partition(" ")
+        fields.setdefault(key, value)
+    return fields
+
+
+# ---------------------------------------------------------------------------
+# forms and checks
+
+
+def unit(n: int, mask: int) -> list:
+    out = [0] * (1 << n)
+    out[mask] = 1
+    return out
+
+
+def add(*vectors: list, weights=None) -> list:
+    """The weighted sum of dense vectors; the empty-set entry is left 0."""
+    weights = weights or [1] * len(vectors)
+    return [0] + [sum(w * v[m] for w, v in zip(weights, vectors) if v[m])
+                  for m in range(1, len(vectors[0]))]
+
+
+def mutinfo(n: int, a: int, b: int, c: int, out: list | None = None, sign: int = 1) -> list:
+    """out (a new zero vector if None) plus sign * I(a; b | c), where
+    I(a; b | c) = h(ac) + h(bc) - h(c) - h(abc)."""
+    out = [0] * (1 << n) if out is None else out
+    for mask, s in ((a | c, sign), (b | c, sign), (c, -sign), (a | b | c, -sign)):
+        out[mask] += s
+    out[0] = 0
+    return out
+
+
+def ingleton(n: int, a1: int, a2: int, a3: int, a4: int) -> list:
+    """J = I(a1;a2|a3) + I(a1;a2|a4) + I(a3;a4) - I(a1;a2)."""
+    out = mutinfo(n, a1, a2, a3)
+    mutinfo(n, a1, a2, a4, out)
+    mutinfo(n, a3, a4, 0, out)
+    return mutinfo(n, a1, a2, 0, out, sign=-1)
+
+
+def member_form(kind: str, payload: str, n: int) -> list:
+    """A generator line's form, from its kind and payload alone."""
+    full = (1 << n) - 1
+    if kind == "Delta0":
+        d1, d2, d3, d4, beta = subsets(payload)
+        return ingleton(n, d1 | beta, d2 | beta, d3 | beta, d4 | beta)
+    if kind in ("Delta1", "ElementalI"):
+        return mutinfo(n, *subsets(payload))
+    assert kind in ("Delta2", "ElementalH"), kind
+    (i,) = subsets(payload)
+    return add(unit(n, full), unit(n, full & ~i), weights=[1, -1])
+
+
+def value(form: list, h: list):
+    return sum(c * x for c, x in zip(form, h) if c)
+
+
+def polymatroid_forms(n: int) -> list[list]:
+    """Every elemental form: h(N) - h(N - i), and I(i; j | K) for K avoiding i, j."""
+    full = (1 << n) - 1
+    forms = [member_form("Delta2", "{%d}" % i, n) for i in range(1, n + 1)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rest = full & ~(1 << i | 1 << j)
+            forms += [mutinfo(n, 1 << i, 1 << j, k) for k in range(rest + 1) if k & rest == k]
+    return forms
+
+
+def disjoint_ingleton_forms(n: int) -> set[tuple]:
+    """J(d1 + b, .., d4 + b) for every assignment of elements to disjoint nonempty
+    d's, b, or none: each Ingleton inequality reduces to one of these."""
+    forms = set()
+    for parts in product(range(6), repeat=n):
+        masks = [sum(1 << e for e, p in enumerate(parts) if p == k) for k in range(5)]
+        if all(masks[:4]):
+            forms.add(tuple(ingleton(n, *(d | masks[4] for d in masks[:4]))))
+    return forms
+
+
+def covered(quad: list[int]) -> bool:
+    """Some argument lies inside the union of the other three."""
+    return any(a & ~(quad[k - 1] | quad[k - 2] | quad[k - 3]) == 0
+               for k, a in enumerate(quad))
+
+
+def check_certificates(path: Path, n: int, gens) -> list[str]:
+    """Every line writes J(quad) as a nonnegative combination of gens; the labels."""
+    labels = []
+    for label, cert in read_certificates(path):
+        assert all(c > 0 and 0 <= g < len(gens) for g, c in cert), label
+        combo = [0] * (1 << n)  # an empty certificate proves J = 0
+        for g, c in cert:
+            for m, x in enumerate(gens[g][2]):
+                if x:
+                    combo[m] += c * x
+        assert combo == ingleton(n, *subsets(label)), label
+        labels.append(label)
+    return labels
+
+
+def check_witness(h: list, target: list, forms) -> None:
+    assert h[0] == 0 and value(target, h) == -1
+    assert all(value(g, h) >= 0 for g in forms)
+
+
+def run(tmp_path: Path, capsys, argv: list[str], inputs: dict | None = None) -> str:
+    for name, text in (inputs or {}).items():
+        (tmp_path / name).write_text(text, encoding="ascii")
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 0
+    return capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# the emitted files
+
+
+def test_generator_file(tmp_path, capsys):
+    run(tmp_path, capsys, ["gen", "--n", "4", "--family", "delta", "--out", "{tmp}/d.txt"])
+    n, gens = read_generators(tmp_path / "d.txt")
+    assert n == 4 and len(gens) == 34
+    assert len({tuple(form) for _k, _p, form in gens}) == 34
+    # each member is an Ingleton form over disjoint d's, or an elemental form
+    reference = disjoint_ingleton_forms(4) | {tuple(f) for f in polymatroid_forms(4)}
+    assert all(tuple(form) in reference for _k, _p, form in gens)
+
+
+@pytest.mark.parametrize("family,quad,implied", [
+    ("delta", "{1,2},{3},{2,4},{1}", True),
+    ("elemental", "{1},{2},{3},{4}", False)])
+def test_implies_files(tmp_path, capsys, family, quad, implied):
+    out = run(tmp_path, capsys, ["implies", "--n", "4", "--quad", quad, "--family", family,
+                                 "--emit-certificates", "{tmp}/out"])
+    fields = report_fields(out)
+    assert (fields["implied"], fields["status"]) == ("true" if implied else "false", "ok")
+    n, gens = read_generators(tmp_path / "out" / "generators.txt")
+    if implied:
+        assert check_certificates(tmp_path / "out" / "certificates.txt", n, gens) == [quad]
+    else:
+        [(label, h)] = read_witnesses(tmp_path / "out" / "witnesses.txt", n)
+        assert label == quad
+        check_witness(h, ingleton(n, *subsets(quad)), [g for _k, _p, g in gens])
+        assert fields["witness"] == " ".join(
+            f"{{{','.join(str(e + 1) for e in range(n) if m >> e & 1)}}}={h[m]}"
+            for m in range(1, 1 << n) if h[m])
+
+
+@pytest.mark.parametrize("n,sample", [(4, None), (5, "60")])
+def test_theorem1_files(tmp_path, capsys, n, sample):
+    argv = ["check-theorem1", "--n", str(n), "--emit-certificates", "{tmp}/out"]
+    out = run(tmp_path, capsys, argv + (["--sample", sample, "--seed", "0"] if sample else []))
+    fields = report_fields(out)
+    _, gens = read_generators(tmp_path / "out" / "generators.txt")
+    elemental = [tuple(f) for f in polymatroid_forms(n)]
+    assert len(gens) == len(elemental) and {tuple(g) for _k, _p, g in gens} == set(elemental)
+    implied = check_certificates(tmp_path / "out" / "certificates.txt", n, gens)
+    wits = tmp_path / "out" / "witnesses.txt"
+    separated = []
+    for label, h in (read_witnesses(wits, n) if wits.exists() else []):
+        check_witness(h, ingleton(n, *subsets(label)), [g for _k, _p, g in gens])
+        separated.append(label)
+    # Theorem 1: the elemental forms imply J exactly when an argument is covered
+    assert all(covered(subsets(q)) for q in implied)
+    assert not any(covered(subsets(q)) for q in separated)
+    assert (int(fields["implied"]), int(fields["not-implied"])) == (len(implied), len(separated))
+    assert (fields["counterexamples"], fields["status"]) == ("0", "ok")
+    if sample:
+        assert len(implied) + len(separated) == int(sample)
+
+
+@pytest.mark.parametrize("n,sample", [(4, None), (5, "100")])
+def test_completeness_files(tmp_path, capsys, n, sample):
+    argv = ["check-completeness", "--n", str(n), "--emit-certificates", "{tmp}/out"]
+    out = run(tmp_path, capsys, argv + (["--sample", sample, "--seed", "0"] if sample else []))
+    fields = report_fields(out)
+    _, gens = read_generators(tmp_path / "out" / "generators.txt")
+    labels = check_certificates(tmp_path / "out" / "certificates.txt", n, gens)
+    assert int(fields["certified"]) == len(labels)
+    assert (fields["failures"], fields["status"]) == ("0", "ok")
+    if sample:
+        assert len(labels) == int(sample)
+    else:
+        # one certificate per swap class: a1 <= a2 and a3 <= a4 as masks
+        pairs = (1 << n) * ((1 << n) + 1) // 2
+        assert len(set(labels)) == len(labels) == pairs * pairs
+
+
+def test_minimality_files(tmp_path, capsys):
+    out = run(tmp_path, capsys, ["check-minimality", "--n", "4", "--emit-certificates",
+                                 "{tmp}/out"])
+    n, gens = read_generators(tmp_path / "out" / "generators.txt")
+    wits = read_witnesses(tmp_path / "out" / "witnesses.txt", n)
+    # each member is separated from the others by its own witness point
+    assert [label for label, _h in wits] == [f"{k} {p}" for k, p, _g in gens]
+    for k, (_label, h) in enumerate(wits):
+        check_witness(h, gens[k][2], [g for j, (_k, _p, g) in enumerate(gens) if j != k])
+    fields = report_fields(out)
+    assert (fields["redundant"], fields["status"]) == ("0", "ok")
+
+
+def test_violator_point_file(tmp_path, capsys):
+    run(tmp_path, capsys, ["witness", "--n", "4", "--kind", "violator",
+                           "--out", "{tmp}/point.txt"])
+    lines = (tmp_path / "point.txt").read_text(encoding="ascii").splitlines()
+    assert lines[0] == "n=4"
+    h = point(lines[1], 4)
+    assert h[15] == 1 and value(ingleton(4, 1, 2, 4, 8), h) < 0
+    assert all(value(g, h) >= 0 for g in polymatroid_forms(4))
+
+
+BUTTERFLY5 = """\
+source s1
+source s2
+edge a from s1 cap 1
+edge b from s2 cap 1
+edge m from s1,s2 cap 1
+sink t1 wants s1,s2 sees a,m
+sink t2 wants s1,s2 sees b,m
+"""
+
+
+def test_butterfly5_bound_report(tmp_path, capsys):
+    out = run(tmp_path, capsys, ["bound", "--network", "{tmp}/net.txt", "--cone", "gamma-in"],
+              {"net.txt": BUTTERFLY5})
+    n = 5  # elements s1, s2, a, b, m in that order
+
+    def h(*elements) -> list:
+        return unit(n, sum(1 << (e - 1) for e in elements))
+
+    def cond(a: list, b: list) -> list:
+        """h(a | b) for unit vectors a and b: h(a + b) - h(b)."""
+        return add(unit(n, a.index(1) | b.index(1)), b, weights=[1, -1])
+
+    # sources independent, each edge a function of its inputs, each sink
+    # decodes both sources, unit capacities; maximize h(s1) + h(s2)
+    rows = [(add(h(1, 2), h(1), h(2), weights=[1, -1, -1]), "=", 0),
+            (cond(h(3), h(1)), "=", 0), (cond(h(4), h(2)), "=", 0),
+            (cond(h(5), h(1, 2)), "=", 0),
+            (cond(h(1, 2), h(3, 5)), "=", 0), (cond(h(1, 2), h(4, 5)), "=", 0),
+            (h(3), "<=", 1), (h(4), "<=", 1), (h(5), "<=", 1)]
+    objective = add(h(1), h(2))
+    lines = out.splitlines()
+    assert lines[1] == f"# bound n=5 cone=gamma-in sense=max constraints={len(rows)}"
+    fields = report_fields(out)
+    best = Fraction(fields["value"])
+    assert (best, fields["status"], fields["verified"]) == (2, "optimal", "true")
+    # the primal point is feasible and reaches the value
+    x = point(fields["primal"], n)
+    for form, rel, rhs in rows:
+        v = value(form, x)
+        assert v == rhs if rel == "=" else v <= rhs
+    assert value(objective, x) == best
+    assert all(value(g, x) >= 0 for g in polymatroid_forms(n))
+    assert all(value(g, x) >= 0 for g in disjoint_ingleton_forms(n))
+    # the dual multipliers prove that no feasible point does better:
+    # objective = sum u_j row_j - sum lambda_g g, u >= 0 on <= rows, lambda >= 0
+    user = [Fraction(0)] * len(rows)
+    cone = []
+    for ln in lines:
+        if ln.startswith("dual user "):
+            j, u = ln.split()[2:]
+            user[int(j) - 1] = Fraction(u)
+        elif ln.startswith("dual gen "):
+            kind, payload, lam = ln.split()[2:]
+            assert Fraction(lam) > 0
+            cone.append((member_form(kind, payload, n), Fraction(lam)))
+    assert all(u >= 0 for u, (_f, rel, _r) in zip(user, rows) if rel == "<=")
+    combo = add(*(f for f, _rel, _r in rows), *(g for g, _lam in cone),
+                weights=user + [-lam for _g, lam in cone])
+    assert combo == objective
+    assert sum(u * rhs for u, (_f, _rel, rhs) in zip(user, rows)) == best

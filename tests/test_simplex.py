@@ -281,13 +281,13 @@ def test_random_lps_certified_and_match_highs(lp):
 def test_phase1_unbounded_guard(monkeypatch):
     # a negated auxiliary cost row makes phase 1 unbounded, which sound
     # arithmetic never does; the guard must raise even under python -O
-    real = simplex._int_row
+    real = simplex.int_form
 
     def negated_cost_row(values):
         row, den = real(values)
         return ([-v for v in row], den) if values[-1] == 0 else (row, den)
 
-    monkeypatch.setattr(simplex, "_int_row", negated_cost_row)
+    monkeypatch.setattr(simplex, "int_form", negated_cost_row)
     with pytest.raises(RuntimeError, match="phase 1"):
         solve_standard([[2, -1]], [1], [0, 0])
 

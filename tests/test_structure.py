@@ -47,3 +47,37 @@ def test_one_exact_matrix_builder_and_one_exact_solve_per_module():
     assert [name for name, fn in _defined(trees) if fn == "exact_columns"] == ["simplex.py"]
     assert len(_calls(trees["certify.py"], "solve_standard")) == 1
     assert len(_calls(trees["bound.py"], "solve_standard")) == 1
+
+
+class _CallSites(ast.NodeVisitor):
+    """The innermost enclosing function (or <module>) of every call of func."""
+
+    def __init__(self, func):
+        self.func, self.stack, self.sites = func, ["<module>"], []
+
+    def visit_FunctionDef(self, node):
+        self.stack.append(node.name)
+        self.generic_visit(node)
+        self.stack.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        if getattr(node.func, "attr", getattr(node.func, "id", None)) == self.func:
+            self.sites.append(self.stack[-1])
+        self.generic_visit(node)
+
+
+def test_one_form_per_point_and_one_scaling_routine():
+    # a point is int numerators over one denominator, and one routine
+    # puts rationals over their lcm for points and simplex rows alike
+    from ingletonlp.entspace import EntropyVector
+    trees = _trees()
+    assert "_int_row" not in {fn for _name, fn in _defined(trees)}
+    callers = set()
+    for name, tree in trees.items():
+        sites = _CallSites("lcm")
+        sites.visit(tree)
+        callers.update((name, fn) for fn in sites.sites)
+    assert callers == {("entspace.py", "int_form")}
+    assert not {"_values", "_scaled"} & set(EntropyVector.__slots__)
