@@ -6,9 +6,9 @@ A floating-point solve may propose where to look, but every returned
 object is re-verified in exact rational arithmetic; the float layer never
 decides an answer.
 
-The drop-one minimality scan expects every target not to be implied, so
-it asks HiGHS for the separating point first and falls back to the full
-decision only when no rounded point verifies: one LP per member, not two.
+The drop-one scan cuts each member's system out of the full one
+(`_ConeSystem.without`) and, expecting no member to be implied, asks HiGHS
+for the separating point first; the full decision runs only if none verifies.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import itertools
 import multiprocessing
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from .entspace import (
     parse_rational,
     report_text,
 )
-from .simplex import exact_columns, float_rows, linprog, solve_standard
+from .simplex import drop_row, exact_columns, float_rows, linprog, solve_standard
 
 
 def _require(ok: bool, what: str) -> None:
@@ -75,7 +76,8 @@ def verify_certificate(target: LinExpr, gens, cert: FarkasCertificate) -> bool:
 
 
 def verify_witness(target: LinExpr, gens, wit: SeparationWitness) -> bool:
-    p = wit.point
+    # the point times its positive denominator: the same signs, evaluated in ints
+    p = EntropyVector(wit.point.n, wit.point.nums)
     if any(evaluate(g, p) < 0 for g in gens):
         return False
     return evaluate(target, p) < 0
@@ -98,6 +100,7 @@ class _ConeSystem:
         self.masks = sorted(support)
         self.index = {m: i for i, m in enumerate(self.masks)}
         self._float_gens = None
+        self._lone = None  # per generator: would dropping it change masks or key ids?
         self._exact_keys = {}
         for i, g in enumerate(gens):
             self._exact_keys.setdefault(g.key(), i)
@@ -148,6 +151,25 @@ class _ConeSystem:
             if point is not None:
                 return None, point
         return self._exact_decide(target, b_exact)
+
+    def without(self, k: int) -> "_ConeSystem":
+        """The system of every generator but k: it shares this system's masks
+        and slices its float rows if built, unless generator k alone uses some
+        mask or shares its key with another; then it is _ConeSystem(rest)."""
+        rest = self.gens[:k] + self.gens[k + 1:]
+        if self._lone is None:
+            uses = Counter(m for g in self.gens for m in g.coeffs)
+            keys = Counter(g.key() for g in self.gens)
+            self._lone = [keys[g.key()] > 1 or any(uses[m] == 1 for m in g.coeffs)
+                          for g in self.gens]
+        if not rest or self._lone[k]:
+            return _ConeSystem(rest)
+        sub = object.__new__(_ConeSystem)
+        sub.n, sub.gens, sub.masks, sub.index = self.n, rest, self.masks, self.index
+        rows = self._float_gens
+        sub._lone, sub._float_gens = None, None if rows is None else drop_row(rows, k)
+        sub._exact_keys = {key: i - (i > k) for key, i in self._exact_keys.items() if i != k}
+        return sub
 
     def float_gens(self):
         """Generators as float sparse rows, built for the first presolve."""
@@ -204,7 +226,8 @@ class _ConeSystem:
         # rounded is nums/den, so the scaled point is nums/q with q = -tval*den
         q = -tval * rounded.den
         point = EntropyVector.over(self.n, [a * q.denominator for a in rounded.nums], q.numerator)
-        if any(evaluate(g, point) < 0 for g in self.gens):
+        scaled = EntropyVector(self.n, point.nums)  # same signs as point, in ints
+        if any(evaluate(g, scaled) < 0 for g in self.gens):
             return None
         if evaluate(target, point) != -1:
             return None
@@ -388,12 +411,15 @@ def _decide_all(items: list, pose, workers: int, witness_first: bool = False) ->
 
 
 def _decide_quads(n: int, members, quads: list, workers: int) -> list:
+    """(label, answer) per quad, in order; each distinct target is decided once."""
     system = _ConeSystem([ci.expr for ci in members])
-
-    def pose(quad):
-        q = IngletonQuad(n, *quad)
-        return system, ingleton_expr(q), format_quad(q)
-    return _decide_all(quads, pose, workers)
+    posed = [(ingleton_expr(q), format_quad(q)) for q in (IngletonQuad(n, *t) for t in quads)]
+    first = {}  # target key -> id of its first quad
+    ids = [first.setdefault(target.key(), i) for i, (target, _label) in enumerate(posed)]
+    reps = list(first.values())
+    settled = _decide_all(reps, lambda i: (system, *posed[i]), workers)
+    answer = dict(zip(reps, (out for _label, out in settled)))
+    return [(label, answer[i]) for i, (_target, label) in zip(ids, posed)]
 
 
 def _scan_text(command: str, n: int, params: dict, body: list[str], ok: bool) -> str:
@@ -542,11 +568,11 @@ def check_minimality(n: int, workers: int = 1, allow_large: bool = False,
     if n > 5 and not allow_large:
         raise ValueError("drop-one scan above n=5 requires --allow-large (allow_large=True)")
     delta = ingen.gen_delta(n, budget=budget)
-    exprs = [ci.expr for ci in delta]
+    full = _ConeSystem([ci.expr for ci in delta])
+    full.float_gens()  # once, before any worker forks: each member slices a row out
 
     def pose(k):
-        rest = _ConeSystem(exprs[:k] + exprs[k + 1:])
-        return rest, exprs[k], f"{delta[k].kind}\t{delta[k].payload_text()}"
+        return full.without(k), full.gens[k], f"{delta[k].kind}\t{delta[k].payload_text()}"
     redundant = []
     witnesses = []
     answers = _decide_all(list(range(len(delta))), pose, workers, witness_first=True)

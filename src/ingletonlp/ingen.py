@@ -383,20 +383,20 @@ def write_inequality_stream(f, n: int, members) -> None:
     The header names len(members).  A Family's lines are rendered a run at
     a time from its enumerators, building no member; other members go
     through inequalities_to_text (the writer perfbench times) _BLOCK at a
-    time.  A RuntimeError follows the last line if the members were not
-    len(members) many."""
+    time.  Either way one SubsetNames serves the whole file.  A RuntimeError
+    follows the last line if the members were not len(members) many."""
     count = len(members)
     f.write(_header(n, count))
     written = 0
+    names = SubsetNames()
     if isinstance(members, Family):
-        names = SubsetNames()
         for kind, head, tails in members.runs():
             f.write(_run_text(n, kind, head, tails, names))
             written += len(tails)
     else:
         it = iter(members)
         while block := list(islice(it, _BLOCK)):
-            f.write(inequalities_to_text(n, block, header=False))
+            f.write(inequalities_to_text(n, block, header=False, names=names))
             written += len(block)
     if written != count:
         raise RuntimeError(f"header says count={count}, wrote {written} members")
@@ -408,10 +408,11 @@ def write_inequalities(path, n: int, ineqs: Sequence[CanonicalInequality]) -> No
 
 
 def inequalities_to_text(n: int, ineqs: Sequence[CanonicalInequality],
-                         header: bool = True) -> str:
+                         header: bool = True, names: SubsetNames | None = None) -> str:
     """The inequality file of ineqs, rendered run by run (consecutive members that
-    differ only in their payload's last entry); header=False leaves the lines alone."""
-    names = SubsetNames()
+    differ only in their payload's last entry); header=False leaves the lines alone,
+    and a names table passed in is filled for the next call."""
+    names = SubsetNames() if names is None else names
     runs = groupby(ineqs, lambda ci: (ci.kind, ci.payload[:-1]))
     text = "".join([_run_text(n, kind, head, [ci.payload[-1] for ci in run], names)
                     for (kind, head), run in runs])
@@ -436,6 +437,8 @@ def _parse_payload(kind: str, text: str, n: int) -> tuple:
     # here, and so is the shape member_terms relies on
     form = shape(kind)
     if form == KIND_DELTA0:
+        if text.count("|") != 1 or text.partition("|")[0].count(";") != 1:
+            raise ValueError(f"{kind} payload {text!r} is not of the form d1,d2;d3,d4|beta")
         pairs, beta_s = text.split("|")
         left, right = pairs.split(";")
         d1_s, d2_s = split_subsets(left, 2)
@@ -450,6 +453,8 @@ def _parse_payload(kind: str, text: str, n: int) -> tuple:
                              "and a beta outside them")
         return payload
     if form == KIND_DELTA1:
+        if text.count("|") != 1:
+            raise ValueError(f"{kind} payload {text!r} is not of the form i,j|mu")
         head, mu_s = text.split("|")
         i_s, j_s = split_subsets(head, 2)
         i, j, mu = _element_in(kind, i_s, n), _element_in(kind, j_s, n), _subset_in(mu_s, n)

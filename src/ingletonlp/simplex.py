@@ -27,8 +27,8 @@ mix ints and Fractions; outputs are Fractions.
 `exact_columns` builds every exact matrix the package hands the solver.
 This is also the package's only float module.  `linprog` is its one way
 into the float solver (HiGHS through scipy) and `float_rows` builds the
-scipy sparse matrices the presolves hand it; each imports scipy at its
-first call.
+scipy sparse matrices the presolves hand it (`drop_row` slices one row
+out); each imports scipy at its first call.
 """
 
 from __future__ import annotations
@@ -80,6 +80,12 @@ def float_rows(exprs, index: dict[int, int], sign: int = 1):
             data.append(sign * float(c))
         ptr.append(len(cols))
     return csr_matrix((data, cols, ptr), shape=(len(ptr) - 1, len(index)))
+
+
+def drop_row(rows, k: int):
+    """The float CSR matrix `rows` without row k; every other entry keeps its place."""
+    import numpy as np
+    return rows[np.delete(np.arange(rows.shape[0]), k)]
 
 
 def exact_columns(exprs, index: dict[int, int], sign: int = 1) -> list[list]:

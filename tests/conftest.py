@@ -8,6 +8,13 @@ import pytest
 from ingletonlp import cli
 
 
+def _main(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
 @pytest.fixture(scope="session")
 def minimality5_run():
     """(exit code, stdout) of `check-minimality --n 5`, the n=5 drop-one scan.
@@ -15,7 +22,22 @@ def minimality5_run():
     It takes a few seconds, so it runs once: the golden corpus checks its
     stdout bytes and the acceptance test re-checks every witness it prints.
     """
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(["check-minimality", "--n", "5"])
-    return code, out.getvalue()
+    return _main(["check-minimality", "--n", "5"])
+
+
+@pytest.fixture(scope="session")
+def cli_run_once(tmp_path_factory):
+    """run(argv) -> (exit code, stdout, run directory), each argv run once a session.
+
+    `{tmp}` in argv stands for the run's own fresh directory.  The golden
+    corpus hashes the exhaustive n=4 quad scans and test_recheck re-verifies
+    the files they write; both ask for the same argv, so the scans run once.
+    """
+    runs = {}
+
+    def run(argv):
+        if tuple(argv) not in runs:
+            tmp = tmp_path_factory.mktemp("run")
+            runs[tuple(argv)] = (*_main([a.replace("{tmp}", str(tmp)) for a in argv]), tmp)
+        return runs[tuple(argv)]
+    return run

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ingletonlp import bound, certify, ingen
 from ingletonlp.entspace import (
@@ -241,6 +242,89 @@ def test_one_lp_per_drop_one_member(monkeypatch):
     gens = delta_exprs(3)
     cert = certify.decide_implication(gens[0] + gens[-1], gens)
     assert isinstance(cert, certify.FarkasCertificate) and len(calls) == 1
+
+
+def _assert_same_system(sub, fresh):
+    assert (sub.n, sub.gens, sub.masks, sub.index, sub._exact_keys) == \
+        (fresh.n, fresh.gens, fresh.masks, fresh.index, fresh._exact_keys)
+    a, b = sub.float_gens(), fresh.float_gens()
+    assert a.shape == b.shape
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a, part), getattr(b, part))
+
+
+def _check_drop_one_systems(gens, targets=None):
+    """Each full.without(k) matches _ConeSystem(rest), and so do its decisions
+    on targets(k) (default: every generator), witness points included."""
+    full = certify._ConeSystem(gens)
+    full.float_gens()
+    for k in range(len(gens)):
+        sub, fresh = full.without(k), certify._ConeSystem(gens[:k] + gens[k + 1:])
+        _assert_same_system(sub, fresh)
+        for t in (targets(k) if targets else gens):
+            for witness_first in (True, False):
+                assert sub.decide(t, witness_first) == fresh.decide(t, witness_first)
+    return full
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_drop_one_system_decides_like_a_fresh_one(n):
+    gens = delta_exprs(n)
+    # the member itself, an implied sum and a member the others still hold
+    full = _check_drop_one_systems(gens, lambda k: (
+        gens[k], gens[k - 1] + gens[(k + 1) % len(gens)], gens[k - 1]))
+    assert all(full.without(k).masks is full.masks for k in range(len(gens)))  # derived
+
+
+def test_drop_one_system_without_the_only_member_on_a_mask():
+    gens = [parse_expr(t, 3) for t in ("+1*h{1}", "+1*h{2}", "+1*h{1} +1*h{2}", "+1*h{3}")]
+    full = _check_drop_one_systems(gens)
+    assert full.without(3).masks == [0b1, 0b10] and full.without(0).masks is full.masks
+    assert full.without(3).decide(gens[3])[1][0b100] == -1  # h{3} is now unconstrained
+    with pytest.raises(ValueError, match="at least one generator"):
+        certify._ConeSystem(gens[:1]).without(0)
+
+
+def test_drop_one_system_without_a_repeated_member():
+    gens = [parse_expr(t, 3) for t in ("+1*h{1}", "+1*h{1} +1*h{2}", "+1*h{1}")]
+    full = _check_drop_one_systems(gens)
+    # the other copy is now generator 1
+    assert full.without(0).decide(gens[0]) == ({1: Fraction(1)}, None)
+
+
+def test_minimality_builds_the_float_rows_once(monkeypatch):
+    calls = []
+    real = certify.float_rows
+    monkeypatch.setattr(certify, "float_rows", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    assert certify.check_minimality(4).ok
+    assert len(calls) == 1
+
+
+def _fraction_value(e, h):
+    return sum(c * h[m] for m, c in e.coeffs.items())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-2, 9), min_size=15, max_size=15), st.integers(2, 30),
+       st.lists(st.integers(0, 15), min_size=1, max_size=4), st.integers(0, 33))
+def test_verify_witness_agrees_with_fraction_evaluation(nums, den, picks, t):
+    point = EntropyVector(4, [Fraction(a, den) for a in nums])
+    assume(point.den > 1)
+    gens = [elemental_exprs(4)[i] for i in picks]
+    target = delta_exprs(4)[t]
+    want = all(_fraction_value(g, point) >= 0 for g in gens) and \
+        _fraction_value(target, point) < 0
+    assert certify.verify_witness(target, gens, certify.SeparationWitness(point)) == want
+
+
+def test_quad_scans_decide_each_distinct_target_once(monkeypatch):
+    calls = []
+    real = certify._ConeSystem.decide
+    monkeypatch.setattr(certify._ConeSystem, "decide",
+                        lambda self, *a: calls.append(1) or real(self, *a))
+    rep = certify.check_theorem1(4)
+    assert rep.ok and rep.orbits == 1240 and rep.implied + rep.not_implied == 1240
+    assert len(calls) == 244
 
 
 def test_minimality_worker_count_does_not_change_report():

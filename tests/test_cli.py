@@ -258,6 +258,19 @@ def test_junk_between_payload_subsets_exits_two(capsys, tmp_path, kind, payload)
     rc, out, err = run_cli(capsys, ["implies", "--n", "4", "--quad", "{1},{2},{3},{4}",
                                     "--gens", str(gens)])
     assert rc == 2 and out == "" and err.startswith("error:")
+    if payload.count("|") > 1 or payload.count(";") > 1:  # a separator too many
+        assert repr(payload) in err
+
+
+def test_main_defaults_openblas_to_one_thread(monkeypatch, capsys):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert main(["count", "--n", "3"]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"  # the user's count wins
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert certify.check_minimality(3).ok
+    assert "OPENBLAS_NUM_THREADS" not in os.environ  # library calls leave it alone
+    assert main(["count", "--n", "3"]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
 
 def test_implies_generator_file_wrong_n(capsys, tmp_path):

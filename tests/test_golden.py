@@ -95,6 +95,10 @@ GOLDEN = {
 # minimality-5 (all 205 drop-one witnesses at n=5) was recorded at de772fc;
 # bc5e705 prints the same bytes.
 
+# cases run once a session through tests/conftest.py's cli_run_once, which
+# test_recheck shares to re-check the files they write
+SHARED_RUNS = ("completeness-4", "theorem1-4")
+
 # Files the corpus gained on purpose since bc5e705: `implies --emit-certificates`
 # now writes the generator list in both outcomes, so the witness case writes
 # the same bytes `gen --n 4 --family elemental` prints.
@@ -107,16 +111,20 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _digests(rc: int, out: str, tmp: Path, inputs: dict) -> tuple:
+    files = {p.relative_to(tmp).as_posix(): _sha(p.read_bytes())
+             for p in sorted(tmp.rglob("*")) if p.is_file()
+             and p.relative_to(tmp).as_posix() not in inputs}
+    return rc, _sha(out.replace(str(tmp), "<tmp>").encode("ascii")), files
+
+
 def run_case(name: str, tmp: Path, capsys) -> tuple:
     argv, inputs = CASES[name]
     for fname, text in inputs.items():
         (tmp / fname).write_text(text, encoding="ascii")
     rc = main([a.replace("{tmp}", str(tmp)) for a in argv])
     out, _err = capsys.readouterr()
-    files = {p.relative_to(tmp).as_posix(): _sha(p.read_bytes())
-             for p in sorted(tmp.rglob("*")) if p.is_file()
-             and p.relative_to(tmp).as_posix() not in inputs}
-    return rc, _sha(out.replace(str(tmp), "<tmp>").encode("ascii")), files
+    return _digests(rc, out, tmp, inputs)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -128,5 +136,9 @@ def test_golden_case(name, tmp_path, capsys, request):
         assert CASES[name] == (["check-minimality", "--n", "5"], {})
         code, out = request.getfixturevalue("minimality5_run")
         assert (code, _sha(out.encode("ascii")), {}) == expected
+        return
+    if name in SHARED_RUNS:
+        argv, inputs = CASES[name]
+        assert _digests(*request.getfixturevalue("cli_run_once")(argv), inputs) == expected
         return
     assert run_case(name, tmp_path, capsys) == expected

@@ -268,6 +268,22 @@ def test_stream_writer_matches_the_text_across_blocks(monkeypatch):
     assert out.getvalue() == ingen.inequalities_to_text(4, members)
 
 
+def test_stream_names_each_subset_once_per_file(monkeypatch):
+    # a list streamed in blocks of 5 formats no subset text the Family path does not
+    calls = []
+    real = entspace.format_subset
+    monkeypatch.setattr(entspace, "format_subset", lambda m: calls.append(m) or real(m))
+    monkeypatch.setattr(ingen, "_BLOCK", 5)
+    texts = []
+    for source in (ingen.family("delta", 5), ingen.gen_delta(5)):
+        calls.clear()
+        out = io.StringIO()
+        ingen.write_inequality_stream(out, 5, source)
+        texts.append(out.getvalue())
+        assert len(calls) == len(set(calls)) <= 2 ** 5
+    assert texts[0] == texts[1] == ingen.inequalities_to_text(5, ingen.gen_delta(5))
+
+
 def test_runs_cross_block_edges(monkeypatch):
     # blocks of 3 split runs: at n=5 a Delta0 run has up to 2 betas, a Delta1 run 8 mus
     members = ingen.gen_delta(5)

@@ -206,6 +206,16 @@ def run(tmp_path: Path, capsys, argv: list[str], inputs: dict | None = None) -> 
     return capsys.readouterr().out
 
 
+def run_scan(tmp_path: Path, capsys, cli_run_once, argv: list[str], sample) -> tuple:
+    """(stdout, run directory) of a quad scan; the exhaustive one (no sample)
+    is the run test_golden hashes, shared through tests/conftest.py."""
+    if sample:
+        return run(tmp_path, capsys, argv + ["--sample", sample, "--seed", "0"]), tmp_path
+    code, out, where = cli_run_once(argv)
+    assert code == 0
+    return out, where
+
+
 # ---------------------------------------------------------------------------
 # the emitted files
 
@@ -241,15 +251,15 @@ def test_implies_files(tmp_path, capsys, family, quad, implied):
 
 
 @pytest.mark.parametrize("n,sample", [(4, None), (5, "60")])
-def test_theorem1_files(tmp_path, capsys, n, sample):
+def test_theorem1_files(tmp_path, capsys, cli_run_once, n, sample):
     argv = ["check-theorem1", "--n", str(n), "--emit-certificates", "{tmp}/out"]
-    out = run(tmp_path, capsys, argv + (["--sample", sample, "--seed", "0"] if sample else []))
+    out, where = run_scan(tmp_path, capsys, cli_run_once, argv, sample)
     fields = report_fields(out)
-    _, gens = read_generators(tmp_path / "out" / "generators.txt")
+    _, gens = read_generators(where / "out" / "generators.txt")
     elemental = [tuple(f) for f in polymatroid_forms(n)]
     assert len(gens) == len(elemental) and {tuple(g) for _k, _p, g in gens} == set(elemental)
-    implied = check_certificates(tmp_path / "out" / "certificates.txt", n, gens)
-    wits = tmp_path / "out" / "witnesses.txt"
+    implied = check_certificates(where / "out" / "certificates.txt", n, gens)
+    wits = where / "out" / "witnesses.txt"
     separated = []
     for label, h in (read_witnesses(wits, n) if wits.exists() else []):
         check_witness(h, ingleton(n, *subsets(label)), [g for _k, _p, g in gens])
@@ -264,12 +274,12 @@ def test_theorem1_files(tmp_path, capsys, n, sample):
 
 
 @pytest.mark.parametrize("n,sample", [(4, None), (5, "100")])
-def test_completeness_files(tmp_path, capsys, n, sample):
+def test_completeness_files(tmp_path, capsys, cli_run_once, n, sample):
     argv = ["check-completeness", "--n", str(n), "--emit-certificates", "{tmp}/out"]
-    out = run(tmp_path, capsys, argv + (["--sample", sample, "--seed", "0"] if sample else []))
+    out, where = run_scan(tmp_path, capsys, cli_run_once, argv, sample)
     fields = report_fields(out)
-    _, gens = read_generators(tmp_path / "out" / "generators.txt")
-    labels = check_certificates(tmp_path / "out" / "certificates.txt", n, gens)
+    _, gens = read_generators(where / "out" / "generators.txt")
+    labels = check_certificates(where / "out" / "certificates.txt", n, gens)
     assert int(fields["certified"]) == len(labels)
     assert (fields["failures"], fields["status"]) == ("0", "ok")
     if sample:
