@@ -29,10 +29,9 @@ from .entspace import (
     parse_rational,
     report_text,
 )
+from .ingen import CONE_GAMMA, CONE_GAMMA_IN
 from .simplex import exact_columns, float_rows, linprog, solve_standard
 
-CONE_GAMMA = "gamma"
-CONE_GAMMA_IN = "gamma-in"
 RELATIONS = ("<=", "=", ">=")
 SENSES = ("max", "min")
 
@@ -199,8 +198,11 @@ def _price(glist, kset, vec) -> list[int]:
     return [k for _v, k in bad[:_PRICE_CAP]]
 
 
-def _float_seed(asm: _DualAssembly) -> list[int]:
-    """Float presolve; guesses which cone rows matter.  Never decides."""
+def _float_seed(asm: _DualAssembly, fallback=()) -> list[int]:
+    """Float presolve; guesses which cone rows matter.  Never decides.
+
+    A value beyond float range leaves nothing to presolve: the seed is
+    then the cone ids in fallback."""
     cons = asm.p.constraints
     ub = [(j, s) for j, s in asm.user if cons[j][1] != "="]
     eq = [(e, r) for e, rel, r in cons if rel == "="]
@@ -210,8 +212,8 @@ def _float_seed(asm: _DualAssembly) -> list[int]:
         b_ub = [0.0] * len(asm.glist) + [float(s * cons[j][2]) for j, s in ub]
         cost = [-float(asm.p.objective.coeffs.get(m, 0)) for m in asm.index]
         a_eq, b_eq = float_rows([e for e, _r in eq], asm.index), [float(r) for _e, r in eq]
-    except OverflowError:  # a value beyond float range: seed nothing
-        return []
+    except OverflowError:
+        return list(fallback)
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                   method="highs")
     if res.status != 0:
@@ -254,7 +256,9 @@ def _solve_max(problem: BoundProblem, members, glist) -> BoundResult:
     if len(glist) <= _ALL_COLUMNS_LIMIT:
         chosen = list(range(len(glist)))
     else:
-        chosen = _float_seed(asm)
+        # without a float seed, start from the elemental (Delta1/Delta2-shaped) members
+        chosen = _float_seed(asm, [k for k, ci in enumerate(members)
+                                   if ingen.shape(ci.kind) != ingen.KIND_DELTA0])
     for _round in range(len(glist) + 10):
         res, chosen = _close(asm, glist, chosen, problem.objective)
         # optimal is the answer; unbounded multipliers mean nothing satisfies

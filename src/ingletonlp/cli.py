@@ -1,5 +1,8 @@
 """Command-line front end for generation, certification scans, and bounds.
 
+Each command imports the modules it runs (`bound`, `certify`) when it
+starts, so `gen` and `count` load only `entspace` and `ingen`.
+
 Exit codes: 0 when every claim checks out, 1 when a verification claim
 fails (theorem counterexample, redundant member, uncertified result),
 2 on malformed input or budget errors.  Reports are plain text with a
@@ -14,8 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import bound as bound_mod
-from . import certify, ingen
+from . import ingen
 from ._version import __version__
 from .entspace import (
     check_n,
@@ -89,6 +91,7 @@ def _load_gens(args: argparse.Namespace):
 
 
 def _cmd_implies(args: argparse.Namespace) -> int:
+    from . import certify
     q = parse_quad(args.quad, args.n)
     label = format_quad(q)
     target = ingleton_expr(q)
@@ -108,6 +111,7 @@ def _cmd_implies(args: argparse.Namespace) -> int:
 def _emit(args: argparse.Namespace, members, certificates=(), witnesses=()) -> None:
     if not args.emit_dir:
         return
+    from . import certify
     d = Path(args.emit_dir)
     d.mkdir(parents=True, exist_ok=True)
     ingen.write_inequalities(d / "generators.txt", args.n, members)
@@ -118,6 +122,7 @@ def _emit(args: argparse.Namespace, members, certificates=(), witnesses=()) -> N
 
 
 def _cmd_check_theorem1(args: argparse.Namespace) -> int:
+    from . import certify
     report = certify.check_theorem1(args.n, sample=args.sample, seed=args.seed,
                                     workers=args.workers, budget=_resolve_budget(args))
     sys.stdout.write(report.to_text())
@@ -127,6 +132,7 @@ def _cmd_check_theorem1(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_completeness(args: argparse.Namespace) -> int:
+    from . import certify
     report = certify.check_completeness(
         args.n, sample_size=args.sample, seed=args.seed, workers=args.workers,
         budget=_resolve_budget(args))
@@ -136,6 +142,7 @@ def _cmd_check_completeness(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_minimality(args: argparse.Namespace) -> int:
+    from . import certify
     report = certify.check_minimality(args.n, workers=args.workers,
                                       allow_large=args.allow_large,
                                       budget=_resolve_budget(args))
@@ -151,6 +158,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     elif args.kind == "modular":
         vec = witness_modular(args.n)
     elif args.kind == "violator":
+        from . import certify
         vec = certify.find_ingleton_violator(args.n)
     else:
         raise ValueError(f"unknown witness kind {args.kind!r}")
@@ -165,6 +173,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_membership(args: argparse.Namespace) -> int:
+    from . import bound as bound_mod
     budget = _resolve_budget(args)
     vec = vector_from_text(Path(args.point).read_text(encoding="ascii"))
     member, violated = bound_mod.membership(vec, args.cone, budget=budget)
@@ -177,6 +186,7 @@ def _cmd_membership(args: argparse.Namespace) -> int:
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
+    from . import bound as bound_mod
     budget = _resolve_budget(args)
     if (args.problem is None) == (args.network is None):
         raise ValueError("bound needs exactly one of --problem or --network")
@@ -262,17 +272,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("membership", help="test a vector against a cone")
     common(p)
     p.add_argument("--point", required=True, help="vector file")
-    p.add_argument("--cone", choices=(bound_mod.CONE_GAMMA,
-                                      bound_mod.CONE_GAMMA_IN),
-                   default=bound_mod.CONE_GAMMA_IN)
+    p.add_argument("--cone", choices=(ingen.CONE_GAMMA, ingen.CONE_GAMMA_IN),
+                   default=ingen.CONE_GAMMA_IN)
 
     p = sub.add_parser("bound", help="solve an exact LP bound")
     common(p)
     p.add_argument("--problem", default=None)
     p.add_argument("--network", default=None)
-    p.add_argument("--cone", choices=(bound_mod.CONE_GAMMA,
-                                      bound_mod.CONE_GAMMA_IN),
-                   default=bound_mod.CONE_GAMMA_IN)
+    p.add_argument("--cone", choices=(ingen.CONE_GAMMA, ingen.CONE_GAMMA_IN),
+                   default=ingen.CONE_GAMMA_IN)
     p.add_argument("--out", default=None)
     return parser
 

@@ -19,8 +19,10 @@ A member is its (n, kind, payload), and its `expr` always equals
 `member_expr(n, kind, payload)`: the unit terms of `member_terms`, built
 into an expression on first read.  Those terms come from
 `entspace.ingleton_terms` and `entspace.mutinfo_terms`, the one spelling
-of each form.  File lines are rendered a run at a
-time from those terms, without building any expression.
+of each form.  File lines are rendered from those terms without building
+any expression: a Delta1 or Delta2 run at a time, and a Family's Delta0
+block by `_write_delta0`, whose loop nest is `_delta0_runs`'s again, so
+that no run tuple is built per (d1, d2, d3, d4).
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ KIND_DELTA1 = "Delta1"
 KIND_DELTA2 = "Delta2"
 KIND_ELEMENTAL_H = "ElementalH"
 KIND_ELEMENTAL_I = "ElementalI"
+
+# the cones a bound runs over; here so that the command parser needs no bound
+CONE_GAMMA = "gamma"
+CONE_GAMMA_IN = "gamma-in"
 
 # the elemental tags stand for the Delta2 and Delta1 shapes
 _SHAPES = {KIND_ELEMENTAL_H: KIND_DELTA2, KIND_ELEMENTAL_I: KIND_DELTA1}
@@ -179,7 +185,7 @@ def _delta0_runs(n: int) -> Iterator[tuple[tuple[int, int, int, int], tuple[int,
     # lexicographic order.  Keeping every element of d2 above the lowest
     # element of d1 (and d4 above that of d3) leaves one payload per orbit
     # of the two within-pair swaps; the d's are nonempty and disjoint, and
-    # beta is any subset of what they leave.
+    # beta is any subset of what they leave.  _write_delta0 walks the same nest.
     top = full_mask(n)
     for d1 in range(1, top + 1):
         rest1 = top & ~d1
@@ -235,12 +241,8 @@ class Family:
         return self._size
 
     def __iter__(self) -> Iterator[CanonicalInequality]:
-        return (CanonicalInequality(self.n, kind, (*head, tail))
-                for kind, head, tails in self.runs() for tail in tails)
-
-    def runs(self) -> Iterator[tuple[str, tuple, tuple[int, ...]]]:
-        """(kind, head, tails): the members (kind, head + (tail,)), tail over tails."""
-        return ((kind, *run) for kind, runs in self._blocks for run in runs(self.n))
+        return (CanonicalInequality(self.n, kind, (*head, tail)) for kind, runs in self._blocks
+                for head, tails in runs(self.n) for tail in tails)
 
 
 def family(name: str, n: int, budget: int | None = DEFAULT_BUDGET) -> Family:
@@ -377,22 +379,71 @@ def _run_text(n: int, kind: str, head: tuple, tails, names: SubsetNames) -> str:
     return "".join(lines)
 
 
+def _write_delta0(f, n: int, names: SubsetNames) -> int:
+    """Write the Delta0 block's lines to f from the loop nest of _delta0_runs,
+    _BLOCK lines or a few more at a time; returns the number written.
+
+    Each loop level extends the line prefix by its d, and the ten term
+    keys come once per (d1, d2, d3, d4), as in _run_text."""
+    subs: dict[int, tuple[int, ...]] = {}
+
+    def submasks(mask: int) -> tuple[int, ...]:
+        # 0, then the nonempty submasks: the d loops skip the 0
+        if (s := subs.get(mask)) is None:
+            s = subs[mask] = (0, *_nonempty_submasks(mask))
+        return s
+
+    top, written, lines = full_mask(n), 0, []
+    for d1 in range(1, top + 1):
+        rest1 = top & ~d1
+        p1 = f"{KIND_DELTA0}\t{names[d1]},"
+        for d2 in submasks(rest1 & -((d1 & -d1) << 1))[1:]:
+            rest2 = rest1 & ~d2
+            p2 = f"{p1}{names[d2]};"
+            for d3 in submasks(rest2)[1:]:
+                rest3 = rest2 & ~d3
+                p3 = f"{p2}{names[d3]},"
+                for d4 in submasks(rest3 & -((d3 & -d3) << 1))[1:]:
+                    prefix = f"{p3}{names[d4]}|"
+                    # term_key(x, s) as ints, in the sorted order of the terms
+                    k0, k1, k2, k3, k4, k5, k6, k7, k8, k9 = sorted(
+                        [(s >> 1) - (x << 1) for x, s in ingleton_terms(d1, d2, d3, d4)],
+                        reverse=True)
+                    for beta in submasks(rest3 & ~d4):
+                        b = beta << 1
+                        lines.append(
+                            f"{prefix}{names[beta]}\t{names[k0 - b]} {names[k1 - b]}"
+                            f" {names[k2 - b]} {names[k3 - b]} {names[k4 - b]} {names[k5 - b]}"
+                            f" {names[k6 - b]} {names[k7 - b]} {names[k8 - b]} {names[k9 - b]}\n")
+                    if len(lines) >= _BLOCK:
+                        f.write("".join(lines))
+                        written += len(lines)
+                        lines = []
+    f.write("".join(lines))
+    return written + len(lines)
+
+
 def write_inequality_stream(f, n: int, members) -> None:
     """Write the inequality file of `members` (sized and iterable) to the text stream f.
 
-    The header names len(members).  A Family's lines are rendered a run at
-    a time from its enumerators, building no member; other members go
-    through inequalities_to_text (the writer perfbench times) _BLOCK at a
-    time.  Either way one SubsetNames serves the whole file.  A RuntimeError
-    follows the last line if the members were not len(members) many."""
+    The header names len(members).  A Family's Delta0 block is rendered by
+    _write_delta0 and its other blocks a run at a time, building no member;
+    other members go through inequalities_to_text (the writer perfbench
+    times) _BLOCK at a time.  Either way one SubsetNames serves the whole
+    file.  A RuntimeError follows the last line if the members were not
+    len(members) many."""
     count = len(members)
     f.write(_header(n, count))
     written = 0
     names = SubsetNames()
     if isinstance(members, Family):
-        for kind, head, tails in members.runs():
-            f.write(_run_text(n, kind, head, tails, names))
-            written += len(tails)
+        for kind, runs in members._blocks:
+            if kind == KIND_DELTA0:
+                written += _write_delta0(f, n, names)
+            else:
+                for head, tails in runs(n):
+                    f.write(_run_text(n, kind, head, tails, names))
+                    written += len(tails)
     else:
         it = iter(members)
         while block := list(islice(it, _BLOCK)):

@@ -1,7 +1,11 @@
 """Exact LP bounds over the polymatroid and Ingleton-refined cones."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -557,6 +561,24 @@ def test_rhs_beyond_float_range_seeds_no_columns(monkeypatch, capsys, tmp_path):
     from ingletonlp.cli import main
     assert main(["bound", "--problem", str(path)]) == 0
     assert f"value {10 ** 400 + 1}" in capsys.readouterr().out
+
+
+def test_rhs_beyond_float_range_at_n6_starts_from_the_elemental_members(tmp_path):
+    # 1,716 gamma-in members, past the all-columns limit, and no float seed:
+    # column generation starts from the 246 Delta1/Delta2 members, where
+    # pricing in 256 a round from none took minutes
+    path = tmp_path / "problem.txt"
+    path.write_text("n 6\ncone gamma-in\nmaximize +1*h{1,2,3,4,5,6}\n"
+                    f"st +1*h{{1}} <= {10 ** 400}\n", encoding="ascii")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "ingletonlp.cli", "bound", "--problem",
+                           str(path)], env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "status unbounded" in lines and "verified true" in lines
+    assert elapsed < 15
 
 
 def _dense_float_seed(problem, glist):

@@ -1,5 +1,6 @@
 """Command-line behavior: reports, files, exit codes."""
 
+import ast
 import hashlib
 import os
 import re
@@ -533,13 +534,17 @@ def test_gen_and_count_leave_the_float_stack_unloaded():
     assert proc.stderr.endswith("codes=[0, 0] loaded=[]")
 
 
+# the 5-node butterfly: 205 gamma-in members
+BUTTERFLY5 = ("source s1\nsource s2\nedge a from s1 cap 1\nedge b from s2 cap 1\n"
+              "edge m from s1,s2 cap 1\nsink t1 wants s1,s2 sees a,m\n"
+              "sink t2 wants s1,s2 sees b,m\n")
+
+
 def test_exact_bound_leaves_the_float_stack_unloaded(tmp_path):
     # 205 gamma-in members are under the all-columns limit, so no HiGHS seed
     # runs and the exact simplex must make do with the standard library
     net = tmp_path / "net.txt"
-    net.write_text("source s1\nsource s2\nedge a from s1 cap 1\nedge b from s2 cap 1\n"
-                   "edge m from s1,s2 cap 1\nsink t1 wants s1,s2 sees a,m\n"
-                   "sink t2 wants s1,s2 sees b,m\n", encoding="ascii")
+    net.write_text(BUTTERFLY5, encoding="ascii")
     code = (
         "import sys\n"
         "from ingletonlp import cli\n"
@@ -552,6 +557,35 @@ def test_exact_bound_leaves_the_float_stack_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "value 2" in proc.stdout.splitlines()
     assert proc.stderr.endswith("code=0 loaded=[]")
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # the package resolves its names on first use, and cli imports bound and
+    # certify inside the commands that run them
+    net = tmp_path / "net.txt"
+    net.write_text(BUTTERFLY5, encoding="ascii")
+    code = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return ([m for m in sorted(sys.modules) if m.startswith('ingletonlp')],\n"
+        "            'multiprocessing' in sys.modules)\n"
+        "import ingletonlp.cli as cli\n"
+        "seen = [loaded()]\n"
+        "codes = [cli.main(['gen', '--n', '4']), cli.main(['count', '--n', '6'])]\n"
+        "seen.append(loaded())\n"
+        f"codes.append(cli.main(['bound', '--network', {str(net)!r}]))\n"
+        "seen.append(loaded())\n"
+        "sys.stderr.write(repr((codes, seen)))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, seen = ast.literal_eval(proc.stderr)
+    base = ["ingletonlp", "ingletonlp._version", "ingletonlp.cli", "ingletonlp.entspace",
+            "ingletonlp.ingen"]
+    assert codes == [0, 0, 0]
+    assert seen[0] == seen[1] == (base, False)
+    assert seen[2] == (sorted(base + ["ingletonlp.bound", "ingletonlp.simplex"]), False)
 
 
 def test_violator_witness_leaves_the_float_stack_unloaded():

@@ -300,6 +300,20 @@ def test_runs_cross_block_edges(monkeypatch):
         ingen.write_inequality_stream(io.StringIO(), 3, _ShortFamily(ingen.gen_delta1(3)[:-1]))
 
 
+@pytest.mark.parametrize("block", [5, None])
+def test_family_writer_matches_the_list_writer(monkeypatch, block):
+    # the Family path renders Delta0 from its own loop nest; the list path
+    # renders through _run_text, member by member: both give the same bytes
+    if block is not None:
+        monkeypatch.setattr(ingen, "_BLOCK", block)
+    for name in ingen.FAMILIES:
+        for n in range(2, 8):
+            out = io.StringIO()
+            ingen.write_inequality_stream(out, n, ingen.family(name, n))
+            want = ingen.inequalities_to_text(n, list(ingen.family(name, n)))
+            assert out.getvalue() == want, (name, n)
+
+
 @st.composite
 def _delta0_run_cases(draw):
     """(n, (d1, d2, d3, d4), betas): nonempty disjoint d's in canonical order

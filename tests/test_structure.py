@@ -1,7 +1,10 @@
 """Structure locks read from the package's syntax trees."""
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 import ingletonlp
 
@@ -81,3 +84,20 @@ def test_one_form_per_point_and_one_scaling_routine():
         callers.update((name, fn) for fn in sites.sites)
     assert callers == {("entspace.py", "int_form")}
     assert not {"_values", "_scaled"} & set(EntropyVector.__slots__)
+
+
+def test_public_names_resolve_to_their_defining_modules():
+    # the package imports each name's module on first access
+    from ingletonlp import _EXPORTS
+
+    assert set(ingletonlp.__all__) <= set(dir(ingletonlp))
+    assert set(ingletonlp.__all__) == {"__version__"} | {n for ns in _EXPORTS.values() for n in ns}
+    for module, names in _EXPORTS.items():
+        defining = importlib.import_module(f"ingletonlp.{module}")
+        for name in names:
+            assert getattr(ingletonlp, name) is getattr(defining, name)
+    star = {}
+    exec("from ingletonlp import *", star)
+    assert all(star[name] is getattr(ingletonlp, name) for name in ingletonlp.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ingletonlp.no_such_name
