@@ -24,6 +24,13 @@ with positive denominators.  No positive factor changes any of these, so
 each pivot is the one plain rational arithmetic would choose.  Inputs may
 mix ints and Fractions; outputs are Fractions.
 
+Each row starts with a unit basis column, its crash column or its
+artificial, and the tableau keeps every such column.  So the final tableau
+holds B^-1 in them: the duals are read off the objective row there, and a
+re-solve with columns appended enters each as B^-1 a into the kept tableau
+and runs phase 2 from the old basis.  That is the B^-1 A a rebuild of the
+basis would give, row for row, so each pivot is the same.
+
 `exact_columns` builds every exact matrix the package hands the solver.
 This is also the package's only float module.  `linprog` is its one way
 into the float solver (HiGHS through scipy) and `float_rows` builds the
@@ -54,9 +61,9 @@ class LPResult:
     objective: Fraction | None = None
     y: list | None = None  # duals (optimal) or Farkas vector (infeasible)
     ray: list | None = None
-    # opaque restart data (surviving rows, basis columns); feed back as
-    # `warm` when re-solving the same rows with extra columns appended
-    warm: tuple | None = None
+    # restart data of an optimal solve that deleted no row, for `warm` when
+    # re-solving the same A and b with columns appended; else ignored
+    warm: _Restart | None = None
 
 
 def linprog(c, **kwargs):
@@ -179,14 +186,10 @@ class _Tableau:
         self.D.append(den)
         self.bits.append(b)
 
-    def drop(self, which) -> None:
-        """Delete a row (an index) or rows (a slice)."""
+    def drop(self, i: int) -> None:
+        """Delete row i."""
         for rows in (self.X, self.D, self.bits):
-            del rows[which]
-
-    def swap(self, i: int, j: int) -> None:
-        for rows in (self.X, self.D, self.bits):
-            rows[i], rows[j] = rows[j], rows[i]
+            del rows[i]
 
     def reduce(self, i: int, col: int = -1) -> int:
         """Divide row i by gcd(D[i], *row); returns the divisor.
@@ -238,54 +241,45 @@ class _Tableau:
             bits[i] = b
 
 
-def _warm_tableau(rows: list[list[int]], dens: list[int], warm: tuple, nc: int):
-    """Tableau reduced to a remembered basis, or None when it no longer fits."""
-    live_in, bcols = warm
-    if len(live_in) != len(bcols) or any(j >= nc for j in bcols):
-        return None
-    live = list(live_in)
-    basis = list(bcols)
-    # rows dropped as dependent ride along: appended columns can make one
-    # independent again, and then the old basis no longer fits
-    kept = set(live)
-    order = live + [i for i in range(len(rows)) if i not in kept]
-    tab = _Tableau([rows[i] for i in order], [dens[i] for i in order])
-    mm = len(live)
-    for pos in range(mm):
-        col = basis[pos]
-        fs = tab.column(col)
-        r = next((k for k in range(pos, mm) if fs[k] != 0), -1)
-        if r < 0:
+@dataclass(frozen=True, repr=False)  # its tableau and copy of A are large
+class _Restart:
+    """An optimal tableau without its objective row, to re-solve from.
+
+    Row pos of tab is unit at column basis[pos].  Row i of A was oriented
+    by sign[i] and started with the unit column start[i], its crash column
+    or its artificial.  A and b are copies of the system solved.
+    """
+    tab: _Tableau
+    basis: list[int]
+    start: list[int]
+    sign: list[int]
+    n_art: int
+    A: list[list]
+    b: list
+
+    def resume(self, A: list[list], b: list, nc: int) -> tuple[_Tableau, list[int]] | None:
+        """The tableau with A's appended columns entered as B^-1 a, and start to match.
+
+        None unless b is equal and every row of A starts with the old row.
+        Column start[i] holds B^-1 e_i of the oriented rows, so an appended
+        column a enters row pos as the sum of T[pos][start[i]] a_i over a's
+        nonzero entries.  Its lanes go before the artificial and rhs lanes.
+        """
+        if list(b) != self.b or len(A) != len(self.A) or any(
+                list(row[:len(old)]) != old for row, old in zip(A, self.A)):
             return None
-        tab.pivot(r, col, fs)
-        tab.swap(pos, r)
-        live[pos], live[r] = live[r], live[pos]
-    if any(v < 0 for v in tab.column(nc)[:mm]):
-        return None
-    if any(tab.first(i) >= 0 for i in range(mm, len(order))):
-        return None
-    tab.drop(slice(mm, None))
-    return tab, basis, live
+        m, tab, old = len(A), self.tab, self.tab.cells - self.n_art - 1
+        flat, d = int_form([s * row[j] for j in range(old, nc) for s, row in zip(self.sign, A)])
+        cols = [[(self.start[i], a) for i, a in enumerate(flat[k:k + m]) if a]
+                for k in range(0, len(flat), m)]
+        # the new entries sit over D[pos].d, so the old ones scale by d
+        T = [[v * d for v in row[:old]] + [sum(row[j] * a for j, a in col) for col in cols]
+             + [v * d for v in row[old:]] for row in map(tab.row, range(m))]
+        start = [j + nc - old if j >= old else j for j in self.start]
+        return _Tableau(T, [den * d for den in tab.D]), start
 
 
-def _solve_transposed(cols: list[list[int]], rhs: list) -> list[Fraction]:
-    """Solve M^T w = rhs for integer columns cols of an invertible M."""
-    mm = len(rhs)
-    if mm == 0:
-        return []
-    pairs = [int_form(cols[k] + [rhs[k]]) for k in range(mm)]
-    tab = _Tableau([r for r, _ in pairs], [d for _, d in pairs])
-    for col in range(mm):
-        fs = tab.column(col)
-        piv = next((r for r in range(col, mm) if fs[r] != 0), -1)
-        if piv < 0:
-            raise RuntimeError(f"singular basis: column {col} has no pivot in the dual solve")
-        tab.pivot(piv, col, fs)
-        tab.swap(col, piv)
-    return [Fraction(v, d) for v, d in zip(tab.column(mm), tab.D)]
-
-
-def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -> LPResult:
+def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None) -> LPResult:
     m = len(A)
     nc = len(c)
 
@@ -297,24 +291,16 @@ def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -
                 return LPResult("unbounded", x=[Fraction(0)] * nc, ray=ray)
         return LPResult("optimal", x=[Fraction(0)] * nc, objective=Fraction(0), y=[])
 
-    # row i of A x = b as ints over dens[i], rhs last, oriented to rhs >= 0
-    sign = [1] * m
-    rows = []
-    dens = []
-    for i in range(m):
-        r, d = int_form(list(A[i]) + [b[i]])
-        if r[nc] < 0:
-            r = [-v for v in r]
-            sign[i] = -1
-        rows.append(r)
-        dens.append(d)
-
-    art_of_row = {}
-    n_art = 0
-    built = None if warm is None else _warm_tableau(rows, dens, warm, nc)
-    if built is not None:
-        tab, basis, live_rows = built
+    resumed = warm.resume(A, b, nc) if isinstance(warm, _Restart) else None
+    if resumed is not None:
+        tab, start = resumed
+        basis, sign, n_art = list(warm.basis), warm.sign, warm.n_art
     else:
+        # row i of A x = b as ints over dens[i], rhs last, oriented to rhs >= 0
+        rows, dens = zip(*(int_form(list(A[i]) + [b[i]]) for i in range(m)))
+        sign = [-1 if r[nc] < 0 else 1 for r in rows]
+        rows = [[s * v for v in r] for s, r in zip(sign, rows)]
+
         # crash basis from unit columns; a -1 unit on a zero-rhs row counts
         # too, after flipping that row
         basis = [-1] * m
@@ -330,34 +316,32 @@ def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -
                 sign[i] = -sign[i]
                 basis[i] = j
 
+        n_art = 0
         for i in range(m):
             if basis[i] < 0:
                 basis[i] = nc + n_art
-                art_of_row[i] = nc + n_art
                 n_art += 1
 
         # tableau rows carry the rhs in the last slot
         T = [rows[i][:nc] + [0] * n_art + rows[i][nc:] for i in range(m)]
-        for i, j in art_of_row.items():
-            T[i][j] = dens[i]
+        for i, j in enumerate(basis):
+            if j >= nc:
+                T[i][j] = dens[i]
         tab = _Tableau(T, dens)
-        live_rows = list(range(m))  # indices into rows/sign surviving deletion
+        start = list(basis)
 
     ncols = nc + n_art
 
-    def duals(cvec: list) -> list[Fraction]:
-        """y with y.B = c_B for the current basis B of the oriented rows.
+    def duals(z: int, cvec: list) -> list[Fraction]:
+        """y with y.B = c_B for the current basis B, read off objective row z.
 
-        Row i of the oriented system is rows[i]/dens[i], so solving against
-        the integer columns gives w = y/dens, and y_i = dens_i w_i.
+        Column start[i] holds B^-1 e_i of the oriented rows, so its reduced
+        cost is cvec[start[i]] minus the oriented dual of row i.  A row
+        deleted as dependent gets 0: its artificial costs 0 and is zero in
+        every row left.
         """
-        cols = [[rows[i][j] if j < nc else (dens[i] if art_of_row.get(i) == j else 0)
-                 for i in live_rows] for j in basis]
-        w = _solve_transposed(cols, [cvec[j] for j in basis])
-        y_full = [Fraction(0)] * m
-        for pos, i in enumerate(live_rows):
-            y_full[i] = w[pos] * dens[i] * sign[i]
-        return y_full
+        Z, dz = tab.row(z), tab.D[z]
+        return [s * (cvec[j] - Fraction(Z[j], dz)) for s, j in zip(sign, start)]
 
     def zrow(cvec: list) -> int:
         """Append the objective row reduced against the basis, rhs last.
@@ -418,14 +402,14 @@ def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -
             tab.pivot(leave, enter, fs)
             basis[leave] = enter
 
-    if n_art:
+    if resumed is None and n_art:
         pcost = [0] * nc + [1] * n_art
         z = zrow(pcost)
         # the auxiliary objective is bounded below by zero
         if run_phase(z) is not None:
             raise RuntimeError("phase 1 reported an unbounded auxiliary objective")
         if tab.lane(z, ncols) < 0:
-            return LPResult("infeasible", y=duals(pcost))
+            return LPResult("infeasible", y=duals(z, pcost))
         tab.drop(z)
         # drive artificials out of the basis, deleting dependent rows
         pos = 0
@@ -437,7 +421,7 @@ def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -
                     basis[pos] = pj
                 else:
                     tab.drop(pos)
-                    del live_rows[pos], basis[pos]
+                    del basis[pos]
                     continue
             pos += 1
 
@@ -457,5 +441,8 @@ def solve_standard(A: list[list], b: list, c: list, warm: tuple | None = None) -
         return LPResult("unbounded", x=x, ray=ray)
 
     objective = sum((x[j] * c[j] for j in range(nc) if x[j]), Fraction(0))
-    return LPResult("optimal", x=x, objective=objective, y=duals(ext_cost),
-                    warm=(list(live_rows), list(basis)))
+    y = duals(nr, ext_cost)
+    tab.drop(nr)
+    # a deleted row could turn independent once columns are appended
+    return LPResult("optimal", x=x, objective=objective, y=y, warm=None if len(basis) < m else
+                    _Restart(tab, basis, start, sign, n_art, [list(row) for row in A], list(b)))

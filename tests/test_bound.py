@@ -454,9 +454,23 @@ def _report_sha256(problem, res):
     return hashlib.sha256(bound.format_bound_report(problem, res).encode()).hexdigest()
 
 
-def test_butterfly_network_rate():
+def test_butterfly_network_rate(monkeypatch):
     # coded relay: both receivers recover both unit sources through
     # capacity-one middles, total rate 2
+    pivots, per_solve = [0], []
+    real_pivot, real_solve = simplex._Tableau.pivot, bound.solve_standard
+
+    def pivot(self, *args):
+        pivots[0] += 1
+        real_pivot(self, *args)
+
+    def solve(*args, **kwargs):
+        before = pivots[0]
+        res = real_solve(*args, **kwargs)
+        per_solve.append((pivots[0] - before, kwargs.get("warm") is not None))
+        return res
+    monkeypatch.setattr(simplex._Tableau, "pivot", pivot)
+    monkeypatch.setattr(bound, "solve_standard", solve)
     net = bound.parse_network("""
 source s1
 source s2
@@ -476,6 +490,10 @@ sink t2 wants s1,s2 sees b,m2
     # the whole report, basis and certificate included, is locked byte for byte
     assert _report_sha256(problem, res) == (
         "8133540835fb0ba79dfa3292f24152542181009980a5a28d7289ca9a802a90d5")
+    # duals come off the final tableau and warm solves keep it: no pivot
+    # goes to a second dual solve or to rebuilding the previous basis
+    assert per_solve == [(692, False), (7, True), (5, True)]
+    assert pivots[0] == 704
 
 
 def test_butterfly5_report_bytes():

@@ -159,35 +159,51 @@ def test_warm_restart_same_problem_is_identity():
     b = [3, 3]
     c = [-1, -1, 0, 0]
     first = solve_standard(A, b, c)
-    again = solve_standard(A, b, c, warm=first.warm)
-    assert again.status == "optimal"
-    assert again.objective == first.objective
-    assert again.x == first.x
+    # a restart can be used twice: resuming leaves it as it was
+    for _ in range(2):
+        again = solve_standard(A, b, c, warm=first.warm)
+        assert again.status == "optimal"
+        assert (again.x, again.y, again.objective) == (first.x, first.y, first.objective)
 
 
 def test_warm_restart_rejects_stale_basis():
-    # basis ids beyond the column count must fall back to a cold solve
-    A = [[1, 1], [1, 3]]
+    # a restart from another rhs, another prefix column or another row
+    # count, or one that is not restart data, is ignored: the solve is cold
+    A = [[1, 1, 1, 0], [1, 3, 0, 1]]
     b = [4, 6]
-    c = [-1, -2]
-    res = solve_standard(A, b, c, warm=([0, 1], [5, 6]))
-    assert res.status in ("optimal", "unbounded")
+    c = [-1, -2, 0, 0]
+    first = solve_standard(A, b, c)
+    moved = [[2, 1, 1, 0, 1], [1, 3, 0, 1, 1]]
+    cases = [
+        ([row + [1] for row in A], [2, 6], c + [-1], first.warm),
+        (moved, b, c + [-1], first.warm),
+        (A + [[1, 0, 0, 0]], b + [1], c, first.warm),
+        (A, b, c, ([0, 1], [5, 6])),
+    ]
+    for A2, b2, c2, warm in cases:
+        got = solve_standard(A2, b2, c2, warm=warm)
+        cold = solve_standard(A2, b2, c2)
+        assert got.status == cold.status == "optimal"
+        assert (got.x, got.y, got.objective) == (cold.x, cold.y, cold.objective)
+        check_feasible(A2, b2, got.x)
+        check_dual(A2, b2, c2, got)
 
 
 def test_warm_restart_rechecks_dropped_rows():
-    # the second row repeats the first and is dropped; the appended column
-    # makes it independent again, so the old basis must not be reused as is
+    # the second row repeats the first and is deleted; an appended column
+    # could make it independent again, so that solve offers no restart
     A = [[0, 0, 1], [0, 0, -1]]
     b = [1, -1]
     c = [0, 0, 1]
     first = solve_standard(A, b, c)
-    assert first.warm[0] == [1]
+    assert first.status == "optimal" and first.warm is None
+    check_dual(A, b, c, first)
     A2 = [[0, 0, 1, 0], [0, 0, -1, -1]]
     c2 = [0, 0, 1, -1]
-    warm = solve_standard(A2, b, c2, warm=first.warm)
-    assert warm.status == "optimal" and warm.objective == 1
-    check_feasible(A2, b, warm.x)
-    check_dual(A2, b, c2, warm)
+    again = solve_standard(A2, b, c2, warm=first.warm)
+    assert again.status == "optimal" and again.objective == 1
+    check_feasible(A2, b, again.x)
+    check_dual(A2, b, c2, again)
 
 
 def test_result_dataclass_defaults():
@@ -384,10 +400,50 @@ def test_random_lps_with_narrow_lanes(monkeypatch):
     test_random_lps_certified_and_match_highs()
 
 
-def test_singular_basis_is_runtime_error():
-    # a soundness guard, so it must hold under python -O as well
-    with pytest.raises(RuntimeError, match="singular basis"):
-        simplex._solve_transposed([[1, 2], [2, 4]], [1, 1])
+def _solve_fractions(M, rhs):
+    """The y with M y = rhs for a square invertible M, by Fraction Gauss-Jordan."""
+    T = [[F(v) for v in row] + [F(r)] for row, r in zip(M, rhs)]
+    for col in range(len(T)):
+        piv = next(r for r in range(col, len(T)) if T[r][col] != 0)
+        T[col], T[piv] = T[piv], T[col]
+        T[col] = [v / T[col][col] for v in T[col]]
+        for r in range(len(T)):
+            if r != col and T[r][col]:
+                T[r] = [a - T[r][col] * v for a, v in zip(T[r], T[col])]
+    return [row[-1] for row in T]
+
+
+@pytest.mark.parametrize("width", [None, 8])
+def test_duals_solve_the_recorded_basis(monkeypatch, width):
+    # y read off the final tableau is the one y with y.B = c_B, for the
+    # basis the restart records, after cold and warm solves alike
+    if width:
+        monkeypatch.setattr(simplex, "_WIDTH", width)
+    checked = []
+
+    def check_basis(A, c, res):
+        basis = res.warm.basis
+        assert len(basis) == len(A) and all(j < len(c) for j in basis)
+        M = [[A[i][j] for i in range(len(A))] for j in basis]
+        assert res.y == _solve_fractions(M, [c[j] for j in basis])
+        checked.append(len(A))
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_lps())
+    def check(lp):
+        A, b, c, extra = lp
+        res = solve_standard(A, b, c)
+        if res.warm is None:
+            return
+        check_basis(A, c, res)
+        A2 = [row + [col[i] for col in extra] for i, row in enumerate(A)]
+        c2 = c + [col[-1] for col in extra]
+        again = solve_standard(A2, b, c2, warm=res.warm)
+        if again.warm is not None:
+            check_basis(A2, c2, again)
+
+    check()
+    assert len(checked) > 30, "too few optimal solves kept a restart"
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,13 @@ def test_one_exact_matrix_builder_and_one_exact_solve_per_module():
     assert len(_calls(trees["bound.py"], "solve_standard")) == 1
 
 
+def test_duals_and_restarts_need_no_second_solve_or_basis_rebuild():
+    # both are read off the final tableau's starting-basis columns
+    defined = {fn for _name, fn in _defined(_trees())}
+    assert "solve_standard" in defined
+    assert not {"_solve_transposed", "_warm_tableau", "swap"} & defined
+
+
 class _CallSites(ast.NodeVisitor):
     """The innermost enclosing function (or <module>) of every call of func."""
 
