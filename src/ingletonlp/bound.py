@@ -30,7 +30,7 @@ from .entspace import (
     report_text,
 )
 from .ingen import CONE_GAMMA, CONE_GAMMA_IN
-from .simplex import exact_columns, float_rows, linprog, solve_standard
+from .simplex import exact_columns, float_columns, linprog, solve_standard
 
 RELATIONS = ("<=", "=", ">=")
 SENSES = ("max", "min")
@@ -208,19 +208,20 @@ def _float_seed(asm: _DualAssembly, fallback=()) -> list[int]:
     eq = [(e, r) for e, rel, r in cons if rel == "="]
     try:
         # cone members g >= 0 enter as -g <= 0 beside the assembled <= rows
-        a_ub = float_rows(asm.glist + [-s * cons[j][0] for j, s in ub], asm.index, sign=-1)
+        rows = asm.glist + [-s * cons[j][0] for j, s in ub]
+        a_ub = float_columns([e.coeffs for e in rows], asm.index, sign=-1)
         b_ub = [0.0] * len(asm.glist) + [float(s * cons[j][2]) for j, s in ub]
         cost = [-float(asm.p.objective.coeffs.get(m, 0)) for m in asm.index]
-        a_eq, b_eq = float_rows([e for e, _r in eq], asm.index), [float(r) for _e, r in eq]
+        a_eq = float_columns([e.coeffs for e, _r in eq], asm.index)
+        b_eq = [float(r) for _e, r in eq]
     except OverflowError:
         return list(fallback)
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                  method="highs")
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq)
     if res.status != 0:
         return []
     # dual support is at most basis-sized; tight-but-unused rows would
     # bloat the exact solve on degenerate vertices
-    marg = res.ineqlin.marginals
+    marg = res.duals
     return [k for k in range(len(asm.glist)) if abs(marg[k]) > 1e-9]
 
 

@@ -35,7 +35,7 @@ from .entspace import (
     parse_rational,
     report_text,
 )
-from .simplex import drop_row, exact_columns, float_rows, linprog, solve_standard
+from .simplex import exact_columns, float_columns, linprog, solve_standard
 
 
 def _require(ok: bool, what: str) -> None:
@@ -99,7 +99,7 @@ class _ConeSystem:
             support.update(g.coeffs)
         self.masks = sorted(support)
         self.index = {m: i for i, m in enumerate(self.masks)}
-        self._float_gens = None
+        self._float_gens = self._float_cone = None
         self._lone = None  # per generator: would dropping it change masks or key ids?
         self._exact_keys = {}
         for i, g in enumerate(gens):
@@ -139,8 +139,7 @@ class _ConeSystem:
             point = self._float_witness(target, b_float)
             if point is not None:
                 return None, point
-        res = linprog([0.0] * ngen, A_eq=self.float_gens().T, b_eq=b_float,
-                      bounds=(0, None), method="highs")
+        res = linprog([0.0] * ngen, A_eq=self.float_cone(), b_eq=b_float)
         if res.status == 0:
             support = [j for j in range(ngen) if res.x[j] > 1e-9]
             sol = self._exact_solve(support, b_exact)
@@ -154,8 +153,9 @@ class _ConeSystem:
 
     def without(self, k: int) -> "_ConeSystem":
         """The system of every generator but k: it shares this system's masks
-        and slices its float rows if built, unless generator k alone uses some
-        mask or shares its key with another; then it is _ConeSystem(rest)."""
+        and slices row k out of its float columns if built, unless generator k
+        alone uses some mask or shares its key with another; then it is
+        _ConeSystem(rest)."""
         rest = self.gens[:k] + self.gens[k + 1:]
         if self._lone is None:
             uses = Counter(m for g in self.gens for m in g.coeffs)
@@ -166,16 +166,27 @@ class _ConeSystem:
             return _ConeSystem(rest)
         sub = object.__new__(_ConeSystem)
         sub.n, sub.gens, sub.masks, sub.index = self.n, rest, self.masks, self.index
-        rows = self._float_gens
-        sub._lone, sub._float_gens = None, None if rows is None else drop_row(rows, k)
+        cols = self._float_gens
+        sub._lone, sub._float_cone = None, None
+        sub._float_gens = None if cols is None else [
+            ([i - (i > k) for i in at if i != k], [v for i, v in zip(at, vals) if i != k])
+            for at, vals in cols]
         sub._exact_keys = {key: i - (i > k) for key, i in self._exact_keys.items() if i != k}
         return sub
 
     def float_gens(self):
-        """Generators as float sparse rows, built for the first presolve."""
+        """The separating-direction LP's columns, one per mask: each generator
+        g as a row -g <= 0.  Built for the first presolve."""
         if self._float_gens is None:
-            self._float_gens = float_rows(self.gens, self.index)
+            self._float_gens = float_columns((g.coeffs for g in self.gens), self.index, -1)
         return self._float_gens
+
+    def float_cone(self):
+        """The feasibility LP's columns, one per generator: float_gens transposed."""
+        if self._float_cone is None:
+            per_mask = [dict(zip(at, vals)) for at, vals in self.float_gens()]
+            self._float_cone = float_columns(per_mask, range(len(self.gens)), -1)
+        return self._float_cone
 
     def _exact_solve(self, support: list[int], b_exact):
         """Exact feasibility solve of sum_j x_j gens[support[j]] = target, x >= 0."""
@@ -205,8 +216,8 @@ class _ConeSystem:
 
     def _float_witness(self, target: LinExpr, b_float) -> EntropyVector | None:
         # direction p with g.p >= 0 for all generators and target.p < 0
-        res = linprog(b_float, A_ub=-self.float_gens(),
-                      b_ub=[0.0] * len(self.gens), bounds=(-1, 1), method="highs")
+        res = linprog(b_float, A_ub=self.float_gens(), b_ub=[0.0] * len(self.gens),
+                      bounds=(-1, 1))
         if res.status != 0 or res.fun > -1e-7:
             return None
         for den in (16, 1024, 10 ** 6, 10 ** 12):

@@ -33,19 +33,25 @@ basis would give, row for row, so each pivot is the same.
 
 `exact_columns` builds every exact matrix the package hands the solver.
 This is also the package's only float module.  `linprog` is its one way
-into the float solver (HiGHS through scipy) and `float_rows` builds the
-scipy sparse matrices the presolves hand it (`drop_row` slices one row
-out); each imports scipy at its first call.
+into the float solver, HiGHS's dual simplex, which it drives through the
+compiled HiGHS module scipy ships, loaded at the first call without
+importing scipy.optimize or scipy.sparse.  `float_columns` builds the
+column lists the presolves hand it.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import os
 import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from itertools import accumulate, chain
 from math import gcd
+from types import SimpleNamespace
 
 from .entspace import int_form
 
@@ -66,33 +72,80 @@ class LPResult:
     warm: _Restart | None = None
 
 
-def linprog(c, **kwargs):
-    """Float LP through scipy.optimize.linprog, imported at the first call.
+@functools.cache
+def _highs():
+    """scipy's compiled HiGHS module, and the options scipy.optimize.linprog sets.
 
-    Only the HiGHS presolves of `certify` and `bound` call it, so a command
-    that runs no presolve never loads scipy or numpy.
+    It is loaded from its file, so no scipy package code runs; a later
+    `import scipy.optimize` finds it in sys.modules and reuses it."""
+    name = "scipy.optimize._highspy._core"
+    if name not in sys.modules:
+        spec = importlib.util.find_spec("scipy")
+        base = spec and os.path.join(spec.submodule_search_locations[0], "optimize", "_highspy")
+        path = next((p for s in EXTENSION_SUFFIXES
+                     if base and os.path.exists(p := os.path.join(base, "_core" + s))), None)
+        if path is None:
+            raise ImportError("the float presolves need scipy>=1.15 and its HiGHS core module")
+        loader = ExtensionFileLoader(name, path)
+        core = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+        loader.exec_module(core)
+        sys.modules[name] = core
+    core = sys.modules[name]
+    options = core.HighsOptions()
+    options.presolve, options.output_flag, options.log_to_console = "on", False, False
+    options.highs_debug_level = 0
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    return core, options
+
+
+def linprog(c, A_ub=None, b_ub=(), A_eq=None, b_eq=(), bounds=(0, None)):
+    """min c.x subject to A_ub x <= b_ub, A_eq x = b_eq, bounds[0] <= x <= bounds[1].
+
+    This is the LP scipy.optimize.linprog(method="highs") hands HiGHS, with
+    A_ub and A_eq as `float_columns` lists over len(c) columns.  The status is
+    scipy's: 0 optimal, 2 infeasible, 3 unbounded, anything else 4.  Only an
+    optimal solve has x, fun, and duals: the row duals of the <= rows.
     """
-    from scipy.optimize import linprog as scipy_linprog
-    return scipy_linprog(c, **kwargs)
+    core, options = _highs()
+    inf, n, m = core.kHighsInf, len(c), len(b_ub)
+    cols = A_ub or A_eq
+    if A_ub is not None and A_eq is not None:  # each column lists A_eq's rows below A_ub's
+        cols = [(r + [i + m for i in s], v + w) for (r, v), (s, w) in zip(A_ub, A_eq)]
+    lp, (lo, hi) = core.HighsLp(), bounds
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m + len(b_eq)
+    lp.col_cost_, lp.col_lower_ = c, [-inf if lo is None else lo] * n
+    lp.col_upper_ = [inf if hi is None else hi] * n
+    lp.row_lower_, lp.row_upper_ = [-inf] * m + [*b_eq], [*b_ub, *b_eq]
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = [0, *accumulate(len(r) for r, _v in cols)]
+    lp.a_matrix_.index_ = [*chain.from_iterable(r for r, _v in cols)]
+    lp.a_matrix_.value_ = [*chain.from_iterable(v for _r, v in cols)]
+    highs = core._Highs()  # a fresh one, so no solver state outlives the call
+    highs.passOptions(options)
+    highs.passModel(lp)
+    highs.run()
+    ms = core.HighsModelStatus
+    status = {ms.kOptimal: 0, ms.kInfeasible: 2, ms.kUnbounded: 3}.get(highs.getModelStatus(), 4)
+    if status != 0:
+        return SimpleNamespace(status=status, x=None, fun=None, duals=None)
+    sol = highs.getSolution()
+    return SimpleNamespace(status=0, x=sol.col_value, duals=sol.row_dual[:m],
+                           fun=highs.getInfo().objective_function_value)
 
 
-def float_rows(exprs, index: dict[int, int], sign: int = 1):
-    """Float CSR matrix with one row per LinExpr: mask m's coefficient,
-    times sign, in column index[m].  Imports scipy at the first call."""
-    from scipy.sparse import csr_matrix
-    data, cols, ptr = [], [], [0]
-    for e in exprs:
-        for m, c in e.coeffs.items():
-            cols.append(index[m])
-            data.append(sign * float(c))
-        ptr.append(len(cols))
-    return csr_matrix((data, cols, ptr), shape=(len(ptr) - 1, len(index)))
-
-
-def drop_row(rows, k: int):
-    """The float CSR matrix `rows` without row k; every other entry keeps its place."""
-    import numpy as np
-    return rows[np.delete(np.arange(rows.shape[0]), k)]
+def float_columns(rows, index, sign: int = 1) -> list[tuple[list[int], list[float]]]:
+    """The float matrix with one row per mapping in rows, key m's value times
+    sign in column index[m], as one (row ids, values) pair per column.  Row ids
+    ascend, as scipy's sparse matrices hand them to HiGHS.  A value beyond
+    float range raises OverflowError."""
+    cols = [([], []) for _ in index]
+    for i, row in enumerate(rows):
+        for m, v in row.items():
+            at, vals = cols[index[m]]
+            at.append(i)
+            vals.append(sign * float(v))
+    return cols
 
 
 def exact_columns(exprs, index: dict[int, int], sign: int = 1) -> list[list]:

@@ -41,3 +41,39 @@ def cli_run_once(tmp_path_factory):
             runs[tuple(argv)] = (*_main([a.replace("{tmp}", str(tmp)) for a in argv]), tmp)
         return runs[tuple(argv)]
     return run
+
+
+@pytest.fixture
+def highs_models(monkeypatch):
+    """(ours, scipy's): the model of each HiGHS solve as `simplex.linprog` and as
+    `scipy.optimize.linprog` hand it over, recorded as they go.
+
+    Each model is (cost, column bounds, row bounds, start, index, value), as lists.
+    """
+    from types import SimpleNamespace
+
+    from scipy.optimize import _linprog_highs
+
+    from ingletonlp import simplex
+
+    ours, theirs = [], []
+    core, options = simplex._highs()
+
+    class Recorder(core._Highs):
+        def passModel(self, lp):
+            a = lp.a_matrix_
+            ours.append([list(v) for v in (lp.col_cost_, lp.col_lower_, lp.col_upper_,
+                                           lp.row_lower_, lp.row_upper_,
+                                           a.start_, a.index_, a.value_)])
+            return super().passModel(lp)
+
+    def wrapper(c, start, index, value, row_lower, row_upper, col_lower, col_upper, *rest):
+        theirs.append([list(v) for v in (c, col_lower, col_upper, row_lower, row_upper,
+                                         start, index, value)])
+        return real(c, start, index, value, row_lower, row_upper, col_lower, col_upper, *rest)
+
+    real = _linprog_highs._highs_wrapper
+    monkeypatch.setattr(_linprog_highs, "_highs_wrapper", wrapper)
+    monkeypatch.setattr(simplex, "_highs",
+                        lambda: (SimpleNamespace(**{**vars(core), "_Highs": Recorder}), options))
+    return ours, theirs

@@ -599,9 +599,8 @@ def test_rhs_beyond_float_range_at_n6_starts_from_the_elemental_members(tmp_path
     assert elapsed < 15
 
 
-def _dense_float_seed(problem, glist):
-    """The float seed as one dense float list per row: the sparse seed's reference."""
-    from scipy.optimize import linprog
+def _dense_seed_lp(problem, glist):
+    """The float seed's LP as scipy.optimize.linprog keywords, one dense float list per row."""
     dim = 2 ** problem.n - 1
     dense = lambda e: [float(e.coeffs.get(m, 0)) for m in range(1, dim + 1)]
     a_ub = [[-c for c in dense(g)] for g in glist]
@@ -618,8 +617,14 @@ def _dense_float_seed(problem, glist):
             a_eq.append(dense(expr))
             b_eq.append(float(rhs))
     cost = [-c for c in dense(problem.objective)]
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq or None, b_eq=b_eq or None,
-                  bounds=(0, None), method="highs")
+    return dict(c=cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq or None, b_eq=b_eq or None,
+                bounds=(0, None), method="highs")
+
+
+def _dense_float_seed(problem, glist):
+    """The float seed from the dense LP: the column-list seed's reference."""
+    from scipy.optimize import linprog
+    res = linprog(**_dense_seed_lp(problem, glist))
     if res.status != 0:
         return []
     marg = res.ineqlin.marginals
@@ -641,6 +646,31 @@ def test_float_seed_matches_the_dense_reference(n):
     assert any(got for got, _want in seeds) and not all(got for got, _want in seeds)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_float_seed_lp_is_scipys(monkeypatch, highs_models, n):
+    # simplex.linprog on the seed's column lists hands HiGHS the model that
+    # scipy.optimize.linprog builds from the dense rows, entry order included,
+    # and gets its answer bit for bit: status, x, objective and <= row duals
+    from scipy.optimize import linprog
+    rng = random.Random(n)
+    got, (ours, theirs) = [], highs_models
+    monkeypatch.setattr(bound, "linprog", lambda *a, **kw: got.append(simplex.linprog(*a, **kw))
+                        or got[-1])
+    statuses = []
+    for _ in range(30):  # the problems of test_float_seed_matches_the_dense_reference
+        problem = _random_problem(rng, n)
+        glist = [ci.expr for ci in bound.cone_members(problem.n, problem.cone)]
+        bound._float_seed(bound._DualAssembly(problem, glist))
+        mine, ref = got.pop(), linprog(**_dense_seed_lp(problem, glist))
+        assert len(ours) == len(theirs) == 1 and ours.pop() == theirs.pop()
+        assert mine.status == ref.status
+        if ref.status == 0:
+            assert (list(mine.x), mine.fun) == (list(ref.x), ref.fun)
+            assert list(mine.duals) == list(ref.ineqlin.marginals)
+        statuses.append(mine.status)
+    assert 0 in statuses and len(set(statuses)) > 1
+
+
 def test_float_seed_memory_at_n6():
     # 1,716 gamma-in members, past the all-columns limit: the seed's matrix
     # is sparse, where one dense float list per member took about 6 MB
@@ -651,7 +681,7 @@ def test_float_seed_memory_at_n6():
     glist = [ci.expr for ci in bound.cone_members(n, problem.cone)]
     assert len(glist) > bound._ALL_COLUMNS_LIMIT
     asm = bound._DualAssembly(problem, glist)
-    want = bound._float_seed(asm)  # loads scipy before tracing starts
+    want = bound._float_seed(asm)  # loads HiGHS before tracing starts
     tracemalloc.start()
     try:
         got = bound._float_seed(asm)

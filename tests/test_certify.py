@@ -109,6 +109,24 @@ def test_target_beyond_float_range_is_decided_exactly(implied):
         assert certify.verify_witness(target, gens, out) and evaluate(target, out.point) == -1
 
 
+@pytest.mark.parametrize("implied", [True, False])
+def test_generators_beyond_float_range_are_decided_exactly(monkeypatch, implied):
+    # building the float columns overflows inside decide's presolve guard,
+    # so the presolve steps aside before any HiGHS call
+    monkeypatch.setattr(certify, "linprog", None)  # any HiGHS call would raise
+    base = elemental_exprs(4)
+    gens = [g * 10 ** 400 for g in base]
+    # the target itself fits a float; only the generators do not
+    target = base[0] + base[3] if implied else ingleton_expr(IngletonQuad(4, 1, 2, 4, 8))
+    out = certify.decide_implication(target, gens)
+    if implied:
+        assert isinstance(out, certify.FarkasCertificate)
+        assert certify.verify_certificate(target, gens, out)
+    else:
+        assert isinstance(out, certify.SeparationWitness)
+        assert certify.verify_witness(target, gens, out) and evaluate(target, out.point) == -1
+
+
 def test_certificate_file_roundtrip(tmp_path):
     gens = delta_exprs(3)
     items = []
@@ -247,10 +265,9 @@ def test_one_lp_per_drop_one_member(monkeypatch):
 def _assert_same_system(sub, fresh):
     assert (sub.n, sub.gens, sub.masks, sub.index, sub._exact_keys) == \
         (fresh.n, fresh.gens, fresh.masks, fresh.index, fresh._exact_keys)
-    a, b = sub.float_gens(), fresh.float_gens()
-    assert a.shape == b.shape
-    for part in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(a, part), getattr(b, part))
+    # the float column lists, compared exactly
+    assert sub.float_gens() == fresh.float_gens()
+    assert sub.float_cone() == fresh.float_cone()
 
 
 def _check_drop_one_systems(gens, targets=None):
@@ -294,8 +311,9 @@ def test_drop_one_system_without_a_repeated_member():
 
 def test_minimality_builds_the_float_rows_once(monkeypatch):
     calls = []
-    real = certify.float_rows
-    monkeypatch.setattr(certify, "float_rows", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    real = certify.float_columns
+    monkeypatch.setattr(certify, "float_columns",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
     assert certify.check_minimality(4).ok
     assert len(calls) == 1
 

@@ -519,6 +519,15 @@ def test_bound_builds_its_family_once(capsys, tmp_path, monkeypatch):
     assert calls == [3]
 
 
+def _child(code):
+    """(stdout, stderr) of code run in a fresh interpreter, which must exit 0."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, proc.stderr
+
+
 def test_gen_and_count_leave_the_float_stack_unloaded():
     # numpy and scipy serve only the HiGHS presolves, which gen and count never run
     code = (
@@ -527,11 +536,8 @@ def test_gen_and_count_leave_the_float_stack_unloaded():
         "codes = [cli.main(['gen', '--n', '4']), cli.main(['count', '--n', '6'])]\n"
         "loaded = [m for m in ('numpy', 'scipy') if m in sys.modules]\n"
         "sys.stderr.write(f'codes={codes} loaded={loaded}')\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.endswith("codes=[0, 0] loaded=[]")
+    _out, err = _child(code)
+    assert err.endswith("codes=[0, 0] loaded=[]")
 
 
 # the 5-node butterfly: 205 gamma-in members
@@ -551,12 +557,9 @@ def test_exact_bound_leaves_the_float_stack_unloaded(tmp_path):
         f"code = cli.main(['bound', '--network', {str(net)!r}, '--cone', 'gamma-in'])\n"
         "loaded = [m for m in ('numpy', 'scipy') if m in sys.modules]\n"
         "sys.stderr.write(f'code={code} loaded={loaded}')\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "value 2" in proc.stdout.splitlines()
-    assert proc.stderr.endswith("code=0 loaded=[]")
+    out, err = _child(code)
+    assert "value 2" in out.splitlines()
+    assert err.endswith("code=0 loaded=[]")
 
 
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
@@ -576,11 +579,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         f"codes.append(cli.main(['bound', '--network', {str(net)!r}]))\n"
         "seen.append(loaded())\n"
         "sys.stderr.write(repr((codes, seen)))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    codes, seen = ast.literal_eval(proc.stderr)
+    _out, err = _child(code)
+    codes, seen = ast.literal_eval(err)
     base = ["ingletonlp", "ingletonlp._version", "ingletonlp.cli", "ingletonlp.entspace",
             "ingletonlp.ingen"]
     assert codes == [0, 0, 0]
@@ -596,12 +596,37 @@ def test_violator_witness_leaves_the_float_stack_unloaded():
         "code = cli.main(['witness', '--n', '4', '--kind', 'violator'])\n"
         "loaded = [m for m in ('numpy', 'scipy') if m in sys.modules]\n"
         "sys.stderr.write(f'code={code} loaded={loaded}')\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith("{1,2,3,4}=1\n")
-    assert proc.stderr.endswith("code=0 loaded=[]")
+    out, err = _child(code)
+    assert out.endswith("{1,2,3,4}=1\n")
+    assert err.endswith("code=0 loaded=[]")
+
+
+def test_drop_one_scan_leaves_scipy_optimize_and_sparse_unloaded(capsys):
+    # the presolves drive HiGHS's compiled module, loaded from its file
+    out, err = _child(
+        "import sys\n"
+        "from ingletonlp import cli\n"
+        "code = cli.main(['check-minimality', '--n', '4'])\n"
+        "loaded = [m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules]\n"
+        "highs = 'scipy.optimize._highspy._core' in sys.modules\n"
+        "sys.stderr.write(f'code={code} loaded={loaded} highs={highs}')\n")
+    assert err.endswith("code=0 loaded=[] highs=True")
+    # the same bytes as in this process, where scipy.optimize may well be loaded
+    rc, here, _ = run_cli(capsys, ["check-minimality", "--n", "4"])
+    assert rc == 0 and out == here
+
+
+def test_scipy_optimize_imported_after_a_scan_reuses_the_loaded_highs():
+    _out, err = _child(
+        "import sys\n"
+        "from ingletonlp import certify, simplex\n"
+        "ok = certify.check_minimality(3).ok\n"
+        "core = sys.modules['scipy.optimize._highspy._core']\n"
+        "from scipy.optimize import linprog\n"
+        "res = linprog([-1, -2], A_ub=[[1, 1]], b_ub=[4], method='highs')\n"
+        "same = sys.modules['scipy.optimize._highspy._core'] is core is simplex._highs()[0]\n"
+        "sys.stderr.write(f'{ok} {res.status} {res.x.tolist()} {res.fun} {same}')\n")
+    assert err.endswith("True 0 [0.0, 4.0] -8.0 True")
 
 
 def test_huge_n_in_a_vector_file_exits_two(capsys, tmp_path):

@@ -447,18 +447,21 @@ def test_duals_solve_the_recorded_basis(monkeypatch, width):
 
 
 # ---------------------------------------------------------------------------
-# the float stack: one sparse builder, reached only through this module
+# the float stack: HiGHS's compiled module, driven on column lists
 
-import ast  # noqa: E402
-from pathlib import Path  # noqa: E402
+import itertools  # noqa: E402
+import sys  # noqa: E402
 
-import numpy as np  # noqa: E402
-
-from ingletonlp import ingen  # noqa: E402
-from ingletonlp.entspace import LinExpr, parse_expr  # noqa: E402
+from ingletonlp import certify, ingen  # noqa: E402
+from ingletonlp.entspace import IngletonQuad, LinExpr, ingleton_expr, parse_expr  # noqa: E402
 
 
-def test_float_rows_match_the_dense_coefficients():
+def _dense(exprs, masks, sign=1):
+    """One float list per expression: its coefficient on each mask, times sign."""
+    return [[sign * float(e.coeffs.get(m, 0)) for m in masks] for e in exprs]
+
+
+def test_float_columns_match_the_dense_coefficients():
     # Delta at n=4, a Fraction coefficient and an all-zero row, over the
     # column order a certify cone system gives its masks
     exprs = [ci.expr for ci in ingen.gen_delta(4)]
@@ -466,9 +469,84 @@ def test_float_rows_match_the_dense_coefficients():
     masks = sorted({m for e in exprs for m in e.coeffs})
     index = {m: i for i, m in enumerate(masks)}
     for sign in (1, -1):
-        dense = np.array([[sign * float(e.coeffs.get(m, 0)) for m in masks] for e in exprs])
-        got = simplex.float_rows(exprs, index, sign)
-        assert got.shape == dense.shape and np.array_equal(got.toarray(), dense)
+        cols = simplex.float_columns((e.coeffs for e in exprs), index, sign)
+        assert len(cols) == len(masks)
+        dense = [[0.0] * len(masks) for _ in exprs]
+        for j, (rows, vals) in enumerate(cols):
+            assert rows == sorted(set(rows)) and len(vals) == len(rows)  # rows ascend
+            for i, v in zip(rows, vals):
+                dense[i][j] = v
+        assert dense == _dense(exprs, masks, sign)
+
+
+def _assert_is_scipys(mine, ref, models):
+    """simplex.linprog handed HiGHS scipy.optimize.linprog's model, entry order
+    included, and got scipy's answer, bit for bit."""
+    ours, theirs = models
+    assert len(ours) == len(theirs) == 1 and ours.pop() == theirs.pop()
+    assert mine.status == ref.status
+    if ref.status == 0:
+        assert list(mine.x) == list(ref.x) and mine.fun == ref.fun
+        assert list(mine.duals) == list(ref.ineqlin.marginals)
+    else:
+        assert (mine.x, mine.fun, ref.x, ref.fun) == (None, None, None, None)
+
+
+def test_linprog_is_scipys_on_every_n4_drop_one_witness_lp(highs_models):
+    # the separating-direction LP of each member against the rest, as the
+    # drop-one scan poses it on the columns it slices out of the full system
+    gens = [ci.expr for ci in ingen.gen_delta(4)]
+    full = certify._ConeSystem(gens)
+    full.float_gens()
+    for k, target in enumerate(gens):
+        sub, rest = full.without(k), gens[:k] + gens[k + 1:]
+        cost, zeros = [float(target.coeffs.get(m, 0)) for m in sub.masks], [0.0] * len(rest)
+        mine = simplex.linprog(cost, A_ub=sub.float_gens(), b_ub=zeros, bounds=(-1, 1))
+        ref = linprog(cost, A_ub=_dense(rest, sub.masks, -1), b_ub=zeros, bounds=(-1, 1),
+                      method="highs")
+        _assert_is_scipys(mine, ref, highs_models)
+        assert mine.status == 0 and mine.fun < 0
+
+
+def test_linprog_is_scipys_on_every_n3_quad_feasibility_presolve(highs_models):
+    # every distinct Ingleton target of the 4,096 quads at n=3 that decide
+    # hands to the feasibility LP over Delta
+    gens = [ci.expr for ci in ingen.gen_delta(3)]
+    system = certify._ConeSystem(gens)
+    targets = {t.key(): t for t in (ingleton_expr(IngletonQuad(3, *q))
+                                    for q in itertools.product(range(8), repeat=4))}
+    posed = [t for t in targets.values() if not t.is_zero()
+             and t.key() not in system._exact_keys and set(t.coeffs) <= set(system.index)]
+    assert len(posed) > 20
+    a_eq = [list(col) for col in zip(*_dense(gens, system.masks))]
+    for t in posed:
+        b = [float(t.coeffs.get(m, 0)) for m in system.masks]
+        mine = simplex.linprog([0.0] * len(gens), A_eq=system.float_cone(), b_eq=b)
+        ref = linprog([0.0] * len(gens), A_eq=a_eq, b_eq=b, method="highs")
+        _assert_is_scipys(mine, ref, highs_models)
+        assert mine.status == 0  # below four elements every Ingleton inequality holds
+
+
+def test_linprog_is_scipys_on_infeasible_and_unbounded_lps(highs_models):
+    # x1 + x2 = -1 has no point with x >= 0; min -x1 - x2 over x1 - x2 <= 1 falls forever
+    one = [([0], [1.0]), ([0], [1.0])]
+    mine = simplex.linprog([1.0, 1.0], A_eq=one, b_eq=[-1.0])
+    ref = linprog([1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[-1.0], method="highs")
+    _assert_is_scipys(mine, ref, highs_models)
+    assert mine.status == 2
+    diff = [([0], [1.0]), ([0], [-1.0])]
+    mine = simplex.linprog([-1.0, -1.0], A_ub=diff, b_ub=[1.0])
+    ref = linprog([-1.0, -1.0], A_ub=[[1.0, -1.0]], b_ub=[1.0], method="highs")
+    _assert_is_scipys(mine, ref, highs_models)
+    assert mine.status == 3
+
+
+def test_missing_highs_core_names_the_scipy_it_needs(monkeypatch):
+    # no fallback to scipy.optimize.linprog: without the compiled module, say what is needed
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core", raising=False)
+    monkeypatch.setattr(simplex, "EXTENSION_SUFFIXES", [".no-such-suffix"])
+    with pytest.raises(ImportError, match=r"scipy>=1\.15"):
+        simplex._highs.__wrapped__()
 
 
 @settings(max_examples=200, deadline=None)
@@ -484,28 +562,3 @@ def test_exact_columns_match_the_dense_coefficients(data):
     for sign in (1, -1):
         dense = [[sign * e.coeffs.get(m, 0) for e in exprs] for m in masks]
         assert simplex.exact_columns(exprs, index, sign) == dense
-
-
-def _float_stack_imports(path):
-    """(line, inside a function) of each numpy or scipy import in path."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    nested = {id(node) for fn in ast.walk(tree)
-              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-              for node in ast.walk(fn)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        if any(name.split(".")[0] in ("numpy", "scipy") for name in names):
-            yield node.lineno, id(node) in nested
-
-
-def test_only_simplex_imports_the_float_stack_and_only_in_functions():
-    found = {path.name: list(_float_stack_imports(path))
-             for path in sorted(Path(simplex.__file__).parent.glob("*.py"))}
-    assert len(found) > 5 and found["simplex.py"]
-    assert {name for name, hits in found.items() if hits} == {"simplex.py"}
-    assert all(inside for _line, inside in found["simplex.py"])

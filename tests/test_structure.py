@@ -59,6 +59,36 @@ def test_duals_and_restarts_need_no_second_solve_or_basis_rebuild():
     assert not {"_solve_transposed", "_warm_tableau", "swap"} & defined
 
 
+def _float_stack_names(tree):
+    """(kind, text) of each import, and each string but a docstring, naming numpy or scipy."""
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and ast.get_docstring(node) is not None}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found = [("import", alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found = [("import", node.module or "")]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+            found = [("string", node.value)]
+        else:
+            continue
+        yield from (hit for hit in found if "numpy" in hit[1] or "scipy" in hit[1])
+
+
+def test_highs_is_reached_through_simplex_alone():
+    # simplex loads HiGHS's compiled module from its file and hands it column
+    # lists: no module imports numpy or scipy (scipy.optimize and scipy.sparse
+    # included), and no other module names them
+    trees = _trees()
+    defined = {fn for _name, fn in _defined(trees)}
+    assert {"linprog", "float_columns"} <= defined
+    assert not {"float_rows", "drop_row"} & defined
+    found = {name: list(_float_stack_names(tree)) for name, tree in trees.items()}
+    assert [name for name, hits in found.items() if hits] == ["simplex.py"]
+    assert {kind for kind, _text in found["simplex.py"]} == {"string"}
+
+
 class _CallSites(ast.NodeVisitor):
     """The innermost enclosing function (or <module>) of every call of func."""
 
