@@ -535,7 +535,10 @@ def inequalities_from_text(text: str) -> tuple[int, list[CanonicalInequality]]:
     count = int(head[1][6:])
     out = []
     for ln in lines[1:]:
-        kind, payload_text, expr_text = ln.split("\t")
+        fields = ln.split("\t")
+        if len(fields) != 3:
+            raise ValueError(f"expected kind, payload and expression, tab-separated: {ln!r}")
+        kind, payload_text, expr_text = fields
         payload = _parse_payload(kind, payload_text, n)
         expr = parse_expr(expr_text, n)
         if expr != member_expr(n, kind, payload):

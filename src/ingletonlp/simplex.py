@@ -8,21 +8,18 @@ Every terminal status ships checkable data:
   infeasible Farkas vector y with y.A_j <= 0 for every column and y.b > 0
   unbounded  a feasible x plus a ray r >= 0 with A r = 0 and c.r < 0
 
-The kernel is fraction-free and packed.  Each tableau row, the objective
-row included, is integer numerators over one positive denominator, held
-as one Python int with a w-bit lane per entry, plus an upper bound on the
-bit length of its entries.  Clearing a column from a row is X.p - f.P on
-two ints, with no gcd.  A row is decoded and divided by its gcd only when
-the next elimination could overflow a lane, and the pivot row once per
-pivot, which makes its pivot entry positive.  When a reduced row still
-does not fit, every row is repacked at twice the width.
-
-So every row is its gcd-reduced form times a positive factor and stands
-for the same rational row.  Each pivot decision reads only signs, the
-order of entries within one row, and cross-multiplied entries of two rows
-with positive denominators.  No positive factor changes any of these, so
-each pivot is the one plain rational arithmetic would choose.  Inputs may
-mix ints and Fractions; outputs are Fractions.
+The kernel is fraction-free and packed (Edmonds, J. Res. NBS 71B, 1967;
+Bareiss, Math. Comp. 22, 1968).  For one shared d > 0, every row holds d
+times its rational row as integers, one Python int with a w-bit lane per
+entry; the objective row also carries its own int_form scale.  A pivot on
+entry p of row r sets each other row i to (|p|.U_i - sgn(p).f_i.U_r) / d
+and d to |p|, and Edmonds' identity makes that division exact in every
+lane, so no gcd runs.  A cold start puts every row over the product of the
+row denominators, as pivoting its starting basis in from d = 1 would.  One
+positive d scales every row alike, so it changes no sign, no order within
+a row and no sign of a cross-multiplied pair of entries: each pivot
+decision, and so each pivot, is the one rational arithmetic would make.
+Inputs may mix ints and Fractions; outputs are Fractions.
 
 Each row starts with a unit basis column, its crash column or its
 artificial, and the tableau keeps every such column.  So the final tableau
@@ -50,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from itertools import accumulate, chain
-from math import gcd
+from math import prod
 from types import SimpleNamespace
 
 from .entspace import int_form
@@ -164,18 +161,18 @@ def _bits(vals: list[int]) -> int:
 
 
 class _Tableau:
-    """Equal-length integer rows, each packed into one int over a denominator.
+    """Equal-length integer rows over one denominator d > 0, each packed into one int.
 
-    Row i holds numerators r_k over D[i] > 0, none longer than bits[i] bits,
-    as X[i] = bias + sum r_k 2^(w k).  `bias` puts half = 2^(w-1) in every
-    w-bit lane, so lane k holds r_k + half in [0, 2^w) and reads off with a
-    mask and a shift, without borrows.
+    Row i holds d times its rational row, numerators r_k none longer than
+    bits[i] bits, as X[i] = bias + sum r_k 2^(w k).  `bias` puts half =
+    2^(w-1) in every w-bit lane, so lane k holds r_k + half in [0, 2^w) and
+    reads off with a mask and a shift, without borrows.
     """
 
-    def __init__(self, rows: list[list[int]], dens: list[int]):
+    def __init__(self, rows: list[list[int]], d: int):
         self.cells = len(rows[0])
         flat = list(chain.from_iterable(rows))
-        self.X, self.D, self.bits = [], list(dens), [_bits(flat)] * len(rows)
+        self.X, self.d, self.bits = [], d, [_bits(flat)] * len(rows)
         self.w = _WIDTH
         self.widen(self.bits[0], flat)
 
@@ -231,67 +228,49 @@ class _Tableau:
         # the lowest set bit of the unbiased row lies in that entry's lane
         return ((x & -x).bit_length() - 1) // self.w if x else -1
 
-    def append(self, row: list[int], den: int) -> None:
+    def append(self, row: list[int]) -> None:
         b = _bits(row)
         if b >= self.w:
             self.widen(b)
         self.X += self.pack(row)
-        self.D.append(den)
         self.bits.append(b)
 
     def drop(self, i: int) -> None:
         """Delete row i."""
-        for rows in (self.X, self.D, self.bits):
-            del rows[i]
+        del self.X[i], self.bits[i]
 
-    def reduce(self, i: int, col: int = -1) -> int:
-        """Divide row i by gcd(D[i], *row); returns the divisor.
+    def pivot(self, r: int, col: int, fs: list[int]) -> None:
+        """Make column col a unit in row r, fs being `column(col)`; d becomes |fs[r]|."""
+        p, d = fs[r], self.d
+        a, s = abs(p), (1 if p > 0 else -1)
+        for i, f in enumerate(fs):
+            if i != r and (f or a != d):  # a row with f = 0 still scales by |p|/d
+                self.combine(i, a, r, s * f, d)
+        if p < 0:
+            self.X[r] = 2 * self.bias - self.X[r]
+        self.d = a
 
-        With col >= 0 the row becomes row/row[col] instead: its numerators
-        over their gcd, signed to leave a positive denominator.
+    def combine(self, i: int, a: int, r: int, f: int, d: int) -> None:
+        """Row i becomes (a.row i - f.row r) / d, which must divide in every lane.
+
+        Only the result must fit a lane.  When it might not, both rows are
+        measured first, since bounds carried from pivot to pivot ratchet up.
         """
-        vals = self.row(i)
-        den = vals[col] if col >= 0 else self.D[i]
-        g = -gcd(*vals) if den < 0 else gcd(den, *vals)
-        if g != 1:
-            # g divides every entry, so it divides the unbiased int lane by lane
-            self.X[i] = (self.X[i] - self.bias) // g + self.bias
-        self.D[i] = den // g
-        self.bits[i] = (max(max(vals), -min(vals)) // abs(g)).bit_length()
-        return g
-
-    def pivot(self, pi: int, col: int, fs: list[int]) -> None:
-        """Scale row pi to a unit at col and clear col from every other row.
-
-        fs is column col of every row, as `column(col)` reads it.
-        """
-        self.reduce(pi, col)
-        self.clear(pi, [(i, f) for i, f in enumerate(fs) if f and i != pi])
-
-    def clear(self, pi: int, targets) -> None:
-        """For each (i, f), row i minus f/p times row pi, where p = D[pi].
-
-        Row pi holds p where row i holds f.  For numerators R and P, row i
-        becomes (R.p - f.P) / (D[i].p): row pi's own denominator cancels.
-        On the biased ints that is X[i].p - f.X[pi] + bias.(f - p + 1).
-        """
-        X, D, bits = self.X, self.D, self.bits
-        for i, f in targets:
-            # if the result could overflow a lane: reduce row i, then row pi, then widen
-            for fix in range(3):
-                b = max(bits[i] + D[pi].bit_length(), f.bit_length() + bits[pi]) + 1
-                if b < self.w:
-                    break
-                if fix == 0:
-                    f //= self.reduce(i)
-                elif fix == 1:
-                    self.reduce(pi)
-                else:
-                    self.widen(b)
-            p = D[pi]
-            X[i] = X[i] * p - f * X[pi] + self.bias * (f - p + 1)
-            D[i] *= p
-            bits[i] = b
+        bits = self.bits
+        for measured in (False, True):
+            top = max(bits[i] + a.bit_length(), bits[r] + f.bit_length() if f else 0)
+            b = max(top + 2 - d.bit_length(), 0)
+            if b < self.w or measured:
+                break
+            bits[i], bits[r] = _bits(self.row(i)), _bits(self.row(r))
+        if b >= self.w:
+            self.widen(b)
+        x = a * self.X[i] - f * self.X[r] + self.bias * (f - a)  # unbiased
+        if d != 1:
+            x, rest = divmod(x, d)
+            if rest:
+                raise RuntimeError("a tableau row does not divide by the tableau's denominator")
+        self.X[i], bits[i] = x + self.bias, b
 
 
 @dataclass(frozen=True, repr=False)  # its tableau and copy of A are large
@@ -322,14 +301,16 @@ class _Restart:
                 list(row[:len(old)]) != old for row, old in zip(A, self.A)):
             return None
         m, tab, old = len(A), self.tab, self.tab.cells - self.n_art - 1
-        flat, d = int_form([s * row[j] for j in range(old, nc) for s, row in zip(self.sign, A)])
-        cols = [[(self.start[i], a) for i, a in enumerate(flat[k:k + m]) if a]
-                for k in range(0, len(flat), m)]
-        # the new entries sit over D[pos].d, so the old ones scale by d
-        T = [[v * d for v in row[:old]] + [sum(row[j] * a for j, a in col) for col in cols]
-             + [v * d for v in row[old:]] for row in map(tab.row, range(m))]
+        # each row's appended entries over its own denominator; the product
+        # of these, not their lcm, keeps every division exact, as in a cold start
+        new = [int_form([s * a for a in row[old:nc]]) for s, row in zip(self.sign, A)]
+        g = prod(den for _vals, den in new)
+        cols = [[(self.start[i], vals[k] * (g // den)) for i, (vals, den) in enumerate(new)
+                 if vals[k]] for k in range(nc - old)]
+        T = [[v * g for v in row[:old]] + [sum(row[j] * a for j, a in col) for col in cols]
+             + [v * g for v in row[old:]] for row in map(tab.row, range(m))]
         start = [j + nc - old if j >= old else j for j in self.start]
-        return _Tableau(T, [den * d for den in tab.D]), start
+        return _Tableau(T, tab.d * g), start
 
 
 def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None) -> LPResult:
@@ -375,39 +356,43 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
                 basis[i] = nc + n_art
                 n_art += 1
 
-        # tableau rows carry the rhs in the last slot
-        T = [rows[i][:nc] + [0] * n_art + rows[i][nc:] for i in range(m)]
+        # tableau rows carry the rhs in the last slot, over the product of
+        # the row denominators, so that every division is exact
+        d = prod(dens)
+        T = [[v * (d // den) for v in row[:nc]] + [0] * n_art + [row[nc] * (d // den)]
+             for row, den in zip(rows, dens)]
         for i, j in enumerate(basis):
             if j >= nc:
-                T[i][j] = dens[i]
-        tab = _Tableau(T, dens)
+                T[i][j] = d
+        tab = _Tableau(T, d)
         start = list(basis)
 
     ncols = nc + n_art
 
-    def duals(z: int, cvec: list) -> list[Fraction]:
-        """y with y.B = c_B for the current basis B, read off objective row z.
+    def duals(z: int, dz: int, cvec: list) -> list[Fraction]:
+        """y with y.B = c_B for the current basis B, read off objective row z over d.dz.
 
         Column start[i] holds B^-1 e_i of the oriented rows, so its reduced
         cost is cvec[start[i]] minus the oriented dual of row i.  A row
         deleted as dependent gets 0: its artificial costs 0 and is zero in
         every row left.
         """
-        Z, dz = tab.row(z), tab.D[z]
-        return [s * (cvec[j] - Fraction(Z[j], dz)) for s, j in zip(sign, start)]
+        Z, den = tab.row(z), tab.d * dz
+        return [s * (cvec[j] - Fraction(Z[j], den)) for s, j in zip(sign, start)]
 
-    def zrow(cvec: list) -> int:
+    def zrow(cvec: list) -> tuple[int, int]:
         """Append the objective row reduced against the basis, rhs last.
 
-        It sits below the basis rows, so every pivot clears it too; returns its index.
+        It sits below the basis rows, so every pivot clears it too.  Returns
+        its index and dz, cvec's int_form scale: it holds d.dz times the reduced costs.
         """
         Z, dz = int_form(cvec + [0])
         z = len(basis)
-        tab.append(Z, dz)
+        tab.append([v * tab.d for v in Z])
         for pos, j in enumerate(basis):
-            if Z[j]:
-                tab.clear(pos, [(z, tab.lane(z, j))])
-        return z
+            if Z[j]:  # row pos holds d where row z holds d.Z[j]
+                tab.combine(z, 1, pos, Z[j], 1)
+        return z, dz
 
     def run_phase(z: int) -> int | None:
         """Pivot to optimality; returns an entering column on unboundedness.
@@ -425,8 +410,8 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
         order = list(basis) + [j for j in range(ncols) if not in_basis[j]]
 
         def lex_less(i: int, j: int) -> bool:
-            # rows i and j have positive denominators, so the sign of each
-            # cross-multiplied numerator decides
+            # rows i and j share one positive denominator, so the sign of
+            # each cross-multiplied numerator decides
             vi, vj = fs[i], fs[j]
             d = tab.lane(i, ncols) * vj - tab.lane(j, ncols) * vi
             if d != 0:
@@ -457,12 +442,12 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
 
     if resumed is None and n_art:
         pcost = [0] * nc + [1] * n_art
-        z = zrow(pcost)
+        z, dz = zrow(pcost)
         # the auxiliary objective is bounded below by zero
         if run_phase(z) is not None:
             raise RuntimeError("phase 1 reported an unbounded auxiliary objective")
         if tab.lane(z, ncols) < 0:
-            return LPResult("infeasible", y=duals(z, pcost))
+            return LPResult("infeasible", y=duals(z, dz, pcost))
         tab.drop(z)
         # drive artificials out of the basis, deleting dependent rows
         pos = 0
@@ -479,22 +464,22 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
             pos += 1
 
     ext_cost = list(c) + [0] * n_art
-    nr = zrow(ext_cost)
+    nr, dz = zrow(ext_cost)
     hit = run_phase(nr)
 
     x = [Fraction(0)] * nc
     for i, v in enumerate(tab.column(ncols)[:nr]):
-        x[basis[i]] = Fraction(v, tab.D[i])
+        x[basis[i]] = Fraction(v, tab.d)
     if hit is not None:
         ray = [Fraction(0)] * nc
         ray[hit] = Fraction(1)
         for i, v in enumerate(tab.column(hit)[:nr]):
             if v != 0:
-                ray[basis[i]] = Fraction(-v, tab.D[i])
+                ray[basis[i]] = Fraction(-v, tab.d)
         return LPResult("unbounded", x=x, ray=ray)
 
     objective = sum((x[j] * c[j] for j in range(nc) if x[j]), Fraction(0))
-    y = duals(nr, ext_cost)
+    y = duals(nr, dz, ext_cost)
     tab.drop(nr)
     # a deleted row could turn independent once columns are appended
     return LPResult("optimal", x=x, objective=objective, y=y, warm=None if len(basis) < m else

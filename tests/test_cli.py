@@ -263,6 +263,21 @@ def test_junk_between_payload_subsets_exits_two(capsys, tmp_path, kind, payload)
         assert repr(payload) in err
 
 
+@pytest.mark.parametrize("fields", [2, 4])
+def test_generator_line_without_three_fields_exits_two(capsys, tmp_path, fields):
+    # the first Delta0 line with its expression dropped, or given twice
+    lines = ingen.inequalities_to_text(4, ingen.gen_delta(4)).splitlines()
+    at = next(k for k, ln in enumerate(lines) if ln.startswith("Delta0\t"))
+    parts = lines[at].split("\t")
+    lines[at] = "\t".join(parts[:2] if fields == 2 else parts + parts[2:])
+    gens = tmp_path / "gens.txt"
+    gens.write_text("\n".join(lines) + "\n", encoding="ascii")
+    rc, out, err = run_cli(capsys, ["implies", "--n", "4", "--quad", "{1},{2},{3},{4}",
+                                    "--gens", str(gens)])
+    assert len(lines[at].split("\t")) == fields
+    assert rc == 2 and out == "" and err.startswith("error:") and repr(lines[at]) in err
+
+
 def test_main_defaults_openblas_to_one_thread(monkeypatch, capsys):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     assert main(["count", "--n", "3"]) == 0

@@ -214,6 +214,8 @@ def test_result_dataclass_defaults():
 # ---------------------------------------------------------------------------
 # property test: exact certificates, and agreement with a float solver
 
+import math  # noqa: E402
+
 import pytest  # noqa: E402
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from scipy.optimize import linprog  # noqa: E402
@@ -324,12 +326,20 @@ def pivot_runs(draw):
 
 
 def _check_rows(tab, ref):
-    assert len(tab.X) == len(ref)
+    # every entry is d times the Fraction entry, over one d > 0
+    assert len(tab.X) == len(ref) and tab.d > 0
     for i, want in enumerate(ref):
         got = tab.row(i)
-        assert tab.D[i] > 0
         assert max(map(abs, got)).bit_length() <= tab.bits[i] < tab.w
-        assert [F(v, tab.D[i]) for v in got] == want
+        assert got == [v * tab.d for v in want]
+
+
+def _start(rows, dens):
+    """A tableau of rows[i] over dens[i], all over the product of dens, as a cold start puts it.
+
+    Their lcm is not enough: pivots would then leave remainders."""
+    d = math.prod(dens)
+    return simplex._Tableau([[v * (d // den) for v in row] for row, den in zip(rows, dens)], d)
 
 
 @pytest.mark.parametrize("width", [None, 8])
@@ -349,12 +359,12 @@ def test_packed_pivots_match_fractions(monkeypatch, width):
     @given(pivot_runs())
     def check(run):
         rows, dens, picks = run
-        tab = simplex._Tableau(rows, dens)
+        tab = _start(rows, dens)
         ref = [[F(v, d) for v in row] for row, d in zip(rows, dens)]
         _check_rows(tab, ref)
         for pi, col in picks:
             fs = tab.column(col)
-            assert fs == [r[col] * tab.D[i] for i, r in enumerate(ref)]
+            assert fs == [r[col] * tab.d for r in ref]
             if not fs[pi]:
                 continue
             tab.pivot(pi, col, fs)
@@ -363,10 +373,37 @@ def test_packed_pivots_match_fractions(monkeypatch, width):
                 if i != pi and r[col]:
                     ref[i] = [a - r[col] * b for a, b in zip(r, ref[pi])]
             _check_rows(tab, ref)
+            assert tab.d == abs(fs[pi])
 
     check()
     if width:
         assert repacks, "no tableau outgrew its 8-bit lanes"
+
+
+def test_pivot_over_a_wrong_denominator_raises():
+    # rows that are not d times a pivot-reachable tableau leave a remainder;
+    # the guard must raise even under python -O
+    tab = simplex._Tableau([[2, 1], [1, 1]], 3)
+    with pytest.raises(RuntimeError, match="denominator"):
+        tab.pivot(0, 0, tab.column(0))
+    # [1/3, 1] and [1, 1/3] over the lcm of their denominators, 3, not their product
+    tab = simplex._Tableau([[1, 3], [3, 1]], 3)
+    with pytest.raises(RuntimeError, match="denominator"):
+        tab.pivot(0, 0, tab.column(0))
+
+
+def test_warm_restart_with_fractional_columns_stays_exact():
+    # appended columns over a denominator in each row: the restarted tableau
+    # goes over the product of those denominators, as a cold start does, so
+    # every pivot divides exactly (over their lcm, 2, the first would not)
+    A, b, c = [[1, 0], [0, 1]], [1, 1], [0, 0]
+    res = solve_standard(A, b, c)
+    assert res.warm is not None
+    A2 = [[1, 0, F(1, 2), 0], [0, 1, 0, F(1, 2)]]
+    c2 = [0, 0, -1, -1]
+    warm = solve_standard(A2, b, c2, warm=res.warm)
+    assert warm.x == [0, 0, 2, 2] and warm.objective == -4
+    check_result(A2, b, c2, warm)
 
 
 def test_wide_coefficients_widen_lanes(monkeypatch):

@@ -59,6 +59,22 @@ def test_duals_and_restarts_need_no_second_solve_or_basis_rebuild():
     assert not {"_solve_transposed", "_warm_tableau", "swap"} & defined
 
 
+def test_one_tableau_denominator_and_no_gcd():
+    # pivots divide exactly by the tableau's one denominator, so no row is
+    # gcd-reduced, no row keeps a denominator of its own, and nothing widens
+    # lanes behind a reduce
+    from ingletonlp.simplex import _Tableau
+    tree = _trees()["simplex.py"]
+    tableau = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "_Tableau")
+    methods = {node.name for node in tableau.body if isinstance(node, ast.FunctionDef)}
+    assert {"pivot", "combine"} <= methods and not {"reduce", "clear"} & methods
+    assert not hasattr(_Tableau([[1]], 1), "D")
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "gcd" not in imported and not _calls(tree, "gcd")
+
+
 def _float_stack_names(tree):
     """(kind, text) of each import, and each string but a docstring, naming numpy or scipy."""
     docs = {id(node.body[0].value) for node in ast.walk(tree)
