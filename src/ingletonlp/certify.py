@@ -2,13 +2,15 @@
 
 The decision core answers "is target in the conic hull of the generators"
 with either a nonnegative-combination certificate or a separating point.
-A floating-point solve may propose where to look, but every returned
-object is re-verified in exact rational arithmetic; the float layer never
-decides an answer.
+`_ConeSystem.answers` proposes candidates, the cheap ones first, and
+`_settle` checks each exactly, once, against every generator: the first
+that passes is the answer.  A floating-point solve only proposes; it
+never decides an answer.
 
 The drop-one scan cuts each member's system out of the full one
 (`_ConeSystem.without`) and, expecting no member to be implied, asks HiGHS
-for the separating point first; the full decision runs only if none verifies.
+for the separating point first; the other candidates follow only if none
+verifies.
 """
 
 from __future__ import annotations
@@ -105,51 +107,50 @@ class _ConeSystem:
         for i, g in enumerate(gens):
             self._exact_keys.setdefault(g.key(), i)
 
-    def decide(self, target: LinExpr, witness_first: bool = False):
-        """Returns (cert_dict, None) or (None, witness_point).
+    def answers(self, target: LinExpr, witness_first: bool = False):
+        """Candidate answers for target, cheapest first; _settle checks them.
 
         The float witness (a separating-direction LP) runs before the
         feasibility presolve with witness_first, and otherwise only after
-        an infeasible one; either way HiGHS sees each LP at most once.
+        an infeasible one; either way HiGHS sees each LP at most once, and
+        only if no earlier candidate passed.  The last candidate is the
+        exact decision over every generator.
         """
         if target.n != self.n:
             raise GroundSetError("target disagrees with generators on the ground set")
         if target.is_zero():
-            return {}, None
+            yield _certificate((), ())
         hit = self._exact_keys.get(target.key())
         if hit is not None:
-            return {hit: Fraction(1)}, None
+            yield _certificate((hit,), (1,))
         outside = [m for m in target.coeffs if m not in self.index]
         if outside:
-            # no combination can produce a coefficient there
+            # no combination can produce a coefficient there: the unit point is the answer
             m = min(outside)
-            point = EntropyVector.from_dict(self.n, {m: Fraction(-1, 1) / target.coeffs[m]})
-            _require(evaluate(target, point) == -1, "unit witness misses the target")
-            return None, point
+            yield SeparationWitness(
+                EntropyVector.from_dict(self.n, {m: Fraction(-1, 1) / target.coeffs[m]}))
+            return
 
         b_exact = [target.coeffs.get(m, 0) for m in self.masks]
         try:  # the float stage only proposes, so it steps aside beyond float range
             b_float = [float(v) for v in b_exact]
             self.float_gens()
         except OverflowError:
-            return self._exact_decide(target, b_exact)
+            yield self._exact_decide(b_exact)
+            return
         ngen = len(self.gens)
 
         if witness_first:
-            point = self._float_witness(target, b_float)
-            if point is not None:
-                return None, point
+            yield from self._float_witnesses(target, b_float)
         res = linprog([0.0] * ngen, A_eq=self.float_cone(), b_eq=b_float)
         if res.status == 0:
             support = [j for j in range(ngen) if res.x[j] > 1e-9]
             sol = self._exact_solve(support, b_exact)
             if sol.status == "optimal":
-                return _cert_over(support, sol.x), None
+                yield _certificate(support, sol.x)
         elif res.status == 2 and not witness_first:
-            point = self._float_witness(target, b_float)
-            if point is not None:
-                return None, point
-        return self._exact_decide(target, b_exact)
+            yield from self._float_witnesses(target, b_float)
+        yield self._exact_decide(b_exact)
 
     def without(self, k: int) -> "_ConeSystem":
         """The system of every generator but k: it shares this system's masks
@@ -193,8 +194,8 @@ class _ConeSystem:
         A = exact_columns([self.gens[j] for j in support], self.index)
         return solve_standard(A, b_exact, [0] * len(support))
 
-    def _exact_decide(self, target: LinExpr, b_exact):
-        """decide's answer from one exact solve over every generator.
+    def _exact_decide(self, b_exact):
+        """The answer of one exact solve over every generator.
 
         An optimal solve is the certificate; otherwise its Farkas vector y
         (y.gen <= 0 for every generator, y.b > 0) scales to the witness.
@@ -202,77 +203,52 @@ class _ConeSystem:
         every = list(range(len(self.gens)))
         res = self._exact_solve(every, b_exact)
         if res.status == "optimal":
-            return _cert_over(every, res.x), None
+            return _certificate(every, res.x)
         _require(res.status == "infeasible", "exact solve found no Farkas vector")
         y = res.y
         ty = sum(y[i] * b_exact[i] for i in range(len(self.masks)))
         _require(ty > 0, "Farkas vector does not separate the target")
         coords = {m: -y[i] / ty for i, m in enumerate(self.masks)}
-        point = EntropyVector.from_dict(self.n, coords)
-        _require(evaluate(target, point) == -1, "witness misses the target")
-        _require(all(evaluate(g, point) >= 0 for g in self.gens),
-                 "witness leaves the generator cone")
-        return None, point
+        return SeparationWitness(EntropyVector.from_dict(self.n, coords))
 
-    def _float_witness(self, target: LinExpr, b_float) -> EntropyVector | None:
+    def _float_witnesses(self, target: LinExpr, b_float):
+        """HiGHS's separating direction rounded at each denominator in turn,
+        each rounding that the target rates negative scaled to target value -1."""
         # direction p with g.p >= 0 for all generators and target.p < 0
         res = linprog(b_float, A_ub=self.float_gens(), b_ub=[0.0] * len(self.gens),
                       bounds=(-1, 1))
         if res.status != 0 or res.fun > -1e-7:
-            return None
+            return
         for den in (16, 1024, 10 ** 6, 10 ** 12):
-            coords = {m: Fraction(res.x[i]).limit_denominator(den)
-                      for i, m in enumerate(self.masks)}
-            point = self._repair(target, coords)
-            if point is not None:
-                return point
-        return None
-
-    def _repair(self, target: LinExpr, coords: dict) -> EntropyVector | None:
-        """The rounded point scaled to target value -1, if it lies in the cone."""
-        rounded = EntropyVector.from_dict(self.n, coords)
-        tval = evaluate(target, rounded)
-        if tval >= 0:
-            return None
-        # rounded is nums/den, so the scaled point is nums/q with q = -tval*den
-        q = -tval * rounded.den
-        point = EntropyVector.over(self.n, [a * q.denominator for a in rounded.nums], q.numerator)
-        scaled = EntropyVector(self.n, point.nums)  # same signs as point, in ints
-        if any(evaluate(g, scaled) < 0 for g in self.gens):
-            return None
-        if evaluate(target, point) != -1:
-            return None
-        return point
+            rounded = EntropyVector.from_dict(self.n, {
+                m: Fraction(res.x[i]).limit_denominator(den) for i, m in enumerate(self.masks)})
+            tval = evaluate(target, rounded)
+            if tval < 0:
+                # rounded is nums/den, so the scaled point is nums/q with q = -tval*den
+                q = -tval * rounded.den
+                yield SeparationWitness(EntropyVector.over(
+                    self.n, [a * q.denominator for a in rounded.nums], q.numerator))
 
 
-def _cert_over(support: list[int], x) -> dict[int, Fraction]:
-    """Nonzero multipliers of an exact solve, keyed by generator id."""
-    return {gid: v for gid, v in zip(support, x) if v != 0}
-
-
-def _cert_from_dict(d: dict[int, Fraction]) -> FarkasCertificate:
-    ids = tuple(sorted(d))
-    return FarkasCertificate(ids, tuple(Fraction(d[i]) for i in ids))
+def _certificate(ids, x) -> FarkasCertificate:
+    """The nonzero multipliers x[j] of generators ids[j], ids ascending."""
+    pairs = sorted((gid, Fraction(v)) for gid, v in zip(ids, x) if v != 0)
+    return FarkasCertificate(tuple(g for g, _v in pairs), tuple(v for _g, v in pairs))
 
 
 def _settle(system: _ConeSystem, target: LinExpr, label: str = "the target",
             witness_first: bool = False):
-    """Decide target, then re-check the answer exactly against system.gens.
-
-    The answer is a FarkasCertificate or a SeparationWitness normalized to
-    target value -1; one that fails its check raises RuntimeError.
-    witness_first is passed to system.decide.
-    """
-    cert, point = system.decide(target, witness_first)
-    if cert is not None:
-        out = _cert_from_dict(cert)
-        _require(verify_certificate(target, system.gens, out),
-                 f"unsound certificate for {label}")
-    else:
-        out = SeparationWitness(point)
-        _require(verify_witness(target, system.gens, out)
-                 and evaluate(target, point) == -1, f"unsound witness for {label}")
-    return out
+    """The first of system.answers(target, witness_first) that passes its exact
+    check against system.gens: a FarkasCertificate, or a SeparationWitness at
+    target value -1.  RuntimeError names the last candidate if none passes."""
+    for out in system.answers(target, witness_first):
+        if isinstance(out, FarkasCertificate):
+            if verify_certificate(target, system.gens, out):
+                return out
+        elif verify_witness(target, system.gens, out) and evaluate(target, out.point) == -1:
+            return out
+    what = "certificate" if isinstance(out, FarkasCertificate) else "witness"
+    raise RuntimeError(f"unsound {what} for {label}")
 
 
 def decide_implication(target: LinExpr, gens) -> FarkasCertificate | SeparationWitness:
@@ -541,7 +517,7 @@ def check_completeness(n: int, sample_size: int | None = None, seed: int = 0,
         for cls, (rep, pi) in sorted(canon.items()):
             idmap = id_maps[pi]
             cert = rep_cert[rep]
-            fc = _cert_from_dict({idmap[g]: cf for g, cf in zip(cert.gen_ids, cert.coeffs)})
+            fc = _certificate([idmap[g] for g in cert.gen_ids], cert.coeffs)
             if verify_certificate(ingleton_expr(IngletonQuad(n, *cls)), exprs, fc):
                 certs.append((_quad_text(n, cls), fc))
             else:

@@ -80,12 +80,17 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_file_n(what: str, n: int, args: argparse.Namespace) -> None:
+    """An --n given on the command line must be the n the input file is for."""
+    if args.n is not None and n != args.n:
+        raise ValueError(f"{what} file is for n={n}, requested n={args.n}")
+
+
 def _load_gens(args: argparse.Namespace):
     budget = _resolve_budget(args)
     if args.gens_path:
         n, members = ingen.read_inequalities(args.gens_path)
-        if n != args.n:
-            raise ValueError(f"generator file is for n={n}, requested n={args.n}")
+        _check_file_n("generator", n, args)
         return members
     return list(_FAMILIES[args.family](args.n, budget=budget))
 
@@ -176,6 +181,7 @@ def _cmd_membership(args: argparse.Namespace) -> int:
     from . import bound as bound_mod
     budget = _resolve_budget(args)
     vec = vector_from_text(Path(args.point).read_text(encoding="ascii"))
+    _check_file_n("point", vec.n, args)
     member, violated = bound_mod.membership(vec, args.cone, budget=budget)
     body = [f"member {'true' if member else 'false'}"]
     if violated is not None:
@@ -197,6 +203,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         net = bound_mod.parse_network(
             Path(args.network).read_text(encoding="ascii"))
         problem = bound_mod.compile_network(net, cone=args.cone)
+    _check_file_n("problem" if args.problem else "network", problem.n, args)
     members = bound_mod.cone_members(problem.n, problem.cone, budget=budget)
     result = bound_mod.solve_bound(problem, members=members)
     text = bound_mod.format_bound_report(problem, result, members=members)
@@ -269,14 +276,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--out", default=None)
 
+    # these two read n from their input file; an --n given must match it
     p = sub.add_parser("membership", help="test a vector against a cone")
-    common(p)
+    common(p, n_default=None)
     p.add_argument("--point", required=True, help="vector file")
     p.add_argument("--cone", choices=(ingen.CONE_GAMMA, ingen.CONE_GAMMA_IN),
                    default=ingen.CONE_GAMMA_IN)
 
     p = sub.add_parser("bound", help="solve an exact LP bound")
-    common(p)
+    common(p, n_default=None)
     p.add_argument("--problem", default=None)
     p.add_argument("--network", default=None)
     p.add_argument("--cone", choices=(ingen.CONE_GAMMA, ingen.CONE_GAMMA_IN),
@@ -291,7 +299,8 @@ def main(argv=None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = _build_parser().parse_args(argv)
     try:
-        check_n(args.n)
+        if args.n is not None:
+            check_n(args.n)
         return _HANDLERS[args.command](args)
     except (ValueError, OSError, ingen.BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,9 +20,9 @@ A member is its (n, kind, payload), and its `expr` always equals
 into an expression on first read.  Those terms come from
 `entspace.ingleton_terms` and `entspace.mutinfo_terms`, the one spelling
 of each form.  File lines are rendered from those terms without building
-any expression: a Delta1 or Delta2 run at a time, and a Family's Delta0
-block by `_write_delta0`, whose loop nest is `_delta0_runs`'s again, so
-that no run tuple is built per (d1, d2, d3, d4).
+any expression, a run at a time, by the one writer `_write_runs`: a
+Family hands it each block's runs straight from the enumerator, and a
+member list its runs regrouped.
 """
 
 from __future__ import annotations
@@ -185,16 +185,24 @@ def _delta0_runs(n: int) -> Iterator[tuple[tuple[int, int, int, int], tuple[int,
     # lexicographic order.  Keeping every element of d2 above the lowest
     # element of d1 (and d4 above that of d3) leaves one payload per orbit
     # of the two within-pair swaps; the d's are nonempty and disjoint, and
-    # beta is any subset of what they leave.  _write_delta0 walks the same nest.
+    # beta is any subset of what they leave.
+    subs: dict[int, tuple[int, ...]] = {}
+
+    def submasks(mask: int) -> tuple[int, ...]:
+        # 0, then the nonempty submasks, memoized by mask: the d loops skip the 0
+        if (s := subs.get(mask)) is None:
+            s = subs[mask] = (0, *_nonempty_submasks(mask))
+        return s
+
     top = full_mask(n)
     for d1 in range(1, top + 1):
         rest1 = top & ~d1
-        for d2 in _nonempty_submasks(rest1 & -((d1 & -d1) << 1)):
+        for d2 in submasks(rest1 & -((d1 & -d1) << 1))[1:]:
             rest2 = rest1 & ~d2
-            for d3 in _nonempty_submasks(rest2):
+            for d3 in submasks(rest2)[1:]:
                 rest3 = rest2 & ~d3
-                for d4 in _nonempty_submasks(rest3 & -((d3 & -d3) << 1)):
-                    yield (d1, d2, d3, d4), (0, *_nonempty_submasks(rest3 & ~d4))
+                for d4 in submasks(rest3 & -((d3 & -d3) << 1))[1:]:
+                    yield (d1, d2, d3, d4), submasks(rest3 & ~d4)
 
 
 def _delta1_runs(n: int) -> Iterator[tuple[tuple[int, int], tuple[int, ...]]]:
@@ -350,7 +358,7 @@ def classify_quad(q: IngletonQuad) -> QuadClass:
     return QuadClass(CLASS_REDUCES_TO, delta0_payload(*reduced))
 
 
-# members rendered per inequalities_to_text call when a file is streamed
+# lines gathered per write, and members per inequalities_to_text call when a list is streamed
 _BLOCK = 1024
 
 
@@ -358,79 +366,49 @@ def _header(n: int, count: int) -> str:
     return f"n={n} count={count}\n"
 
 
-def _run_text(n: int, kind: str, head: tuple, tails, names: SubsetNames) -> str:
-    """The file lines of the members (kind, head + (tail,)), tail over tails; a
-    Delta0 run sorts its terms and names its d's once for all of its betas."""
-    if shape(kind) != KIND_DELTA0:
-        return "".join([f"{kind}\t{payload_text(kind, p, names)}\t"
-                        f"{' '.join([names[term_key(*t)] for t in member_terms(n, kind, p)])}\n"
-                        for p in [(*head, tail) for tail in tails]])
-    d1, d2, d3, d4 = head
-    prefix = f"{kind}\t{names[d1]},{names[d2]};{names[d3]},{names[d4]}|"
-    # the ten terms spelled out: a comprehension per line costs a call
-    terms = sorted(ingleton_terms(*head))
-    k0, k1, k2, k3, k4, k5, k6, k7, k8, k9 = [term_key(x, s) for x, s in terms]
-    lines = []
-    for beta in tails:
-        b = beta << 1  # term_key(x | beta, s) == term_key(x, s) - b
-        lines.append(f"{prefix}{names[beta]}\t{names[k0 - b]} {names[k1 - b]} {names[k2 - b]}"
-                     f" {names[k3 - b]} {names[k4 - b]} {names[k5 - b]} {names[k6 - b]}"
-                     f" {names[k7 - b]} {names[k8 - b]} {names[k9 - b]}\n")
-    return "".join(lines)
+def _write_runs(write, n: int, kind: str, runs, names: SubsetNames) -> int:
+    """Render the members (kind, head + (tail,)), tail over tails, of each run
+    (head, tails) in turn, and hand write the lines each time _BLOCK or more
+    have gathered and at the end; returns the number of lines.
 
-
-def _write_delta0(f, n: int, names: SubsetNames) -> int:
-    """Write the Delta0 block's lines to f from the loop nest of _delta0_runs,
-    _BLOCK lines or a few more at a time; returns the number written.
-
-    Each loop level extends the line prefix by its d, and the ten term
-    keys come once per (d1, d2, d3, d4), as in _run_text."""
-    subs: dict[int, tuple[int, ...]] = {}
-
-    def submasks(mask: int) -> tuple[int, ...]:
-        # 0, then the nonempty submasks: the d loops skip the 0
-        if (s := subs.get(mask)) is None:
-            s = subs[mask] = (0, *_nonempty_submasks(mask))
-        return s
-
-    top, written, lines = full_mask(n), 0, []
-    for d1 in range(1, top + 1):
-        rest1 = top & ~d1
-        p1 = f"{KIND_DELTA0}\t{names[d1]},"
-        for d2 in submasks(rest1 & -((d1 & -d1) << 1))[1:]:
-            rest2 = rest1 & ~d2
-            p2 = f"{p1}{names[d2]};"
-            for d3 in submasks(rest2)[1:]:
-                rest3 = rest2 & ~d3
-                p3 = f"{p2}{names[d3]},"
-                for d4 in submasks(rest3 & -((d3 & -d3) << 1))[1:]:
-                    prefix = f"{p3}{names[d4]}|"
-                    # term_key(x, s) as ints, in the sorted order of the terms
-                    k0, k1, k2, k3, k4, k5, k6, k7, k8, k9 = sorted(
-                        [(s >> 1) - (x << 1) for x, s in ingleton_terms(d1, d2, d3, d4)],
-                        reverse=True)
-                    for beta in submasks(rest3 & ~d4):
-                        b = beta << 1
-                        lines.append(
-                            f"{prefix}{names[beta]}\t{names[k0 - b]} {names[k1 - b]}"
-                            f" {names[k2 - b]} {names[k3 - b]} {names[k4 - b]} {names[k5 - b]}"
-                            f" {names[k6 - b]} {names[k7 - b]} {names[k8 - b]} {names[k9 - b]}\n")
-                    if len(lines) >= _BLOCK:
-                        f.write("".join(lines))
-                        written += len(lines)
-                        lines = []
-    f.write("".join(lines))
+    The kind is read once: a Delta0 run names its d's and sorts its ten
+    terms once for all of its betas."""
+    written, lines = 0, []
+    if shape(kind) == KIND_DELTA0:
+        for (d1, d2, d3, d4), tails in runs:
+            prefix = f"{kind}\t{names[d1]},{names[d2]};{names[d3]},{names[d4]}|"
+            # term_key(x, s) as ints, in the sorted order of the terms
+            k0, k1, k2, k3, k4, k5, k6, k7, k8, k9 = sorted(
+                [(s >> 1) - (x << 1) for x, s in ingleton_terms(d1, d2, d3, d4)], reverse=True)
+            # the ten terms spelled out: a comprehension per line costs a call
+            for beta in tails:
+                b = beta << 1  # term_key(x | beta, s) == term_key(x, s) - b
+                lines.append(f"{prefix}{names[beta]}\t{names[k0 - b]} {names[k1 - b]}"
+                             f" {names[k2 - b]} {names[k3 - b]} {names[k4 - b]} {names[k5 - b]}"
+                             f" {names[k6 - b]} {names[k7 - b]} {names[k8 - b]} {names[k9 - b]}\n")
+            if len(lines) >= _BLOCK:
+                write("".join(lines))
+                written, lines = written + len(lines), []
+    else:
+        for head, tails in runs:
+            lines += [f"{kind}\t{payload_text(kind, p, names)}\t"
+                      f"{' '.join([names[term_key(*t)] for t in member_terms(n, kind, p)])}\n"
+                      for p in [(*head, tail) for tail in tails]]
+            if len(lines) >= _BLOCK:
+                write("".join(lines))
+                written, lines = written + len(lines), []
+    write("".join(lines))
     return written + len(lines)
 
 
 def write_inequality_stream(f, n: int, members) -> None:
     """Write the inequality file of `members` (sized and iterable) to the text stream f.
 
-    The header names len(members).  A Family's Delta0 block is rendered by
-    _write_delta0 and its other blocks a run at a time, building no member;
-    other members go through inequalities_to_text (the writer perfbench
-    times) _BLOCK at a time.  Either way one SubsetNames serves the whole
-    file.  A RuntimeError follows the last line if the members were not
+    The header names len(members).  A Family's blocks go to _write_runs
+    run by run from its enumerators, building no member; other members go
+    through inequalities_to_text (the writer perfbench times) _BLOCK at a
+    time.  Either way one SubsetNames serves the whole file.  A
+    RuntimeError follows the last line if the members were not
     len(members) many."""
     count = len(members)
     f.write(_header(n, count))
@@ -438,12 +416,7 @@ def write_inequality_stream(f, n: int, members) -> None:
     names = SubsetNames()
     if isinstance(members, Family):
         for kind, runs in members._blocks:
-            if kind == KIND_DELTA0:
-                written += _write_delta0(f, n, names)
-            else:
-                for head, tails in runs(n):
-                    f.write(_run_text(n, kind, head, tails, names))
-                    written += len(tails)
+            written += _write_runs(f.write, n, kind, runs(n), names)
     else:
         it = iter(members)
         while block := list(islice(it, _BLOCK)):
@@ -464,10 +437,10 @@ def inequalities_to_text(n: int, ineqs: Sequence[CanonicalInequality],
     differ only in their payload's last entry); header=False leaves the lines alone,
     and a names table passed in is filled for the next call."""
     names = SubsetNames() if names is None else names
-    runs = groupby(ineqs, lambda ci: (ci.kind, ci.payload[:-1]))
-    text = "".join([_run_text(n, kind, head, [ci.payload[-1] for ci in run], names)
-                    for (kind, head), run in runs])
-    return _header(n, len(ineqs)) + text if header else text
+    parts = [_header(n, len(ineqs))] if header else []
+    for (kind, head), run in groupby(ineqs, lambda ci: (ci.kind, ci.payload[:-1])):
+        _write_runs(parts.append, n, kind, [(head, [ci.payload[-1] for ci in run])], names)
+    return "".join(parts)
 
 
 def _subset_in(text: str, n: int) -> int:

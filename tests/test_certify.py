@@ -226,8 +226,8 @@ def test_minimality_n3_no_member_redundant():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_witness_first_settles_drop_one_like_decide(n):
-    # the scan's order (separating point first) and decide's order (feasibility
-    # LP first) give the same answer, witness point included
+    # the scan's order (separating point first) and the default order
+    # (feasibility LP first) give the same answer, witness point included
     gens = delta_exprs(n)
     for k, target in enumerate(gens):
         rest = certify._ConeSystem(gens[:k] + gens[k + 1:])
@@ -240,7 +240,8 @@ def test_separate_leaves_lp_free_answers_to_decide(monkeypatch):
     monkeypatch.setattr(certify, "linprog", None)  # any HiGHS call would raise
     # witness_first puts no LP before the zero and outside-the-support answers
     system = certify._ConeSystem([parse_expr("+1*h{1}", 2)])
-    assert system.decide(parse_expr("0", 2), witness_first=True) == ({}, None)
+    zero = certify._settle(system, parse_expr("0", 2), witness_first=True)
+    assert zero == certify.FarkasCertificate((), ())
     unit = certify._settle(system, parse_expr("+1*h{2}", 2), witness_first=True)
     assert unit.point[0b10] == -1
 
@@ -271,8 +272,8 @@ def _assert_same_system(sub, fresh):
 
 
 def _check_drop_one_systems(gens, targets=None):
-    """Each full.without(k) matches _ConeSystem(rest), and so do its decisions
-    on targets(k) (default: every generator), witness points included."""
+    """Each full.without(k) matches _ConeSystem(rest), and so do its settled
+    answers on targets(k) (default: every generator), witness points included."""
     full = certify._ConeSystem(gens)
     full.float_gens()
     for k in range(len(gens)):
@@ -280,7 +281,8 @@ def _check_drop_one_systems(gens, targets=None):
         _assert_same_system(sub, fresh)
         for t in (targets(k) if targets else gens):
             for witness_first in (True, False):
-                assert sub.decide(t, witness_first) == fresh.decide(t, witness_first)
+                assert certify._settle(sub, t, witness_first=witness_first) == \
+                    certify._settle(fresh, t, witness_first=witness_first)
     return full
 
 
@@ -297,7 +299,8 @@ def test_drop_one_system_without_the_only_member_on_a_mask():
     gens = [parse_expr(t, 3) for t in ("+1*h{1}", "+1*h{2}", "+1*h{1} +1*h{2}", "+1*h{3}")]
     full = _check_drop_one_systems(gens)
     assert full.without(3).masks == [0b1, 0b10] and full.without(0).masks is full.masks
-    assert full.without(3).decide(gens[3])[1][0b100] == -1  # h{3} is now unconstrained
+    # h{3} is now unconstrained
+    assert certify._settle(full.without(3), gens[3]).point[0b100] == -1
     with pytest.raises(ValueError, match="at least one generator"):
         certify._ConeSystem(gens[:1]).without(0)
 
@@ -306,7 +309,8 @@ def test_drop_one_system_without_a_repeated_member():
     gens = [parse_expr(t, 3) for t in ("+1*h{1}", "+1*h{1} +1*h{2}", "+1*h{1}")]
     full = _check_drop_one_systems(gens)
     # the other copy is now generator 1
-    assert full.without(0).decide(gens[0]) == ({1: Fraction(1)}, None)
+    assert certify._settle(full.without(0), gens[0]) == \
+        certify.FarkasCertificate((1,), (Fraction(1),))
 
 
 def test_minimality_builds_the_float_rows_once(monkeypatch):
@@ -337,9 +341,8 @@ def test_verify_witness_agrees_with_fraction_evaluation(nums, den, picks, t):
 
 def test_quad_scans_decide_each_distinct_target_once(monkeypatch):
     calls = []
-    real = certify._ConeSystem.decide
-    monkeypatch.setattr(certify._ConeSystem, "decide",
-                        lambda self, *a: calls.append(1) or real(self, *a))
+    real = certify._settle
+    monkeypatch.setattr(certify, "_settle", lambda *a, **kw: calls.append(1) or real(*a, **kw))
     rep = certify.check_theorem1(4)
     assert rep.ok and rep.orbits == 1240 and rep.implied + rep.not_implied == 1240
     assert len(calls) == 244
@@ -459,11 +462,12 @@ def test_separation_witness_guard(monkeypatch):
 
 
 def test_unit_witness_guard(monkeypatch):
-    # h{2} lies outside every generator's support, so decide builds a unit point
+    # h{2} lies outside every generator's support, so the unit point is the
+    # one answer, and _settle's check is what rejects it when it misses
     system = certify._ConeSystem([parse_expr("+1*h{1}", 2)])
     monkeypatch.setattr(certify, "evaluate", lambda e, h: 0)
-    with pytest.raises(RuntimeError, match="unit witness"):
-        system.decide(parse_expr("+1*h{2}", 2))
+    with pytest.raises(RuntimeError, match="unsound witness"):
+        certify._settle(system, parse_expr("+1*h{2}", 2))
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +490,15 @@ def test_settle_evaluates_through_certify_evaluate(monkeypatch):
     target, gens = _ingleton4()
     assert isinstance(certify.decide_implication(target, gens), certify.SeparationWitness)
     assert calls
+
+
+def test_each_drop_one_witness_is_checked_once(monkeypatch):
+    # per member at n=4: one evaluation scales the rounded point to -1, then
+    # _settle's one check reads the 33 other members, the target's sign and
+    # its value: 34 * 36, where checking twice took 34 * 70
+    calls = _counting(monkeypatch, certify)
+    assert certify.check_minimality(4).ok
+    assert len(calls) == 1224
 
 
 def test_bound_verify_evaluates_through_bound_evaluate(monkeypatch):
@@ -601,19 +614,31 @@ def _only_target_negative(e, h):
 @pytest.mark.parametrize("solve, fake_eval, what", [
     (_tampered_solve(_set(status="unbounded")), None, "no Farkas vector"),
     (_tampered_solve(_negate_y), None, "does not separate"),
-    (_tampered_solve(), lambda e, h: 0, "misses the target"),
-    (_tampered_solve(), lambda e, h: -1, "leaves the generator cone"),
 ])
 def test_exact_witness_guards(monkeypatch, solve, fake_eval, what):
+    # without a Farkas vector that separates, no point can be built
     target, gens = _ingleton4()
     system = certify._ConeSystem(gens)
     b_exact = [target.coeffs.get(m, 0) for m in system.masks]
-    assert system._exact_decide(target, b_exact)[1] is not None
+    assert isinstance(system._exact_decide(b_exact), certify.SeparationWitness)
     monkeypatch.setattr(certify, "solve_standard", solve)
-    if fake_eval is not None:
-        monkeypatch.setattr(certify, "evaluate", fake_eval)
     with pytest.raises(RuntimeError, match=what):
-        system._exact_decide(target, b_exact)
+        system._exact_decide(b_exact)
+
+
+@pytest.mark.parametrize("fake_eval, fault", [
+    (lambda e, h: 0, "misses the target"),
+    (lambda e, h: -1, "leaves the generator cone"),
+])
+def test_settle_rejects_an_unsound_witness(monkeypatch, fake_eval, fault):
+    # every candidate, the exact solve's point last, gets the one check in
+    # _settle, and a point that fails it is never returned
+    target, gens = _ingleton4()
+    system = certify._ConeSystem(gens)
+    assert isinstance(certify._settle(system, target), certify.SeparationWitness)
+    monkeypatch.setattr(certify, "evaluate", fake_eval)
+    with pytest.raises(RuntimeError, match="unsound witness"):
+        certify._settle(system, target)
 
 
 @pytest.mark.parametrize("solve, fake_eval, what", [

@@ -379,6 +379,26 @@ sink t1 wants s1 sees e1
     assert "value 1" in out and "cone=gamma " in out
 
 
+@pytest.mark.parametrize("argv, text, what", [
+    (["bound", "--problem"], "n 3\ncone gamma-in\nmaximize +1*h{1}\nst +1*h{1,2,3} <= 1\n",
+     "problem file is for n=3"),
+    (["bound", "--cone", "gamma", "--network"],
+     "source s1\nedge e1 from s1 cap 1\nsink t1 wants s1 sees e1\n", "network file is for n=2"),
+    (["membership", "--point"], vector_to_text(witness_fulldim(2)), "point file is for n=2"),
+])
+def test_an_explicit_n_must_match_the_input_file(capsys, tmp_path, argv, text, what):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="ascii")
+    rc, out, err = run_cli(capsys, [*argv, str(path), "--n", "5"])
+    assert rc == 2 and out == ""
+    assert err == f"error: {what}, requested n=5\n"
+    # without --n the file's n is used, and stating that n changes nothing
+    rc, out, _ = run_cli(capsys, [*argv, str(path)])
+    file_n = what.rpartition("=")[2]
+    assert rc == 0 and f" n={file_n} " in out
+    assert run_cli(capsys, [*argv, str(path), "--n", file_n]) == (0, out, "")
+
+
 def test_bound_needs_exactly_one_input(capsys, tmp_path):
     rc, _, err = run_cli(capsys, ["bound", "--n", "2"])
     assert rc == 2 and err.startswith("error:")
@@ -504,12 +524,12 @@ def test_implies_true_emits_its_generators(capsys, tmp_path):
 
 def test_implies_decides_once(capsys, monkeypatch):
     calls = []
-    decide = certify._ConeSystem.decide
+    settle = certify._settle
 
-    def counted(self, target, *args):
+    def counted(system, target, *args, **kwargs):
         calls.append(target)
-        return decide(self, target, *args)
-    monkeypatch.setattr(certify._ConeSystem, "decide", counted)
+        return settle(system, target, *args, **kwargs)
+    monkeypatch.setattr(certify, "_settle", counted)
     for family, verdict in (("elemental", "implied false"), ("delta", "implied true")):
         calls.clear()
         rc, out, _ = run_cli(capsys, ["implies", "--n", "4", "--quad", "{1},{2},{3},{4}",

@@ -300,18 +300,29 @@ def test_runs_cross_block_edges(monkeypatch):
         ingen.write_inequality_stream(io.StringIO(), 3, _ShortFamily(ingen.gen_delta1(3)[:-1]))
 
 
+def _reference_text(n, members):
+    """The inequality file of members, each line spelled from the member's
+    expression by the public formatters: no code of the run writer's."""
+    lines = [f"{ci.kind}\t{ingen.payload_text(ci.kind, ci.payload)}"
+             f"\t{entspace.format_expr(ingen.member_expr(n, ci.kind, ci.payload))}\n"
+             for ci in members]
+    return f"n={n} count={len(members)}\n" + "".join(lines)
+
+
 @pytest.mark.parametrize("block", [5, None])
 def test_family_writer_matches_the_list_writer(monkeypatch, block):
-    # the Family path renders Delta0 from its own loop nest; the list path
-    # renders through _run_text, member by member: both give the same bytes
+    # the Family path and the list path both render through _write_runs, so
+    # each is held to a reference renderer that shares none of its code
     if block is not None:
         monkeypatch.setattr(ingen, "_BLOCK", block)
     for name in ingen.FAMILIES:
         for n in range(2, 8):
+            members = list(ingen.family(name, n))
+            want = _reference_text(n, members)
             out = io.StringIO()
             ingen.write_inequality_stream(out, n, ingen.family(name, n))
-            want = ingen.inequalities_to_text(n, list(ingen.family(name, n)))
             assert out.getvalue() == want, (name, n)
+            assert ingen.inequalities_to_text(n, members) == want, (name, n)
 
 
 @st.composite
@@ -345,7 +356,9 @@ def test_delta0_run_text_matches_member_by_member(case):
         assert dict(terms) == ingleton_expr(IngletonQuad(n, a1, a2, a3, a4)).coeffs
         body = " ".join(f"{'+' if s > 0 else '-'}1*h{format_subset(m)}" for m, s in terms)
         want.append(f"Delta0\t{ingen.payload_text('Delta0', payload)}\t{body}\n")
-    assert ingen._run_text(n, "Delta0", ds, betas, SubsetNames()) == "".join(want)
+    parts = []
+    assert ingen._write_runs(parts.append, n, "Delta0", [(ds, betas)], SubsetNames()) == len(betas)
+    assert "".join(parts) == "".join(want)
 
 
 def test_generation_checks_no_mask_it_made(monkeypatch):

@@ -139,6 +139,20 @@ def test_one_form_per_point_and_one_scaling_routine():
     assert not {"_values", "_scaled"} & set(EntropyVector.__slots__)
 
 
+def test_one_verifier_and_one_run_writer():
+    # certify proposes answers and _settle checks each once; ingen walks the
+    # Delta0 loop nest in _delta0_runs alone and renders lines in _write_runs
+    trees = _trees()
+    defined = {fn for _name, fn in _defined(trees)}
+    assert {"answers", "_settle", "_certificate", "_write_runs"} <= defined
+    assert not {"decide", "_repair", "_cert_over", "_cert_from_dict",
+                "_run_text", "_write_delta0"} & defined
+    # a nested helper counts as part of the function that holds it
+    callers = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.FunctionDef) and _calls(node, "_nonempty_submasks")}
+    assert callers == {"_delta0_runs", "_delta1_runs"}
+
+
 def test_public_names_resolve_to_their_defining_modules():
     # the package imports each name's module on first access
     from ingletonlp import _EXPORTS
