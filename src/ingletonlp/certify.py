@@ -7,10 +7,11 @@ with either a nonnegative-combination certificate or a separating point.
 that passes is the answer.  A floating-point solve only proposes; it
 never decides an answer.
 
-The drop-one scan cuts each member's system out of the full one
-(`_ConeSystem.without`) and, expecting no member to be implied, asks HiGHS
-for the separating point first; the other candidates follow only if none
-verifies.
+The drop-one scan decides the first member of each relabeling orbit: it
+cuts that member's system out of the full one (`_ConeSystem.without`) and,
+expecting no member to be implied, asks HiGHS for the separating point
+first; the other candidates follow only if none verifies.  Each other
+member is offered that witness relabeled, checked like any other candidate.
 """
 
 from __future__ import annotations
@@ -306,6 +307,23 @@ def _canonical_quad(q, tables) -> tuple[tuple[int, int, int, int], int]:
     return best, best_pi
 
 
+def _member_image(ci: ingen.CanonicalInequality, tab) -> tuple:
+    """The payload of ci's image under the relabeling tab; the kind stays."""
+    if ci.kind == ingen.KIND_DELTA0:
+        return ingen.delta0_payload(*[tab[m] for m in ci.payload])
+    if ingen.shape(ci.kind) == ingen.KIND_DELTA1:
+        i, j, mu = ci.payload
+        a, b = sorted((tab[1 << (i - 1)].bit_length(), tab[1 << (j - 1)].bit_length()))
+        return (a, b, tab[mu])
+    return (tab[1 << (ci.payload[0] - 1)].bit_length(),)
+
+
+def _relabel_point(h: EntropyVector, tab) -> EntropyVector:
+    """h carried by the relabeling tab: the new value at tab[m] is h's at m."""
+    moved = dict(zip(tab[1:], h.nums))
+    return EntropyVector.over(h.n, [moved[m] for m in range(1, len(tab))], h.den)
+
+
 def _delta_id_maps(delta: list[ingen.CanonicalInequality], tables) -> list[list[int]]:
     """For each relabeling, the member ids it maps back: back[id of the image of k] = k."""
     by_payload = {(ci.kind, ci.payload): i for i, ci in enumerate(delta)}
@@ -313,17 +331,23 @@ def _delta_id_maps(delta: list[ingen.CanonicalInequality], tables) -> list[list[
     for tab in tables:
         back = [0] * len(delta)
         for k, ci in enumerate(delta):
-            if ci.kind == ingen.KIND_DELTA0:
-                image = ingen.delta0_payload(*[tab[m] for m in ci.payload])
-            elif ingen.shape(ci.kind) == ingen.KIND_DELTA1:
-                i, j, mu = ci.payload
-                a, b = sorted((tab[1 << (i - 1)].bit_length(), tab[1 << (j - 1)].bit_length()))
-                image = (a, b, tab[mu])
-            else:
-                image = (tab[1 << (ci.payload[0] - 1)].bit_length(),)
-            back[by_payload[(ci.kind, image)]] = k
+            back[by_payload[(ci.kind, _member_image(ci, tab))]] = k
         maps.append(back)
     return maps
+
+
+def _delta_orbits(delta: list[ingen.CanonicalInequality], tables) -> list[tuple[int, list]]:
+    """Per member k, (r, the relabelings carrying member r onto k), r being the
+    first member of k's orbit: one image per orbit and relabeling."""
+    by_payload = {(ci.kind, ci.payload): i for i, ci in enumerate(delta)}
+    onto = [None] * len(delta)
+    for r, ci in enumerate(delta):
+        if onto[r] is None:
+            for tab in tables:
+                k = by_payload[(ci.kind, _member_image(ci, tab))]
+                onto[k] = onto[k] or (r, [])
+                onto[k][1].append(tab)
+    return onto
 
 
 def _choose_quads(n: int, sample: int | None, seed: int, budget: int | None):
@@ -389,14 +413,6 @@ def _map(job, items: list, workers: int) -> list:
         return pool.map(_call_job, items, chunksize=chunk)
 
 
-def _decide_all(items: list, pose, workers: int, witness_first: bool = False) -> list:
-    """(label, settled answer) per item, in order; pose(item) gives (system, target, label)."""
-    def job(item):
-        system, target, label = pose(item)
-        return label, _settle(system, target, label, witness_first)
-    return _map(job, items, workers)
-
-
 def _decide_quads(n: int, members, quads: list, workers: int) -> list:
     """(label, answer) per quad, in order; each distinct target is decided once."""
     system = _ConeSystem([ci.expr for ci in members])
@@ -404,8 +420,7 @@ def _decide_quads(n: int, members, quads: list, workers: int) -> list:
     first = {}  # target key -> id of its first quad
     ids = [first.setdefault(target.key(), i) for i, (target, _label) in enumerate(posed)]
     reps = list(first.values())
-    settled = _decide_all(reps, lambda i: (system, *posed[i]), workers)
-    answer = dict(zip(reps, (out for _label, out in settled)))
+    answer = dict(zip(reps, _map(lambda i: _settle(system, *posed[i]), reps, workers)))
     return [(label, answer[i]) for i, (_target, label) in zip(ids, posed)]
 
 
@@ -551,25 +566,40 @@ class MinimalityReport:
 
 def check_minimality(n: int, workers: int = 1, allow_large: bool = False,
                      budget: int | None = ingen.DEFAULT_BUDGET) -> MinimalityReport:
-    """Drop-one scan: every member must get a separation witness against the rest."""
+    """Drop-one scan: every member must get a separation witness against the rest.
+
+    A member after its orbit's first takes that one's witness relabeled if every
+    relabeling onto it gives one point that passes its exact check, else is decided."""
     if n > 5 and not allow_large:
         raise ValueError("drop-one scan above n=5 requires --allow-large (allow_large=True)")
     delta = ingen.gen_delta(n, budget=budget)
     full = _ConeSystem([ci.expr for ci in delta])
     full.float_gens()  # once, before any worker forks: each member slices a row out
+    labels = [f"{ci.kind}\t{ci.payload_text()}" for ci in delta]
+    onto = _delta_orbits(delta, _perm_tables(n))
 
-    def pose(k):
-        return full.without(k), full.gens[k], f"{delta[k].kind}\t{delta[k].payload_text()}"
-    redundant = []
-    witnesses = []
-    answers = _decide_all(list(range(len(delta))), pose, workers, witness_first=True)
-    for ci, (label, answer) in zip(delta, answers):
-        if isinstance(answer, FarkasCertificate):
-            redundant.append(label)
-        else:
-            witnesses.append((ci.kind, ci.payload_text(), answer))
-    return MinimalityReport(n=n, generators=tuple(delta), members=len(delta),
-                            redundant=tuple(redundant), witnesses=tuple(witnesses))
+    def settle(k):
+        return _settle(full.without(k), full.gens[k], labels[k], witness_first=True)
+
+    def carry(k):
+        r, tabs = onto[k]
+        images = {_relabel_point(answers[r].point, tab) for tab in tabs} \
+            if isinstance(answers[r], SeparationWitness) else ()
+        wit = SeparationWitness(images.pop()) if len(images) == 1 else None
+        if wit and verify_witness(full.gens[k], full.gens[:k] + full.gens[k + 1:], wit) \
+                and evaluate(full.gens[k], wit.point) == -1:
+            return wit
+        return settle(k)
+    reps = [k for k, (r, _tabs) in enumerate(onto) if r == k]
+    answers = dict(zip(reps, _map(settle, reps, workers)))
+    rest = [k for k, (r, _tabs) in enumerate(onto) if r != k]
+    answers.update(zip(rest, _map(carry, rest, workers)))
+    return MinimalityReport(
+        n=n, generators=tuple(delta), members=len(delta),
+        redundant=tuple(labels[k] for k in range(len(delta))
+                        if isinstance(answers[k], FarkasCertificate)),
+        witnesses=tuple((ci.kind, ci.payload_text(), answers[k]) for k, ci in enumerate(delta)
+                        if isinstance(answers[k], SeparationWitness)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Farkas certificates, separation witnesses, and the scan reports."""
 
+import functools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,6 +17,7 @@ from ingletonlp.entspace import (
     EntropyVector,
     GroundSetError,
     IngletonQuad,
+    LinExpr,
     evaluate,
     ingleton_expr,
     parse_expr,
@@ -254,9 +257,13 @@ def _counting_linprog(monkeypatch):
 
 
 def test_one_lp_per_drop_one_member(monkeypatch):
+    # n=4: one LP for the first member of each of the 5 orbits, and one for
+    # each of the 3 other members of the h(i|N-i) orbit, whose representative's
+    # witness the relabelings fixing it move; the other 26 take a carried
+    # witness: 5 + 3
     calls = _counting_linprog(monkeypatch)
     assert certify.check_minimality(4).ok
-    assert len(calls) == 34
+    assert len(calls) == 8
     calls.clear()
     gens = delta_exprs(3)
     cert = certify.decide_implication(gens[0] + gens[-1], gens)
@@ -493,12 +500,59 @@ def test_settle_evaluates_through_certify_evaluate(monkeypatch):
 
 
 def test_each_drop_one_witness_is_checked_once(monkeypatch):
-    # per member at n=4: one evaluation scales the rounded point to -1, then
-    # _settle's one check reads the 33 other members, the target's sign and
-    # its value: 34 * 36, where checking twice took 34 * 70
+    # each of the 8 members decided at n=4 (5 representatives, 3 members of
+    # the h(i|N-i) orbit): one evaluation scales the rounded point to -1, then
+    # _settle's one check reads the 33 other members, the target's sign and its
+    # value, 36 in all; each of the 26 carried members gets that check alone,
+    # 35: 8 * 36 + 26 * 35, where deciding every member took 34 * 36
     calls = _counting(monkeypatch, certify)
     assert certify.check_minimality(4).ok
-    assert len(calls) == 1224
+    assert len(calls) == 1198
+
+
+def _negated_relabeling(monkeypatch):
+    real = certify._relabel_point
+
+    def negated(h, tab):
+        moved = real(h, tab)
+        return EntropyVector.over(moved.n, [-a for a in moved.nums], moved.den)
+    monkeypatch.setattr(certify, "_relabel_point", negated)
+
+
+def test_a_carried_witness_that_fails_is_decided_in_full(monkeypatch):
+    # every carried point now rates its member +1, so each member is decided as
+    # the representatives are: one LP each, and the same report
+    want = certify.check_minimality(4).to_text()
+    _negated_relabeling(monkeypatch)
+    calls = _counting_linprog(monkeypatch)
+    rep = certify.check_minimality(4)
+    assert rep.ok and rep.to_text() == want
+    assert len(calls) == 34
+
+
+@functools.cache
+def _members_by_payload(n):
+    return {(ci.kind, ci.payload): ci for ci in ingen.gen_delta(n)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_relabeling_carries_members_and_their_values(data):
+    # pi.g and pi.h are built here from the relabeled masks: pi.g is the member
+    # at _member_image(g, pi), and pi.g at pi.h is g at h
+    n = data.draw(st.integers(3, 5))
+    perm = data.draw(st.permutations(range(n)))
+    members = _members_by_payload(n)
+    g = list(members.values())[data.draw(st.integers(0, len(members) - 1))]
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    h = EntropyVector.over(n, [rng.randint(-20, 20) for _ in range(2 ** n - 1)],
+                           rng.randint(1, 6))
+    tab = [sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in range(2 ** n)]
+    moved = LinExpr(n, {tab[m]: c for m, c in g.expr.coeffs.items()})
+    moved_h = EntropyVector.from_dict(n, {tab[m]: v for m, v in h.items()})
+    assert members[(g.kind, certify._member_image(g, tab))].expr == moved
+    assert evaluate(moved, moved_h) == evaluate(g.expr, h)
+    assert certify._relabel_point(h, tab) == moved_h
 
 
 def test_bound_verify_evaluates_through_bound_evaluate(monkeypatch):
@@ -537,25 +591,29 @@ def test_exact_fallback_when_float_solve_misleads(monkeypatch, fake):
 
 @pytest.mark.parametrize("fake", [_failed_linprog, _outside_linprog])
 def test_minimality_falls_back_to_the_exact_decision(monkeypatch, fake):
-    # no float point verifies, so each member's witness is the Farkas point
-    # of one exact solve over the other members
+    # no float point verifies, so each decided member's witness is the Farkas
+    # point of one exact solve over the other members.  Delta at n=3 is three
+    # orbits of three, I(i;j), I(i;j|k) and h(i|jk); the point for h(1|23)
+    # is not symmetric in 2 and 3, so h(2|13) and h(3|12) are decided too,
+    # and the other 4 members take carried points: 3 + 2 solves
     monkeypatch.setattr(certify, "linprog", fake)
     solves = []
     real = certify.solve_standard
     monkeypatch.setattr(certify, "solve_standard",
                         lambda *a, **kw: solves.append(1) or real(*a, **kw))
     _assert_minimality_n3(certify.check_minimality(3))
-    assert len(solves) == 9
+    assert len(solves) == 5
 
 
 def test_failed_separation_is_not_repeated(monkeypatch):
-    # per member: the separating-direction LP, then the feasibility LP,
-    # and not the separating-direction LP a second time
+    # per decided member (3 representatives and 2 more members of the
+    # h(i|jk) orbit, as above): the separating-direction LP, then the
+    # feasibility LP, and not the separating-direction LP a second time
     calls = []
     monkeypatch.setattr(certify, "linprog",
                         lambda *a, **kw: calls.append(1) or _outside_linprog(*a, **kw))
     _assert_minimality_n3(certify.check_minimality(3))
-    assert len(calls) == 2 * 9
+    assert len(calls) == 2 * 5
 
 
 def test_exact_fallback_solves_once(monkeypatch):
