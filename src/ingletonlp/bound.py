@@ -20,6 +20,7 @@ from . import ingen
 from .entspace import (
     EntropyVector,
     LinExpr,
+    MemberTable,
     accumulate,
     check_n,
     cond_entropy_expr,
@@ -158,7 +159,7 @@ class _DualAssembly:
 
     def __init__(self, problem: BoundProblem, glist: list[LinExpr]):
         self.p = problem
-        self.glist = glist
+        self.glist, self._table = glist, None
         self.dim = 2 ** problem.n - 1
         self.index = {m: m - 1 for m in range(1, self.dim + 1)}
         cons = problem.constraints
@@ -190,11 +191,15 @@ class _DualAssembly:
 _PRICE_CAP = 256
 
 
-def _price(glist, kset, vec) -> list[int]:
-    """Cone members violated at vec, worst first, at most _PRICE_CAP of them."""
-    bad = [(v, k) for k in range(len(glist)) if k not in kset
-           and (v := evaluate(glist[k], vec)) < 0]
-    bad.sort()
+def _price(asm: _DualAssembly, kset, vec) -> list[int]:
+    """Cone members violated at vec, worst first, at most _PRICE_CAP of them;
+    asm's members are packed at the first call that has one to price."""
+    if len(kset) == len(asm.glist):
+        return []
+    if asm._table is None:
+        asm._table = MemberTable(asm.glist)
+    # one positive scale for every value, so the scaled ints sort as the values
+    bad = sorted((v, k) for k, v in enumerate(asm._table.scaled(vec)) if v < 0 and k not in kset)
     return [k for _v, k in bad[:_PRICE_CAP]]
 
 
@@ -229,7 +234,7 @@ def _float_seed(asm: _DualAssembly, fallback=()) -> list[int]:
 _ALL_COLUMNS_LIMIT = 800
 
 
-def _close(asm: _DualAssembly, glist, chosen: list[int], objective: LinExpr):
+def _close(asm: _DualAssembly, chosen: list[int], objective: LinExpr):
     """Solve over chosen columns, pricing in violated members until none is left.
 
     Returns the last solve and the columns it ran over.  Each re-solve
@@ -238,12 +243,12 @@ def _close(asm: _DualAssembly, glist, chosen: list[int], objective: LinExpr):
     """
     kset = set(chosen)
     warm = None
-    for _round in range(len(glist) + 10):
+    for _round in range(len(asm.glist) + 10):
         res = asm.solve(chosen, objective, warm=warm)
         warm = res.warm
         if res.status != "optimal":
             return res, chosen
-        add = _price(glist, kset, EntropyVector(asm.p.n, res.y))
+        add = _price(asm, kset, EntropyVector(asm.p.n, res.y))
         if not add:
             return res, chosen
         kset.update(add)
@@ -261,14 +266,14 @@ def _solve_max(problem: BoundProblem, members, glist) -> BoundResult:
         chosen = _float_seed(asm, [k for k, ci in enumerate(members)
                                    if ingen.shape(ci.kind) != ingen.KIND_DELTA0])
     for _round in range(len(glist) + 10):
-        res, chosen = _close(asm, glist, chosen, problem.objective)
+        res, chosen = _close(asm, chosen, problem.objective)
         # optimal is the answer; unbounded multipliers mean nothing satisfies
         # the constraint rows, and dropping cone columns only relaxed them
         if res.status != "infeasible":
             return _result(problem, members, asm, chosen, res)
         # no multiplier combination covers the objective over these
         # columns: the rows admit no point, or an improving ray exists
-        out = _feasible_point(problem, members, glist, asm, chosen)
+        out = _feasible_point(problem, members, asm, chosen)
         if isinstance(out, BoundResult):
             return out
         ray, bound_ids = _improving_ray(problem, members, glist, chosen)
@@ -295,15 +300,15 @@ def _improving_ray(problem, members, glist, chosen):
     mod = BoundProblem(problem.n, problem.cone, "max",
                        LinExpr.zero(problem.n), cons)
     masm = _DualAssembly(mod, glist)
-    out = _feasible_point(mod, members, glist, masm, list(chosen))
+    out = _feasible_point(mod, members, masm, list(chosen))
     if isinstance(out, BoundResult):
         return None, [k for k, _cf in out.farkas.cone]
     return out, None
 
 
-def _feasible_point(problem, members, glist, asm: _DualAssembly, chosen):
+def _feasible_point(problem, members, asm: _DualAssembly, chosen):
     """Point satisfying every row, or a BoundResult proving there is none."""
-    res, chosen = _close(asm, glist, chosen, LinExpr.zero(problem.n))
+    res, chosen = _close(asm, chosen, LinExpr.zero(problem.n))
     if res.status == "infeasible":
         raise RuntimeError("zero-objective system cannot be infeasible")
     if res.status == "unbounded":
@@ -425,11 +430,9 @@ def verify_bound_result(problem: BoundProblem, result: BoundResult,
 
 
 def _check_rows(problem, glist, point, homogeneous: bool) -> bool:
-    """point satisfies every cone member and constraint row; homogeneous
-    checks the rows against zero right-hand sides, as a ray must."""
-    if point is None or point.n != problem.n:
-        return False
-    if any(evaluate(g, point) < 0 for g in glist):
+    """point satisfies every cone member, in one packed pass, and constraint row;
+    homogeneous checks the rows against zero right-hand sides, as a ray must."""
+    if point is None or point.n != problem.n or not MemberTable(glist).nonnegative(point):
         return False
     for expr, rel, rhs in problem.constraints:
         v = evaluate(expr, point)

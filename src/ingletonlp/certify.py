@@ -30,6 +30,7 @@ from .entspace import (
     GroundSetError,
     IngletonQuad,
     LinExpr,
+    MemberTable,
     accumulate,
     evaluate,
     format_quad,
@@ -79,11 +80,9 @@ def verify_certificate(target: LinExpr, gens, cert: FarkasCertificate) -> bool:
 
 
 def verify_witness(target: LinExpr, gens, wit: SeparationWitness) -> bool:
-    # the point times its positive denominator: the same signs, evaluated in ints
-    p = EntropyVector(wit.point.n, wit.point.nums)
-    if any(evaluate(g, p) < 0 for g in gens):
-        return False
-    return evaluate(target, p) < 0
+    """wit's point satisfies gens, LinExprs or their MemberTable, and violates target."""
+    table = gens if isinstance(gens, MemberTable) else MemberTable(gens)
+    return table.nonnegative(wit.point) and evaluate(target, wit.point) < 0
 
 
 class _ConeSystem:
@@ -103,6 +102,7 @@ class _ConeSystem:
         self.masks = sorted(support)
         self.index = {m: i for i, m in enumerate(self.masks)}
         self._float_gens = self._float_cone = None
+        self.table = MemberTable(gens)  # for witness checks; before any worker forks
         self._lone = None  # per generator: would dropping it change masks or key ids?
         self._exact_keys = {}
         for i, g in enumerate(gens):
@@ -169,7 +169,7 @@ class _ConeSystem:
         sub = object.__new__(_ConeSystem)
         sub.n, sub.gens, sub.masks, sub.index = self.n, rest, self.masks, self.index
         cols = self._float_gens
-        sub._lone, sub._float_cone = None, None
+        sub._lone, sub._float_cone, sub.table = None, None, self.table.without(k)
         sub._float_gens = None if cols is None else [
             ([i - (i > k) for i in at if i != k], [v for i, v in zip(at, vals) if i != k])
             for at, vals in cols]
@@ -246,7 +246,7 @@ def _settle(system: _ConeSystem, target: LinExpr, label: str = "the target",
         if isinstance(out, FarkasCertificate):
             if verify_certificate(target, system.gens, out):
                 return out
-        elif verify_witness(target, system.gens, out) and evaluate(target, out.point) == -1:
+        elif verify_witness(target, system.table, out) and evaluate(target, out.point) == -1:
             return out
     what = "certificate" if isinstance(out, FarkasCertificate) else "witness"
     raise RuntimeError(f"unsound {what} for {label}")
@@ -320,8 +320,12 @@ def _member_image(ci: ingen.CanonicalInequality, tab) -> tuple:
 
 def _relabel_point(h: EntropyVector, tab) -> EntropyVector:
     """h carried by the relabeling tab: the new value at tab[m] is h's at m."""
-    moved = dict(zip(tab[1:], h.nums))
-    return EntropyVector.over(h.n, [moved[m] for m in range(1, len(tab))], h.den)
+    nums = [0] * len(h.nums)
+    for m, a in zip(tab[1:], h.nums):
+        nums[m - 1] = a
+    moved = object.__new__(EntropyVector)  # permuted numerators stay in lowest terms
+    moved.n, moved.nums, moved.den = h.n, tuple(nums), h.den
+    return moved
 
 
 def _delta_id_maps(delta: list[ingen.CanonicalInequality], tables) -> list[list[int]]:
@@ -586,7 +590,7 @@ def check_minimality(n: int, workers: int = 1, allow_large: bool = False,
         images = {_relabel_point(answers[r].point, tab) for tab in tabs} \
             if isinstance(answers[r], SeparationWitness) else ()
         wit = SeparationWitness(images.pop()) if len(images) == 1 else None
-        if wit and verify_witness(full.gens[k], full.gens[:k] + full.gens[k + 1:], wit) \
+        if wit and verify_witness(full.gens[k], full.table.without(k), wit) \
                 and evaluate(full.gens[k], wit.point) == -1:
             return wit
         return settle(k)

@@ -14,8 +14,10 @@ loop that sums (mask, coeff) pairs into a coefficient map.
 
 from __future__ import annotations
 
+import copy
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -333,9 +335,14 @@ def report_text(command: str, n: int, params: Mapping[str, object],
     return "\n".join([f"# ingletonlp {__version__}", head, *body]) + "\n"
 
 
+_VECTOR_NAMES = SubsetNames()  # a point names at most 2^n - 1 subsets
+
+
 def format_vector_pairs(h: EntropyVector) -> str:
-    parts = [f"{format_subset(mask)}={v}" for mask, v in h.items() if v]
-    return " ".join(parts)
+    """`{..}=v` per nonzero coordinate, v in lowest terms as Fraction prints it."""
+    return " ".join(f"{_VECTOR_NAMES[m]}={a // (g := math.gcd(a, h.den))}"
+                    + (f"/{h.den // g}" if g < h.den else "")
+                    for m, a in enumerate(h.nums, start=1) if a)
 
 
 def vector_to_text(h: EntropyVector) -> str:
@@ -453,6 +460,83 @@ def evaluate(e: LinExpr, h: EntropyVector) -> Rational:
         raise GroundSetError("expression and point use different ground sets")
     nums = h.nums
     return h._value(sum(c * nums[m - 1] for m, c in e.coeffs.items()))
+
+
+class MemberTable:
+    """Every member's exact value at a point, in one packed-integer pass.
+
+    Per mask m, C_m = sum_k c_km 2^(w k) holds member k's coefficient, over
+    the common denominator `den`, in lane k; then lane k of sum_m C_m h.nums[m - 1]
+    is member k's value at h times den * h.den.  No lane overflows: `width`
+    bounds each value by max|h.nums| times the largest coefficient L1 norm.
+    """
+
+    def __init__(self, exprs: Iterable[LinExpr]):
+        exprs = list(exprs)
+        self.n = exprs[0].n if exprs else None
+        if any(e.n != self.n for e in exprs):
+            raise GroundSetError("members disagree on the ground set")
+        self._maps, self.den = [e.coeffs for e in exprs], 1
+        if not all(type(c) is int for cs in self._maps for c in cs.values()):
+            flat, self.den = int_form([c for cs in self._maps for c in cs.values()])
+            it = iter(flat)
+            self._maps = [{m: next(it) for m in cs} for cs in self._maps]
+        self._l1 = max((sum(map(abs, cs.values())) for cs in self._maps), default=0)
+        self._out, self._packs = (), {}  # members left out; width -> (bias, columns)
+        self._lanes(self.width())  # the lanes the coefficients need, packed up front
+
+    def without(self, k: int) -> "MemberTable":
+        """This table with its member k left out, sharing the packed columns."""
+        sub = copy.copy(self)
+        for o in self._out:  # ascending: k counts only the members left in
+            k += o <= k
+        sub._out = tuple(sorted((*self._out, k)))
+        return sub
+
+    def width(self, h: EntropyVector | None = None) -> int:
+        """The lane width at h, or for the coefficients alone: the least power of
+        two from 8 above the bit length of max|h.nums| times the largest L1 norm."""
+        top = self._l1 * (1 if h is None else max(max(h.nums), -min(h.nums), 1))
+        return max(8, 1 << top.bit_length().bit_length())
+
+    def _pass(self, h: EntropyVector) -> tuple[int, int, int]:
+        """(w, bias, the pass + bias): bias puts 2^(w-1) in every lane, so no lane
+        borrows, and lane k's top bit is set iff member k is >= 0 at h."""
+        if self._maps and h.n != self.n:
+            raise GroundSetError("members and point use different ground sets")
+        w = self.width(h)
+        bias, cols = self._lanes(w)
+        return w, bias, sum(c * h.nums[i] for i, c in cols) + bias
+
+    def _lanes(self, w: int) -> tuple[int, list[tuple[int, int]]]:
+        """(bias, [(m - 1, C_m)]) in w-bit lanes, packed at the first call."""
+        if w not in self._packs:
+            nb, size = w // 8, len(self._maps)
+            raws = defaultdict(lambda: bytearray(nb * size))
+            for k, cs in enumerate(self._maps):
+                for m, c in cs.items():
+                    if nb == 1:
+                        raws[m][k] = c & 255
+                    else:
+                        raws[m][k * nb:(k + 1) * nb] = c.to_bytes(nb, "little", signed=True)
+            bias = (1 << (w - 1)) * ((1 << (w * size)) - 1) // ((1 << w) - 1)
+            # the xor flips each two's complement lane's top bit: lane k reads c + 2^(w-1)
+            self._packs[w] = bias, [(m - 1, (int.from_bytes(raw, "little") ^ bias) - bias)
+                                    for m, raw in raws.items()]
+        return self._packs[w]
+
+    def scaled(self, h: EntropyVector) -> list[int]:
+        """Each member's value at h times den * h.den, in member order."""
+        w, bias, v = self._pass(h)
+        nb, raw = w // 8, (v ^ bias).to_bytes(w // 8 * len(self._maps), "little")
+        return [int.from_bytes(raw[k * nb:(k + 1) * nb], "little", signed=True)
+                for k in range(len(self._maps)) if k not in self._out]
+
+    def nonnegative(self, h: EntropyVector) -> bool:
+        """Whether every member is >= 0 at h: one test of the lanes' top bits."""
+        w, bias, v = self._pass(h)
+        keep = bias - sum(1 << (w * k + w - 1) for k in self._out)
+        return v & keep == keep
 
 
 def witness_fulldim(n: int) -> EntropyVector:

@@ -1,5 +1,6 @@
 """Farkas certificates, separation witnesses, and the scan reports."""
 
+import dataclasses
 import functools
 import os
 import random
@@ -18,9 +19,11 @@ from ingletonlp.entspace import (
     GroundSetError,
     IngletonQuad,
     LinExpr,
+    MemberTable,
     evaluate,
     ingleton_expr,
     parse_expr,
+    witness_modular,
 )
 
 
@@ -346,6 +349,45 @@ def test_verify_witness_agrees_with_fraction_evaluation(nums, den, picks, t):
     assert certify.verify_witness(target, gens, certify.SeparationWitness(point)) == want
 
 
+_LANES = {"first": 0, "middle": 14, "last": 27}  # of the 28 elemental members at n=4
+
+
+def _drop_one_point(gens, k):
+    """A point that violates gens[k] alone, at value -1."""
+    return certify.separation_witness(gens[k], gens[:k] + gens[k + 1:])
+
+
+@pytest.mark.parametrize("where", list(_LANES))
+def test_a_point_violating_one_member_is_rejected(where):
+    # the packed pass reads every other lane as nonnegative, so the one
+    # violated lane alone must reject the point, wherever it sits
+    gens, k = elemental_exprs(4), _LANES[where]
+    wit, table = _drop_one_point(gens, k), MemberTable(gens)
+    assert certify.verify_witness(gens[k], gens[:k] + gens[k + 1:], wit)
+    assert certify.verify_witness(gens[k], table.without(k), wit)
+    assert not certify.verify_witness(gens[k], gens, wit)
+    assert not certify.verify_witness(gens[k], table, wit)
+    with pytest.raises(GroundSetError):
+        certify.verify_witness(gens[k], elemental_exprs(3), wit)
+
+
+@pytest.mark.parametrize("where", list(_LANES))
+def test_bound_rejects_a_primal_violating_one_member(where):
+    # every point of the cone with h(N) <= 1 maximizes 0, so only the member
+    # check can tell the honest primal from the drop-one point
+    problem = bound.BoundProblem(4, bound.CONE_GAMMA, "max", LinExpr.zero(4),
+                                 ((LinExpr.single(4, 15), "<=", Fraction(1)),))
+    members = ingen.gen_elemental(4)
+    result = bound.solve_bound(problem, members=members)
+    gens, k = [ci.expr for ci in members], _LANES[where]
+    h = _drop_one_point(gens, k).point
+    # a positive scale keeps every sign and puts h(N) below 1
+    bad = EntropyVector.over(4, h.nums, h.den * (1 + abs(h.nums[14])))
+    good = EntropyVector.over(4, witness_modular(4).nums, 4)
+    assert bound.verify_bound_result(problem, dataclasses.replace(result, primal=good))
+    assert not bound.verify_bound_result(problem, dataclasses.replace(result, primal=bad))
+
+
 def test_quad_scans_decide_each_distinct_target_once(monkeypatch):
     calls = []
     real = certify._settle
@@ -502,12 +544,13 @@ def test_settle_evaluates_through_certify_evaluate(monkeypatch):
 def test_each_drop_one_witness_is_checked_once(monkeypatch):
     # each of the 8 members decided at n=4 (5 representatives, 3 members of
     # the h(i|N-i) orbit): one evaluation scales the rounded point to -1, then
-    # _settle's one check reads the 33 other members, the target's sign and its
-    # value, 36 in all; each of the 26 carried members gets that check alone,
-    # 35: 8 * 36 + 26 * 35, where deciding every member took 34 * 36
+    # _settle's one check reads the 33 other members in one packed pass (no
+    # evaluation), the target's sign and its value, 3 in all; each of the 26
+    # carried members gets that check alone, 2: 8 * 3 + 26 * 2, where
+    # evaluating every other member took 8 * 36 + 26 * 35 = 1198
     calls = _counting(monkeypatch, certify)
     assert certify.check_minimality(4).ok
-    assert len(calls) == 1198
+    assert len(calls) == 76
 
 
 def _negated_relabeling(monkeypatch):
@@ -684,17 +727,19 @@ def test_exact_witness_guards(monkeypatch, solve, fake_eval, what):
         system._exact_decide(b_exact)
 
 
-@pytest.mark.parametrize("fake_eval, fault", [
-    (lambda e, h: 0, "misses the target"),
-    (lambda e, h: -1, "leaves the generator cone"),
+@pytest.mark.parametrize("tamper, fault", [
+    (lambda mp: mp.setattr(certify, "evaluate", lambda e, h: 0), "misses the target"),
+    # the generators are read in one packed pass, not through evaluate
+    (lambda mp: mp.setattr(MemberTable, "nonnegative", lambda self, h: False),
+     "leaves the generator cone"),
 ])
-def test_settle_rejects_an_unsound_witness(monkeypatch, fake_eval, fault):
+def test_settle_rejects_an_unsound_witness(monkeypatch, tamper, fault):
     # every candidate, the exact solve's point last, gets the one check in
     # _settle, and a point that fails it is never returned
     target, gens = _ingleton4()
     system = certify._ConeSystem(gens)
     assert isinstance(certify._settle(system, target), certify.SeparationWitness)
-    monkeypatch.setattr(certify, "evaluate", fake_eval)
+    tamper(monkeypatch)
     with pytest.raises(RuntimeError, match="unsound witness"):
         certify._settle(system, target)
 
@@ -729,9 +774,24 @@ def test_padded_violator_guards(monkeypatch, fake_eval, what):
 def test_guards_survive_optimize_flag():
     # python -O strips assert statements; the guards must still fire
     code = (
-        "from ingletonlp import certify, ingen\n"
-        "from ingletonlp.entspace import IngletonQuad, ingleton_expr\n"
+        "from dataclasses import replace\n"
+        "from fractions import Fraction\n"
+        "from ingletonlp import bound, certify, ingen\n"
+        "from ingletonlp.entspace import EntropyVector, IngletonQuad, LinExpr, ingleton_expr\n"
         "gens = [ci.expr for ci in ingen.gen_delta(3)]\n"
+        "problem = bound.BoundProblem(3, bound.CONE_GAMMA_IN, 'max', LinExpr.zero(3),\n"
+        "                             ((LinExpr.single(3, 7), '<=', Fraction(1)),))\n"
+        "result = bound.solve_bound(problem)\n"
+        "for k in (0, 4, len(gens) - 1):  # a point violating the member in lane k\n"
+        "    rest = gens[:k] + gens[k + 1:]\n"
+        "    wit = certify.separation_witness(gens[k], rest)\n"
+        "    if certify.verify_witness(gens[k], gens, wit) or \\\n"
+        "            not certify.verify_witness(gens[k], rest, wit):\n"
+        "        raise SystemExit(1)\n"
+        "    h = wit.point  # scaled into h(N) <= 1, where every point maximizes 0\n"
+        "    bad = EntropyVector.over(3, h.nums, h.den * (1 + abs(h.nums[6])))\n"
+        "    if bound.verify_bound_result(problem, replace(result, primal=bad)):\n"
+        "        raise SystemExit(1)\n"
         "target = ingleton_expr(IngletonQuad(3, 1, 2, 0, 4))\n"
         "certify.verify_certificate = lambda *args: False\n"
         "try:\n"

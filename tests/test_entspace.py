@@ -14,6 +14,7 @@ from ingletonlp.entspace import (
     LinExpr,
     MAX_N,
     MIN_N,
+    MemberTable,
     SubsetNames,
     accumulate,
     check_mask,
@@ -368,6 +369,45 @@ def test_evaluate_matches_fraction_sum(data):
     # a point built from unreduced numerators evaluates the same
     over = EntropyVector.over(n, [3 * a for a in nums], 3 * den)
     assert over == h and evaluate(e, over) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_member_table_matches_evaluate(data):
+    # int and Fraction coefficients, points over den > 1 with negative
+    # coordinates, and 10**400-scale points that widen the lanes
+    n = data.draw(st.integers(2, 5))
+    exprs = [LinExpr(n, c) for c in data.draw(st.lists(st.dictionaries(
+        st.integers(1, 2 ** n - 1), _coefficients, max_size=10), min_size=1, max_size=12))]
+    scale = data.draw(st.sampled_from([1, 10 ** 400]))
+    h = EntropyVector(n, [v * scale for v in data.draw(
+        st.lists(_point_values, min_size=2 ** n - 1, max_size=2 ** n - 1))])
+    table = MemberTable(exprs)
+    want = [evaluate(e, h) for e in exprs]
+    assert [Fraction(v, table.den * h.den) for v in table.scaled(h)] == want
+    assert table.nonnegative(h) == all(v >= 0 for v in want)
+    if scale > 1 and any(h.nums) and any(e.coeffs for e in exprs):
+        assert table.width(h) > 1024
+    k = data.draw(st.integers(0, len(exprs) - 1))
+    rest, want = table.without(k), want[:k] + want[k + 1:]
+    assert [Fraction(v, table.den * h.den) for v in rest.scaled(h)] == want
+    assert rest.nonnegative(h) == all(v >= 0 for v in want)
+
+
+@pytest.mark.parametrize("w", [8, 16, 64, 128])
+def test_member_table_values_at_the_lane_bound(w):
+    # +-(2^(w-1) - 1) is the widest value a w-bit lane holds; one more widens
+    top = 2 ** (w - 1) - 1
+    exprs = [LinExpr.single(2, 1), LinExpr.single(2, 1, -1), LinExpr.single(2, 2)]
+    h = EntropyVector(2, [top, -top, 0])
+    table = MemberTable(exprs)
+    assert table.width(h) == w
+    assert table.scaled(h) == [top, -top, -top]
+    assert not table.nonnegative(h) and not table.without(0).nonnegative(h)
+    assert table.without(1).without(1).nonnegative(h)
+    wider = EntropyVector(2, [top + 1, -top - 1, 0])
+    assert table.width(wider) == 2 * w
+    assert table.scaled(wider) == [top + 1, -top - 1, -top - 1]
 
 
 def test_projection_helpers():

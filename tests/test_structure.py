@@ -158,6 +158,27 @@ def test_one_verifier_and_one_run_writer():
     assert callers == {"_delta0_runs", "_delta1_runs"}
 
 
+def _function(tree, name):
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_members_are_read_in_one_packed_pass():
+    # verify_witness, _check_rows and _price read every member through a
+    # MemberTable pass; evaluate is left for the target and the constraint rows
+    trees = _trees()
+    verify = _function(trees["certify.py"], "verify_witness")
+    assert _calls(verify, "nonnegative") and len(_calls(verify, "evaluate")) == 1
+    assert not any(isinstance(node, (ast.For, ast.comprehension)) for node in ast.walk(verify))
+    price = _function(trees["bound.py"], "_price")
+    assert _calls(price, "scaled") and not _calls(price, "evaluate")
+    rows = _function(trees["bound.py"], "_check_rows")
+    assert _calls(rows, "nonnegative")
+    loops = [node for node in ast.walk(rows) if isinstance(node, (ast.For, ast.comprehension))]
+    assert [ast.unparse(node.iter) for node in loops] == ["problem.constraints"]
+    assert len(_calls(loops[0], "evaluate")) == len(_calls(rows, "evaluate")) == 1
+
+
 def test_public_names_resolve_to_their_defining_modules():
     # the package imports each name's module on first access
     from ingletonlp import _EXPORTS
