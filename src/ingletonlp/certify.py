@@ -31,6 +31,7 @@ from .entspace import (
     IngletonQuad,
     LinExpr,
     MemberTable,
+    SubsetNames,
     accumulate,
     evaluate,
     format_quad,
@@ -579,11 +580,12 @@ def check_minimality(n: int, workers: int = 1, allow_large: bool = False,
     delta = ingen.gen_delta(n, budget=budget)
     full = _ConeSystem([ci.expr for ci in delta])
     full.float_gens()  # once, before any worker forks: each member slices a row out
-    labels = [f"{ci.kind}\t{ci.payload_text()}" for ci in delta]
+    names = SubsetNames()  # one for the scan, so each subset's text is formatted once
+    labels = [(ci.kind, ingen.payload_text(ci.kind, ci.payload, names)) for ci in delta]
     onto = _delta_orbits(delta, _perm_tables(n))
 
     def settle(k):
-        return _settle(full.without(k), full.gens[k], labels[k], witness_first=True)
+        return _settle(full.without(k), full.gens[k], "\t".join(labels[k]), witness_first=True)
 
     def carry(k):
         r, tabs = onto[k]
@@ -600,9 +602,9 @@ def check_minimality(n: int, workers: int = 1, allow_large: bool = False,
     answers.update(zip(rest, _map(carry, rest, workers)))
     return MinimalityReport(
         n=n, generators=tuple(delta), members=len(delta),
-        redundant=tuple(labels[k] for k in range(len(delta))
+        redundant=tuple("\t".join(labels[k]) for k in range(len(delta))
                         if isinstance(answers[k], FarkasCertificate)),
-        witnesses=tuple((ci.kind, ci.payload_text(), answers[k]) for k, ci in enumerate(delta)
+        witnesses=tuple((*labels[k], answers[k]) for k in range(len(delta))
                         if isinstance(answers[k], SeparationWitness)))
 
 

@@ -294,9 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # nothing here calls BLAS, yet OpenBLAS's idle thread pool burns CPU once the
-    # first presolve loads numpy: one thread, unless the user chose a count
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = _build_parser().parse_args(argv)
     try:
         if args.n is not None:

@@ -32,8 +32,8 @@ basis would give, row for row, so each pivot is the same.
 This is also the package's only float module.  `linprog` is its one way
 into the float solver, HiGHS's dual simplex, which it drives through the
 compiled HiGHS module scipy ships, loaded at the first call without
-importing scipy.optimize or scipy.sparse.  `float_columns` builds the
-column lists the presolves hand it.
+importing numpy, scipy.optimize or scipy.sparse.  `float_columns` builds
+the column lists the presolves hand it.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from itertools import accumulate, chain
-from math import prod
+from math import copysign, prod
 from types import SimpleNamespace
 
 from .entspace import int_form
@@ -95,32 +95,43 @@ def _highs():
     return core, options
 
 
+@functools.lru_cache(maxsize=16)
+def _zero_cost_lp(n):
+    """A zero-cost HighsLp of n columns, sized by scalar calls, which load no numpy."""
+    core, options = _highs()
+    highs = core._Highs()
+    highs.passOptions(options)  # without them HiGHS prints its banner
+    for _ in range(n):
+        highs.addVar(0.0, 0.0)
+    return highs.getLp()
+
+
 def linprog(c, A_ub=None, b_ub=(), A_eq=None, b_eq=(), bounds=(0, None)):
     """min c.x subject to A_ub x <= b_ub, A_eq x = b_eq, bounds[0] <= x <= bounds[1].
 
     This is the LP scipy.optimize.linprog(method="highs") hands HiGHS, with
-    A_ub and A_eq as `float_columns` lists over len(c) columns.  The status is
-    scipy's: 0 optimal, 2 infeasible, 3 unbounded, anything else 4.  Only an
-    optimal solve has x, fun, and duals: the row duals of the <= rows.
+    A_ub and A_eq as `float_columns` lists over len(c) columns, handed over as
+    lists and scalars, so numpy never loads.  The status is scipy's: 0 optimal,
+    2 infeasible, 3 unbounded, else 4.  Only an optimal solve has x, fun, and
+    duals: the row duals of the <= rows.
     """
     core, options = _highs()
     inf, n, m = core.kHighsInf, len(c), len(b_ub)
     cols = A_ub or A_eq
     if A_ub is not None and A_eq is not None:  # each column lists A_eq's rows below A_ub's
         cols = [(r + [i + m for i in s], v + w) for (r, v), (s, w) in zip(A_ub, A_eq)]
-    lp, (lo, hi) = core.HighsLp(), bounds
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp, (lo, hi) = _zero_cost_lp(n), bounds  # shared per column count: passModel copies it
     lp.num_row_ = lp.a_matrix_.num_row_ = m + len(b_eq)
-    lp.col_cost_, lp.col_lower_ = c, [-inf if lo is None else lo] * n
-    lp.col_upper_ = [inf if hi is None else hi] * n
+    lp.col_lower_, lp.col_upper_ = [-inf if lo is None else lo] * n, [inf if hi is None else hi] * n
     lp.row_lower_, lp.row_upper_ = [-inf] * m + [*b_eq], [*b_ub, *b_eq]
-    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
     lp.a_matrix_.start_ = [0, *accumulate(len(r) for r, _v in cols)]
     lp.a_matrix_.index_ = [*chain.from_iterable(r for r, _v in cols)]
     lp.a_matrix_.value_ = [*chain.from_iterable(v for _r, v in cols)]
     highs = core._Highs()  # a fresh one, so no solver state outlives the call
     highs.passOptions(options)
-    highs.passModel(lp)
+    highs.passModel(lp)  # then each cost as a scalar, -0.0 too, as scipy hands it over
+    for j in [j for j, cj in enumerate(c) if cj or copysign(1.0, cj) < 0]:
+        highs.changeColCost(j, c[j])
     highs.run()
     ms = core.HighsModelStatus
     status = {ms.kOptimal: 0, ms.kInfeasible: 2, ms.kUnbounded: 3}.get(highs.getModelStatus(), 4)

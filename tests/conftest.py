@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import math
 
 import pytest
 
@@ -45,10 +46,12 @@ def cli_run_once(tmp_path_factory):
 
 @pytest.fixture
 def highs_models(monkeypatch):
-    """(ours, scipy's): the model of each HiGHS solve as `simplex.linprog` and as
-    `scipy.optimize.linprog` hand it over, recorded as they go.
+    """(ours, scipy's): the model of each HiGHS solve as HiGHS holds it when
+    `simplex.linprog` runs it and as `scipy.optimize.linprog` hands it over,
+    recorded as they go.
 
-    Each model is (cost, column bounds, row bounds, start, index, value), as lists.
+    Each model is (cost, column bounds, row bounds, start, index, value), as
+    lists; each cost is paired with its sign, so a -0.0 cost must stay -0.0.
     """
     from types import SimpleNamespace
 
@@ -59,17 +62,21 @@ def highs_models(monkeypatch):
     ours, theirs = [], []
     core, options = simplex._highs()
 
+    def signed(costs):
+        return [(x, math.copysign(1.0, x)) for x in costs]
+
     class Recorder(core._Highs):
-        def passModel(self, lp):
+        def run(self):  # the costs arrive after passModel, so record the model at run
+            lp = self.getLp()
             a = lp.a_matrix_
-            ours.append([list(v) for v in (lp.col_cost_, lp.col_lower_, lp.col_upper_,
-                                           lp.row_lower_, lp.row_upper_,
-                                           a.start_, a.index_, a.value_)])
-            return super().passModel(lp)
+            ours.append([signed(lp.col_cost_)] + [list(v) for v in (
+                lp.col_lower_, lp.col_upper_, lp.row_lower_, lp.row_upper_,
+                a.start_, a.index_, a.value_)])
+            return super().run()
 
     def wrapper(c, start, index, value, row_lower, row_upper, col_lower, col_upper, *rest):
-        theirs.append([list(v) for v in (c, col_lower, col_upper, row_lower, row_upper,
-                                         start, index, value)])
+        theirs.append([signed(c)] + [list(v) for v in (col_lower, col_upper, row_lower,
+                                                       row_upper, start, index, value)])
         return real(c, start, index, value, row_lower, row_upper, col_lower, col_upper, *rest)
 
     real = _linprog_highs._highs_wrapper

@@ -278,17 +278,6 @@ def test_generator_line_without_three_fields_exits_two(capsys, tmp_path, fields)
     assert rc == 2 and out == "" and err.startswith("error:") and repr(lines[at]) in err
 
 
-def test_main_defaults_openblas_to_one_thread(monkeypatch, capsys):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    assert main(["count", "--n", "3"]) == 0
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"  # the user's count wins
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    assert certify.check_minimality(3).ok
-    assert "OPENBLAS_NUM_THREADS" not in os.environ  # library calls leave it alone
-    assert main(["count", "--n", "3"]) == 0
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-
-
 def test_implies_generator_file_wrong_n(capsys, tmp_path):
     gens = tmp_path / "gens.txt"
     ingen.write_inequalities(gens, 3, ingen.gen_delta(3))
@@ -637,18 +626,39 @@ def test_violator_witness_leaves_the_float_stack_unloaded():
 
 
 def test_drop_one_scan_leaves_scipy_optimize_and_sparse_unloaded(capsys):
-    # the presolves drive HiGHS's compiled module, loaded from its file
+    # the presolves drive HiGHS's compiled module, loaded from its file, and
+    # hand it lists and scalars, so numpy never loads either
     out, err = _child(
         "import sys\n"
         "from ingletonlp import cli\n"
         "code = cli.main(['check-minimality', '--n', '4'])\n"
-        "loaded = [m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules]\n"
+        "loaded = [m for m in ('numpy', 'scipy.optimize', 'scipy.sparse') if m in sys.modules]\n"
         "highs = 'scipy.optimize._highspy._core' in sys.modules\n"
         "sys.stderr.write(f'code={code} loaded={loaded} highs={highs}')\n")
     assert err.endswith("code=0 loaded=[] highs=True")
     # the same bytes as in this process, where scipy.optimize may well be loaded
     rc, here, _ = run_cli(capsys, ["check-minimality", "--n", "4"])
     assert rc == 0 and out == here
+
+
+def test_linprog_of_every_status_leaves_numpy_unloaded():
+    # linprog is the package's one way into HiGHS, so this covers the bound
+    # seed and the completeness presolves too: optimal over bounds (-1, 1),
+    # infeasible, unbounded, and <= rows beside = rows; then a completeness run
+    _out, err = _child(
+        "import contextlib, io, sys\n"
+        "from ingletonlp import cli, simplex\n"
+        "lps = [([1.0, -1.0], dict(A_ub=[([0], [1.0]), ([0], [1.0])], b_ub=[0.5],\n"
+        "                          bounds=(-1, 1))),\n"
+        "       ([1.0, 1.0], dict(A_eq=[([0], [1.0]), ([0], [1.0])], b_eq=[-1.0])),\n"
+        "       ([-1.0, -1.0], dict(A_ub=[([0], [1.0]), ([0], [-1.0])], b_ub=[1.0])),\n"
+        "       ([-1.0, 0.0], dict(A_ub=[([0], [1.0]), ([0], [1.0])], b_ub=[2.0],\n"
+        "                          A_eq=[([0], [1.0]), ([0], [-1.0])], b_eq=[0.0]))]\n"
+        "got = [(r.status, r.fun) for r in (simplex.linprog(c, **kw) for c, kw in lps)]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['check-completeness', '--n', '3'])\n"
+        "sys.stderr.write(f'{got} code={code} numpy={\"numpy\" in sys.modules}')\n")
+    assert err.endswith("[(0, -2.0), (2, None), (3, None), (0, -1.0)] code=0 numpy=False")
 
 
 def test_scipy_optimize_imported_after_a_scan_reuses_the_loaded_highs():
