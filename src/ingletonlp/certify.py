@@ -7,6 +7,8 @@ with either a nonnegative-combination certificate or a separating point.
 that passes is the answer.  A floating-point solve only proposes; it
 never decides an answer.
 
+Both kinds of scan walk each relabeling orbit once, from its first
+element (`_orbits`).  The quad scans decide each orbit's least swap class.
 The drop-one scan decides the first member of each relabeling orbit: it
 cuts that member's system out of the full one (`_ConeSystem.without`) and,
 expecting no member to be implied, asks HiGHS for the separating point
@@ -24,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import bound, ingen
+from . import ingen
 from .entspace import (
     EntropyVector,
     GroundSetError,
@@ -288,35 +290,22 @@ def _perm_tables(n: int) -> list[list[int]]:
     return tables
 
 
-def _swap_norm(q: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    a1, a2, a3, a4 = q
-    if a1 > a2:
-        a1, a2 = a2, a1
-    if a3 > a4:
-        a3, a4 = a4, a3
-    return (a1, a2, a3, a4)
+def _quad_image(q, tab) -> tuple[int, int, int, int]:
+    """The swap class (a1 <= a2, a3 <= a4) of quad q relabeled by tab."""
+    a1, a2, a3, a4 = tab[q[0]], tab[q[1]], tab[q[2]], tab[q[3]]
+    return (min(a1, a2), max(a1, a2), min(a3, a4), max(a3, a4))
 
 
-def _canonical_quad(q, tables) -> tuple[tuple[int, int, int, int], int]:
-    best = None
-    best_pi = 0
-    for pi, tab in enumerate(tables):
-        cand = _swap_norm((tab[q[0]], tab[q[1]], tab[q[2]], tab[q[3]]))
-        if best is None or cand < best:
-            best = cand
-            best_pi = pi
-    return best, best_pi
-
-
-def _member_image(ci: ingen.CanonicalInequality, tab) -> tuple:
-    """The payload of ci's image under the relabeling tab; the kind stays."""
-    if ci.kind == ingen.KIND_DELTA0:
-        return ingen.delta0_payload(*[tab[m] for m in ci.payload])
-    if ingen.shape(ci.kind) == ingen.KIND_DELTA1:
-        i, j, mu = ci.payload
+def _member_image(key: tuple, tab) -> tuple:
+    """The (kind, payload) key of member key's image under the relabeling tab."""
+    kind, payload = key
+    if kind == ingen.KIND_DELTA0:
+        return kind, ingen.delta0_payload(*[tab[m] for m in payload])
+    if ingen.shape(kind) == ingen.KIND_DELTA1:
+        i, j, mu = payload
         a, b = sorted((tab[1 << (i - 1)].bit_length(), tab[1 << (j - 1)].bit_length()))
-        return (a, b, tab[mu])
-    return (tab[1 << (ci.payload[0] - 1)].bit_length(),)
+        return kind, (a, b, tab[mu])
+    return kind, (tab[1 << (payload[0] - 1)].bit_length(),)
 
 
 def _relabel_point(h: EntropyVector, tab) -> EntropyVector:
@@ -329,29 +318,17 @@ def _relabel_point(h: EntropyVector, tab) -> EntropyVector:
     return moved
 
 
-def _delta_id_maps(delta: list[ingen.CanonicalInequality], tables) -> list[list[int]]:
-    """For each relabeling, the member ids it maps back: back[id of the image of k] = k."""
-    by_payload = {(ci.kind, ci.payload): i for i, ci in enumerate(delta)}
-    maps = []
-    for tab in tables:
-        back = [0] * len(delta)
-        for k, ci in enumerate(delta):
-            back[by_payload[(ci.kind, _member_image(ci, tab))]] = k
-        maps.append(back)
-    return maps
-
-
-def _delta_orbits(delta: list[ingen.CanonicalInequality], tables) -> list[tuple[int, list]]:
-    """Per member k, (r, the relabelings carrying member r onto k), r being the
-    first member of k's orbit: one image per orbit and relabeling."""
-    by_payload = {(ci.kind, ci.payload): i for i, ci in enumerate(delta)}
-    onto = [None] * len(delta)
-    for r, ci in enumerate(delta):
+def _orbits(keys: list, image, tables) -> list[tuple[int, list[int]]]:
+    """Per key k, (r, the ids of the tables carrying key r onto k), r being the
+    first key of k's orbit: each orbit is walked once, from its first key."""
+    at = {key: i for i, key in enumerate(keys)}
+    onto = [None] * len(keys)
+    for r, key in enumerate(keys):
         if onto[r] is None:
-            for tab in tables:
-                k = by_payload[(ci.kind, _member_image(ci, tab))]
+            for pi, tab in enumerate(tables):
+                k = at[image(key, tab)]
                 onto[k] = onto[k] or (r, [])
-                onto[k][1].append(tab)
+                onto[k][1].append(pi)
     return onto
 
 
@@ -360,8 +337,8 @@ def _choose_quads(n: int, sample: int | None, seed: int, budget: int | None):
 
     Exhaustive iff n <= 4 and no sample size is given: the orbits are
     (canon, tables), where canon maps every swap class (a1 <= a2, a3 <= a4)
-    to its orbit representative and the index in tables of the relabeling
-    that reaches it, and the representatives are decided.
+    to its orbit representative, its least image, and the least index in
+    tables of a relabeling that reaches it, and the representatives are decided.
     Otherwise `sample` (default 1000, budgeted before any is drawn) seeded quads, no orbits.
     """
     if sample is not None and sample < 1:
@@ -375,7 +352,12 @@ def _choose_quads(n: int, sample: int | None, seed: int, budget: int | None):
                                  quads=len(items), classes=0, orbits=0)
     tables = _perm_tables(n)
     pairs = list(itertools.combinations_with_replacement(range(2 ** n), 2))
-    canon = {p + r: _canonical_quad(p + r, tables) for p in pairs for r in pairs}
+    classes = [p + r for p in pairs for r in pairs]  # ascending, so each orbit starts at its least
+    # the walk lists the tables carrying r onto a class; their inverses carry it back
+    index = {tuple(tab): pi for pi, tab in enumerate(tables)}
+    inverse = [index[tuple(sorted(range(2 ** n), key=tab.__getitem__))] for tab in tables]
+    canon = {cls: (classes[r], min(inverse[pi] for pi in pis))
+             for cls, (r, pis) in zip(classes, _orbits(classes, _quad_image, tables))}
     items = sorted({rep for rep, _pi in canon.values()})
     return items, (canon, tables), dict(mode="exhaustive", seed=seed, samples=0,
                                         quads=2 ** (4 * n), classes=len(canon), orbits=len(items))
@@ -482,7 +464,7 @@ def check_theorem1(n: int, sample: int | None = None, seed: int = 0, workers: in
                    budget: int | None = ingen.DEFAULT_BUDGET) -> Theorem1Report:
     """Basic-implication criterion vs the LP decision, per quad orbit."""
     elemental = ingen.gen_elemental(n, budget=budget)
-    items, _orbits, fields = _choose_quads(n, sample, seed, budget)
+    items, _canon, fields = _choose_quads(n, sample, seed, budget)
     bad = []
     certs = []
     wits = []
@@ -531,13 +513,15 @@ def check_completeness(n: int, sample_size: int | None = None, seed: int = 0,
         # carry each representative's certificate to every class in its orbit
         canon, tables = orbits
         exprs = [ci.expr for ci in delta]
-        id_maps = _delta_id_maps(delta, tables)
+        at = {(ci.kind, ci.payload): k for k, ci in enumerate(delta)}
+        back = {}  # per relabeling pi used: the id of member k's image under pi -> k
         rep_cert = dict(zip(items, (answer for _text, answer in results)))
         certs = []
         for cls, (rep, pi) in sorted(canon.items()):
-            idmap = id_maps[pi]
+            if pi not in back:
+                back[pi] = {at[_member_image(key, tables[pi])]: k for key, k in at.items()}
             cert = rep_cert[rep]
-            fc = _certificate([idmap[g] for g in cert.gen_ids], cert.coeffs)
+            fc = _certificate([back[pi][g] for g in cert.gen_ids], cert.coeffs)
             if verify_certificate(ingleton_expr(IngletonQuad(n, *cls)), exprs, fc):
                 certs.append((_quad_text(n, cls), fc))
             else:
@@ -582,23 +566,24 @@ def check_minimality(n: int, workers: int = 1, allow_large: bool = False,
     full.float_gens()  # once, before any worker forks: each member slices a row out
     names = SubsetNames()  # one for the scan, so each subset's text is formatted once
     labels = [(ci.kind, ingen.payload_text(ci.kind, ci.payload, names)) for ci in delta]
-    onto = _delta_orbits(delta, _perm_tables(n))
+    tables = _perm_tables(n)
+    onto = _orbits([(ci.kind, ci.payload) for ci in delta], _member_image, tables)
 
     def settle(k):
         return _settle(full.without(k), full.gens[k], "\t".join(labels[k]), witness_first=True)
 
     def carry(k):
-        r, tabs = onto[k]
-        images = {_relabel_point(answers[r].point, tab) for tab in tabs} \
+        r, pis = onto[k]
+        images = {_relabel_point(answers[r].point, tables[pi]) for pi in pis} \
             if isinstance(answers[r], SeparationWitness) else ()
         wit = SeparationWitness(images.pop()) if len(images) == 1 else None
         if wit and verify_witness(full.gens[k], full.table.without(k), wit) \
                 and evaluate(full.gens[k], wit.point) == -1:
             return wit
         return settle(k)
-    reps = [k for k, (r, _tabs) in enumerate(onto) if r == k]
+    reps = [k for k, (r, _pis) in enumerate(onto) if r == k]
     answers = dict(zip(reps, _map(settle, reps, workers)))
-    rest = [k for k, (r, _tabs) in enumerate(onto) if r != k]
+    rest = [k for k, (r, _pis) in enumerate(onto) if r != k]
     answers.update(zip(rest, _map(carry, rest, workers)))
     return MinimalityReport(
         n=n, generators=tuple(delta), members=len(delta),
@@ -633,6 +618,7 @@ def find_ingleton_violator(n: int = 4) -> EntropyVector:
 
 
 def _violator4() -> EntropyVector:
+    from . import bound  # loaded by this command alone
     members = ingen.gen_elemental(4)
     elem = [ci.expr for ci in members]
     target = ingleton_expr(IngletonQuad(4, 1, 2, 4, 8))

@@ -2,10 +2,12 @@
 
 import dataclasses
 import functools
+import itertools
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -582,7 +584,7 @@ def _members_by_payload(n):
 @given(st.data())
 def test_relabeling_carries_members_and_their_values(data):
     # pi.g and pi.h are built here from the relabeled masks: pi.g is the member
-    # at _member_image(g, pi), and pi.g at pi.h is g at h
+    # at the key _member_image((g.kind, g.payload), pi), and pi.g at pi.h is g at h
     n = data.draw(st.integers(3, 5))
     perm = data.draw(st.permutations(range(n)))
     members = _members_by_payload(n)
@@ -593,9 +595,60 @@ def test_relabeling_carries_members_and_their_values(data):
     tab = [sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in range(2 ** n)]
     moved = LinExpr(n, {tab[m]: c for m, c in g.expr.coeffs.items()})
     moved_h = EntropyVector.from_dict(n, {tab[m]: v for m, v in h.items()})
-    assert members[(g.kind, certify._member_image(g, tab))].expr == moved
+    assert members[certify._member_image((g.kind, g.payload), tab)].expr == moved
     assert evaluate(moved, moved_h) == evaluate(g.expr, h)
     assert certify._relabel_point(h, tab) == moved_h
+
+
+def _least_images(n):
+    """Per swap class, its least swap-normalized image over the relabelings and
+    the first table index reaching it, each class relabeled by every table."""
+    tables = certify._perm_tables(n)
+    pairs = list(itertools.combinations_with_replacement(range(2 ** n), 2))
+    least = {}
+    for q in (p + r for p in pairs for r in pairs):
+        least[q] = min(((min(tab[q[0]], tab[q[1]]), max(tab[q[0]], tab[q[1]]),
+                         min(tab[q[2]], tab[q[3]]), max(tab[q[2]], tab[q[3]])), pi)
+                       for pi, tab in enumerate(tables))
+    return least
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_quad_orbits_match_each_class_minimized_over_every_relabeling(n):
+    items, (canon, _tables), fields = certify._choose_quads(n, None, 0, None)
+    assert canon == _least_images(n)
+    assert items == sorted({rep for rep, _pi in canon.values()})
+    assert (fields["classes"], fields["orbits"]) == (len(canon), len(items))
+
+
+def test_quad_walk_relabels_each_orbit_once(monkeypatch):
+    # 1,240 orbits at n=4, each relabeled once by each of the 24 tables, where
+    # minimizing each of the 18,496 classes over every table took 443,904 images
+    calls = Counter()
+    real = certify._quad_image
+
+    def counted(q, tab):
+        calls["image"] += 1
+        return real(q, tab)
+    monkeypatch.setattr(certify, "_quad_image", counted)
+    _items, _orbits, fields = certify._choose_quads(4, None, 0, None)
+    assert (fields["classes"], fields["orbits"], calls["image"]) == (18496, 1240, 1240 * 24)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_member_orbits_match_a_brute_force_walk(n):
+    # a member's representative is the least id in its orbit, and its
+    # relabelings are every table, in order, carrying that one onto it; each
+    # image is found here by relabeling the member's expression
+    delta = ingen.gen_delta(n)
+    tables = certify._perm_tables(n)
+    at = {ci.expr.key(): k for k, ci in enumerate(delta)}
+    images = [[at[LinExpr(n, {tab[m]: c for m, c in ci.expr.coeffs.items()}).key()]
+               for tab in tables] for ci in delta]
+    want = [(min(images[k]), [pi for pi, image in enumerate(images[min(images[k])])
+                              if image == k]) for k in range(len(delta))]
+    keys = [(ci.kind, ci.payload) for ci in delta]
+    assert certify._orbits(keys, certify._member_image, tables) == want
 
 
 def test_bound_verify_evaluates_through_bound_evaluate(monkeypatch):

@@ -42,11 +42,17 @@ def test_one_accumulator_and_one_permutation_walk():
     defined = {fn for _name, fn in _defined(trees)}
     assert "_combine" in defined and "_bump" not in defined
     assert len(_calls(trees["certify.py"], "permutations")) == 1
-    # the completeness scan's id maps and the drop-one orbit walk both
+    # the completeness scan's back maps and the drop-one orbit walk both
     # relabel members through _member_image
     sites = _CallSites("delta0_payload")
     sites.visit(trees["certify.py"])
     assert sites.sites == ["_member_image"]
+    # one orbit walk serves the quad scans and the drop-one scan
+    assert not {"_canonical_quad", "_delta_id_maps", "_delta_orbits"} & defined
+    assert [name for name, fn in _defined(trees) if fn == "_orbits"] == ["certify.py"]
+    walks = _CallSites("_orbits")
+    walks.visit(trees["certify.py"])
+    assert sorted(walks.sites) == ["_choose_quads", "check_minimality"]
 
 
 def test_one_exact_matrix_builder_and_one_exact_solve_per_module():
