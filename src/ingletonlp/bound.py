@@ -157,9 +157,9 @@ class _DualAssembly:
     ray) on the original side in one solve.
     """
 
-    def __init__(self, problem: BoundProblem, glist: list[LinExpr]):
+    def __init__(self, problem: BoundProblem, glist: list[LinExpr], table: MemberTable):
         self.p = problem
-        self.glist, self._table = glist, None
+        self.glist, self.table = glist, table  # table: glist packed, for pricing
         self.dim = 2 ** problem.n - 1
         self.index = {m: m - 1 for m in range(1, self.dim + 1)}
         cons = problem.constraints
@@ -192,14 +192,11 @@ _PRICE_CAP = 256
 
 
 def _price(asm: _DualAssembly, kset, vec) -> list[int]:
-    """Cone members violated at vec, worst first, at most _PRICE_CAP of them;
-    asm's members are packed at the first call that has one to price."""
+    """Cone members violated at vec, worst first, at most _PRICE_CAP of them."""
     if len(kset) == len(asm.glist):
         return []
-    if asm._table is None:
-        asm._table = MemberTable(asm.glist)
     # one positive scale for every value, so the scaled ints sort as the values
-    bad = sorted((v, k) for k, v in enumerate(asm._table.scaled(vec)) if v < 0 and k not in kset)
+    bad = sorted((v, k) for k, v in enumerate(asm.table.scaled(vec)) if v < 0 and k not in kset)
     return [k for _v, k in bad[:_PRICE_CAP]]
 
 
@@ -256,9 +253,9 @@ def _close(asm: _DualAssembly, chosen: list[int], objective: LinExpr):
     raise RuntimeError("column generation failed to close")
 
 
-def _solve_max(problem: BoundProblem, members, glist) -> BoundResult:
+def _solve_max(problem: BoundProblem, members, glist, table) -> BoundResult:
     """Column generation over cone members; problem.sense must be max."""
-    asm = _DualAssembly(problem, glist)
+    asm = _DualAssembly(problem, glist, table)
     if len(glist) <= _ALL_COLUMNS_LIMIT:
         chosen = list(range(len(glist)))
     else:
@@ -276,7 +273,7 @@ def _solve_max(problem: BoundProblem, members, glist) -> BoundResult:
         out = _feasible_point(problem, members, asm, chosen)
         if isinstance(out, BoundResult):
             return out
-        ray, bound_ids = _improving_ray(problem, members, glist, chosen)
+        ray, bound_ids = _improving_ray(problem, members, asm, chosen)
         if ray is not None:
             return BoundResult(status="unbounded", primal=out, ray=ray)
         # the no-ray certificate is itself a multiplier combination
@@ -288,7 +285,7 @@ def _solve_max(problem: BoundProblem, members, glist) -> BoundResult:
     raise RuntimeError("column generation failed to close")
 
 
-def _improving_ray(problem, members, glist, chosen):
+def _improving_ray(problem, members, asm: _DualAssembly, chosen):
     """Confirmed improving direction, or the cone ids proving none exists.
 
     Any improving ray scales to objective value one, so the homogenized
@@ -299,7 +296,7 @@ def _improving_ray(problem, members, glist, chosen):
     cons += ((problem.objective, "=", Fraction(1)),)
     mod = BoundProblem(problem.n, problem.cone, "max",
                        LinExpr.zero(problem.n), cons)
-    masm = _DualAssembly(mod, glist)
+    masm = _DualAssembly(mod, asm.glist, asm.table)
     out = _feasible_point(mod, members, masm, list(chosen))
     if isinstance(out, BoundResult):
         return None, [k for k, _cf in out.farkas.cone]
@@ -376,16 +373,17 @@ def solve_bound(problem: BoundProblem, extra_inequalities=None, members=None) ->
         if e.n != problem.n:
             raise ValueError("extra inequality ground set differs from problem")
     glist = [ci.expr for ci in members] + extras
+    table = MemberTable(glist)  # one pack for pricing and verification
 
     flipped = problem.sense == "min"
     inner = problem
     if flipped:
         inner = BoundProblem(problem.n, problem.cone, "max",
                              -problem.objective, problem.constraints)
-    result = _solve_max(inner, members, glist)
+    result = _solve_max(inner, members, glist, table)
     if flipped:
         result = _flip_sense(result)
-    if not verify_bound_result(problem, result, extra_inequalities=extras, members=members):
+    if not _verified(problem, result, glist, table):
         raise RuntimeError("certificate failed verification")
     return result
 
@@ -410,9 +408,14 @@ def verify_bound_result(problem: BoundProblem, result: BoundResult,
     if members is None:
         members = cone_members(problem.n, problem.cone)
     glist = [ci.expr for ci in members] + [e for e in (extra_inequalities or [])]
+    return _verified(problem, result, glist, MemberTable(glist))
+
+
+def _verified(problem, result, glist, table) -> bool:
+    """verify_bound_result over the cone rows glist, packed as table."""
     if result.status == "optimal":
         maximize = problem.sense == "max"
-        return (_check_rows(problem, glist, result.primal, homogeneous=False)
+        return (_check_rows(problem, table, result.primal, homogeneous=False)
                 and evaluate(problem.objective, result.primal) == result.value
                 and _combination(problem, glist, result.dual, "<=" if maximize else ">=",
                                  -1 if maximize else 1)
@@ -421,18 +424,18 @@ def verify_bound_result(problem: BoundProblem, result: BoundResult,
         comb = _combination(problem, glist, result.farkas, ">=", 1)
         return comb is not None and not comb[0] and comb[1] > 0
     if result.status == "unbounded":
-        if not (_check_rows(problem, glist, result.primal, homogeneous=False)
-                and _check_rows(problem, glist, result.ray, homogeneous=True)):
+        if not (_check_rows(problem, table, result.primal, homogeneous=False)
+                and _check_rows(problem, table, result.ray, homogeneous=True)):
             return False
         gain = evaluate(problem.objective, result.ray)
         return gain > 0 if problem.sense == "max" else gain < 0
     return False
 
 
-def _check_rows(problem, glist, point, homogeneous: bool) -> bool:
-    """point satisfies every cone member, in one packed pass, and constraint row;
-    homogeneous checks the rows against zero right-hand sides, as a ray must."""
-    if point is None or point.n != problem.n or not MemberTable(glist).nonnegative(point):
+def _check_rows(problem, table, point, homogeneous: bool) -> bool:
+    """point satisfies every cone member, in one pass of their table, and constraint
+    row; homogeneous checks the rows against zero right-hand sides, as a ray must."""
+    if point is None or point.n != problem.n or not table.nonnegative(point):
         return False
     for expr, rel, rhs in problem.constraints:
         v = evaluate(expr, point)

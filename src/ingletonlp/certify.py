@@ -9,15 +9,16 @@ never decides an answer.
 
 Both kinds of scan walk each relabeling orbit once, from its first
 element (`_orbits`).  The quad scans decide each orbit's least swap class.
-The drop-one scan decides the first member of each relabeling orbit: it
-cuts that member's system out of the full one (`_ConeSystem.without`) and,
-expecting no member to be implied, asks HiGHS for the separating point
-first; the other candidates follow only if none verifies.  Each other
-member is offered that witness relabeled, checked like any other candidate.
+The drop-one scan decides the first member of each relabeling orbit in a
+system derived from the full one (`_ConeSystem.without`, every mask kept)
+and, expecting no member to be implied, asks HiGHS for the separating
+point first; the other candidates follow only if none verifies.  Each
+other member is offered that witness relabeled, checked like any other.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import multiprocessing
 import os
@@ -95,21 +96,15 @@ class _ConeSystem:
         if not gens:
             raise ValueError("need at least one generator")
         self.n = gens[0].n
-        for g in gens:
-            if g.n != self.n:
-                raise GroundSetError("generators disagree on the ground set")
-        self.gens = gens
-        support: set[int] = set()
-        for g in gens:
-            support.update(g.coeffs)
-        self.masks = sorted(support)
+        if any(g.n != self.n for g in gens):
+            raise GroundSetError("generators disagree on the ground set")
+        self.gens, self.keys = gens, [g.key() for g in gens]
+        self.uses = Counter(m for g in gens for m in g.coeffs)  # generators per mask
+        self.masks = sorted(self.uses)
         self.index = {m: i for i, m in enumerate(self.masks)}
         self._float_gens = self._float_cone = None
         self.table = MemberTable(gens)  # for witness checks; before any worker forks
-        self._lone = None  # per generator: would dropping it change masks or key ids?
-        self._exact_keys = {}
-        for i, g in enumerate(gens):
-            self._exact_keys.setdefault(g.key(), i)
+        self._exact_keys = {key: i for i, key in reversed(list(enumerate(self.keys)))}
 
     def answers(self, target: LinExpr, witness_first: bool = False):
         """Candidate answers for target, cheapest first; _settle checks them.
@@ -127,9 +122,9 @@ class _ConeSystem:
         hit = self._exact_keys.get(target.key())
         if hit is not None:
             yield _certificate((hit,), (1,))
-        outside = [m for m in target.coeffs if m not in self.index]
+        outside = [m for m in target.coeffs if not self.uses[m]]
         if outside:
-            # no combination can produce a coefficient there: the unit point is the answer
+            # no generator has a coefficient there: the unit point is the answer
             m = min(outside)
             yield SeparationWitness(
                 EntropyVector.from_dict(self.n, {m: Fraction(-1, 1) / target.coeffs[m]}))
@@ -157,26 +152,20 @@ class _ConeSystem:
         yield self._exact_decide(b_exact)
 
     def without(self, k: int) -> "_ConeSystem":
-        """The system of every generator but k: it shares this system's masks
-        and slices row k out of its float columns if built, unless generator k
-        alone uses some mask or shares its key with another; then it is
-        _ConeSystem(rest)."""
-        rest = self.gens[:k] + self.gens[k + 1:]
-        if self._lone is None:
-            uses = Counter(m for g in self.gens for m in g.coeffs)
-            keys = Counter(g.key() for g in self.gens)
-            self._lone = [keys[g.key()] > 1 or any(uses[m] == 1 for m in g.coeffs)
-                          for g in self.gens]
-        if not rest or self._lone[k]:
-            return _ConeSystem(rest)
-        sub = object.__new__(_ConeSystem)
-        sub.n, sub.gens, sub.masks, sub.index = self.n, rest, self.masks, self.index
-        cols = self._float_gens
-        sub._lone, sub._float_cone, sub.table = None, None, self.table.without(k)
+        """Every generator but k, derived from this system: k's masks lose one use
+        each (a mask k alone used stays, a free coordinate of the LPs), and k
+        leaves the keys, the witness table and the float columns if built."""
+        if len(self.gens) == 1:
+            raise ValueError("need at least one generator")
+        sub = copy.copy(self)  # so every field of __init__ reaches it
+        sub.gens, sub.keys = self.gens[:k] + self.gens[k + 1:], self.keys[:k] + self.keys[k + 1:]
+        sub._exact_keys = {key: i for i, key in reversed(list(enumerate(sub.keys)))}
+        sub.uses = self.uses.copy()
+        sub.uses.subtract(list(self.gens[k].coeffs))  # one use per mask, not the coefficients
+        sub.table, sub._float_cone, cols = self.table.without(k), None, self._float_gens
         sub._float_gens = None if cols is None else [
             ([i - (i > k) for i in at if i != k], [v for i, v in zip(at, vals) if i != k])
             for at, vals in cols]
-        sub._exact_keys = {key: i - (i > k) for key, i in self._exact_keys.items() if i != k}
         return sub
 
     def float_gens(self):

@@ -18,6 +18,7 @@ from ingletonlp.entspace import (
     EntropyVector,
     IngletonQuad,
     LinExpr,
+    MemberTable,
     evaluate,
     ingleton_expr,
     parse_expr,
@@ -560,6 +561,28 @@ def test_column_generation_matches_all_columns(monkeypatch, n):
     assert {p.sense for p in problems} == set(bound.SENSES)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_each_solve_packs_its_cone_once(monkeypatch, n):
+    # pricing, the improving-ray search and the verification share one
+    # table, on the problems of test_column_generation_matches_all_columns
+    rng = random.Random(n)
+    problems = [_random_problem(rng, n) for _ in range(30)]
+    built = []
+
+    class Counted(MemberTable):
+        def __init__(self, exprs):
+            built.append(1)
+            super().__init__(exprs)
+    monkeypatch.setattr(bound, "MemberTable", Counted)
+    monkeypatch.setattr(bound, "_ALL_COLUMNS_LIMIT", 0)
+    statuses = set()
+    for problem in problems:
+        built.clear()
+        statuses.add(bound.solve_bound(problem).status)
+        assert len(built) == 1
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
 
 def test_rhs_beyond_float_range_seeds_no_columns(monkeypatch, capsys, tmp_path):
     # the float seed never decides: a value it cannot hold leaves it out,
@@ -569,7 +592,8 @@ def test_rhs_beyond_float_range_seeds_no_columns(monkeypatch, capsys, tmp_path):
     want = bound.solve_bound(problem)
     assert (want.status, want.value) == ("optimal", 10 ** 400 + 1)
     monkeypatch.setattr(bound, "_ALL_COLUMNS_LIMIT", 0)
-    asm = bound._DualAssembly(problem, [ci.expr for ci in bound.cone_members(3, problem.cone)])
+    glist = [ci.expr for ci in bound.cone_members(3, problem.cone)]
+    asm = bound._DualAssembly(problem, glist, MemberTable(glist))
     assert bound._float_seed(asm) == []
     got = bound.solve_bound(problem)
     assert (got.status, got.value) == (want.status, want.value)
@@ -633,7 +657,7 @@ def _dense_float_seed(problem, glist):
 
 def _seed_columns(problem):
     glist = [ci.expr for ci in bound.cone_members(problem.n, problem.cone)]
-    asm = bound._DualAssembly(problem, glist)
+    asm = bound._DualAssembly(problem, glist, MemberTable(glist))
     return bound._float_seed(asm), _dense_float_seed(problem, glist)
 
 
@@ -660,7 +684,7 @@ def test_float_seed_lp_is_scipys(monkeypatch, highs_models, n):
     for _ in range(30):  # the problems of test_float_seed_matches_the_dense_reference
         problem = _random_problem(rng, n)
         glist = [ci.expr for ci in bound.cone_members(problem.n, problem.cone)]
-        bound._float_seed(bound._DualAssembly(problem, glist))
+        bound._float_seed(bound._DualAssembly(problem, glist, MemberTable(glist)))
         mine, ref = got.pop(), linprog(**_dense_seed_lp(problem, glist))
         assert len(ours) == len(theirs) == 1 and ours.pop() == theirs.pop()
         assert mine.status == ref.status
@@ -680,7 +704,7 @@ def test_float_seed_memory_at_n6():
                                  LinExpr.single(n, 2 ** n - 1), cons)
     glist = [ci.expr for ci in bound.cone_members(n, problem.cone)]
     assert len(glist) > bound._ALL_COLUMNS_LIMIT
-    asm = bound._DualAssembly(problem, glist)
+    asm = bound._DualAssembly(problem, glist, MemberTable(glist))
     want = bound._float_seed(asm)  # loads HiGHS before tracing starts
     tracemalloc.start()
     try:

@@ -276,11 +276,14 @@ def test_one_lp_per_drop_one_member(monkeypatch):
 
 
 def _assert_same_system(sub, fresh):
-    assert (sub.n, sub.gens, sub.masks, sub.index, sub._exact_keys) == \
-        (fresh.n, fresh.gens, fresh.masks, fresh.index, fresh._exact_keys)
-    # the float column lists, compared exactly
-    assert sub.float_gens() == fresh.float_gens()
-    assert sub.float_cone() == fresh.float_cone()
+    assert (sub.n, sub.gens, sub._exact_keys, +sub.uses) == \
+        (fresh.n, fresh.gens, fresh._exact_keys, fresh.uses)
+    # a mask only the dropped member used stays in sub with no use
+    if sub.masks == fresh.masks:
+        assert sub.index == fresh.index
+        # the float column lists, compared exactly
+        assert sub.float_gens() == fresh.float_gens()
+        assert sub.float_cone() == fresh.float_cone()
 
 
 def _check_drop_one_systems(gens, targets=None):
@@ -310,7 +313,8 @@ def test_drop_one_system_decides_like_a_fresh_one(n):
 def test_drop_one_system_without_the_only_member_on_a_mask():
     gens = [parse_expr(t, 3) for t in ("+1*h{1}", "+1*h{2}", "+1*h{1} +1*h{2}", "+1*h{3}")]
     full = _check_drop_one_systems(gens)
-    assert full.without(3).masks == [0b1, 0b10] and full.without(0).masks is full.masks
+    assert full.without(3).masks is full.masks and full.without(3).uses[0b100] == 0
+    assert full.without(0).masks is full.masks
     # h{3} is now unconstrained
     assert certify._settle(full.without(3), gens[3]).point[0b100] == -1
     with pytest.raises(ValueError, match="at least one generator"):
@@ -323,6 +327,41 @@ def test_drop_one_system_without_a_repeated_member():
     # the other copy is now generator 1
     assert certify._settle(full.without(0), gens[0]) == \
         certify.FarkasCertificate((1,), (Fraction(1),))
+
+
+# the Delta members at n=3, then every single-mask form +1*h{m}
+_N3_POOL = delta_exprs(3) + [LinExpr.single(3, m) for m in range(1, 8)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, len(_N3_POOL) - 1), min_size=2, max_size=7), st.booleans())
+def test_drop_one_system_matches_a_fresh_one_on_drawn_generators(picks, float_first):
+    # repeated members and masks that one member alone uses included
+    gens = [_N3_POOL[i] for i in picks]
+    full = certify._ConeSystem(gens)
+    if float_first:
+        full.float_gens()
+    for k in range(len(gens)):
+        sub, fresh = full.without(k), certify._ConeSystem(gens[:k] + gens[k + 1:])
+        before, after = gens[k - 1], gens[(k + 1) % len(gens)]
+        for t in gens + [before + after, before - after]:
+            for witness_first in (True, False):
+                got = certify._settle(sub, t, witness_first=witness_first)
+                want = certify._settle(fresh, t, witness_first=witness_first)
+                # every generator gets the fresh answer; so does every target
+                # unless k alone used a mask, a free coordinate of sub's LPs
+                if t in gens or sub.masks == fresh.masks:
+                    assert got == want
+                assert type(got) is type(want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_no_delta_member_alone_on_a_mask_or_repeated(n):
+    # so dropping any one member leaves every mask used and every key unique
+    gens = delta_exprs(n)
+    uses = Counter(m for g in gens for m in g.coeffs)
+    assert set(uses) == set(range(1, 2 ** n)) and min(uses.values()) >= 2
+    assert len({g.key() for g in gens}) == len(gens)
 
 
 def test_minimality_builds_the_float_rows_once(monkeypatch):

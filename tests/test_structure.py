@@ -185,6 +185,28 @@ def test_members_are_read_in_one_packed_pass():
     assert len(_calls(loops[0], "evaluate")) == len(_calls(rows, "evaluate")) == 1
 
 
+def test_one_way_to_build_a_drop_one_system():
+    # without(k) derives member k's system from the full one: no rebuild
+    # fork, no field-by-field copy, and Counter counts the uses of each mask
+    trees = _trees()
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Attribute, ast.Name))}
+    assert "_lone" not in names
+    tree = trees["certify.py"]
+    system = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_ConeSystem")
+    without = _function(system, "without")
+    assert not _calls(without, "_ConeSystem") and not _calls(without, "__new__")
+    assert "copy.copy" in {ast.unparse(node.func) for node in _calls(without, "copy")}
+    counted = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+               and node.id == "Counter"]
+    assert len(counted) == 1
+    assert [ast.unparse(target) for node in ast.walk(_function(system, "__init__"))
+            if isinstance(node, ast.Assign) and _calls(node.value, "Counter")
+            for target in node.targets] == ["self.uses"]
+
+
 def test_public_names_resolve_to_their_defining_modules():
     # the package imports each name's module on first access
     from ingletonlp import _EXPORTS
