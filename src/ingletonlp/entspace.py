@@ -7,7 +7,7 @@ empty set always evaluates to zero and is never stored.  A point is int
 numerators over one positive denominator (`int_form`, which also builds the
 exact simplex rows), so evaluating is one int dot product divided once.
 
-`ingleton_terms` and `mutinfo_terms` are the only spelling of the ten-term
+`ingleton_masks` and `mutinfo_terms` are the only spelling of the ten-term
 form J and of I(a; b | d), here and in `ingen`; `_combine` is the only
 loop that sums (mask, coeff) pairs into a coefficient map.
 """
@@ -67,14 +67,7 @@ def mask_from_elements(elements: Iterable[int], n: int | None = None) -> int:
 
 
 def elements_of(mask: int) -> tuple[int, ...]:
-    out = []
-    e = 1
-    while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return tuple(out)
+    return tuple(e for e in range(1, mask.bit_length() + 1) if mask >> (e - 1) & 1)
 
 
 def format_subset(mask: int) -> str:
@@ -87,8 +80,7 @@ def _term_text(c: Rational, subset_text: str) -> str:
 
 def term_key(mask: int, sign: int) -> int:
     """The SubsetNames key of sign * h(mask), mask nonempty: negative, so apart
-    from the subset keys, and term_key(x | y, s) == term_key(x, s) - (y << 1)
-    for y disjoint from x."""
+    from the subset keys."""
     return -(mask << 1 | (sign < 0))
 
 
@@ -98,10 +90,19 @@ class SubsetNames(dict):
     `+1*h{..}` or `-1*h{..}`.
 
     A writer keeps one for the text it builds, so the memo holds no more
-    masks than that text names.
+    masks than that text names until `tables` is asked for all of them.
     """
 
-    __slots__ = ()
+    __slots__ = ("_tables",)
+
+    def tables(self, n: int) -> tuple[list[str], list[str]]:
+        """(sn, tn): sn[mask] the text of each of the 2^n subsets, tn[mask << 1 | (sign < 0)]
+        that of each unit term; built at the first call, and again when n changes."""
+        t = getattr(self, "_tables", ((),))
+        if len(t[0]) != 1 << n:
+            sn = [self[m] for m in range(1 << n)]
+            t = self._tables = sn, [f"{'+-'[k & 1]}1*h{sn[k >> 1]}" for k in range(2 << n)]
+        return t
 
     def __missing__(self, key: int) -> str:
         if key >= 0:
@@ -416,10 +417,15 @@ def mutinfo_terms(alpha: int, beta: int, delta: int) -> tuple[tuple[int, int], .
     return ((alpha | delta, 1), (beta | delta, 1), (delta, -1), (alpha | beta | delta, -1))
 
 
-def ingleton_terms(a1: int, a2: int, a3: int, a4: int) -> tuple[tuple[int, int], ...]:
-    """The ten (mask, +-1) terms of J = I(a1;a2|a3) + I(a1;a2|a4) + I(a3;a4) - I(a1;a2)."""
-    return ((a1 | a2, 1), (a1 | a3, 1), (a1 | a4, 1), (a2 | a3, 1), (a2 | a4, 1),
-            (a1, -1), (a2, -1), (a3 | a4, -1), (a1 | a2 | a3, -1), (a1 | a2 | a4, -1))
+def ingleton_masks(a1: int, a2: int, a3: int, a4: int) -> tuple[int, ...]:
+    """The masks of J = I(a1;a2|a3) + I(a1;a2|a4) + I(a3;a4) - I(a1;a2), five + then five -."""
+    return (a1 | a2, a1 | a3, a1 | a4, a2 | a3, a2 | a4,
+            a1, a2, a3 | a4, a1 | a2 | a3, a1 | a2 | a4)
+
+
+def ingleton_terms(a1: int, a2: int, a3: int, a4: int) -> Iterator[tuple[int, int]]:
+    """The ten (mask, +-1) terms of J, in the order of ingleton_masks, read once."""
+    return zip(ingleton_masks(a1, a2, a3, a4), (1, 1, 1, 1, 1, -1, -1, -1, -1, -1))
 
 
 def cond_entropy_expr(n: int, alpha: int, beta: int) -> LinExpr:

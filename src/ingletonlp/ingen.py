@@ -18,11 +18,12 @@ distinct elements, a mu avoiding both; one element).
 A member is its (n, kind, payload), and its `expr` always equals
 `member_expr(n, kind, payload)`: the unit terms of `member_terms`, built
 into an expression on first read.  Those terms come from
-`entspace.ingleton_terms` and `entspace.mutinfo_terms`, the one spelling
+`entspace.ingleton_masks` and `entspace.mutinfo_terms`, the one spelling
 of each form.  File lines are rendered from those terms without building
-any expression, a run at a time, by the one writer `_write_runs`: a
-Family hands it each block's runs straight from the enumerator, and a
-member list its runs regrouped.
+any expression, a run at a time, by the one writer `_write_runs`: a Family
+hands it each block's runs straight from the enumerator, and a member list
+its runs regrouped.  A Delta0 line reads its texts from the file's
+`SubsetNames.tables`, two lists indexed by mask and by term.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .entspace import (
     check_n,
     full_mask,
     ingleton_expr,
+    ingleton_masks,
     ingleton_terms,
     mutinfo_terms,
     parse_expr,
@@ -371,21 +373,24 @@ def _write_runs(write, n: int, kind: str, runs, names: SubsetNames) -> int:
     (head, tails) in turn, and hand write the lines each time _BLOCK or more
     have gathered and at the end; returns the number of lines.
 
-    The kind is read once: a Delta0 run names its d's and sorts its ten
-    terms once for all of its betas."""
+    The kind is read once: a Delta0 run sorts its ten term indexes once
+    for all of its betas, and its lines read names.tables(n)."""
     written, lines = 0, []
     if shape(kind) == KIND_DELTA0:
+        sn, tn = names.tables(n)
         for (d1, d2, d3, d4), tails in runs:
-            prefix = f"{kind}\t{names[d1]},{names[d2]};{names[d3]},{names[d4]}|"
-            # term_key(x, s) as ints, in the sorted order of the terms
+            prefix = f"{kind}\t{sn[d1]},{sn[d2]};{sn[d3]},{sn[d4]}|"
+            # sorted tn indexes mask << 1 | (sign < 0): J of the doubled d's has J's masks << 1
+            p0, p1, p2, p3, p4, m0, m1, m2, m3, m4 = ingleton_masks(
+                d1 << 1, d2 << 1, d3 << 1, d4 << 1)
             k0, k1, k2, k3, k4, k5, k6, k7, k8, k9 = sorted(
-                [(s >> 1) - (x << 1) for x, s in ingleton_terms(d1, d2, d3, d4)], reverse=True)
+                (p0, p1, p2, p3, p4, m0 | 1, m1 | 1, m2 | 1, m3 | 1, m4 | 1))
             # the ten terms spelled out: a comprehension per line costs a call
             for beta in tails:
-                b = beta << 1  # term_key(x | beta, s) == term_key(x, s) - b
-                lines.append(f"{prefix}{names[beta]}\t{names[k0 - b]} {names[k1 - b]}"
-                             f" {names[k2 - b]} {names[k3 - b]} {names[k4 - b]} {names[k5 - b]}"
-                             f" {names[k6 - b]} {names[k7 - b]} {names[k8 - b]} {names[k9 - b]}\n")
+                b = beta << 1  # the index of (x | beta, s) is that of (x, s) plus b
+                lines.append(f"{prefix}{sn[beta]}\t{tn[k0 + b]} {tn[k1 + b]} {tn[k2 + b]}"
+                             f" {tn[k3 + b]} {tn[k4 + b]} {tn[k5 + b]} {tn[k6 + b]}"
+                             f" {tn[k7 + b]} {tn[k8 + b]} {tn[k9 + b]}\n")
             if len(lines) >= _BLOCK:
                 write("".join(lines))
                 written, lines = written + len(lines), []

@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ingletonlp import certify, cli, ingen
+from ingletonlp import certify, cli, entspace, ingen
 from ingletonlp.cli import main
 from ingletonlp.entspace import LinExpr, vector_from_text, vector_to_text, witness_fulldim
 
@@ -104,6 +104,17 @@ def test_gen_bytes_at_n8(tmp_path, capsys):
     rc, _, _ = run_cli(capsys, ["gen", "--n", "8", "--out", str(target)])
     assert rc == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == GEN8_SHA256
+
+
+def test_gen_without_delta0_builds_no_table(capsys, monkeypatch):
+    # only Delta0 lines read the 2^n-entry tables, so Delta2 at n=20 stays instant
+    calls = []
+    real = entspace.format_subset
+    monkeypatch.setattr(entspace, "format_subset", lambda m: calls.append(m) or real(m))
+    rc, out, _ = run_cli(capsys, ["gen", "--n", "20", "--family", "delta2"])
+    # each element, {1..20} without it, and {1..20}, each named once
+    assert rc == 0 and len(calls) == len(set(calls)) == 2 * 20 + 1
+    assert out == ingen.inequalities_to_text(20, ingen.gen_delta2(20))
 
 
 def test_gen_takes_members_from_the_family_table_and_text_from_the_writer(

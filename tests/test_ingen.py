@@ -312,17 +312,37 @@ def _reference_text(n, members):
 @pytest.mark.parametrize("block", [5, None])
 def test_family_writer_matches_the_list_writer(monkeypatch, block):
     # the Family path and the list path both render through _write_runs, so
-    # each is held to a reference renderer that shares none of its code
+    # both give the same bytes, held up to n=7 to a reference renderer that
+    # shares none of its code (it takes seconds at n=8)
     if block is not None:
         monkeypatch.setattr(ingen, "_BLOCK", block)
     for name in ingen.FAMILIES:
-        for n in range(2, 8):
+        for n in range(2, 9):
             members = list(ingen.family(name, n))
-            want = _reference_text(n, members)
             out = io.StringIO()
             ingen.write_inequality_stream(out, n, ingen.family(name, n))
-            assert out.getvalue() == want, (name, n)
-            assert ingen.inequalities_to_text(n, members) == want, (name, n)
+            assert ingen.inequalities_to_text(n, members) == out.getvalue(), (name, n)
+            if n < 8:
+                assert out.getvalue() == _reference_text(n, members), (name, n)
+
+
+def test_a_shared_names_table_follows_n():
+    # the tables hold one n: handed on to another n, they are built for it
+    names = SubsetNames()
+    for n in (5, 4, 6):
+        members = ingen.gen_delta(n)
+        text = ingen.inequalities_to_text(n, members, names=names)
+        assert text == ingen.inequalities_to_text(n, members), n
+        assert [len(t) for t in names.tables(n)] == [2 ** n, 2 ** (n + 1)]
+
+
+def test_payload_text_builds_no_table(monkeypatch):
+    # a payload names its own masks only, at any n
+    calls = []
+    real = entspace.format_subset
+    monkeypatch.setattr(entspace, "format_subset", lambda m: calls.append(m) or real(m))
+    assert ingen.CanonicalInequality(20, "Delta2", (1,)).payload_text() == "{1}"
+    assert calls == [1]
 
 
 @st.composite

@@ -465,7 +465,8 @@ def test_duals_solve_the_recorded_basis(monkeypatch, width):
         assert res.y == _solve_fractions(M, [c[j] for j in basis])
         checked.append(len(A))
 
-    @settings(max_examples=300, deadline=None)
+    # derandomized: the count asserted below depends on which examples are drawn
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(small_lps())
     def check(lp):
         A, b, c, extra = lp

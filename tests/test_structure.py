@@ -169,6 +169,43 @@ def _function(tree, name):
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
+def _or_of_names(node):
+    """Whether node is a | b or a | b | c ... of plain names."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr) and all(
+        isinstance(side, ast.Name) or _or_of_names(side) for side in (node.left, node.right))
+
+
+class _MaskSpellings(_CallSites):
+    """The innermost enclosing function of every tuple or list that spells
+    five or more unions of names, bare or as the first entry of a pair."""
+
+    def visit_Tuple(self, node):
+        firsts = [e.elts[0] if isinstance(e, ast.Tuple) and e.elts else e for e in node.elts]
+        if sum(map(_or_of_names, firsts)) >= 5:
+            self.sites.append(self.stack[-1])
+        self.generic_visit(node)
+
+    visit_List = visit_Tuple
+    visit_Call = ast.NodeVisitor.generic_visit
+
+
+def test_the_ingleton_masks_are_spelled_once():
+    # J's ten masks are written out in entspace.ingleton_masks alone; its
+    # terms and the Delta0 lines of _write_runs take them from there
+    trees = _trees()
+    spelled = set()
+    for name, tree in trees.items():
+        sites = _MaskSpellings(None)  # func unused: no call is recorded
+        sites.visit(tree)
+        spelled.update((name, fn) for fn in sites.sites)
+    assert spelled == {("entspace.py", "ingleton_masks")}
+    assert _calls(_function(trees["entspace.py"], "ingleton_terms"), "ingleton_masks")
+    assert _calls(_function(trees["ingen.py"], "_write_runs"), "ingleton_masks")
+    imported = {(node.module, alias.name) for node in ast.walk(trees["ingen.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert ("entspace", "ingleton_masks") in imported
+
+
 def test_members_are_read_in_one_packed_pass():
     # verify_witness, _check_rows and _price read every member through a
     # MemberTable pass; evaluate is left for the target and the constraint rows
