@@ -34,7 +34,6 @@ from .entspace import (
     IngletonQuad,
     LinExpr,
     MemberTable,
-    SubsetNames,
     accumulate,
     evaluate,
     format_quad,
@@ -326,8 +325,8 @@ def _choose_quads(n: int, sample: int | None, seed: int, budget: int | None):
 
     Exhaustive iff n <= 4 and no sample size is given: the orbits are
     (canon, tables), where canon maps every swap class (a1 <= a2, a3 <= a4)
-    to its orbit representative, its least image, and the least index in
-    tables of a relabeling that reaches it, and the representatives are decided.
+    to its representative, its least image, and the index in tables of a relabeling
+    carrying the representative onto it, the one whose inverse comes first.
     Otherwise `sample` (default 1000, budgeted before any is drawn) seeded quads, no orbits.
     """
     if sample is not None and sample < 1:
@@ -342,10 +341,10 @@ def _choose_quads(n: int, sample: int | None, seed: int, budget: int | None):
     tables = _perm_tables(n)
     pairs = list(itertools.combinations_with_replacement(range(2 ** n), 2))
     classes = [p + r for p in pairs for r in pairs]  # ascending, so each orbit starts at its least
-    # the walk lists the tables carrying r onto a class; their inverses carry it back
+    # of the tables carrying r onto a class, the one whose inverse comes first
     index = {tuple(tab): pi for pi, tab in enumerate(tables)}
     inverse = [index[tuple(sorted(range(2 ** n), key=tab.__getitem__))] for tab in tables]
-    canon = {cls: (classes[r], min(inverse[pi] for pi in pis))
+    canon = {cls: (classes[r], min(pis, key=inverse.__getitem__))
              for cls, (r, pis) in zip(classes, _orbits(classes, _quad_image, tables))}
     items = sorted({rep for rep, _pi in canon.values()})
     return items, (canon, tables), dict(mode="exhaustive", seed=seed, samples=0,
@@ -502,15 +501,14 @@ def check_completeness(n: int, sample_size: int | None = None, seed: int = 0,
         # carry each representative's certificate to every class in its orbit
         canon, tables = orbits
         exprs = [ci.expr for ci in delta]
-        at = {(ci.kind, ci.payload): k for k, ci in enumerate(delta)}
-        back = {}  # per relabeling pi used: the id of member k's image under pi -> k
+        keys = [(ci.kind, ci.payload) for ci in delta]
+        at = {key: k for k, key in enumerate(keys)}
         rep_cert = dict(zip(items, (answer for _text, answer in results)))
         certs = []
         for cls, (rep, pi) in sorted(canon.items()):
-            if pi not in back:
-                back[pi] = {at[_member_image(key, tables[pi])]: k for key, k in at.items()}
-            cert = rep_cert[rep]
-            fc = _certificate([back[pi][g] for g in cert.gen_ids], cert.coeffs)
+            cert = rep_cert[rep]  # relabeled forward: tables[pi] carries rep onto cls
+            fc = _certificate([at[_member_image(keys[g], tables[pi])] for g in cert.gen_ids],
+                              cert.coeffs)
             if verify_certificate(ingleton_expr(IngletonQuad(n, *cls)), exprs, fc):
                 certs.append((_quad_text(n, cls), fc))
             else:
@@ -553,8 +551,7 @@ def check_minimality(n: int, workers: int = 1, allow_large: bool = False,
     delta = ingen.gen_delta(n, budget=budget)
     full = _ConeSystem([ci.expr for ci in delta])
     full.float_gens()  # once, before any worker forks: each member slices a row out
-    names = SubsetNames()  # one for the scan, so each subset's text is formatted once
-    labels = [(ci.kind, ingen.payload_text(ci.kind, ci.payload, names)) for ci in delta]
+    labels = [(ci.kind, ci.payload_text()) for ci in delta]
     tables = _perm_tables(n)
     onto = _orbits([(ci.kind, ci.payload) for ci in delta], _member_image, tables)
 

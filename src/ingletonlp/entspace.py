@@ -9,12 +9,15 @@ exact simplex rows), so evaluating is one int dot product divided once.
 
 `ingleton_masks` and `mutinfo_terms` are the only spelling of the ten-term
 form J and of I(a; b | d), here and in `ingen`; `_combine` is the only
-loop that sums (mask, coeff) pairs into a coefficient map.
+loop that sums (mask, coeff) pairs into a coefficient map.  Every `{..}`
+text the package writes comes from one memo for the process, `SUBSET_TEXT`,
+and every `+c*h{..}` term is spelled by `_term_text`.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import re
 from collections import defaultdict
@@ -78,38 +81,23 @@ def _term_text(c: Rational, subset_text: str) -> str:
     return f"{'+' if c > 0 else '-'}{abs(c)}*h{subset_text}"
 
 
-def term_key(mask: int, sign: int) -> int:
-    """The SubsetNames key of sign * h(mask), mask nonempty: negative, so apart
-    from the subset keys."""
-    return -(mask << 1 | (sign < 0))
+class _SubsetText(dict):
+    """format_subset text by mask, formatted at its first use and kept for the process."""
 
-
-class SubsetNames(dict):
-    """Memoized text, filled in as first met: format_subset text by mask,
-    and by term_key(mask, +-1) the format_expr text of that unit term,
-    `+1*h{..}` or `-1*h{..}`.
-
-    A writer keeps one for the text it builds, so the memo holds no more
-    masks than that text names until `tables` is asked for all of them.
-    """
-
-    __slots__ = ("_tables",)
-
-    def tables(self, n: int) -> tuple[list[str], list[str]]:
-        """(sn, tn): sn[mask] the text of each of the 2^n subsets, tn[mask << 1 | (sign < 0)]
-        that of each unit term; built at the first call, and again when n changes."""
-        t = getattr(self, "_tables", ((),))
-        if len(t[0]) != 1 << n:
-            sn = [self[m] for m in range(1 << n)]
-            t = self._tables = sn, [f"{'+-'[k & 1]}1*h{sn[k >> 1]}" for k in range(2 << n)]
-        return t
-
-    def __missing__(self, key: int) -> str:
-        if key >= 0:
-            text = self[key] = format_subset(key)
-        else:
-            text = self[key] = _term_text(-1 if -key & 1 else 1, self[-key >> 1])
+    def __missing__(self, mask: int) -> str:
+        text = self[mask] = format_subset(mask)
         return text
+
+
+SUBSET_TEXT = _SubsetText()  # the one memo every writer and report reads
+
+
+@functools.lru_cache(maxsize=1)
+def text_tables(n: int) -> tuple[list[str], list[str]]:
+    """(sn, tn): sn[mask] the text of each of the 2^n subsets, tn[mask << 1 | (sign < 0)]
+    that of each unit term, as _term_text spells it; rebuilt only when n changes."""
+    sn = [SUBSET_TEXT[m] for m in range(1 << n)]
+    return sn, [_term_text(-1 if k & 1 else 1, sn[k >> 1]) for k in range(2 << n)]
 
 
 def parse_subset(text: str) -> int:
@@ -230,7 +218,7 @@ def format_expr(e: LinExpr) -> str:
     """Signed terms `+c*h{..}` in mask order."""
     if e.is_zero():
         return "0"
-    return " ".join(_term_text(c if isinstance(c, int) else Fraction(c), format_subset(mask))
+    return " ".join(_term_text(c if isinstance(c, int) else Fraction(c), SUBSET_TEXT[mask])
                     for mask, c in e.terms())
 
 
@@ -336,12 +324,9 @@ def report_text(command: str, n: int, params: Mapping[str, object],
     return "\n".join([f"# ingletonlp {__version__}", head, *body]) + "\n"
 
 
-_VECTOR_NAMES = SubsetNames()  # a point names at most 2^n - 1 subsets
-
-
 def format_vector_pairs(h: EntropyVector) -> str:
     """`{..}=v` per nonzero coordinate, v in lowest terms as Fraction prints it."""
-    return " ".join(f"{_VECTOR_NAMES[m]}={a // (g := math.gcd(a, h.den))}"
+    return " ".join(f"{SUBSET_TEXT[m]}={a // (g := math.gcd(a, h.den))}"
                     + (f"/{h.den // g}" if g < h.den else "")
                     for m, a in enumerate(h.nums, start=1) if a)
 
@@ -394,7 +379,7 @@ class IngletonQuad:
 
 
 def format_quad(q: IngletonQuad) -> str:
-    return ",".join(format_subset(m) for m in q.masks())
+    return ",".join(SUBSET_TEXT[m] for m in q.masks())
 
 
 _SUBSET_RE = re.compile(r"\{[0-9,\s]*\}")

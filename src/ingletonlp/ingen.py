@@ -22,8 +22,9 @@ into an expression on first read.  Those terms come from
 of each form.  File lines are rendered from those terms without building
 any expression, a run at a time, by the one writer `_write_runs`: a Family
 hands it each block's runs straight from the enumerator, and a member list
-its runs regrouped.  A Delta0 line reads its texts from the file's
-`SubsetNames.tables`, two lists indexed by mask and by term.
+its runs regrouped.  Every subset text is read from the one memo
+`entspace.SUBSET_TEXT`, and a Delta0 line reads its texts from the two
+lists of `entspace.text_tables(n)`, indexed by mask and by term.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from typing import Iterator, Sequence
 from .entspace import (
     IngletonQuad,
     LinExpr,
-    SubsetNames,
+    SUBSET_TEXT,
+    _term_text,
     check_mask,
     check_n,
     full_mask,
@@ -47,7 +49,7 @@ from .entspace import (
     parse_expr,
     parse_subset,
     split_subsets,
-    term_key,
+    text_tables,
 )
 
 KIND_DELTA0 = "Delta0"
@@ -80,18 +82,16 @@ def check_budget(predicted: int, budget: int | None, what: str) -> None:
         raise BudgetExceededError(f"predicted {predicted} {what} exceeds budget {budget}")
 
 
-def payload_text(kind: str, payload: tuple, names: SubsetNames | None = None) -> str:
-    if names is None:
-        names = SubsetNames()
-    kind = shape(kind)
+def payload_text(kind: str, payload: tuple) -> str:
+    kind, text = shape(kind), SUBSET_TEXT
     if kind == KIND_DELTA0:
         d1, d2, d3, d4, beta = payload
-        return f"{names[d1]},{names[d2]};{names[d3]},{names[d4]}|{names[beta]}"
+        return f"{text[d1]},{text[d2]};{text[d3]},{text[d4]}|{text[beta]}"
     if kind == KIND_DELTA1:
         i, j, mu = payload
-        return f"{names[1 << (i - 1)]},{names[1 << (j - 1)]}|{names[mu]}"
+        return f"{text[1 << (i - 1)]},{text[1 << (j - 1)]}|{text[mu]}"
     # Delta2 carries a single element
-    return names[1 << (payload[0] - 1)]
+    return text[1 << (payload[0] - 1)]
 
 
 def member_terms(n: int, kind: str, payload: tuple) -> list[tuple[int, int]]:
@@ -368,16 +368,16 @@ def _header(n: int, count: int) -> str:
     return f"n={n} count={count}\n"
 
 
-def _write_runs(write, n: int, kind: str, runs, names: SubsetNames) -> int:
+def _write_runs(write, n: int, kind: str, runs) -> int:
     """Render the members (kind, head + (tail,)), tail over tails, of each run
     (head, tails) in turn, and hand write the lines each time _BLOCK or more
     have gathered and at the end; returns the number of lines.
 
     The kind is read once: a Delta0 run sorts its ten term indexes once
-    for all of its betas, and its lines read names.tables(n)."""
+    for all of its betas, and its lines read text_tables(n)."""
     written, lines = 0, []
     if shape(kind) == KIND_DELTA0:
-        sn, tn = names.tables(n)
+        sn, tn = text_tables(n)
         for (d1, d2, d3, d4), tails in runs:
             prefix = f"{kind}\t{sn[d1]},{sn[d2]};{sn[d3]},{sn[d4]}|"
             # sorted tn indexes mask << 1 | (sign < 0): J of the doubled d's has J's masks << 1
@@ -396,9 +396,9 @@ def _write_runs(write, n: int, kind: str, runs, names: SubsetNames) -> int:
                 written, lines = written + len(lines), []
     else:
         for head, tails in runs:
-            lines += [f"{kind}\t{payload_text(kind, p, names)}\t"
-                      f"{' '.join([names[term_key(*t)] for t in member_terms(n, kind, p)])}\n"
-                      for p in [(*head, tail) for tail in tails]]
+            for p in [(*head, tail) for tail in tails]:
+                terms = [_term_text(c, SUBSET_TEXT[m]) for m, c in member_terms(n, kind, p)]
+                lines.append(f"{kind}\t{payload_text(kind, p)}\t{' '.join(terms)}\n")
             if len(lines) >= _BLOCK:
                 write("".join(lines))
                 written, lines = written + len(lines), []
@@ -412,20 +412,18 @@ def write_inequality_stream(f, n: int, members) -> None:
     The header names len(members).  A Family's blocks go to _write_runs
     run by run from its enumerators, building no member; other members go
     through inequalities_to_text (the writer perfbench times) _BLOCK at a
-    time.  Either way one SubsetNames serves the whole file.  A
-    RuntimeError follows the last line if the members were not
+    time.  A RuntimeError follows the last line if the members were not
     len(members) many."""
     count = len(members)
     f.write(_header(n, count))
     written = 0
-    names = SubsetNames()
     if isinstance(members, Family):
         for kind, runs in members._blocks:
-            written += _write_runs(f.write, n, kind, runs(n), names)
+            written += _write_runs(f.write, n, kind, runs(n))
     else:
         it = iter(members)
         while block := list(islice(it, _BLOCK)):
-            f.write(inequalities_to_text(n, block, header=False, names=names))
+            f.write(inequalities_to_text(n, block, header=False))
             written += len(block)
     if written != count:
         raise RuntimeError(f"header says count={count}, wrote {written} members")
@@ -436,15 +434,12 @@ def write_inequalities(path, n: int, ineqs: Sequence[CanonicalInequality]) -> No
         write_inequality_stream(f, n, ineqs)
 
 
-def inequalities_to_text(n: int, ineqs: Sequence[CanonicalInequality],
-                         header: bool = True, names: SubsetNames | None = None) -> str:
+def inequalities_to_text(n: int, ineqs: Sequence[CanonicalInequality], header: bool = True) -> str:
     """The inequality file of ineqs, rendered run by run (consecutive members that
-    differ only in their payload's last entry); header=False leaves the lines alone,
-    and a names table passed in is filled for the next call."""
-    names = SubsetNames() if names is None else names
+    differ only in their payload's last entry); header=False leaves the lines alone."""
     parts = [_header(n, len(ineqs))] if header else []
     for (kind, head), run in groupby(ineqs, lambda ci: (ci.kind, ci.payload[:-1])):
-        _write_runs(parts.append, n, kind, [(head, [ci.payload[-1] for ci in run])], names)
+        _write_runs(parts.append, n, kind, [(head, [ci.payload[-1] for ci in run])])
     return "".join(parts)
 
 

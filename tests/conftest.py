@@ -45,6 +45,19 @@ def cli_run_once(tmp_path_factory):
 
 
 @pytest.fixture
+def fresh_subset_text():
+    """clear(): empties the process's one subset-text memo and its text tables,
+    so the format_subset calls that follow can be counted; called once up front."""
+    from ingletonlp import entspace
+
+    def clear():
+        entspace.SUBSET_TEXT.clear()
+        entspace.text_tables.cache_clear()
+    clear()
+    return clear
+
+
+@pytest.fixture
 def highs_models(monkeypatch):
     """(ours, scipy's): the model of each HiGHS solve as HiGHS holds it when
     `simplex.linprog` runs it and as `scipy.optimize.linprog` hands it over,

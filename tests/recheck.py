@@ -1,0 +1,210 @@
+"""A dense re-checker of the package's outputs, sharing no code with it.
+
+Vectors are dense lists of ints and Fractions: index m is the subset with
+bitmask m, and index 0 (the empty set) is 0.  Nothing here uses the
+package's expressions, points, evaluators or parsers; the Ingleton form is
+spelled afresh as J = I(1;2|3) + I(1;2|4) + I(3;4) - I(1;2).
+`certificate_holds` and `witness_holds` are the yes/no answers that the
+package's verifiers are judged against.
+"""
+
+import re
+from fractions import Fraction
+from itertools import product
+from pathlib import Path
+
+# ---------------------------------------------------------------------------
+# parsers
+
+
+def rational(text: str):
+    """An int or a/b token; ints stay ints, which keeps the dense sums fast."""
+    return Fraction(text) if "/" in text else int(text)
+
+
+def subset(text: str) -> int:
+    body = text.strip()
+    assert body[0] == "{" and body[-1] == "}", text
+    return sum(1 << (int(e) - 1) for e in body[1:-1].split(",") if e.strip())
+
+
+def subsets(text: str) -> list[int]:
+    return [subset(t) for t in re.findall(r"\{[^}]*\}", text)]
+
+
+def functional(text: str, n: int) -> list:
+    """A signed-term expression `+c*h{..} ...` (or `0`) as a dense vector."""
+    out = [0] * (1 << n)
+    if text.strip() == "0":
+        return out
+    terms = re.findall(r"([+-])(\d+(?:/\d+)?)\*h(\{[^}]*\})", text)
+    assert " ".join(f"{s}{c}*h{t}" for s, c, t in terms) == text.strip(), text
+    for sign, c, t in terms:
+        out[subset(t)] += rational(c) if sign == "+" else -rational(c)
+    return out
+
+
+def point(pairs: str, n: int) -> list:
+    """`{..}=v` pairs (zeros left out) as a dense vector."""
+    out = [0] * (1 << n)
+    for t, v in re.findall(r"(\{[^}]*\})=(-?\d+(?:/\d+)?)", pairs):
+        out[subset(t)] = rational(v)
+    assert " ".join(f"{t}={v}" for t, v in re.findall(r"(\{[^}]*\})=(\S+)", pairs)) == pairs
+    return out
+
+
+def read_generators(path: Path) -> tuple[int, list[tuple[str, str, list]]]:
+    lines = path.read_text(encoding="ascii").splitlines()
+    head = re.fullmatch(r"n=(\d+) count=(\d+)", lines[0])
+    n, count = int(head[1]), int(head[2])
+    gens = []
+    for ln in lines[1:]:
+        kind, payload, expr = ln.split("\t")
+        form = member_form(kind, payload, n)
+        assert form == functional(expr, n), ln
+        gens.append((kind, payload, form))
+    assert len(gens) == count
+    return n, gens
+
+
+def read_certificates(path: Path) -> list[tuple[str, list[tuple[int, int | Fraction]]]]:
+    out = []
+    for ln in path.read_text(encoding="ascii").splitlines():
+        label, body = ln.split("\t")
+        pairs = [piece.split(":") for piece in body.split(",")] if body else []
+        out.append((label, [(int(g), rational(c)) for g, c in pairs]))
+    return out
+
+
+def read_witnesses(path: Path, n: int) -> list[tuple[str, list]]:
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert lines[0] == f"n={n}"
+    return [(label, point(pairs, n)) for label, pairs in (ln.split("\t") for ln in lines[1:])]
+
+
+def report_fields(text: str) -> dict[str, str]:
+    """`key value` body lines of a report, after its two header lines."""
+    lines = text.splitlines()
+    assert lines[0].startswith("# ingletonlp ") and lines[1].startswith("# ")
+    fields = {}
+    for ln in lines[2:]:
+        key, _, value = ln.partition(" ")
+        fields.setdefault(key, value)
+    return fields
+
+
+# ---------------------------------------------------------------------------
+# forms and checks
+
+
+def unit(n: int, mask: int) -> list:
+    out = [0] * (1 << n)
+    out[mask] = 1
+    return out
+
+
+def add(*vectors: list, weights=None) -> list:
+    """The weighted sum of dense vectors; the empty-set entry is left 0."""
+    weights = weights or [1] * len(vectors)
+    return [0] + [sum(w * v[m] for w, v in zip(weights, vectors) if v[m])
+                  for m in range(1, len(vectors[0]))]
+
+
+def mutinfo(n: int, a: int, b: int, c: int, out: list | None = None, sign: int = 1) -> list:
+    """out (a new zero vector if None) plus sign * I(a; b | c), where
+    I(a; b | c) = h(ac) + h(bc) - h(c) - h(abc)."""
+    out = [0] * (1 << n) if out is None else out
+    for mask, s in ((a | c, sign), (b | c, sign), (c, -sign), (a | b | c, -sign)):
+        out[mask] += s
+    out[0] = 0
+    return out
+
+
+def ingleton(n: int, a1: int, a2: int, a3: int, a4: int) -> list:
+    """J = I(a1;a2|a3) + I(a1;a2|a4) + I(a3;a4) - I(a1;a2)."""
+    out = mutinfo(n, a1, a2, a3)
+    mutinfo(n, a1, a2, a4, out)
+    mutinfo(n, a3, a4, 0, out)
+    return mutinfo(n, a1, a2, 0, out, sign=-1)
+
+
+def member_form(kind: str, payload: str, n: int) -> list:
+    """A generator line's form, from its kind and payload alone."""
+    full = (1 << n) - 1
+    if kind == "Delta0":
+        d1, d2, d3, d4, beta = subsets(payload)
+        return ingleton(n, d1 | beta, d2 | beta, d3 | beta, d4 | beta)
+    if kind in ("Delta1", "ElementalI"):
+        return mutinfo(n, *subsets(payload))
+    assert kind in ("Delta2", "ElementalH"), kind
+    (i,) = subsets(payload)
+    return add(unit(n, full), unit(n, full & ~i), weights=[1, -1])
+
+
+def value(form: list, h: list):
+    return sum(c * x for c, x in zip(form, h) if c)
+
+
+def polymatroid_forms(n: int) -> list[list]:
+    """Every elemental form: h(N) - h(N - i), and I(i; j | K) for K avoiding i, j."""
+    full = (1 << n) - 1
+    forms = [member_form("Delta2", "{%d}" % i, n) for i in range(1, n + 1)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rest = full & ~(1 << i | 1 << j)
+            forms += [mutinfo(n, 1 << i, 1 << j, k) for k in range(rest + 1) if k & rest == k]
+    return forms
+
+
+def disjoint_ingleton_forms(n: int) -> set[tuple]:
+    """J(d1 + b, .., d4 + b) for every assignment of elements to disjoint nonempty
+    d's, b, or none: each Ingleton inequality reduces to one of these."""
+    forms = set()
+    for parts in product(range(6), repeat=n):
+        masks = [sum(1 << e for e, p in enumerate(parts) if p == k) for k in range(5)]
+        if all(masks[:4]):
+            forms.add(tuple(ingleton(n, *(d | masks[4] for d in masks[:4]))))
+    return forms
+
+
+def covered(quad: list[int]) -> bool:
+    """Some argument lies inside the union of the other three."""
+    return any(a & ~(quad[k - 1] | quad[k - 2] | quad[k - 3]) == 0
+               for k, a in enumerate(quad))
+
+
+def certificate_holds(ids: list, coeffs: list, target: list, forms) -> bool:
+    """Whether coeffs[j] times forms[ids[j]], summed, is target: as many ids as
+    coefficients, each id naming a form, and no coefficient negative."""
+    if len(ids) != len(coeffs) or not all(0 <= g < len(forms) and c >= 0
+                                          for g, c in zip(ids, coeffs)):
+        return False
+    combo = [0] * len(target)  # an empty certificate proves target = 0
+    for g, c in zip(ids, coeffs):
+        for m, x in enumerate(forms[g]):
+            if x:
+                combo[m] += c * x
+    return combo == target
+
+
+def witness_holds(h: list, target: list, forms) -> bool:
+    """Whether the point h satisfies every form and violates target."""
+    return value(target, h) < 0 and all(value(g, h) >= 0 for g in forms)
+
+
+def check_certificates(path: Path, n: int, gens) -> list[str]:
+    """Every line writes J(quad) as a positive combination of gens; the labels."""
+    labels = []
+    forms = [form for _k, _p, form in gens]
+    for label, cert in read_certificates(path):
+        ids, coeffs = [g for g, _c in cert], [c for _g, c in cert]
+        assert all(c > 0 for c in coeffs), label
+        assert certificate_holds(ids, coeffs, ingleton(n, *subsets(label)), forms), label
+        labels.append(label)
+    return labels
+
+
+def check_witness(h: list, target: list, forms) -> None:
+    """h is normalized to target value -1 and separates target from forms."""
+    assert h[0] == 0 and value(target, h) == -1
+    assert witness_holds(h, target, forms)

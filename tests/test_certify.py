@@ -194,6 +194,16 @@ def test_theorem1_worker_count_does_not_change_report():
     assert a.to_text() == b.to_text()
 
 
+@pytest.mark.parametrize("n, sample", [(3, None), (4, 50)])
+def test_completeness_worker_count_does_not_change_report(n, sample):
+    # the exhaustive scan carries certificates across orbits after the workers
+    # return, the sampled one takes each certificate from a worker
+    a = certify.check_completeness(n, sample_size=sample, workers=1)
+    b = certify.check_completeness(n, sample_size=sample, workers=2)
+    assert a.to_text() == b.to_text()
+    assert a.certificates == b.certificates and len(a.certificates) == a.certified > 0
+
+
 def test_completeness_n3_certifies_every_class():
     rep = certify.check_completeness(3)
     assert rep.mode == "exhaustive"
@@ -654,8 +664,13 @@ def _least_images(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_quad_orbits_match_each_class_minimized_over_every_relabeling(n):
-    items, (canon, _tables), fields = certify._choose_quads(n, None, 0, None)
-    assert canon == _least_images(n)
+    items, (canon, tables), fields = certify._choose_quads(n, None, 0, None)
+    # canon keeps a table carrying the representative onto each class; its
+    # inverse is the first table carrying the class onto its least image
+    assert all(certify._quad_image(rep, tables[pi]) == cls for cls, (rep, pi) in canon.items())
+    index = {tuple(tab): pi for pi, tab in enumerate(tables)}
+    assert {cls: (rep, index[tuple(sorted(range(2 ** n), key=tables[pi].__getitem__))])
+            for cls, (rep, pi) in canon.items()} == _least_images(n)
     assert items == sorted({rep for rep, _pi in canon.values()})
     assert (fields["classes"], fields["orbits"]) == (len(canon), len(items))
 

@@ -106,7 +106,7 @@ def test_gen_bytes_at_n8(tmp_path, capsys):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == GEN8_SHA256
 
 
-def test_gen_without_delta0_builds_no_table(capsys, monkeypatch):
+def test_gen_without_delta0_builds_no_table(capsys, monkeypatch, fresh_subset_text):
     # only Delta0 lines read the 2^n-entry tables, so Delta2 at n=20 stays instant
     calls = []
     real = entspace.format_subset

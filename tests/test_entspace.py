@@ -15,7 +15,6 @@ from ingletonlp.entspace import (
     MAX_N,
     MIN_N,
     MemberTable,
-    SubsetNames,
     accumulate,
     check_mask,
     check_n,
@@ -35,7 +34,7 @@ from ingletonlp.entspace import (
     parse_subset,
     project_away,
     project_onto,
-    term_key,
+    text_tables,
     vector_from_text,
     vector_to_text,
     witness_fulldim,
@@ -181,10 +180,10 @@ def test_format_expr_matches_reference_and_roundtrips(case):
     e = LinExpr(n, coeffs)
     text = format_expr(e)
     assert text == _reference_format_expr(e)
-    names = SubsetNames()
+    _sn, tn = text_tables(n)
     for mask, c in e.terms():
         if c in (1, -1):
-            assert names[term_key(mask, int(c))] == format_expr(LinExpr.single(n, mask, c))
+            assert tn[mask << 1 | (c < 0)] == format_expr(LinExpr.single(n, mask, c))
     assert parse_expr(text, n) == e
 
 

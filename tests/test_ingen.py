@@ -14,7 +14,6 @@ from ingletonlp import entspace, ingen
 from ingletonlp.entspace import (
     IngletonQuad,
     LinExpr,
-    SubsetNames,
     evaluate,
     format_subset,
     ingleton_expr,
@@ -268,7 +267,7 @@ def test_stream_writer_matches_the_text_across_blocks(monkeypatch):
     assert out.getvalue() == ingen.inequalities_to_text(4, members)
 
 
-def test_stream_names_each_subset_once_per_file(monkeypatch):
+def test_stream_names_each_subset_once_per_file(monkeypatch, fresh_subset_text):
     # a list streamed in blocks of 5 formats no subset text the Family path does not
     calls = []
     real = entspace.format_subset
@@ -276,6 +275,7 @@ def test_stream_names_each_subset_once_per_file(monkeypatch):
     monkeypatch.setattr(ingen, "_BLOCK", 5)
     texts = []
     for source in (ingen.family("delta", 5), ingen.gen_delta(5)):
+        fresh_subset_text()
         calls.clear()
         out = io.StringIO()
         ingen.write_inequality_stream(out, 5, source)
@@ -327,16 +327,15 @@ def test_family_writer_matches_the_list_writer(monkeypatch, block):
 
 
 def test_a_shared_names_table_follows_n():
-    # the tables hold one n: handed on to another n, they are built for it
-    names = SubsetNames()
+    # the text tables hold one n: asked for another n, they are built for it
     for n in (5, 4, 6):
         members = ingen.gen_delta(n)
-        text = ingen.inequalities_to_text(n, members, names=names)
-        assert text == ingen.inequalities_to_text(n, members), n
-        assert [len(t) for t in names.tables(n)] == [2 ** n, 2 ** (n + 1)]
+        assert ingen.inequalities_to_text(n, members) == _reference_text(n, members), n
+        assert [len(t) for t in entspace.text_tables(n)] == [2 ** n, 2 ** (n + 1)]
+        assert entspace.text_tables.cache_info().currsize == 1
 
 
-def test_payload_text_builds_no_table(monkeypatch):
+def test_payload_text_builds_no_table(monkeypatch, fresh_subset_text):
     # a payload names its own masks only, at any n
     calls = []
     real = entspace.format_subset
@@ -377,7 +376,7 @@ def test_delta0_run_text_matches_member_by_member(case):
         body = " ".join(f"{'+' if s > 0 else '-'}1*h{format_subset(m)}" for m, s in terms)
         want.append(f"Delta0\t{ingen.payload_text('Delta0', payload)}\t{body}\n")
     parts = []
-    assert ingen._write_runs(parts.append, n, "Delta0", [(ds, betas)], SubsetNames()) == len(betas)
+    assert ingen._write_runs(parts.append, n, "Delta0", [(ds, betas)]) == len(betas)
     assert "".join(parts) == "".join(want)
 
 

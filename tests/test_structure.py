@@ -42,7 +42,7 @@ def test_one_accumulator_and_one_permutation_walk():
     defined = {fn for _name, fn in _defined(trees)}
     assert "_combine" in defined and "_bump" not in defined
     assert len(_calls(trees["certify.py"], "permutations")) == 1
-    # the completeness scan's back maps and the drop-one orbit walk both
+    # the completeness scan's certificates and the drop-one orbit walk both
     # relabel members through _member_image
     sites = _CallSites("delta0_payload")
     sites.visit(trees["certify.py"])
@@ -259,3 +259,45 @@ def test_public_names_resolve_to_their_defining_modules():
     assert all(star[name] is getattr(ingletonlp, name) for name in ingletonlp.__all__)
     with pytest.raises(AttributeError, match="no_such_name"):
         ingletonlp.no_such_name
+
+
+class _TermTextBuilders(_CallSites):
+    """The innermost enclosing function of every f-string with `*h` in its text."""
+
+    def visit_JoinedStr(self, node):
+        if any(isinstance(part, ast.Constant) and "*h" in part.value for part in node.values):
+            self.sites.append(self.stack[-1])
+        self.generic_visit(node)
+
+    visit_Call = ast.NodeVisitor.generic_visit
+
+
+def test_one_subset_text_memo_for_the_process():
+    # every {..} text is read from entspace.SUBSET_TEXT and every term is
+    # spelled by _term_text: no per-file memo, no term keys, no names plumbing
+    trees = _trees()
+    used = {node.attr if isinstance(node, ast.Attribute) else node.id
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Attribute, ast.Name))}
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert not {"SubsetNames", "term_key", "_VECTOR_NAMES"} & (used | defined)
+    with_names = [(name, getattr(node, "name", "<lambda>")) for name, tree in trees.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                  and "names" in {arg.arg for arg in ast.walk(node.args)
+                                  if isinstance(arg, ast.arg)}]
+    assert with_names == []
+    formats, builders = set(), set()
+    for name, tree in trees.items():
+        sites = _CallSites("format_subset")
+        sites.visit(tree)
+        formats.update((name, fn) for fn in sites.sites)
+        spelled = _TermTextBuilders(None)  # func unused: no call is recorded
+        spelled.visit(tree)
+        builders.update((name, fn) for fn in spelled.sites)
+    assert formats == {("entspace.py", "__missing__")}
+    assert builders == {("entspace.py", "_term_text")}
+    memo = next(node for node in trees["entspace.py"].body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SUBSET_TEXT")
+    assert ast.unparse(memo.value) == "_SubsetText()"
