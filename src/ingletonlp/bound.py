@@ -5,10 +5,12 @@ runs on the multiplier (dual) system, whose row count is the coordinate
 count 2^n - 1 rather than the cone size; cone members enter as columns
 and are generated lazily whenever a candidate point or ray still
 violates one.  A floating-point presolve only seeds the starting
-columns and never decides anything.  Every returned result carries a
-certificate that `verify_bound_result` re-checks independently: a
-primal point plus dual multipliers reproducing the optimum, an
-infeasibility combination, or a feasible point plus an improving ray.
+columns and never decides anything.  `solve_bound` builds one cone and
+one assembly, and pricing, the improving-ray search and the verification
+read it.  Every returned result carries a certificate that
+`verify_bound_result` re-checks independently: a primal point plus dual
+multipliers reproducing the optimum, an infeasibility combination, or a
+feasible point plus an improving ray.
 """
 
 from __future__ import annotations
@@ -148,6 +150,18 @@ def _entropy_decomposition(n: int, alpha: int) -> list[tuple]:
     return keys
 
 
+def _cone(problem: BoundProblem, extra_inequalities, members):
+    """(members, glist, table): the cone family (generated when None), its rows
+    then the extra inequalities, and those rows packed once for pricing and checks."""
+    if members is None:
+        members = cone_members(problem.n, problem.cone)
+    extras = list(extra_inequalities or [])
+    if any(e.n != problem.n for e in extras):
+        raise ValueError("extra inequality ground set differs from problem")
+    glist = [ci.expr for ci in members] + extras
+    return members, glist, MemberTable(glist)
+
+
 class _DualAssembly:
     """Exact multiplier system: coordinates are rows, inequalities columns.
 
@@ -157,9 +171,11 @@ class _DualAssembly:
     ray) on the original side in one solve.
     """
 
-    def __init__(self, problem: BoundProblem, glist: list[LinExpr], table: MemberTable):
-        self.p = problem
-        self.glist, self.table = glist, table  # table: glist packed, for pricing
+    def __init__(self, problem: BoundProblem, cone: tuple):
+        self.p, self.cone = problem, cone
+        self.members, self.glist, self.table = cone
+        self.sign = -1 if problem.sense == "min" else 1  # min f is solved as max -f
+        self.objective = self.sign * problem.objective
         self.dim = 2 ** problem.n - 1
         self.index = {m: m - 1 for m in range(1, self.dim + 1)}
         cons = problem.constraints
@@ -200,11 +216,11 @@ def _price(asm: _DualAssembly, kset, vec) -> list[int]:
     return [k for _v, k in bad[:_PRICE_CAP]]
 
 
-def _float_seed(asm: _DualAssembly, fallback=()) -> list[int]:
+def _float_seed(asm: _DualAssembly) -> list[int]:
     """Float presolve; guesses which cone rows matter.  Never decides.
 
     A value beyond float range leaves nothing to presolve: the seed is
-    then the cone ids in fallback."""
+    then the elemental (Delta1/Delta2-shaped) members."""
     cons = asm.p.constraints
     ub = [(j, s) for j, s in asm.user if cons[j][1] != "="]
     eq = [(e, r) for e, rel, r in cons if rel == "="]
@@ -213,11 +229,12 @@ def _float_seed(asm: _DualAssembly, fallback=()) -> list[int]:
         rows = asm.glist + [-s * cons[j][0] for j, s in ub]
         a_ub = float_columns([e.coeffs for e in rows], asm.index, sign=-1)
         b_ub = [0.0] * len(asm.glist) + [float(s * cons[j][2]) for j, s in ub]
-        cost = [-float(asm.p.objective.coeffs.get(m, 0)) for m in asm.index]
+        cost = [-float(asm.objective.coeffs.get(m, 0)) for m in asm.index]
         a_eq = float_columns([e.coeffs for e, _r in eq], asm.index)
         b_eq = [float(r) for _e, r in eq]
     except OverflowError:
-        return list(fallback)
+        return [k for k, ci in enumerate(asm.members)
+                if ingen.shape(ci.kind) != ingen.KIND_DELTA0]
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq)
     if res.status != 0:
         return []
@@ -253,27 +270,23 @@ def _close(asm: _DualAssembly, chosen: list[int], objective: LinExpr):
     raise RuntimeError("column generation failed to close")
 
 
-def _solve_max(problem: BoundProblem, members, glist, table) -> BoundResult:
-    """Column generation over cone members; problem.sense must be max."""
-    asm = _DualAssembly(problem, glist, table)
-    if len(glist) <= _ALL_COLUMNS_LIMIT:
-        chosen = list(range(len(glist)))
-    else:
-        # without a float seed, start from the elemental (Delta1/Delta2-shaped) members
-        chosen = _float_seed(asm, [k for k, ci in enumerate(members)
-                                   if ingen.shape(ci.kind) != ingen.KIND_DELTA0])
-    for _round in range(len(glist) + 10):
-        res, chosen = _close(asm, chosen, problem.objective)
+def _solve_max(asm: _DualAssembly) -> BoundResult:
+    """Column generation over the cone members, maximizing asm.objective."""
+    chosen = list(range(len(asm.glist)))
+    if len(chosen) > _ALL_COLUMNS_LIMIT:
+        chosen = _float_seed(asm)
+    for _round in range(len(asm.glist) + 10):
+        res, chosen = _close(asm, chosen, asm.objective)
         # optimal is the answer; unbounded multipliers mean nothing satisfies
         # the constraint rows, and dropping cone columns only relaxed them
         if res.status != "infeasible":
-            return _result(problem, members, asm, chosen, res)
+            return _result(asm, chosen, res)
         # no multiplier combination covers the objective over these
         # columns: the rows admit no point, or an improving ray exists
-        out = _feasible_point(problem, members, asm, chosen)
+        out = _feasible_point(asm, chosen)
         if isinstance(out, BoundResult):
             return out
-        ray, bound_ids = _improving_ray(problem, members, asm, chosen)
+        ray, bound_ids = _improving_ray(asm, chosen)
         if ray is not None:
             return BoundResult(status="unbounded", primal=out, ray=ray)
         # the no-ray certificate is itself a multiplier combination
@@ -285,35 +298,34 @@ def _solve_max(problem: BoundProblem, members, glist, table) -> BoundResult:
     raise RuntimeError("column generation failed to close")
 
 
-def _improving_ray(problem, members, asm: _DualAssembly, chosen):
+def _improving_ray(asm: _DualAssembly, chosen):
     """Confirmed improving direction, or the cone ids proving none exists.
 
     Any improving ray scales to objective value one, so the homogenized
     rows plus that normalization form a system whose points are exactly
     the rays sought.
     """
-    cons = tuple((expr, rel, Fraction(0)) for expr, rel, _r in problem.constraints)
-    cons += ((problem.objective, "=", Fraction(1)),)
-    mod = BoundProblem(problem.n, problem.cone, "max",
-                       LinExpr.zero(problem.n), cons)
-    masm = _DualAssembly(mod, asm.glist, asm.table)
-    out = _feasible_point(mod, members, masm, list(chosen))
+    p = asm.p
+    cons = tuple((expr, rel, Fraction(0)) for expr, rel, _r in p.constraints)
+    cons += ((asm.objective, "=", Fraction(1)),)
+    mod = BoundProblem(p.n, p.cone, "max", LinExpr.zero(p.n), cons)
+    out = _feasible_point(_DualAssembly(mod, asm.cone), list(chosen))
     if isinstance(out, BoundResult):
         return None, [k for k, _cf in out.farkas.cone]
     return out, None
 
 
-def _feasible_point(problem, members, asm: _DualAssembly, chosen):
+def _feasible_point(asm: _DualAssembly, chosen):
     """Point satisfying every row, or a BoundResult proving there is none."""
-    res, chosen = _close(asm, chosen, LinExpr.zero(problem.n))
+    res, chosen = _close(asm, chosen, LinExpr.zero(asm.p.n))
     if res.status == "infeasible":
         raise RuntimeError("zero-objective system cannot be infeasible")
     if res.status == "unbounded":
-        return _result(problem, members, asm, chosen, res)
-    return EntropyVector(problem.n, res.y)
+        return _result(asm, chosen, res)
+    return EntropyVector(asm.p.n, res.y)
 
 
-def _cone_fold(problem, members, asm: _DualAssembly, chosen, w) -> dict:
+def _cone_fold(asm: _DualAssembly, chosen, w) -> dict:
     """Cone multipliers: the lambda block plus surpluses folded back in.
 
     A surplus on coordinate alpha weights the bound x_alpha >= 0, which
@@ -326,38 +338,34 @@ def _cone_fold(problem, members, asm: _DualAssembly, chosen, w) -> dict:
     for k, v in zip(chosen, w[base + asm.dim:]):
         if v:
             lam[k] = Fraction(v)
-    by_key = {(ingen.shape(ci.kind), ci.payload): idx for idx, ci in enumerate(members)}
+    by_key = {(ingen.shape(ci.kind), ci.payload): idx for idx, ci in enumerate(asm.members)}
     for alpha in range(1, asm.dim + 1):
         gap = surplus[alpha - 1]
         if gap:
-            for key in _entropy_decomposition(problem.n, alpha):
+            for key in _entropy_decomposition(asm.p.n, alpha):
                 idx = by_key[key]
                 lam[idx] = lam.get(idx, Fraction(0)) + gap
     return lam
 
 
-def _user_multipliers(asm: _DualAssembly, w, negate: bool) -> list:
-    """Per original constraint; negate undoes the assembly for Farkas use."""
-    out = [Fraction(0)] * len(asm.p.constraints)
-    for v, (j, s) in zip(w, asm.user):
-        out[j] += -s * v if negate else s * v
-    return out
-
-
-def _result(problem, members, asm, chosen, res) -> BoundResult:
-    """The optimum of an optimal multiplier solve, or the infeasibility
-    certificate read off the ray of an unbounded one."""
+def _result(asm: _DualAssembly, chosen, res) -> BoundResult:
+    """The optimum of an optimal multiplier solve, its value and user multipliers
+    signed back to the problem's sense, or the infeasibility certificate read
+    off the ray of an unbounded one, its user multipliers undoing the assembly's."""
     optimal = res.status == "optimal"
     w = res.x if optimal else res.ray
-    lam = _cone_fold(problem, members, asm, chosen, w)
-    user = tuple(_user_multipliers(asm, w, negate=not optimal))
+    sign = asm.sign if optimal else -1
+    user = [Fraction(0)] * len(asm.p.constraints)
+    for v, (j, s) in zip(w, asm.user):
+        user[j] += sign * s * v
+    lam = _cone_fold(asm, chosen, w)
     cone = tuple(sorted((k, cf) for k, cf in lam.items() if cf))
     if optimal:
-        return BoundResult(status="optimal", value=Fraction(res.objective),
-                           primal=EntropyVector(problem.n, res.y),
-                           dual=DualCertificate(user=user, cone=cone))
+        return BoundResult(status="optimal", value=asm.sign * Fraction(res.objective),
+                           primal=EntropyVector(asm.p.n, res.y),
+                           dual=DualCertificate(user=tuple(user), cone=cone))
     return BoundResult(status="infeasible",
-                       farkas=InfeasibilityCertificate(user=user, cone=cone))
+                       farkas=InfeasibilityCertificate(user=tuple(user), cone=cone))
 
 
 def solve_bound(problem: BoundProblem, extra_inequalities=None, members=None) -> BoundResult:
@@ -366,35 +374,10 @@ def solve_bound(problem: BoundProblem, extra_inequalities=None, members=None) ->
     `members` is the problem's cone family when the caller has built it
     already; otherwise it is generated here.
     """
-    if members is None:
-        members = cone_members(problem.n, problem.cone)
-    extras = [e for e in (extra_inequalities or [])]
-    for e in extras:
-        if e.n != problem.n:
-            raise ValueError("extra inequality ground set differs from problem")
-    glist = [ci.expr for ci in members] + extras
-    table = MemberTable(glist)  # one pack for pricing and verification
-
-    flipped = problem.sense == "min"
-    inner = problem
-    if flipped:
-        inner = BoundProblem(problem.n, problem.cone, "max",
-                             -problem.objective, problem.constraints)
-    result = _solve_max(inner, members, glist, table)
-    if flipped:
-        result = _flip_sense(result)
-    if not _verified(problem, result, glist, table):
+    cone = _cone(problem, extra_inequalities, members)
+    result = _solve_max(_DualAssembly(problem, cone))
+    if not _verified(problem, result, cone):
         raise RuntimeError("certificate failed verification")
-    return result
-
-
-def _flip_sense(result: BoundResult) -> BoundResult:
-    """Map a max answer for the negated objective back to the min problem."""
-    if result.status == "optimal":
-        dual = DualCertificate(user=tuple(-u for u in result.dual.user),
-                               cone=result.dual.cone)
-        return BoundResult(status="optimal", value=-result.value,
-                           primal=result.primal, dual=dual)
     return result
 
 
@@ -405,14 +388,12 @@ def _flip_sense(result: BoundResult) -> BoundResult:
 def verify_bound_result(problem: BoundProblem, result: BoundResult,
                         extra_inequalities=None, members=None) -> bool:
     """Re-check result's certificate exactly; `members` as in solve_bound."""
-    if members is None:
-        members = cone_members(problem.n, problem.cone)
-    glist = [ci.expr for ci in members] + [e for e in (extra_inequalities or [])]
-    return _verified(problem, result, glist, MemberTable(glist))
+    return _verified(problem, result, _cone(problem, extra_inequalities, members))
 
 
-def _verified(problem, result, glist, table) -> bool:
-    """verify_bound_result over the cone rows glist, packed as table."""
+def _verified(problem, result, cone) -> bool:
+    """verify_bound_result over a cone that _cone built."""
+    _members, glist, table = cone
     if result.status == "optimal":
         maximize = problem.sense == "max"
         return (_check_rows(problem, table, result.primal, homogeneous=False)

@@ -4,8 +4,8 @@ Vectors are dense lists of ints and Fractions: index m is the subset with
 bitmask m, and index 0 (the empty set) is 0.  Nothing here uses the
 package's expressions, points, evaluators or parsers; the Ingleton form is
 spelled afresh as J = I(1;2|3) + I(1;2|4) + I(3;4) - I(1;2).
-`certificate_holds` and `witness_holds` are the yes/no answers that the
-package's verifiers are judged against.
+`certificate_holds`, `witness_holds` and `bound_result_holds` are the
+yes/no answers that the package's verifiers are judged against.
 """
 
 import re
@@ -208,3 +208,58 @@ def check_witness(h: list, target: list, forms) -> None:
     """h is normalized to target value -1 and separates target from forms."""
     assert h[0] == 0 and value(target, h) == -1
     assert witness_holds(h, target, forms)
+
+
+def bound_result_holds(sense: str, objective: list, rows: list, forms, status: str,
+                       claimed=None, primal=None, user=None, cone=None, ray=None) -> bool:
+    """Whether a claimed answer to `sense objective.h subject to forms.h >= 0 and
+    rows` holds.  rows are (lhs, relation, rhs); user and cone are the multipliers
+    of the dual (optimal) or Farkas (infeasible) certificate, cone as (form id,
+    coefficient) pairs.  With s = 1 for max and -1 for min:
+
+    optimal: primal meets every form and row, objective.primal == claimed, and
+      sum user.lhs - s * sum cone.forms == objective with sum user.rhs == claimed;
+    infeasible: sum user.lhs + sum cone.forms == 0 yet sum user.rhs > 0;
+    unbounded: primal meets every form and row, ray every form and every row
+      with rhs 0, and s * objective.ray > 0.
+
+    Cone ids name forms and cone coefficients are >= 0.  A <= row's user
+    multiplier has sign s (optimal) or -1 (infeasible), a >= row's the
+    opposite one, and an = row's is free.
+    """
+    s = 1 if sense == "max" else -1
+
+    def meets(h, homogeneous: bool) -> bool:
+        if h is None or len(h) != len(objective) or any(value(g, h) < 0 for g in forms):
+            return False
+        for lhs, rel, rhs in rows:
+            gap = value(lhs, h) - (0 if homogeneous else rhs)
+            if not {"<=": gap <= 0, ">=": gap >= 0, "=": gap == 0}[rel]:
+                return False
+        return True
+
+    def combination(row_sign: int, cone_sign: int):
+        """(sum user.lhs + cone_sign * sum cone.forms, sum user.rhs), or None
+        when a multiplier breaks its sign rule or names no form."""
+        if user is None or cone is None or len(user) != len(rows):
+            return None
+        if not all(0 <= k < len(forms) and c >= 0 for k, c in cone):
+            return None
+        if not all(u * {"<=": row_sign, ">=": -row_sign, "=": 0}[rel] >= 0
+                   for u, (_lhs, rel, _rhs) in zip(user, rows)):
+            return None
+        total = [0] * len(objective)
+        terms = [(u, lhs) for u, (lhs, _rel, _rhs) in zip(user, rows)]
+        for c, form in terms + [(cone_sign * c, forms[k]) for k, c in cone]:
+            for m, x in enumerate(form):
+                total[m] += c * x
+        return total, sum(u * rhs for u, (_lhs, _rel, rhs) in zip(user, rows))
+
+    if status == "optimal":
+        return (meets(primal, False) and value(objective, primal) == claimed
+                and combination(s, -s) == (objective, claimed))
+    if status == "infeasible":
+        comb = combination(-1, 1)
+        return comb is not None and not any(comb[0]) and comb[1] > 0
+    return (status == "unbounded" and meets(primal, False) and meets(ray, True)
+            and s * value(objective, ray) > 0)

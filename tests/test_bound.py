@@ -299,6 +299,22 @@ st +1*h{1,2} <= 1
                           extra_inequalities=[LinExpr.single(3, 0b1)])
 
 
+def test_extra_inequality_over_another_ground_set_is_blamed_on_the_extras():
+    # solving and verifying check the extras alike, before packing the cone
+    problem, res = solve_text("""
+n 2
+cone gamma-in
+maximize +1*h{1}
+st +1*h{1,2} <= 1
+""")
+    wrong = [LinExpr.single(3, 0b1)]
+    message = "extra inequality ground set differs from problem"
+    with pytest.raises(ValueError, match=message):
+        bound.solve_bound(problem, extra_inequalities=wrong)
+    with pytest.raises(ValueError, match=message):
+        bound.verify_bound_result(problem, res, extra_inequalities=wrong)
+
+
 # ---------------------------------------------------------------------------
 # membership
 
@@ -562,6 +578,28 @@ def test_column_generation_matches_all_columns(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [3, 4])
+def test_min_answer_is_the_negated_max_answer(n):
+    # min f and max -f share every certificate but the value and the dual
+    # user multipliers, which change sign; on the problems of
+    # test_column_generation_matches_all_columns
+    rng = random.Random(n)
+    unsigned = lambda r: (r.status, r.primal, r.ray, r.farkas)
+    statuses = set()
+    for problem in (_random_problem(rng, n) for _ in range(30)):
+        f = problem.objective
+        lo = bound.solve_bound(replace(problem, sense="min", objective=f))
+        hi = bound.solve_bound(replace(problem, sense="max", objective=-f))
+        assert unsigned(lo) == unsigned(hi)
+        if lo.status == "optimal":
+            assert lo.value == -hi.value and lo.dual.cone == hi.dual.cone
+            assert lo.dual.user == tuple(-u for u in hi.dual.user)
+        else:
+            assert {lo.value, hi.value, lo.dual, hi.dual} == {None}
+        statuses.add(lo.status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
+@pytest.mark.parametrize("n", [3, 4])
 def test_each_solve_packs_its_cone_once(monkeypatch, n):
     # pricing, the improving-ray search and the verification share one
     # table, on the problems of test_column_generation_matches_all_columns
@@ -586,15 +624,17 @@ def test_each_solve_packs_its_cone_once(monkeypatch, n):
 
 def test_rhs_beyond_float_range_seeds_no_columns(monkeypatch, capsys, tmp_path):
     # the float seed never decides: a value it cannot hold leaves it out,
-    # and the exact column generation finds the all-columns answer alone
+    # the seed falls back to the Delta1/Delta2 members, and the exact column
+    # generation finds the all-columns answer from there
     text = "n 3\ncone gamma-in\nmaximize +1*h{1,2,3}\nst +1*h{1} <= 1%s\nst +1*h{2,3} <= 1\n"
     problem = bound.parse_problem(text % ("0" * 400))
     want = bound.solve_bound(problem)
     assert (want.status, want.value) == ("optimal", 10 ** 400 + 1)
     monkeypatch.setattr(bound, "_ALL_COLUMNS_LIMIT", 0)
-    glist = [ci.expr for ci in bound.cone_members(3, problem.cone)]
-    asm = bound._DualAssembly(problem, glist, MemberTable(glist))
-    assert bound._float_seed(asm) == []
+    asm = bound._DualAssembly(problem, bound._cone(problem, None, None))
+    elemental = [k for k, ci in enumerate(bound.cone_members(3, problem.cone))
+                 if ci.kind != "Delta0"]
+    assert elemental and bound._float_seed(asm) == elemental
     got = bound.solve_bound(problem)
     assert (got.status, got.value) == (want.status, want.value)
     assert bound.verify_bound_result(problem, got)
@@ -624,7 +664,9 @@ def test_rhs_beyond_float_range_at_n6_starts_from_the_elemental_members(tmp_path
 
 
 def _dense_seed_lp(problem, glist):
-    """The float seed's LP as scipy.optimize.linprog keywords, one dense float list per row."""
+    """The float seed's LP as scipy.optimize.linprog keywords, one dense float list per row.
+
+    It maximizes the objective in the problem's sense: f for max, -f for min."""
     dim = 2 ** problem.n - 1
     dense = lambda e: [float(e.coeffs.get(m, 0)) for m in range(1, dim + 1)]
     a_ub = [[-c for c in dense(g)] for g in glist]
@@ -640,7 +682,8 @@ def _dense_seed_lp(problem, glist):
         else:
             a_eq.append(dense(expr))
             b_eq.append(float(rhs))
-    cost = [-c for c in dense(problem.objective)]
+    sign = -1 if problem.sense == "min" else 1
+    cost = [-c for c in dense(sign * problem.objective)]
     return dict(c=cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq or None, b_eq=b_eq or None,
                 bounds=(0, None), method="highs")
 
@@ -656,9 +699,8 @@ def _dense_float_seed(problem, glist):
 
 
 def _seed_columns(problem):
-    glist = [ci.expr for ci in bound.cone_members(problem.n, problem.cone)]
-    asm = bound._DualAssembly(problem, glist, MemberTable(glist))
-    return bound._float_seed(asm), _dense_float_seed(problem, glist)
+    asm = bound._DualAssembly(problem, bound._cone(problem, None, None))
+    return bound._float_seed(asm), _dense_float_seed(problem, asm.glist)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -683,9 +725,9 @@ def test_float_seed_lp_is_scipys(monkeypatch, highs_models, n):
     statuses = []
     for _ in range(30):  # the problems of test_float_seed_matches_the_dense_reference
         problem = _random_problem(rng, n)
-        glist = [ci.expr for ci in bound.cone_members(problem.n, problem.cone)]
-        bound._float_seed(bound._DualAssembly(problem, glist, MemberTable(glist)))
-        mine, ref = got.pop(), linprog(**_dense_seed_lp(problem, glist))
+        asm = bound._DualAssembly(problem, bound._cone(problem, None, None))
+        bound._float_seed(asm)
+        mine, ref = got.pop(), linprog(**_dense_seed_lp(problem, asm.glist))
         assert len(ours) == len(theirs) == 1 and ours.pop() == theirs.pop()
         assert mine.status == ref.status
         if ref.status == 0:
@@ -702,9 +744,9 @@ def test_float_seed_memory_at_n6():
     cons = tuple((LinExpr.single(n, 1 << i), "<=", F(1)) for i in range(n))
     problem = bound.BoundProblem(n, bound.CONE_GAMMA_IN, "max",
                                  LinExpr.single(n, 2 ** n - 1), cons)
-    glist = [ci.expr for ci in bound.cone_members(n, problem.cone)]
+    asm = bound._DualAssembly(problem, bound._cone(problem, None, None))
+    glist = asm.glist
     assert len(glist) > bound._ALL_COLUMNS_LIMIT
-    asm = bound._DualAssembly(problem, glist, MemberTable(glist))
     want = bound._float_seed(asm)  # loads HiGHS before tracing starts
     tracemalloc.start()
     try:

@@ -301,3 +301,20 @@ def test_one_subset_text_memo_for_the_process():
     memo = next(node for node in trees["entspace.py"].body
                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SUBSET_TEXT")
     assert ast.unparse(memo.value) == "_SubsetText()"
+
+
+def test_one_assembly_per_bound_solve():
+    # column generation reads the problem, its sense and its cone off one
+    # _DualAssembly, and _cone alone builds and packs the cone rows
+    tree = _trees()["bound.py"]
+    defined = {fn for _name, fn in _defined({"bound.py": tree})}
+    assert not {"_flip_sense", "_user_multipliers"} & defined
+
+    def params(name):
+        return {arg.arg for arg in ast.walk(_function(tree, name).args) if isinstance(arg, ast.arg)}
+    assert "fallback" not in params("_float_seed")
+    for name in ("_solve_max", "_feasible_point", "_improving_ray", "_cone_fold", "_result"):
+        assert not {"problem", "members"} & params(name), name
+    packs = _CallSites("MemberTable")
+    packs.visit(tree)
+    assert packs.sites == ["_cone"]
