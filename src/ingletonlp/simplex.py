@@ -52,7 +52,7 @@ from types import SimpleNamespace
 
 from .entspace import int_form
 
-_WIDTH = 64  # lane width a tableau starts at; tests patch it smaller
+_WIDTH = 8  # lane width a tableau starts at; `widen` doubles it as its entries need
 _CODES = {array(code).itemsize * 8: code for code in "bhiq"}  # lane width -> typecode
 _SWAP = sys.byteorder == "big"  # packed bytes are little-endian
 
@@ -67,6 +67,8 @@ class LPResult:
     # restart data of an optimal solve that deleted no row, for `warm` when
     # re-solving the same A and b with columns appended; else ignored
     warm: _Restart | None = None
+    pivots: tuple[int, int] = (0, 0)  # ratio-test pivots in phase 1 and in phase 2
+    width: int = 0  # the tableau's final lane width; 0 when none was built
 
 
 @functools.cache
@@ -177,7 +179,8 @@ class _Tableau:
     Row i holds d times its rational row, numerators r_k none longer than
     bits[i] bits, as X[i] = bias + sum r_k 2^(w k).  `bias` puts half =
     2^(w-1) in every w-bit lane, so lane k holds r_k + half in [0, 2^w) and
-    reads off with a mask and a shift, without borrows.
+    reads off with a mask and a shift, without borrows.  w starts at _WIDTH
+    and doubles when a bound needs it; `pivot` measures its pivot row.
     """
 
     def __init__(self, rows: list[list[int]], d: int):
@@ -215,12 +218,14 @@ class _Tableau:
     def row(self, i: int) -> list[int]:
         nb = self.w // 8
         raw = (self.X[i] ^ self.bias).to_bytes(nb * self.cells, "little")
-        if self.w not in _CODES:
+        if self.w > 128:  # lanes this wide decode faster whole than word by word
             return [int.from_bytes(raw[k:k + nb], "little", signed=True)
                     for k in range(0, len(raw), nb)]
-        a = array(_CODES[self.w], raw)
+        a = array(_CODES[min(self.w, 64)], raw)
         if _SWAP:
             a.byteswap()
+        if self.w == 128:  # a signed top word over an unsigned low word
+            return [hi << 64 | lo for hi, lo in zip(a[1::2], array("Q", a.tobytes())[::2])]
         return a.tolist()
 
     def column(self, k: int) -> list[int]:
@@ -254,6 +259,7 @@ class _Tableau:
         """Make column col a unit in row r, fs being `column(col)`; d becomes |fs[r]|."""
         p, d = fs[r], self.d
         a, s = abs(p), (1 if p > 0 else -1)
+        self.bits[r] = _bits(self.row(r))
         for i, f in enumerate(fs):
             if i != r and (f or a != d):  # a row with f = 0 still scales by |p|/d
                 self.combine(i, a, r, s * f, d)
@@ -264,8 +270,9 @@ class _Tableau:
     def combine(self, i: int, a: int, r: int, f: int, d: int) -> None:
         """Row i becomes (a.row i - f.row r) / d, which must divide in every lane.
 
-        Only the result must fit a lane.  When it might not, both rows are
-        measured first, since bounds carried from pivot to pivot ratchet up.
+        Only the result must fit a lane.  When it might not, row i is measured
+        first, since bounds carried from pivot to pivot ratchet up; row r's
+        bound stands as it is, which `pivot` measures once per pivot.
         """
         bits = self.bits
         for measured in (False, True):
@@ -273,7 +280,7 @@ class _Tableau:
             b = max(top + 2 - d.bit_length(), 0)
             if b < self.w or measured:
                 break
-            bits[i], bits[r] = _bits(self.row(i)), _bits(self.row(r))
+            bits[i] = _bits(self.row(i))
         if b >= self.w:
             self.widen(b)
         x = a * self.X[i] - f * self.X[r] + self.bias * (f - a)  # unbiased
@@ -379,6 +386,10 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
         start = list(basis)
 
     ncols = nc + n_art
+    pivots = [0, 0]  # run_phase's, in phase 1 and in phase 2
+
+    def result(status: str, **fields) -> LPResult:
+        return LPResult(status, pivots=(pivots[0], pivots[1]), width=tab.w, **fields)
 
     def duals(z: int, dz: int, cvec: list) -> list[Fraction]:
         """y with y.B = c_B for the current basis B, read off objective row z over d.dz.
@@ -405,7 +416,7 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
                 tab.combine(z, 1, pos, Z[j], 1)
         return z, dz
 
-    def run_phase(z: int) -> int | None:
+    def run_phase(z: int, phase: int) -> int | None:
         """Pivot to optimality; returns an entering column on unboundedness.
 
         Leaving rows follow the lexicographic ratio rule, comparing rhs
@@ -424,10 +435,10 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
             # rows i and j share one positive denominator, so the sign of
             # each cross-multiplied numerator decides
             vi, vj = fs[i], fs[j]
-            d = tab.lane(i, ncols) * vj - tab.lane(j, ncols) * vi
+            d = rhs[i] * vj - rhs[j] * vi
             if d != 0:
                 return d < 0
-            ti, tj = tab.row(i), tab.row(j)
+            ti, tj = tied(i), tied(j)
             for k in order:
                 d = ti[k] * vj - tj[k] * vi
                 if d != 0:
@@ -441,7 +452,8 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
             if best >= 0:
                 return None
             enter = priced.index(best)
-            fs = tab.column(enter)
+            # each row decoded for a tie is kept for the rest of this ratio test
+            fs, rhs, tied = tab.column(enter), tab.column(ncols), functools.cache(tab.row)
             leave = -1
             for i in range(z):
                 if fs[i] > 0 and (leave < 0 or lex_less(i, leave)):
@@ -450,15 +462,16 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
                 return enter
             tab.pivot(leave, enter, fs)
             basis[leave] = enter
+            pivots[phase] += 1
 
     if resumed is None and n_art:
         pcost = [0] * nc + [1] * n_art
         z, dz = zrow(pcost)
         # the auxiliary objective is bounded below by zero
-        if run_phase(z) is not None:
+        if run_phase(z, 0) is not None:
             raise RuntimeError("phase 1 reported an unbounded auxiliary objective")
         if tab.lane(z, ncols) < 0:
-            return LPResult("infeasible", y=duals(z, dz, pcost))
+            return result("infeasible", y=duals(z, dz, pcost))
         tab.drop(z)
         # drive artificials out of the basis, deleting dependent rows
         pos = 0
@@ -476,7 +489,7 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
 
     ext_cost = list(c) + [0] * n_art
     nr, dz = zrow(ext_cost)
-    hit = run_phase(nr)
+    hit = run_phase(nr, 1)
 
     x = [Fraction(0)] * nc
     for i, v in enumerate(tab.column(ncols)[:nr]):
@@ -487,11 +500,11 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
         for i, v in enumerate(tab.column(hit)[:nr]):
             if v != 0:
                 ray[basis[i]] = Fraction(-v, tab.d)
-        return LPResult("unbounded", x=x, ray=ray)
+        return result("unbounded", x=x, ray=ray)
 
     objective = sum((x[j] * c[j] for j in range(nc) if x[j]), Fraction(0))
     y = duals(nr, dz, ext_cost)
     tab.drop(nr)
     # a deleted row could turn independent once columns are appended
-    return LPResult("optimal", x=x, objective=objective, y=y, warm=None if len(basis) < m else
-                    _Restart(tab, basis, start, sign, n_art, [list(row) for row in A], list(b)))
+    return result("optimal", x=x, objective=objective, y=y, warm=None if len(basis) < m else
+                  _Restart(tab, basis, start, sign, n_art, [list(row) for row in A], list(b)))

@@ -1,6 +1,7 @@
 """Exact LP bounds over the polymatroid and Ingleton-refined cones."""
 
 import hashlib
+import itertools
 import os
 import random
 import subprocess
@@ -513,9 +514,21 @@ sink t2 wants s1,s2 sees b,m2
     assert pivots[0] == 704
 
 
-def test_butterfly5_report_bytes():
+def test_butterfly5_report_bytes(monkeypatch):
     # the butterfly without relays m1, m2 (n=5): one exact solve over all
     # 205 Delta columns, cheap enough to lock on every run
+    pivots, solved = [0], []
+    real_pivot, real_solve = simplex._Tableau.pivot, bound.solve_standard
+
+    def pivot(self, *args):
+        pivots[0] += 1
+        real_pivot(self, *args)
+
+    def solve(*args, **kwargs):
+        solved.append(real_solve(*args, **kwargs))
+        return solved[-1]
+    monkeypatch.setattr(simplex._Tableau, "pivot", pivot)
+    monkeypatch.setattr(bound, "solve_standard", solve)
     net = bound.parse_network("""
 source s1
 source s2
@@ -531,12 +544,17 @@ sink t2 wants s1,s2 sees b,m
     recheck_dual(problem, res)
     assert _report_sha256(problem, res) == (
         "3b43c599219c0528232f7336e57ca8d5a50adbc55ebb637271ee0d2bb92c6a85")
+    # every pivot is a ratio-test pivot, counted per phase, and no entry
+    # needs a lane wider than 32 bits
+    [lp] = solved
+    assert lp.pivots == (79, 50) and sum(lp.pivots) == pivots[0] == 129
+    assert lp.width <= max(simplex._WIDTH, 32)
 
 
-def test_butterfly5_report_bytes_with_narrow_lanes(monkeypatch):
-    # tableaux that start at 8-bit lanes widen as they go and print the same bytes
-    monkeypatch.setattr(simplex, "_WIDTH", 8)
-    test_butterfly5_report_bytes()
+def test_butterfly5_report_bytes_with_64_bit_lanes(monkeypatch):
+    # tableaux that start at 64-bit lanes, not 8, print the same bytes
+    monkeypatch.setattr(simplex, "_WIDTH", 64)
+    test_butterfly5_report_bytes(monkeypatch)
 
 
 def _random_problem(rng, n):
@@ -575,6 +593,38 @@ def test_column_generation_matches_all_columns(monkeypatch, n):
     assert priced
     assert {p.cone for p in problems} == {bound.CONE_GAMMA, bound.CONE_GAMMA_IN}
     assert {p.sense for p in problems} == set(bound.SENSES)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_gamma_in_is_gamma_cut_by_every_ingleton_form(n):
+    # the paper's reduction: Delta cuts out of Gamma the cone that every
+    # Ingleton form over every quad cuts out, so both give one answer; on the
+    # problems of test_column_generation_matches_all_columns and on max -J
+    forms = {}
+    for q in itertools.product(range(2 ** n), repeat=4):
+        e = ingleton_expr(IngletonQuad(n, *q))
+        if not e.is_zero():
+            forms.setdefault(tuple(sorted(e.coeffs.items())), e)
+    forms = list(forms.values())
+    rng = random.Random(n)
+    problems = [_random_problem(rng, n) for _ in range(30)]
+    classic = -ingleton_expr(IngletonQuad(n, 1, 2, 4, 2 ** (n - 1)))
+    top = ((LinExpr.single(n, 2 ** n - 1), "<=", F(1)),)
+    problems += [bound.BoundProblem(n, bound.CONE_GAMMA, "max", f, top)
+                 for f in [classic] + [-e for e in rng.sample(forms, 2)]]
+    statuses = set()
+    for problem in problems:
+        inner, outer = (replace(problem, cone=c) for c in (bound.CONE_GAMMA_IN, bound.CONE_GAMMA))
+        want = bound.solve_bound(inner)
+        got = bound.solve_bound(outer, extra_inequalities=forms)
+        assert (got.status, got.value) == (want.status, want.value)
+        assert bound.verify_bound_result(inner, want)
+        assert bound.verify_bound_result(outer, got, extra_inequalities=forms)
+        statuses.add(want.status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    # at n=4 Gamma alone lets -J go positive, so the forms do the cutting
+    if n == 4:
+        assert bound.solve_bound(bound.BoundProblem(n, bound.CONE_GAMMA, "max", classic, top)).value > 0
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -88,6 +88,19 @@ def test_unbounded_ray():
     assert sum(c[j] * r[j] for j in range(2)) < 0
 
 
+def test_results_count_pivots_per_phase():
+    # each status reports its ratio-test pivots per phase and the lane
+    # width its tableau ended at; no tableau, no pivots and no width
+    res = solve_standard([[1, 1, 1, 0], [1, 3, 0, 1]], [4, 6], [-1, -2, 0, 0])
+    assert (res.status, res.pivots, res.width) == ("optimal", (0, 2), 8)
+    res = solve_standard([[1, 1], [1, 1]], [1, 2], [0, 0])
+    assert (res.status, res.pivots, res.width) == ("infeasible", (1, 0), 8)
+    res = solve_standard([[2, -1, 1]], [1], [-1, 0, 0])
+    assert (res.status, res.pivots, res.width) == ("unbounded", (0, 1), 8)
+    res = solve_standard([], [], [2, 1])
+    assert (res.pivots, res.width) == ((0, 0), 0)
+
+
 def test_zero_rows():
     res = solve_standard([], [], [2, 1])
     assert res.status == "optimal"
@@ -342,8 +355,9 @@ def _start(rows, dens):
     return simplex._Tableau([[v * (d // den) for v in row] for row, den in zip(rows, dens)], d)
 
 
-@pytest.mark.parametrize("width", [None, 8])
+@pytest.mark.parametrize("width", [None, 64])
 def test_packed_pivots_match_fractions(monkeypatch, width):
+    # by default tableaux start at 8-bit lanes and widen; a 64-bit start too
     if width:
         monkeypatch.setattr(simplex, "_WIDTH", width)
     repacks = []
@@ -360,6 +374,7 @@ def test_packed_pivots_match_fractions(monkeypatch, width):
     def check(run):
         rows, dens, picks = run
         tab = _start(rows, dens)
+        assert tab.w >= (width or 8)
         ref = [[F(v, d) for v in row] for row, d in zip(rows, dens)]
         _check_rows(tab, ref)
         for pi, col in picks:
@@ -376,7 +391,7 @@ def test_packed_pivots_match_fractions(monkeypatch, width):
             assert tab.d == abs(fs[pi])
 
     check()
-    if width:
+    if not width:
         assert repacks, "no tableau outgrew its 8-bit lanes"
 
 
@@ -431,10 +446,34 @@ def test_wide_coefficients_widen_lanes(monkeypatch):
     check_dual(A2, b2, c, wide)
 
 
-def test_random_lps_with_narrow_lanes(monkeypatch):
-    # the same properties when every tableau starts at 8-bit lanes and widens
-    monkeypatch.setattr(simplex, "_WIDTH", 8)
+def test_random_lps_with_64_bit_lanes(monkeypatch):
+    # the same properties when every tableau starts at 64-bit lanes, not 8
+    monkeypatch.setattr(simplex, "_WIDTH", 64)
     test_random_lps_certified_and_match_highs()
+
+
+@pytest.mark.parametrize("w", [128, 256])
+def test_wide_lanes_round_trip(monkeypatch, w):
+    # rows packed in lanes wider than a machine word decode to the entries
+    # packed, each as int.from_bytes reads its lane, and pack again the same
+    monkeypatch.setattr(simplex, "_WIDTH", w)
+    entries = st.integers(1 - 2 ** (w - 1), 2 ** (w - 1) - 1)
+    shapes = st.tuples(st.integers(1, 4), st.integers(1, 9))
+
+    @settings(max_examples=100, deadline=None)
+    @given(shapes.flatmap(lambda mn: st.lists(st.lists(entries, min_size=mn[1], max_size=mn[1]),
+                                              min_size=mn[0], max_size=mn[0])))
+    def check(rows):
+        tab, nb = simplex._Tableau(rows, 1), w // 8
+        assert tab.w == w
+        for i, row in enumerate(rows):
+            raw = (tab.X[i] ^ tab.bias).to_bytes(nb * tab.cells, "little")
+            lanes = [int.from_bytes(raw[k:k + nb], "little", signed=True)
+                     for k in range(0, len(raw), nb)]
+            assert tab.row(i) == lanes == row
+        assert tab.pack([v for row in rows for v in row]) == tab.X
+
+    check()
 
 
 def _solve_fractions(M, rhs):
@@ -450,7 +489,7 @@ def _solve_fractions(M, rhs):
     return [row[-1] for row in T]
 
 
-@pytest.mark.parametrize("width", [None, 8])
+@pytest.mark.parametrize("width", [None, 64])
 def test_duals_solve_the_recorded_basis(monkeypatch, width):
     # y read off the final tableau is the one y with y.B = c_B, for the
     # basis the restart records, after cold and warm solves alike
