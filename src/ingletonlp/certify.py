@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import copy
 import itertools
-import multiprocessing
 import os
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import ingen
 from .entspace import (
@@ -182,9 +182,19 @@ class _ConeSystem:
         return self._float_cone
 
     def _exact_solve(self, support: list[int], b_exact):
-        """Exact feasibility solve of sum_j x_j gens[support[j]] = target, x >= 0."""
+        """Exact feasibility solve of sum_j x_j gens[support[j]] = target, x >= 0,
+        over A/g for g the gcd of A's numerators, so that a common factor never
+        reaches the kernel's long divisions.  x scales back by 1/g and a
+        Farkas vector stays one; the crash basis, and so the pivots, may
+        differ from a solve over A itself."""
         A = exact_columns([self.gens[j] for j in support], self.index)
-        return solve_standard(A, b_exact, [0] * len(support))
+        g = gcd(*(v.numerator for row in A for v in row))
+        if g > 1:
+            A = [[v // g if type(v) is int else v / g for v in row] for row in A]
+        res = solve_standard(A, b_exact, [0] * len(support))
+        if g > 1 and res.x is not None:
+            res.x = [v / g for v in res.x]
+        return res
 
     def _exact_decide(self, b_exact):
         """The answer of one exact solve over every generator.
@@ -382,6 +392,7 @@ def _map(job, items: list, workers: int) -> list:
     workers = min(workers, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [job(it) for it in items]
+    import multiprocessing  # only here: a one-worker scan never loads it
     chunk = max(1, len(items) // (workers * 8))
     with multiprocessing.get_context("fork").Pool(
             workers, initializer=_adopt_job, initargs=(job,)) as pool:

@@ -8,25 +8,34 @@ Every terminal status ships checkable data:
   infeasible Farkas vector y with y.A_j <= 0 for every column and y.b > 0
   unbounded  a feasible x plus a ray r >= 0 with A r = 0 and c.r < 0
 
-The kernel is fraction-free and packed (Edmonds, J. Res. NBS 71B, 1967;
-Bareiss, Math. Comp. 22, 1968).  For one shared d > 0, every row holds d
-times its rational row as integers, one Python int with a w-bit lane per
-entry; the objective row also carries its own int_form scale.  A pivot on
-entry p of row r sets each other row i to (|p|.U_i - sgn(p).f_i.U_r) / d
-and d to |p|, and Edmonds' identity makes that division exact in every
-lane, so no gcd runs.  A cold start puts every row over the product of the
-row denominators, as pivoting its starting basis in from d = 1 would.  One
-positive d scales every row alike, so it changes no sign, no order within
-a row and no sign of a cross-multiplied pair of entries: each pivot
-decision, and so each pivot, is the one rational arithmetic would make.
-Inputs may mix ints and Fractions; outputs are Fractions.
+The kernel is revised and fraction-free (Edmonds, J. Res. NBS 71B, 1967;
+Bareiss, Math. Comp. 22, 1968), pricing from the original columns as
+exact LP solvers do (Applegate, Cook, Dash & Espinoza, Oper. Res. Lett.
+35, 2007).  A cold start puts the oriented rows of A over the product D
+of the row denominators, as pivoting the starting basis in from 1 would:
+the integer matrix M, whose start column for row i, its crash column or
+its artificial, is D times unit i.  The tableau pivoted is only the block
+S over those start columns and the rhs, plus the objective row: for one
+shared d > 0 it holds d times B^-1 and B^-1 b, and the full tableau,
+T = S.M/D, is never formed.  Each row of S is one Python int with a w-bit
+lane per entry.  A pivot on entry p of row r sets each other row i to
+(|p|.U_i - sgn(p).f_i.U_r) / d and d to |p|, and Edmonds' identity makes
+that division exact in every lane, so no gcd runs.  Pricing reads P, T's
+objective row on A's columns: a phase sets it to g.M/D, g from the
+objective row's start lanes, one multiply-add per packed row of M, and
+each pivot updates it as it does every row, with the pivot row s.M/D, so
+that big costs take one long multiply per pivot, not one per row.  An
+entering column is S times M's column over D, and a ratio-test tie reads
+T's phase-start basis columns the same way.  One positive d scales
+every row alike, so it changes no sign, no order within a row and no
+sign of a cross-multiplied pair of entries: each pivot decision, and so
+each pivot, is the one rational arithmetic would make.  Inputs may mix
+ints and Fractions; outputs are Fractions.
 
-Each row starts with a unit basis column, its crash column or its
-artificial, and the tableau keeps every such column.  So the final tableau
-holds B^-1 in them: the duals are read off the objective row there, and a
-re-solve with columns appended enters each as B^-1 a into the kept tableau
-and runs phase 2 from the old basis.  That is the B^-1 A a rebuild of the
-basis would give, row for row, so each pivot is the same.
+The final S holds B^-1 in its start lanes: the duals are read off the
+objective row there, and a re-solve with columns appended appends them
+to M alone and runs phase 2 from the old basis, each pivot the one a
+rebuild of B^-1 A would give.
 
 `exact_columns` builds every exact matrix the package hands the solver.
 This is also the package's only float module.  `linprog` is its one way
@@ -48,6 +57,7 @@ from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from itertools import accumulate, chain
 from math import copysign, prod
+from operator import mul
 from types import SimpleNamespace
 
 from .entspace import int_form
@@ -193,7 +203,7 @@ class _Tableau:
     def widen(self, b: int, flat: list[int] | None = None) -> None:
         """Repack every row, or the given entries, in lanes wider than b bits."""
         if flat is None:
-            flat = list(chain.from_iterable(map(self.row, range(len(self.X)))))
+            flat = self.decode(*self.X)
         while self.w <= b:
             self.w *= 2
         self.half = 1 << (self.w - 1)
@@ -216,8 +226,12 @@ class _Tableau:
                 for k in range(0, len(raw), nb)]
 
     def row(self, i: int) -> list[int]:
-        nb = self.w // 8
-        raw = (self.X[i] ^ self.bias).to_bytes(nb * self.cells, "little")
+        return self.decode(self.X[i])
+
+    def decode(self, *xs: int) -> list[int]:
+        """The entries of biased ints packed as these rows are, one after another."""
+        nb, bias = self.w // 8, self.bias
+        raw = b"".join([(x ^ bias).to_bytes(nb * self.cells, "little") for x in xs])
         if self.w > 128:  # lanes this wide decode faster whole than word by word
             return [int.from_bytes(raw[k:k + nb], "little", signed=True)
                     for k in range(0, len(raw), nb)]
@@ -234,16 +248,6 @@ class _Tableau:
         top = (1 << (s + self.w)) - 1  # masking first keeps the shift small
         return [((x & top) >> s) - half for x in self.X]
 
-    def lane(self, i: int, k: int) -> int:
-        s = self.w * k
-        return ((self.X[i] & ((1 << (s + self.w)) - 1)) >> s) - self.half
-
-    def first(self, i: int) -> int:
-        """Index of row i's first nonzero entry, or -1 for a zero row."""
-        x = self.X[i] - self.bias
-        # the lowest set bit of the unbiased row lies in that entry's lane
-        return ((x & -x).bit_length() - 1) // self.w if x else -1
-
     def append(self, row: list[int]) -> None:
         b = _bits(row)
         if b >= self.w:
@@ -256,7 +260,7 @@ class _Tableau:
         del self.X[i], self.bits[i]
 
     def pivot(self, r: int, col: int, fs: list[int]) -> None:
-        """Make column col a unit in row r, fs being `column(col)`; d becomes |fs[r]|."""
+        """Make column col a unit in row r, fs being its entry in every row; d becomes |fs[r]|."""
         p, d = fs[r], self.d
         a, s = abs(p), (1 if p > 0 else -1)
         self.bits[r] = _bits(self.row(r))
@@ -270,19 +274,19 @@ class _Tableau:
     def combine(self, i: int, a: int, r: int, f: int, d: int) -> None:
         """Row i becomes (a.row i - f.row r) / d, which must divide in every lane.
 
-        Only the result must fit a lane.  When it might not, row i is measured
-        first, since bounds carried from pivot to pivot ratchet up; row r's
-        bound stands as it is, which `pivot` measures once per pivot.
+        Only the result must fit a lane: no entry is longer than the bit
+        length of (a.2^bits[i] + |f|.2^bits[r]) / d.  When that might not fit,
+        row i is measured first, since bounds carried from pivot to pivot
+        ratchet up; row r's bound stands as it is, which `pivot` measures
+        once per pivot.
         """
         bits = self.bits
-        for measured in (False, True):
-            top = max(bits[i] + a.bit_length(), bits[r] + f.bit_length() if f else 0)
-            b = max(top + 2 - d.bit_length(), 0)
-            if b < self.w or measured:
-                break
-            bits[i] = _bits(self.row(i))
+        b = (((a << bits[i]) + (abs(f) << bits[r])) // d).bit_length()
         if b >= self.w:
-            self.widen(b)
+            bits[i] = _bits(self.row(i))
+            b = (((a << bits[i]) + (abs(f) << bits[r])) // d).bit_length()
+            if b >= self.w:
+                self.widen(b)
         x = a * self.X[i] - f * self.X[r] + self.bias * (f - a)  # unbiased
         if d != 1:
             x, rest = divmod(x, d)
@@ -291,15 +295,94 @@ class _Tableau:
         self.X[i], bits[i] = x + self.bias, b
 
 
+class _System:
+    """The cold start's integer matrix M over its denominator D, and its costs.
+
+    M holds A's rows, oriented, over D, and its start columns are D times a
+    unit, so a tableau S over the start columns stands for T = S.M/D; ratio
+    tests read T's phase-start basis columns through one over those columns
+    of M alone.  `tab`
+    packs M's rows, then P, T's objective row on A's columns, and then D
+    times the cost ints once pricing first weights them; `cols` keeps each
+    column's nonzero (row, entry) pairs, for entering columns.
+    """
+
+    def __init__(self, rows: list[list[int]], D: int, cost: list[int]):
+        self.rows, self.D, self.cost = rows, D, [D * z for z in cost]
+        self.cols = [[(k, v) for k, v in enumerate(col) if v] for col in zip(*rows)]
+        # no entry of g.M is longer than max |g| times its column's sum of
+        # |entries|, plus the cost row's weight times max |D.cost|
+        self.l1 = max((sum(abs(v) for _k, v in col) for col in self.cols), default=0)
+        self.zmax = max(map(abs, self.cost), default=0)
+        self.tab = _Tableau(rows + [[0] * len(cost)], D) if cost else None
+
+    def row(self, g: list[int], w: int = 0) -> tuple[int, int]:
+        """(g.M + w.D.cost)/D packed in `tab`'s lanes, which must divide
+        exactly, and a bound on its entries' bits."""
+        tab, m = self.tab, len(self.rows)
+        if w and len(tab.X) == m + 1:
+            tab.append(self.cost)
+        b = (max(map(abs, g)) * self.l1 + abs(w) * self.zmax).bit_length()
+        if b >= tab.w:  # lanes sized from that bound, so nothing is measured
+            tab.widen(b)
+        x = sum(map(mul, g, tab.X)) - tab.bias * sum(g)  # unbiased
+        x, rest = divmod(x + w * (tab.X[m + 1] - tab.bias) if w else x, self.D)
+        if rest:
+            raise RuntimeError("a row of T does not divide by the start denominator")
+        return x + tab.bias, b
+
+    def price(self, g: list[int], w: int) -> list[int]:
+        """Set P to (g.M + w.D.cost)/D and return its entries."""
+        if self.tab is None:
+            return []
+        tab, m = self.tab, len(self.rows)
+        tab.X[m] = self.row(g, w)[0]
+        priced = tab.row(m)
+        tab.bits[m] = _bits(priced)
+        return priced
+
+    def update(self, s: list[int], a: int, f: int, d: int) -> list[int]:
+        """Pivot P as the tableau's rows are, to (a.P - f.(s.M/D))/d, s being
+        the pivot row's start lanes; return P's entries."""
+        if self.tab is None:
+            return []
+        tab, m = self.tab, len(self.rows)
+        x, b = self.row(s)
+        tab.X.append(x)
+        tab.bits.append(b)
+        tab.combine(m, a, len(tab.X) - 1, f, d)
+        tab.drop(len(tab.X) - 1)
+        return tab.row(m)
+
+    def first(self, g: list[int]) -> int:
+        """The index of the first nonzero entry of g.M, or -1 for none."""
+        x = self.row(g)[0] - self.tab.bias if self.tab else 0
+        # the lowest set bit of the unbiased row lies in that entry's lane
+        return ((x & -x).bit_length() - 1) // self.tab.w if x else -1
+
+    def column(self, S: list[int], w: int, q: int, rows: int) -> list[int]:
+        """Column q of S.M/D in S's first `rows` rows, S being the entries of
+        w lanes a row, one row after another; each must divide by D."""
+        fs = [0] * rows
+        for k, v in self.cols[q]:
+            fs = [f + v * s for f, s in zip(fs, S[k::w])]
+        if self.D != 1:
+            if any(f % self.D for f in fs):
+                raise RuntimeError("an entering column does not divide by the start denominator")
+            fs = [f // self.D for f in fs]
+        return fs
+
+
 @dataclass(frozen=True, repr=False)  # its tableau and copy of A are large
 class _Restart:
-    """An optimal tableau without its objective row, to re-solve from.
+    """An optimal tableau over the start lanes without its objective row, to re-solve from.
 
-    Row pos of tab is unit at column basis[pos].  Row i of A was oriented
-    by sign[i] and started with the unit column start[i], its crash column
-    or its artificial.  A and b are copies of the system solved.
+    Row pos of tab is unit at column basis[pos] of T = tab.M/D.  Row i of A
+    was oriented by sign[i] and started with the unit column start[i], its
+    crash column or its artificial.  A and b are copies of the system solved.
     """
     tab: _Tableau
+    M: _System
     basis: list[int]
     start: list[int]
     sign: list[int]
@@ -307,28 +390,23 @@ class _Restart:
     A: list[list]
     b: list
 
-    def resume(self, A: list[list], b: list, nc: int) -> tuple[_Tableau, list[int]] | None:
-        """The tableau with A's appended columns entered as B^-1 a, and start to match.
+    def resume(self, A: list[list], b: list, cost: list[int]) -> tuple[_System, _Tableau] | None:
+        """M with A's appended columns and the new cost ints, and a copy of tab to pivot.
 
         None unless b is equal and every row of A starts with the old row.
-        Column start[i] holds B^-1 e_i of the oriented rows, so an appended
-        column a enters row pos as the sum of T[pos][start[i]] a_i over a's
-        nonzero entries.  Its lanes go before the artificial and rhs lanes.
+        Each row's appended entries are over their own denominator; their
+        product g, not their lcm, keeps every division exact, as in a cold
+        start, once M, D, the tableau and its d all scale by g.
         """
         if list(b) != self.b or len(A) != len(self.A) or any(
                 list(row[:len(old)]) != old for row, old in zip(A, self.A)):
             return None
-        m, tab, old = len(A), self.tab, self.tab.cells - self.n_art - 1
-        # each row's appended entries over its own denominator; the product
-        # of these, not their lcm, keeps every division exact, as in a cold start
-        new = [int_form([s * a for a in row[old:nc]]) for s, row in zip(self.sign, A)]
-        g = prod(den for _vals, den in new)
-        cols = [[(self.start[i], vals[k] * (g // den)) for i, (vals, den) in enumerate(new)
-                 if vals[k]] for k in range(nc - old)]
-        T = [[v * g for v in row[:old]] + [sum(row[j] * a for j, a in col) for col in cols]
-             + [v * g for v in row[old:]] for row in map(tab.row, range(m))]
-        start = [j + nc - old if j >= old else j for j in self.start]
-        return _Tableau(T, tab.d * g), start
+        M, old = self.M, len(self.M.cols)
+        new = [int_form([s * a for a in row[old:len(cost)]]) for s, row in zip(self.sign, A)]
+        g, tab = prod(den for _vals, den in new), self.tab
+        return (_System([[v * g for v in row] + [M.D * v * (g // den) for v in vals]
+                         for row, (vals, den) in zip(M.rows, new)], M.D * g, cost),
+                _Tableau([[g * v for v in tab.row(i)] for i in range(len(A))], tab.d * g))
 
 
 def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None) -> LPResult:
@@ -343,10 +421,12 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
                 return LPResult("unbounded", x=[Fraction(0)] * nc, ray=ray)
         return LPResult("optimal", x=[Fraction(0)] * nc, objective=Fraction(0), y=[])
 
-    resumed = warm.resume(A, b, nc) if isinstance(warm, _Restart) else None
+    cost = int_form(list(c))[0]
+    resumed = warm.resume(A, b, cost) if isinstance(warm, _Restart) else None
     if resumed is not None:
-        tab, start = resumed
+        (M, tab), old = resumed, len(warm.M.cols)
         basis, sign, n_art = list(warm.basis), warm.sign, warm.n_art
+        start = [j + nc - old if j >= old else j for j in warm.start]
     else:
         # row i of A x = b as ints over dens[i], rhs last, oriented to rhs >= 0
         rows, dens = zip(*(int_form(list(A[i]) + [b[i]]) for i in range(m)))
@@ -374,18 +454,14 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
                 basis[i] = nc + n_art
                 n_art += 1
 
-        # tableau rows carry the rhs in the last slot, over the product of
-        # the row denominators, so that every division is exact
-        d = prod(dens)
-        T = [[v * (d // den) for v in row[:nc]] + [0] * n_art + [row[nc] * (d // den)]
-             for row, den in zip(rows, dens)]
-        for i, j in enumerate(basis):
-            if j >= nc:
-                T[i][j] = d
-        tab = _Tableau(T, d)
+        # M's rows over the product of the row denominators, so that every
+        # division is exact; the tableau starts as D.I beside the rhs
+        D = prod(dens)
+        M = _System([[v * (D // den) for v in row[:nc]] for row, den in zip(rows, dens)], D, cost)
+        tab = _Tableau([[0] * i + [D] + [0] * (m - i - 1) + [row[nc] * (D // den)]
+                        for i, (row, den) in enumerate(zip(rows, dens))], D)
         start = list(basis)
 
-    ncols = nc + n_art
     pivots = [0, 0]  # run_phase's, in phase 1 and in phase 2
 
     def result(status: str, **fields) -> LPResult:
@@ -394,43 +470,42 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
     def duals(z: int, dz: int, cvec: list) -> list[Fraction]:
         """y with y.B = c_B for the current basis B, read off objective row z over d.dz.
 
-        Column start[i] holds B^-1 e_i of the oriented rows, so its reduced
-        cost is cvec[start[i]] minus the oriented dual of row i.  A row
-        deleted as dependent gets 0: its artificial costs 0 and is zero in
-        every row left.
+        Lane i holds B^-1 e_i of the oriented rows, column start[i] of T, so
+        its reduced cost is cvec[start[i]] minus the oriented dual of row i.
+        A row deleted as dependent gets 0: its artificial costs 0 and is
+        zero in every row left.
         """
         Z, den = tab.row(z), tab.d * dz
-        return [s * (cvec[j] - Fraction(Z[j], den)) for s, j in zip(sign, start)]
+        return [s * (cvec[j] - Fraction(Z[k], den)) for k, (s, j) in enumerate(zip(sign, start))]
 
-    def zrow(cvec: list) -> tuple[int, int]:
-        """Append the objective row reduced against the basis, rhs last.
+    def zrow(cvec: list) -> tuple[int, int, list[int]]:
+        """Append the objective row reduced against the basis, rhs lane m.
 
         It sits below the basis rows, so every pivot clears it too.  Returns
-        its index and dz, cvec's int_form scale: it holds d.dz times the reduced costs.
+        its index, dz, cvec's int_form scale, and the ints over dz: the row
+        holds d.dz times the reduced costs of T's columns in its lanes.
         """
         Z, dz = int_form(cvec + [0])
         z = len(basis)
-        tab.append([v * tab.d for v in Z])
+        tab.append([v * tab.d for v in [Z[j] for j in start] + [0]])
         for pos, j in enumerate(basis):
             if Z[j]:  # row pos holds d where row z holds d.Z[j]
                 tab.combine(z, 1, pos, Z[j], 1)
-        return z, dz
+        return z, dz, Z
 
-    def run_phase(z: int, phase: int) -> int | None:
-        """Pivot to optimality; returns an entering column on unboundedness.
+    def run_phase(z: int, phase: int, Z: list[int]) -> tuple[int, list[int]] | None:
+        """Pivot to optimality; returns an entering column and its entries on unboundedness.
 
-        Leaving rows follow the lexicographic ratio rule, comparing rhs
-        first and then a fixed column order that starts with the phase's
-        initial basis.  The basis columns form an identity at phase
-        start, so every row begins lexicographically positive and no
+        Each column of T is priced as g.M/D + d.Z at phase start, where g is
+        the objective row's start lanes less d.Z there, and then kept up to
+        date pivot by pivot.  Leaving rows follow the lexicographic ratio
+        rule, comparing rhs first and then a fixed column order that starts
+        with the phase's initial basis; ties read those columns of T from S
+        and M.  They form an identity at phase start, so every row begins
+        lexicographically positive, no two rows tie on all of them, and no
         basis can repeat, which rules out cycling on degenerate pivots.
         Artificial columns never re-enter.
         """
-        in_basis = [False] * ncols
-        for j in basis:
-            in_basis[j] = True
-        order = list(basis) + [j for j in range(ncols) if not in_basis[j]]
-
         def lex_less(i: int, j: int) -> bool:
             # rows i and j share one positive denominator, so the sign of
             # each cross-multiplied numerator decides
@@ -438,48 +513,59 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
             d = rhs[i] * vj - rhs[j] * vi
             if d != 0:
                 return d < 0
-            ti, tj = tied(i), tied(j)
-            for k in order:
-                d = ti[k] * vj - tj[k] * vi
+            for ti, tj in zip(tied(i), tied(j)):
+                d = ti * vj - tj * vi
                 if d != 0:
                     return d < 0
-            return False
+            # those columns are independent, so only a wrong tableau gets here
+            raise RuntimeError("two tableau rows tie on the phase-start basis")
 
+        # T's phase-start basis columns are S's start lanes when the phase
+        # starts from the start basis, else S times E/D, E being those of M
+        E = None if basis == start else _System(
+            [[row[j] for j in basis] for row in M.rows], M.D, [0] * len(basis))
+        # phase 2 adds D.c weighted by d: phase 1's Z is 0 on A's columns
+        Zs, d = tab.row(z), tab.d
+        priced = M.price([Zs[k] - d * Z[j] for k, j in enumerate(start)], d * phase)
         while True:
             # Dantzig pricing, lowest index on ties
-            priced = tab.row(z)[:nc]
             best = min(priced, default=0)
             if best >= 0:
                 return None
             enter = priced.index(best)
-            # each row decoded for a tie is kept for the rest of this ratio test
-            fs, rhs, tied = tab.column(enter), tab.column(ncols), functools.cache(tab.row)
+            S, w = tab.decode(*tab.X), tab.cells  # every row, one after another
+            fs, rhs = M.column(S, w, enter, z) + [best], S[m::w]
+            tied = ((lambda i: S[i * w:i * w + m]) if E is None else
+                    functools.cache(lambda i: E.tab.decode(E.row(S[i * w:i * w + m])[0])))
             leave = -1
             for i in range(z):
                 if fs[i] > 0 and (leave < 0 or lex_less(i, leave)):
                     leave = i
             if leave < 0:
-                return enter
+                return enter, fs
+            p, d = fs[leave], tab.d
+            s_r = S[leave * w:leave * w + m]
             tab.pivot(leave, enter, fs)
+            priced = M.update(s_r, abs(p), best if p > 0 else -best, d)
             basis[leave] = enter
             pivots[phase] += 1
 
     if resumed is None and n_art:
         pcost = [0] * nc + [1] * n_art
-        z, dz = zrow(pcost)
+        z, dz, Z = zrow(pcost)
         # the auxiliary objective is bounded below by zero
-        if run_phase(z, 0) is not None:
+        if run_phase(z, 0, Z) is not None:
             raise RuntimeError("phase 1 reported an unbounded auxiliary objective")
-        if tab.lane(z, ncols) < 0:
+        if tab.row(z)[m] < 0:
             return result("infeasible", y=duals(z, dz, pcost))
         tab.drop(z)
         # drive artificials out of the basis, deleting dependent rows
         pos = 0
         while pos < len(basis):
             if basis[pos] >= nc:
-                pj = tab.first(pos)
-                if 0 <= pj < nc:
-                    tab.pivot(pos, pj, tab.column(pj))
+                pj = M.first(tab.row(pos)[:m])
+                if pj >= 0:
+                    tab.pivot(pos, pj, M.column(tab.decode(*tab.X), tab.cells, pj, len(basis)))
                     basis[pos] = pj
                 else:
                     tab.drop(pos)
@@ -488,16 +574,17 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
             pos += 1
 
     ext_cost = list(c) + [0] * n_art
-    nr, dz = zrow(ext_cost)
-    hit = run_phase(nr, 1)
+    nr, dz, Z = zrow(ext_cost)
+    hit = run_phase(nr, 1, Z) if any(cost) else None  # with every cost 0 every basis is optimal
 
     x = [Fraction(0)] * nc
-    for i, v in enumerate(tab.column(ncols)[:nr]):
+    for i, v in enumerate(tab.column(m)[:nr]):
         x[basis[i]] = Fraction(v, tab.d)
     if hit is not None:
+        enter, fs = hit
         ray = [Fraction(0)] * nc
-        ray[hit] = Fraction(1)
-        for i, v in enumerate(tab.column(hit)[:nr]):
+        ray[enter] = Fraction(1)
+        for i, v in enumerate(fs[:nr]):
             if v != 0:
                 ray[basis[i]] = Fraction(-v, tab.d)
         return result("unbounded", x=x, ray=ray)
@@ -507,4 +594,4 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
     tab.drop(nr)
     # a deleted row could turn independent once columns are appended
     return result("optimal", x=x, objective=objective, y=y, warm=None if len(basis) < m else
-                  _Restart(tab, basis, start, sign, n_art, [list(row) for row in A], list(b)))
+                  _Restart(tab, M, basis, start, sign, n_art, [list(row) for row in A], list(b)))

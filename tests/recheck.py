@@ -5,7 +5,9 @@ bitmask m, and index 0 (the empty set) is 0.  Nothing here uses the
 package's expressions, points, evaluators or parsers; the Ingleton form is
 spelled afresh as J = I(1;2|3) + I(1;2|4) + I(3;4) - I(1;2).
 `certificate_holds`, `witness_holds` and `bound_result_holds` are the
-yes/no answers that the package's verifiers are judged against.
+yes/no answers that the package's verifiers are judged against, and
+`simplex_steps` is the pivot-by-pivot run the exact simplex is judged
+against.
 """
 
 import re
@@ -263,3 +265,127 @@ def bound_result_holds(sense: str, objective: list, rows: list, forms, status: s
         return comb is not None and not any(comb[0]) and comb[1] > 0
     return (status == "unbounded" and meets(primal, False) and meets(ray, True)
             and s * value(objective, ray) > 0)
+
+
+# ---------------------------------------------------------------------------
+# the exact simplex's pivot rules, on a dense Fraction tableau
+
+
+def _eliminate(T: list, r: int, q: int) -> None:
+    """Gauss-Jordan on entry (r, q): row r is scaled to 1 there, every other row to 0."""
+    T[r] = [v / T[r][q] for v in T[r]]
+    for i, row in enumerate(T):
+        if i != r and row[q]:
+            T[i] = [a - row[q] * v for a, v in zip(row, T[r])]
+
+
+def simplex_steps(A: list, b: list, c: list, restart: dict | None = None) -> dict:
+    """min c.x subject to A x = b, x >= 0, by the exact simplex's pivot rules.
+
+    Rows are oriented to rhs >= 0.  A crash basis takes, column by column,
+    each column of A with one nonzero, a 1, in a row that has none yet; a -1
+    counts on a zero-rhs row, which is then negated.  Every other row gets
+    an artificial column, in row order after A's.  Pricing is Dantzig's over
+    A's columns, lowest index on ties.  The leaving row has the least
+    positive-entry ratio rhs/entry, ties broken by each row over its
+    entering entry, compared column by column: the basis the phase started
+    from, in row order, then every other column in index order; the first
+    such row wins.  After phase 1 each basic artificial leaves for the
+    first nonzero column of A in its row, or the row is deleted.
+
+    Returns status, x, y (duals, or the Farkas vector), ray, the (row,
+    column) of every pivot, the ratio-test pivots per phase, and, when
+    optimal with every row kept, restart data: handed back with columns
+    appended to A and b unchanged, phase 2 starts from that basis.
+    """
+    m, nc = len(A), len(c)
+    out = {"status": "optimal", "x": None, "y": None, "ray": None, "steps": [],
+           "pivots": [0, 0], "restart": None}
+    if m == 0:
+        out["x"] = [Fraction(0)] * nc
+        neg = [j for j in range(nc) if c[j] < 0]
+        if neg:
+            out["status"], out["ray"] = "unbounded", [Fraction(j == neg[0]) for j in range(nc)]
+        else:
+            out["y"] = []
+        return out
+    sign = list(restart["sign"]) if restart else [-1 if v < 0 else 1 for v in b]
+    rows = [[s * Fraction(v) for v in row] + [s * Fraction(r)] for s, row, r in zip(sign, A, b)]
+    if restart:
+        crash = restart["crash"]
+    else:
+        crash = [None] * m
+        for j in range(nc):
+            nonzero = [i for i in range(m) if rows[i][j]]
+            if len(nonzero) != 1 or crash[nonzero[0]] is not None:
+                continue
+            i = nonzero[0]
+            if rows[i][j] == -1 and rows[i][nc] == 0:
+                rows[i], sign[i] = [-v for v in rows[i]], -sign[i]
+            if rows[i][j] == 1:
+                crash[i] = j
+    arts = [i for i in range(m) if crash[i] is None]
+    start = [nc + arts.index(i) if j is None else j for i, j in enumerate(crash)]
+    ncols = nc + len(arts)
+    T = [row[:nc] + [Fraction(i == k) for k in arts] + row[nc:] for i, row in enumerate(rows)]
+    basis = list(restart["basis"]) if restart else list(start)
+    if restart:  # T becomes B^-1 T for that basis
+        for pos, q in enumerate(basis):
+            r = next(i for i in range(pos, m) if T[i][q])
+            T[pos], T[r] = T[r], T[pos]
+            _eliminate(T, pos, q)
+
+    def pivot(r: int, q: int) -> None:
+        out["steps"].append((r, q))
+        _eliminate(T, r, q)
+        basis[r] = q
+
+    def duals(cost: list) -> list:
+        return [s * sum(cost[j] * T[p][start[i]] for p, j in enumerate(basis))
+                for i, s in enumerate(sign)]
+
+    def run(cost: list, phase: int) -> int | None:
+        order = basis + [j for j in range(ncols) if j not in basis]
+        while True:
+            reduced = [cost[q] - sum(cost[j] * T[p][q] for p, j in enumerate(basis))
+                       for q in range(nc)]
+            if not reduced or min(reduced) >= 0:
+                return None
+            q = reduced.index(min(reduced))
+            rows_in = [i for i in range(len(basis)) if T[i][q] > 0]
+            if not rows_in:
+                return q
+            pivot(min(rows_in, key=lambda i: [T[i][-1] / T[i][q]]
+                      + [T[i][k] / T[i][q] for k in order]), q)
+            out["pivots"][phase] += 1
+
+    if arts and not restart:
+        cost = [0] * nc + [1] * len(arts)
+        if run(cost, 0) is not None:
+            raise AssertionError("phase 1 is bounded below by 0")
+        if sum(cost[j] * T[p][-1] for p, j in enumerate(basis)) > 0:
+            out["status"], out["y"] = "infeasible", duals(cost)
+            return out
+        pos = 0
+        while pos < len(basis):
+            if basis[pos] >= nc:
+                q = next((j for j in range(nc) if T[pos][j]), None)
+                if q is None:
+                    del T[pos], basis[pos]
+                    continue
+                pivot(pos, q)
+            pos += 1
+    cost = list(c) + [0] * len(arts)
+    hit = run(cost, 1)
+    out["x"] = [Fraction(0)] * nc
+    for p, j in enumerate(basis):
+        out["x"][j] = T[p][-1]
+    if hit is not None:
+        out["status"], out["ray"] = "unbounded", [Fraction(j == hit) for j in range(nc)]
+        for p, j in enumerate(basis):
+            out["ray"][j] -= T[p][hit]
+        return out
+    out["y"] = duals(cost)
+    if len(basis) == m:
+        out["restart"] = {"sign": sign, "crash": crash, "basis": basis}
+    return out

@@ -472,14 +472,20 @@ def _report_sha256(problem, res):
     return hashlib.sha256(bound.format_bound_report(problem, res).encode()).hexdigest()
 
 
+def _steps_sha256(steps):
+    """sha256 of the (row, column) pairs the tableau pivoted on, in order."""
+    return hashlib.sha256(str(steps).encode()).hexdigest()
+
+
 def test_butterfly_network_rate(monkeypatch):
     # coded relay: both receivers recover both unit sources through
     # capacity-one middles, total rate 2
-    pivots, per_solve = [0], []
+    pivots, per_solve, steps = [0], [], []
     real_pivot, real_solve = simplex._Tableau.pivot, bound.solve_standard
 
     def pivot(self, *args):
         pivots[0] += 1
+        steps.append(args[:2])
         real_pivot(self, *args)
 
     def solve(*args, **kwargs):
@@ -512,16 +518,20 @@ sink t2 wants s1,s2 sees b,m2
     # goes to a second dual solve or to rebuilding the previous basis
     assert per_solve == [(692, False), (7, True), (5, True)]
     assert pivots[0] == 704
+    # and so is the (row, column) of every pivot, warm solves included
+    assert _steps_sha256(steps) == (
+        "88759543dcc5909cc20916006066c0cb72aa3a3cd3431698884f87a0c06227fd")
 
 
 def test_butterfly5_report_bytes(monkeypatch):
     # the butterfly without relays m1, m2 (n=5): one exact solve over all
     # 205 Delta columns, cheap enough to lock on every run
-    pivots, solved = [0], []
+    pivots, solved, steps = [0], [], []
     real_pivot, real_solve = simplex._Tableau.pivot, bound.solve_standard
 
     def pivot(self, *args):
         pivots[0] += 1
+        steps.append(args[:2])
         real_pivot(self, *args)
 
     def solve(*args, **kwargs):
@@ -548,6 +558,8 @@ sink t2 wants s1,s2 sees b,m
     # needs a lane wider than 32 bits
     [lp] = solved
     assert lp.pivots == (79, 50) and sum(lp.pivots) == pivots[0] == 129
+    assert _steps_sha256(steps) == (
+        "61d2c73c4207d30962f44fd4ed7d22e133e0f65bffc7e9298c518529a7c6ef1d")
     assert lp.width <= max(simplex._WIDTH, 32)
 
 

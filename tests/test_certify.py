@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import multiprocessing
 import os
 import random
 import subprocess
@@ -512,7 +513,7 @@ def test_map_forks_no_more_workers_than_items_or_cpus(monkeypatch):
         def map(self, fn, items, chunksize):
             return [fn(it) for it in items]
 
-    monkeypatch.setattr(certify.multiprocessing, "get_context",
+    monkeypatch.setattr(multiprocessing, "get_context",
                         lambda method: SimpleNamespace(Pool=Pool))
     monkeypatch.setattr(certify, "_job", None)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -899,6 +900,32 @@ def test_guards_survive_optimize_flag():
         "    bad = EntropyVector.over(3, h.nums, h.den * (1 + abs(h.nums[6])))\n"
         "    if bound.verify_bound_result(problem, replace(result, primal=bad)):\n"
         "        raise SystemExit(1)\n"
+        "from ingletonlp import simplex\n"
+        "init, pivot, append = (simplex._System.__init__, simplex._Tableau.pivot,\n"
+        "                       simplex._Tableau.append)\n"
+        "def then_tamper(real, row):  # the row just pivoted or appended, off by one\n"
+        "    def tampered(self, *args):\n"
+        "        real(self, *args)\n"
+        "        self.X[row] += 1\n"
+        "    return tampered\n"
+        "for D, patch, guard in ((1, {}, 'entering column'),\n"
+        "                        (0, {'pivot': then_tamper(pivot, 0)}, 'entering column'),\n"
+        "                        (0, {'append': then_tamper(append, -1)}, 'row of T')):\n"
+        "    # a wrong start denominator, a basis row after a pivot, or the\n"
+        "    # objective row before pricing; D is 6 for these rows\n"
+        "    simplex._System.__init__ = (\n"
+        "        lambda self, rows, d, *rest, D=D: init(self, rows, d + D, *rest))\n"
+        "    simplex._Tableau.pivot = patch.get('pivot', pivot)\n"
+        "    simplex._Tableau.append = patch.get('append', append)\n"
+        "    try:\n"
+        "        simplex.solve_standard([[Fraction(1, 2), 1, 1, 0], [Fraction(1, 3), 3, 0, 1]],\n"
+        "                               [4, 6], [-1, -2, 0, 0])\n"
+        "        raise SystemExit(1)\n"
+        "    except RuntimeError as e:\n"
+        "        if guard not in str(e):\n"
+        "            raise SystemExit(1)\n"
+        "simplex._System.__init__, simplex._Tableau.pivot = init, pivot\n"
+        "simplex._Tableau.append = append\n"
         "target = ingleton_expr(IngletonQuad(3, 1, 2, 0, 4))\n"
         "certify.verify_certificate = lambda *args: False\n"
         "try:\n"

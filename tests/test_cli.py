@@ -621,15 +621,17 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     assert codes == [0, 0, 0]
     assert seen[0] == seen[1] == (base, False)
     assert seen[2] == (sorted(base + ["ingletonlp.bound", "ingletonlp.simplex"]), False)
-    # certify imports bound only for the violator, which the drop-one scan never runs
+    # certify imports bound only for the violator, which the drop-one scan never
+    # runs, and multiprocessing only to fork workers, which one worker never does
     code = (
         "import sys\n"
         "import ingletonlp.cli as cli\n"
         "code = cli.main(['check-minimality', '--n', '3'])\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('ingletonlp'))\n"
-        "sys.stderr.write(repr((code, loaded)))\n")
+        "sys.stderr.write(repr((code, loaded, 'multiprocessing' in sys.modules)))\n")
     _out, err = _child(code)
-    assert ast.literal_eval(err) == (0, sorted(base + ["ingletonlp.certify", "ingletonlp.simplex"]))
+    assert ast.literal_eval(err) == (
+        0, sorted(base + ["ingletonlp.certify", "ingletonlp.simplex"]), False)
 
 
 def test_violator_witness_leaves_the_float_stack_unloaded():

@@ -1,5 +1,6 @@
 """Exact simplex: status contracts, degeneracy, warm restarts."""
 
+from collections import Counter
 from fractions import Fraction
 
 from ingletonlp.simplex import LPResult, solve_standard
@@ -521,6 +522,76 @@ def test_duals_solve_the_recorded_basis(monkeypatch, width):
 
     check()
     assert len(checked) > 30, "too few optimal solves kept a restart"
+
+
+# ---------------------------------------------------------------------------
+# every pivot against a dense Fraction oracle that shares no code with the package
+
+from recheck import simplex_steps  # noqa: E402
+
+_entries = st.sampled_from([0, 0, 0, 1, 1, -1, 2, -2, F(1, 2), F(-1, 3), F(3, 2), F(2, 5)])
+
+
+@st.composite
+def oracle_lps(draw):
+    """Sparse rational LPs, half of them feasible by construction and zero rhs
+    entries making many degenerate, with some rows repeated up to scale and
+    columns to append for a warm re-solve."""
+    m, nc = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    A = [draw(st.lists(_entries, min_size=nc, max_size=nc)) for _ in range(m)]
+    if draw(st.booleans()):  # b = A x0 for some x0 >= 0
+        x0 = draw(st.lists(st.sampled_from([0, 0, 1, 2, F(1, 2)]), min_size=nc, max_size=nc))
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    else:
+        b = draw(st.lists(_entries, min_size=m, max_size=m))
+    for _ in range(draw(st.integers(0, 1))):
+        k, s = draw(st.integers(0, m - 1)), draw(st.sampled_from([F(1), F(-2), F(1, 3)]))
+        A.append([s * v for v in A[k]])
+        b.append(s * b[k])
+    c = draw(st.lists(_entries, min_size=nc, max_size=nc))
+    extra = draw(st.lists(st.lists(_entries, min_size=len(A) + 1, max_size=len(A) + 1),
+                          min_size=1, max_size=3))
+    return A, b, c, extra
+
+
+def test_pivots_match_a_dense_fraction_oracle(monkeypatch):
+    # the same (row, column) pivots, per-phase counts, status, x, y and ray as a
+    # dense two-phase simplex with the same rules, cold and warm with columns
+    # appended
+    steps = []
+    real_pivot = simplex._Tableau.pivot
+
+    def pivot(self, r, col, fs):
+        steps.append((r, col))
+        real_pivot(self, r, col, fs)
+    monkeypatch.setattr(simplex._Tableau, "pivot", pivot)
+    seen = Counter()
+
+    def agree(A, b, c, warm=None, restart=None):
+        steps.clear()
+        res = solve_standard(A, b, c, warm=warm)
+        want = simplex_steps(A, b, c, restart)
+        assert (res.status, steps, list(res.pivots)) == (want["status"], want["steps"], want["pivots"])
+        assert (res.x, res.y, res.ray) == (want["x"], want["y"], want["ray"])
+        assert (res.warm is None) == (want["restart"] is None)
+        seen[res.status, warm is not None] += 1
+        # a basic variable at 0: a degenerate vertex
+        seen["degenerate"] += res.warm is not None and any(res.x[j] == 0 for j in res.warm.basis)
+        return res, want
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(oracle_lps())
+    def check(lp):
+        A, b, c, extra = lp
+        res, want = agree(A, b, c)
+        if res.warm is not None:
+            A2 = [row + [col[i] for col in extra] for i, row in enumerate(A)]
+            agree(A2, b, c + [col[-1] for col in extra], res.warm, want["restart"])
+
+    check()
+    assert min(seen[status, False] for status in ("optimal", "infeasible", "unbounded")) >= 20, seen
+    assert seen["optimal", True] >= 25 and seen["unbounded", True] >= 2, seen
+    assert seen["degenerate"] >= 30, seen
 
 
 # ---------------------------------------------------------------------------
