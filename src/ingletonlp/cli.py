@@ -207,9 +207,9 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     members = bound_mod.cone_members(problem.n, problem.cone, budget=budget)
     result = bound_mod.solve_bound(problem, members=members)
     text = bound_mod.format_bound_report(problem, result, members=members)
-    sys.stdout.write(text)
-    if args.out:
+    if args.out:  # first, so an unwritable file leaves stdout empty
         Path(args.out).write_text(text, encoding="ascii")
+    sys.stdout.write(text)
     return 0
 
 

@@ -2,10 +2,11 @@
 
 The coordinate space for a ground set {1..n} has one axis per nonempty
 subset.  Subsets are int bitmasks (bit k-1 = element k), coefficients and
-point values are exact rationals (int or fractions.Fraction), and the
-empty set always evaluates to zero and is never stored.  A point is int
-numerators over one positive denominator (`int_form`, which also builds the
-exact simplex rows), so evaluating is one int dot product divided once.
+point values are exact rationals (int or fractions.Fraction), and the empty
+set always evaluates to zero and is never stored.  A point is int numerators
+over one positive denominator (`int_form`, which also builds the exact
+simplex rows), so evaluating is one int dot product divided once.  `Lanes`
+is the one packed-lane format, for `MemberTable` and the simplex.
 
 `ingleton_masks` and `mutinfo_terms` are the only spelling of the ten-term
 form J and of I(a; b | d), here and in `ingen`; `_combine` is the only
@@ -20,6 +21,8 @@ import copy
 import functools
 import math
 import re
+import sys
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,6 +42,63 @@ def int_form(values: Sequence[Rational]) -> tuple[list[int], int]:
         return list(values), 1
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+class Lanes:
+    """The packed-lane format: a row of `cells` ints r_k, |r_k| < 2^(w-1), as one int.
+
+    A row packs as bias + sum r_k 2^(w k): `bias` puts 2^(w-1) in every lane, so
+    lane k's top bit is set iff r_k >= 0, and int combinations of packed rows,
+    less their bias, read off lane by lane, without borrows, while entries fit.
+    """
+
+    _CODES = {array(code).itemsize * 8: code for code in "bhiq"}  # lane width -> typecode
+
+    def __init__(self, w: int, cells: int):
+        self.w, self.cells = w, cells
+        self.bias = (1 << (w - 1)) * ((1 << (w * cells)) - 1) // ((1 << w) - 1)
+
+    @staticmethod
+    def fit(b: int) -> int:
+        """The least of 8, 16, 32, ... above b: the width whose lanes hold any entry of b bits."""
+        return max(8, 1 << b.bit_length())
+
+    def zeros(self) -> array | dict:
+        """A row of zero lanes to set lane by lane and `encode`; above 64 bits, a dict."""
+        code = self._CODES.get(self.w)
+        return array(code, bytes(self.w // 8 * self.cells)) if code else {}
+
+    def encode(self, entries: list[int] | array | dict) -> list[int]:
+        """Each run of `cells` entries as one packed row; entries is flat or a row of `zeros`."""
+        nb = self.w // 8
+        if self.w in self._CODES:
+            a = array(self._CODES[self.w], entries)
+            if sys.byteorder == "big":  # lanes are packed little-endian
+                a.byteswap()
+            raw = a.tobytes()
+        elif isinstance(entries, dict):  # a wide `zeros` row: only its lanes set
+            raw = bytearray(nb * self.cells)
+            for k, v in entries.items():
+                raw[k * nb:(k + 1) * nb] = v.to_bytes(nb, "little", signed=True)
+        else:
+            raw = b"".join(v.to_bytes(nb, "little", signed=True) for v in entries)
+        raw, nb = memoryview(raw), nb * self.cells
+        # flipping each lane's top bit turns two's complement r into r + 2^(w-1)
+        return [int.from_bytes(raw[k:k + nb], "little") ^ self.bias for k in range(0, len(raw), nb)]
+
+    def decode(self, *xs: int) -> list[int]:
+        """The entries of packed rows, one row after another."""
+        w, nb = self.w, self.w // 8
+        raw = b"".join([(x ^ self.bias).to_bytes(nb * self.cells, "little") for x in xs])
+        if w > 128:  # lanes this wide decode faster whole than word by word
+            return [int.from_bytes(raw[k:k + nb], "little", signed=True)
+                    for k in range(0, len(raw), nb)]
+        a = array(self._CODES[min(w, 64)], raw)
+        if sys.byteorder == "big":
+            a.byteswap()
+        if w == 128:  # a signed top word over an unsigned low word
+            return [hi << 64 | lo for hi, lo in zip(a[1::2], array("Q", a.tobytes())[::2])]
+        return a.tolist()
 
 
 class GroundSetError(ValueError):
@@ -456,8 +516,8 @@ def evaluate(e: LinExpr, h: EntropyVector) -> Rational:
 class MemberTable:
     """Every member's exact value at a point, in one packed-integer pass.
 
-    Per mask m, C_m = sum_k c_km 2^(w k) holds member k's coefficient, over
-    the common denominator `den`, in lane k; then lane k of sum_m C_m h.nums[m - 1]
+    Per mask m, C_m, a `Lanes` row less its bias, holds member k's coefficient,
+    over the common denominator `den`, in lane k; then lane k of sum_m C_m h.nums[m - 1]
     is member k's value at h times den * h.den.  No lane overflows: `width`
     bounds each value by max|h.nums| times the largest coefficient L1 norm.
     """
@@ -473,7 +533,7 @@ class MemberTable:
             it = iter(flat)
             self._maps = [{m: next(it) for m in cs} for cs in self._maps]
         self._l1 = max((sum(map(abs, cs.values())) for cs in self._maps), default=0)
-        self._out, self._packs = (), {}  # members left out; width -> (bias, columns)
+        self._out, self._packs = (), {}  # members left out; width -> (lanes, columns)
         self._lanes(self.width())  # the lanes the coefficients need, packed up front
 
     def without(self, k: int) -> "MemberTable":
@@ -485,48 +545,38 @@ class MemberTable:
         return sub
 
     def width(self, h: EntropyVector | None = None) -> int:
-        """The lane width at h, or for the coefficients alone: the least power of
-        two from 8 above the bit length of max|h.nums| times the largest L1 norm."""
+        """The lane width for max|h.nums| (1 with no h) times the largest L1 norm."""
         top = self._l1 * (1 if h is None else max(max(h.nums), -min(h.nums), 1))
-        return max(8, 1 << top.bit_length().bit_length())
+        return Lanes.fit(top.bit_length())
 
-    def _pass(self, h: EntropyVector) -> tuple[int, int, int]:
-        """(w, bias, the pass + bias): bias puts 2^(w-1) in every lane, so no lane
-        borrows, and lane k's top bit is set iff member k is >= 0 at h."""
+    def _pass(self, h: EntropyVector) -> tuple[Lanes, int]:
+        """(lanes, the pass packed in them): lane k's top bit is set iff member k is >= 0 at h."""
         if self._maps and h.n != self.n:
             raise GroundSetError("members and point use different ground sets")
-        w = self.width(h)
-        bias, cols = self._lanes(w)
-        return w, bias, sum(c * h.nums[i] for i, c in cols) + bias
+        lanes, cols = self._lanes(self.width(h))
+        return lanes, sum(c * h.nums[i] for i, c in cols) + lanes.bias
 
-    def _lanes(self, w: int) -> tuple[int, list[tuple[int, int]]]:
-        """(bias, [(m - 1, C_m)]) in w-bit lanes, packed at the first call."""
+    def _lanes(self, w: int) -> tuple[Lanes, list[tuple[int, int]]]:
+        """(lanes, [(m - 1, C_m)]) in w-bit lanes, packed at the first call."""
         if w not in self._packs:
-            nb, size = w // 8, len(self._maps)
-            raws = defaultdict(lambda: bytearray(nb * size))
+            lanes = Lanes(w, len(self._maps))
+            rows = defaultdict(lanes.zeros)
             for k, cs in enumerate(self._maps):
                 for m, c in cs.items():
-                    if nb == 1:
-                        raws[m][k] = c & 255
-                    else:
-                        raws[m][k * nb:(k + 1) * nb] = c.to_bytes(nb, "little", signed=True)
-            bias = (1 << (w - 1)) * ((1 << (w * size)) - 1) // ((1 << w) - 1)
-            # the xor flips each two's complement lane's top bit: lane k reads c + 2^(w-1)
-            self._packs[w] = bias, [(m - 1, (int.from_bytes(raw, "little") ^ bias) - bias)
-                                    for m, raw in raws.items()]
+                    rows[m][k] = c
+            self._packs[w] = lanes, [(m - 1, lanes.encode(row)[0] - lanes.bias)
+                                     for m, row in rows.items()]
         return self._packs[w]
 
     def scaled(self, h: EntropyVector) -> list[int]:
         """Each member's value at h times den * h.den, in member order."""
-        w, bias, v = self._pass(h)
-        nb, raw = w // 8, (v ^ bias).to_bytes(w // 8 * len(self._maps), "little")
-        return [int.from_bytes(raw[k * nb:(k + 1) * nb], "little", signed=True)
-                for k in range(len(self._maps)) if k not in self._out]
+        lanes, v = self._pass(h)
+        return [x for k, x in enumerate(lanes.decode(v)) if k not in self._out]
 
     def nonnegative(self, h: EntropyVector) -> bool:
         """Whether every member is >= 0 at h: one test of the lanes' top bits."""
-        w, bias, v = self._pass(h)
-        keep = bias - sum(1 << (w * k + w - 1) for k in self._out)
+        lanes, v = self._pass(h)
+        keep = lanes.bias - sum(1 << (lanes.w * (k + 1) - 1) for k in self._out)
         return v & keep == keep
 
 

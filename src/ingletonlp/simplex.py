@@ -17,20 +17,21 @@ the integer matrix M, whose start column for row i, its crash column or
 its artificial, is D times unit i.  The tableau pivoted is only the block
 S over those start columns and the rhs, plus the objective row: for one
 shared d > 0 it holds d times B^-1 and B^-1 b, and the full tableau,
-T = S.M/D, is never formed.  Each row of S is one Python int with a w-bit
-lane per entry.  A pivot on entry p of row r sets each other row i to
-(|p|.U_i - sgn(p).f_i.U_r) / d and d to |p|, and Edmonds' identity makes
-that division exact in every lane, so no gcd runs.  Pricing reads P, T's
-objective row on A's columns: a phase sets it to g.M/D, g from the
-objective row's start lanes, one multiply-add per packed row of M, and
-each pivot updates it as it does every row, with the pivot row s.M/D, so
-that big costs take one long multiply per pivot, not one per row.  An
-entering column is S times M's column over D, and a ratio-test tie reads
-T's phase-start basis columns the same way.  One positive d scales
-every row alike, so it changes no sign, no order within a row and no
-sign of a cross-multiplied pair of entries: each pivot decision, and so
-each pivot, is the one rational arithmetic would make.  Inputs may mix
-ints and Fractions; outputs are Fractions.
+T = S.M/D, is never formed.  Each row of S is one int, a lane an entry,
+in `entspace.Lanes`, the lane format `MemberTable` shares.  A pivot on
+entry p of row r sets each other row i to (|p|.U_i - sgn(p).f_i.U_r) / d
+and d to |p|, and Edmonds' identity makes that division exact in every
+lane, so no gcd runs.  Pricing reads P, T's objective row on A's columns:
+a phase sets it to g.M/D, g from the objective row's start lanes, one
+multiply-add per packed row of M, and each pivot updates it as it does
+every row, with the pivot row s.M/D, so that big costs take one long
+multiply per pivot, not one per row.  An entering column is S times M's
+column over D, and a ratio-test tie reads T's phase-start basis columns
+the same way.  One positive d scales every row alike, so it changes no
+sign, no order within a row and no sign of a cross-multiplied pair of
+entries: each pivot decision, and so each pivot, is the one rational
+arithmetic would make.  Inputs may mix ints and Fractions; outputs are
+Fractions.
 
 The final S holds B^-1 in its start lanes: the duals are read off the
 objective row there, and a re-solve with columns appended appends them
@@ -51,7 +52,6 @@ import functools
 import importlib.util
 import os
 import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
@@ -60,11 +60,9 @@ from math import copysign, prod
 from operator import mul
 from types import SimpleNamespace
 
-from .entspace import int_form
+from .entspace import Lanes, int_form
 
-_WIDTH = 8  # lane width a tableau starts at; `widen` doubles it as its entries need
-_CODES = {array(code).itemsize * 8: code for code in "bhiq"}  # lane width -> typecode
-_SWAP = sys.byteorder == "big"  # packed bytes are little-endian
+_WIDTH = 8  # lane width a tableau starts at; `widen` widens it as its entries need
 
 
 @dataclass
@@ -183,76 +181,33 @@ def _bits(vals: list[int]) -> int:
     return max(max(vals), -min(vals)).bit_length()
 
 
-class _Tableau:
+class _Tableau(Lanes):
     """Equal-length integer rows over one denominator d > 0, each packed into one int.
 
-    Row i holds d times its rational row, numerators r_k none longer than
-    bits[i] bits, as X[i] = bias + sum r_k 2^(w k).  `bias` puts half =
-    2^(w-1) in every w-bit lane, so lane k holds r_k + half in [0, 2^w) and
-    reads off with a mask and a shift, without borrows.  w starts at _WIDTH
-    and doubles when a bound needs it; `pivot` measures its pivot row.
+    Row i holds d times its rational row, numerators none longer than bits[i]
+    bits, in `Lanes` of w bits, from _WIDTH up; `pivot` measures its pivot row.
     """
 
     def __init__(self, rows: list[list[int]], d: int):
-        self.cells = len(rows[0])
         flat = list(chain.from_iterable(rows))
         self.X, self.d, self.bits = [], d, [_bits(flat)] * len(rows)
-        self.w = _WIDTH
+        self.w, self.cells = _WIDTH, len(rows[0])
         self.widen(self.bits[0], flat)
 
     def widen(self, b: int, flat: list[int] | None = None) -> None:
         """Repack every row, or the given entries, in lanes wider than b bits."""
-        if flat is None:
-            flat = self.decode(*self.X)
-        while self.w <= b:
-            self.w *= 2
-        self.half = 1 << (self.w - 1)
-        self.bias = self.half * ((1 << (self.w * self.cells)) - 1) // (2 * self.half - 1)
-        self.X[:] = self.pack(flat)
-
-    def pack(self, flat: list[int]) -> list[int]:
-        """Each run of `cells` entries as one biased int."""
-        nb = self.w // 8
-        if self.w in _CODES:
-            a = array(_CODES[self.w], flat)
-            if _SWAP:
-                a.byteswap()
-            raw = memoryview(a.tobytes())
-        else:
-            raw = memoryview(b"".join(v.to_bytes(nb, "little", signed=True) for v in flat))
-        nb *= self.cells
-        # flipping each lane's top bit turns two's complement r into r + half
-        return [int.from_bytes(raw[k:k + nb], "little") ^ self.bias
-                for k in range(0, len(raw), nb)]
+        flat = self.decode(*self.X) if flat is None else flat
+        Lanes.__init__(self, max(self.w, self.fit(b)), self.cells)
+        self.X[:] = self.encode(flat)
 
     def row(self, i: int) -> list[int]:
         return self.decode(self.X[i])
-
-    def decode(self, *xs: int) -> list[int]:
-        """The entries of biased ints packed as these rows are, one after another."""
-        nb, bias = self.w // 8, self.bias
-        raw = b"".join([(x ^ bias).to_bytes(nb * self.cells, "little") for x in xs])
-        if self.w > 128:  # lanes this wide decode faster whole than word by word
-            return [int.from_bytes(raw[k:k + nb], "little", signed=True)
-                    for k in range(0, len(raw), nb)]
-        a = array(_CODES[min(self.w, 64)], raw)
-        if _SWAP:
-            a.byteswap()
-        if self.w == 128:  # a signed top word over an unsigned low word
-            return [hi << 64 | lo for hi, lo in zip(a[1::2], array("Q", a.tobytes())[::2])]
-        return a.tolist()
-
-    def column(self, k: int) -> list[int]:
-        """Entry k of every row."""
-        s, half = self.w * k, self.half
-        top = (1 << (s + self.w)) - 1  # masking first keeps the shift small
-        return [((x & top) >> s) - half for x in self.X]
 
     def append(self, row: list[int]) -> None:
         b = _bits(row)
         if b >= self.w:
             self.widen(b)
-        self.X += self.pack(row)
+        self.X += self.encode(row)
         self.bits.append(b)
 
     def drop(self, i: int) -> None:
@@ -301,10 +256,9 @@ class _System:
     M holds A's rows, oriented, over D, and its start columns are D times a
     unit, so a tableau S over the start columns stands for T = S.M/D; ratio
     tests read T's phase-start basis columns through one over those columns
-    of M alone.  `tab`
-    packs M's rows, then P, T's objective row on A's columns, and then D
-    times the cost ints once pricing first weights them; `cols` keeps each
-    column's nonzero (row, entry) pairs, for entering columns.
+    of M alone.  `tab` packs M's rows, then P, T's objective row on A's
+    columns, and then D times the cost ints once pricing first weights them;
+    `cols` keeps each column's nonzero (row, entry) pairs, for entering columns.
     """
 
     def __init__(self, rows: list[list[int]], D: int, cost: list[int]):
@@ -353,12 +307,6 @@ class _System:
         tab.combine(m, a, len(tab.X) - 1, f, d)
         tab.drop(len(tab.X) - 1)
         return tab.row(m)
-
-    def first(self, g: list[int]) -> int:
-        """The index of the first nonzero entry of g.M, or -1 for none."""
-        x = self.row(g)[0] - self.tab.bias if self.tab else 0
-        # the lowest set bit of the unbiased row lies in that entry's lane
-        return ((x & -x).bit_length() - 1) // self.tab.w if x else -1
 
     def column(self, S: list[int], w: int, q: int, rows: int) -> list[int]:
         """Column q of S.M/D in S's first `rows` rows, S being the entries of
@@ -563,7 +511,8 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
         pos = 0
         while pos < len(basis):
             if basis[pos] >= nc:
-                pj = M.first(tab.row(pos)[:m])
+                Mg = M.tab.decode(M.row(tab.row(pos)[:m])[0]) if M.tab else []
+                pj = next((j for j, v in enumerate(Mg) if v), -1)  # S_pos.M's first nonzero
                 if pj >= 0:
                     tab.pivot(pos, pj, M.column(tab.decode(*tab.X), tab.cells, pj, len(basis)))
                     basis[pos] = pj
@@ -578,7 +527,7 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
     hit = run_phase(nr, 1, Z) if any(cost) else None  # with every cost 0 every basis is optimal
 
     x = [Fraction(0)] * nc
-    for i, v in enumerate(tab.column(m)[:nr]):
+    for i, v in enumerate(tab.decode(*tab.X[:nr])[m::tab.cells]):
         x[basis[i]] = Fraction(v, tab.d)
     if hit is not None:
         enter, fs = hit

@@ -364,6 +364,10 @@ st +1*h{1,2} <= 1
     assert "value 2" in out and "status optimal" in out
     assert "verified true" in out
     assert out_file.read_text(encoding="ascii") == out
+    # an unwritable --out fails before anything is printed
+    rc, out, err = run_cli(capsys, [
+        "bound", "--problem", str(prob), "--out", str(tmp_path / "no" / "such.txt")])
+    assert rc == 2 and out == "" and err.startswith("error:")
 
 
 def test_bound_network_file(capsys, tmp_path):

@@ -393,7 +393,7 @@ def test_member_table_matches_evaluate(data):
     assert rest.nonnegative(h) == all(v >= 0 for v in want)
 
 
-@pytest.mark.parametrize("w", [8, 16, 64, 128])
+@pytest.mark.parametrize("w", [8, 16, 32, 64, 128, 256])
 def test_member_table_values_at_the_lane_bound(w):
     # +-(2^(w-1) - 1) is the widest value a w-bit lane holds; one more widens
     top = 2 ** (w - 1) - 1

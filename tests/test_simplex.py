@@ -235,6 +235,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from scipy.optimize import linprog  # noqa: E402
 
 from ingletonlp import simplex  # noqa: E402
+from ingletonlp.entspace import Lanes  # noqa: E402
 
 _rationals = st.builds(F, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 4]))
 
@@ -379,7 +380,7 @@ def test_packed_pivots_match_fractions(monkeypatch, width):
         ref = [[F(v, d) for v in row] for row, d in zip(rows, dens)]
         _check_rows(tab, ref)
         for pi, col in picks:
-            fs = tab.column(col)
+            fs = tab.decode(*tab.X)[col::tab.cells]
             assert fs == [r[col] * tab.d for r in ref]
             if not fs[pi]:
                 continue
@@ -401,11 +402,11 @@ def test_pivot_over_a_wrong_denominator_raises():
     # the guard must raise even under python -O
     tab = simplex._Tableau([[2, 1], [1, 1]], 3)
     with pytest.raises(RuntimeError, match="denominator"):
-        tab.pivot(0, 0, tab.column(0))
+        tab.pivot(0, 0, tab.decode(*tab.X)[::tab.cells])
     # [1/3, 1] and [1, 1/3] over the lcm of their denominators, 3, not their product
     tab = simplex._Tableau([[1, 3], [3, 1]], 3)
     with pytest.raises(RuntimeError, match="denominator"):
-        tab.pivot(0, 0, tab.column(0))
+        tab.pivot(0, 0, tab.decode(*tab.X)[::tab.cells])
 
 
 def test_warm_restart_with_fractional_columns_stays_exact():
@@ -453,26 +454,32 @@ def test_random_lps_with_64_bit_lanes(monkeypatch):
     test_random_lps_certified_and_match_highs()
 
 
-@pytest.mark.parametrize("w", [128, 256])
+@pytest.mark.parametrize("w", [8, 16, 32, 64, 128, 256])
 def test_wide_lanes_round_trip(monkeypatch, w):
-    # rows packed in lanes wider than a machine word decode to the entries
-    # packed, each as int.from_bytes reads its lane, and pack again the same
+    # the one lane format at every width: dense rows as a tableau packs them,
+    # and a zeroed row filled entry by entry as MemberTable fills it, each
+    # pack to bias + sum r_k 2^(w k) and decode to the entries packed
     monkeypatch.setattr(simplex, "_WIDTH", w)
-    entries = st.integers(1 - 2 ** (w - 1), 2 ** (w - 1) - 1)
+    entries = st.integers(1 - 2 ** (w - 1), 2 ** (w - 1) - 1) | st.just(0)
     shapes = st.tuples(st.integers(1, 4), st.integers(1, 9))
 
     @settings(max_examples=100, deadline=None)
     @given(shapes.flatmap(lambda mn: st.lists(st.lists(entries, min_size=mn[1], max_size=mn[1]),
                                               min_size=mn[0], max_size=mn[0])))
     def check(rows):
-        tab, nb = simplex._Tableau(rows, 1), w // 8
+        tab = simplex._Tableau(rows, 1)
         assert tab.w == w
-        for i, row in enumerate(rows):
-            raw = (tab.X[i] ^ tab.bias).to_bytes(nb * tab.cells, "little")
-            lanes = [int.from_bytes(raw[k:k + nb], "little", signed=True)
-                     for k in range(0, len(raw), nb)]
-            assert tab.row(i) == lanes == row
-        assert tab.pack([v for row in rows for v in row]) == tab.X
+        lanes = Lanes(w, tab.cells)
+        packed = [sum((v + 2 ** (w - 1)) << (w * k) for k, v in enumerate(row)) for row in rows]
+        assert tab.X == lanes.encode([v for row in rows for v in row]) == packed
+        assert [tab.row(i) for i in range(len(rows))] == rows
+        assert tab.decode(*tab.X) == [v for row in rows for v in row]
+        for row, x in zip(rows, packed):
+            zeroed = lanes.zeros()
+            for k, v in enumerate(row):
+                if v:
+                    zeroed[k] = v
+            assert lanes.encode(zeroed) == [x] and lanes.decode(x) == row
 
     check()
 

@@ -318,3 +318,43 @@ def test_one_assembly_per_bound_solve():
     packs = _CallSites("MemberTable")
     packs.visit(tree)
     assert packs.sites == ["_cone"]
+
+
+def _methods(tree, cls):
+    node = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls)
+    return {fn.name for fn in node.body if isinstance(fn, ast.FunctionDef)}
+
+
+def _lane_bias_spellings(tree):
+    """Every (1 << (a * b)) - 1: the all-lanes mask of the bias, one 1 in each lane's bits."""
+    def is_one(node):
+        return isinstance(node, ast.Constant) and node.value == 1
+    return [node for node in ast.walk(tree) if isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Sub) and is_one(node.right)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.LShift)
+            and is_one(node.left.left) and isinstance(node.left.right, ast.BinOp)
+            and isinstance(node.left.right.op, ast.Mult)]
+
+
+def test_one_packed_lane_codec():
+    # entspace.Lanes owns the width rule, the bias, the encoder and the
+    # decoder; MemberTable and the exact tableaux pack through it alone
+    trees = _trees()
+    codec = next(node for node in trees["entspace.py"].body
+                 if isinstance(node, ast.ClassDef) and node.name == "Lanes")
+    inside = {id(node) for node in ast.walk(codec)}
+    bypasses = [(name, node.lineno) for name, tree in trees.items()
+                for func in ("from_bytes", "to_bytes", "array") for node in _calls(tree, func)
+                if id(node) not in inside]
+    assert bypasses == []
+    assert {"fit", "zeros", "encode", "decode"} <= _methods(trees["entspace.py"], "Lanes")
+    spelled = [(name, id(node) in inside) for name, tree in trees.items()
+               for node in _lane_bias_spellings(tree)]
+    assert spelled == [("entspace.py", True)]
+    simplex = trees["simplex.py"]
+    assert not {"column", "pack", "decode"} & _methods(simplex, "_Tableau")
+    assert "first" not in _methods(simplex, "_System")
+    assert _calls(_function(trees["entspace.py"], "_lanes"), "Lanes")
+    from ingletonlp.entspace import Lanes
+    from ingletonlp.simplex import _Tableau
+    assert issubclass(_Tableau, Lanes)

@@ -1,10 +1,10 @@
 """The package's verifiers judged against the dense re-checker on mutated answers.
 
-Honest certificates of `check_completeness(3)` and honest drop-one
-witnesses of `check_minimality(3)` are mutated: ids or coefficients
-dropped, duplicated, permuted or truncated, an id shifted by the member
-count or past the end, a coefficient or a point coordinate nudged by
-1/k, a sign flipped.  `verify_certificate` and `verify_witness` must
+For n in `NS`, the honest certificates of the exhaustive completeness
+scan and the honest drop-one witnesses of `check_minimality(n)` are
+mutated: ids or coefficients dropped, duplicated, permuted or truncated,
+an id shifted by the member count or past the end, a coefficient or a
+point coordinate nudged by 1/k, a sign flipped.  `verify_certificate` and `verify_witness` must
 accept a mutant exactly when `recheck.certificate_holds` and
 `recheck.witness_holds` do; an IndexError counts as a rejection.
 
@@ -24,6 +24,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ingletonlp import bound, certify, ingen
@@ -33,34 +34,43 @@ from recheck import (
     certificate_holds,
     ingleton,
     member_form,
+    read_certificates,
     subsets,
     witness_holds,
 )
 from test_bound import _random_problem
 
-N = 3
+NS = (3, 4)
+by_n = pytest.mark.parametrize("n", NS)
 
 
 @functools.cache
-def _members():
-    """(package expressions, dense forms) of Delta at n=3, in member order."""
-    delta = ingen.gen_delta(N)
+def _members(n):
+    """(package expressions, dense forms) of Delta at n, in member order."""
+    delta = ingen.gen_delta(n)
     return ([ci.expr for ci in delta],
-            [member_form(ci.kind, ci.payload_text(), N) for ci in delta])
+            [member_form(ci.kind, ci.payload_text(), n) for ci in delta])
+
+
+@pytest.fixture(scope="module")
+def certificates(cli_run_once):
+    """certificates(n): (label, gen_ids, coeffs) of every nonempty certificate
+    that `check-completeness --n n` writes; at n=4 that is the run test_golden
+    hashes, shared through tests/conftest.py, so the scan runs once."""
+    @functools.cache
+    def read(n):
+        code, _out, where = cli_run_once(["check-completeness", "--n", str(n),
+                                          "--emit-certificates", "{tmp}/out"])
+        assert code == 0
+        return [(label, [g for g, _c in cert], [c for _g, c in cert])
+                for label, cert in read_certificates(where / "out" / "certificates.txt") if cert]
+    return read
 
 
 @functools.cache
-def _certificates():
-    """(label, gen_ids, coeffs) of every nonempty certificate of the n=3 scan."""
-    report = certify.check_completeness(N)
-    return [(label, list(c.gen_ids), list(c.coeffs))
-            for label, c in report.certificates if c.gen_ids]
-
-
-@functools.cache
-def _witnesses():
-    """(member id, dense point) of every drop-one witness of the n=3 scan."""
-    report = certify.check_minimality(N)
+def _witnesses(n):
+    """(member id, dense point) of every drop-one witness of the n scan."""
+    report = certify.check_minimality(n)
     return [(k, [0, *(v for _m, v in w.point.items())])
             for k, (_kind, _payload, w) in enumerate(report.witnesses)]
 
@@ -113,27 +123,29 @@ def _combination_mutant(draw, ids, coeffs, count):
 
 
 @st.composite
-def _certificate_mutants(draw):
-    label, ids, coeffs = draw(st.sampled_from(_certificates()))
-    return (label, *draw(_combination_mutant(ids, coeffs, len(_members()[0]))))
+def _certificate_mutants(draw, honest, count):
+    # drawn by index: a strategy over n=4's 15,277 certificates would hash each
+    label, ids, coeffs = honest[draw(st.integers(0, len(honest) - 1))]
+    return (label, *draw(_combination_mutant(ids, coeffs, count)))
 
 
-def _package_accepts_certificate(label, ids, coeffs):
-    exprs, _forms = _members()
+def _package_accepts_certificate(n, label, ids, coeffs):
+    exprs, _forms = _members(n)
     cert = certify.FarkasCertificate(tuple(ids), tuple(coeffs))
     try:
-        return certify.verify_certificate(ingleton_expr(parse_quad(label, N)), exprs, cert)
+        return certify.verify_certificate(ingleton_expr(parse_quad(label, n)), exprs, cert)
     except IndexError:
         return False
 
 
+@by_n
 @settings(max_examples=300, deadline=None)
-@given(_certificate_mutants())
-def test_verify_certificate_agrees_with_the_recheck(case):
-    label, ids, coeffs = case
-    _exprs, forms = _members()
-    want = certificate_holds(ids, coeffs, ingleton(N, *subsets(label)), forms)
-    assert _package_accepts_certificate(label, ids, coeffs) == want
+@given(data=st.data())
+def test_verify_certificate_agrees_with_the_recheck(n, certificates, data):
+    _exprs, forms = _members(n)
+    label, ids, coeffs = data.draw(_certificate_mutants(certificates(n), len(forms)))
+    want = certificate_holds(ids, coeffs, ingleton(n, *subsets(label)), forms)
+    assert _package_accepts_certificate(n, label, ids, coeffs) == want
 
 
 @st.composite
@@ -159,28 +171,30 @@ def _point_mutant(draw, h):
 
 
 @st.composite
-def _witness_mutants(draw):
+def _witness_mutants(draw, n):
     """A drop-one witness mutated by _point_mutant."""
-    k, h = draw(st.sampled_from(_witnesses()))
+    k, h = draw(st.sampled_from(_witnesses(n)))
     return k, draw(_point_mutant(h))
 
 
+@by_n
 @settings(max_examples=300, deadline=None)
-@given(_witness_mutants())
-def test_verify_witness_agrees_with_the_recheck(case):
-    k, h = case
-    exprs, forms = _members()
+@given(data=st.data())
+def test_verify_witness_agrees_with_the_recheck(n, data):
+    k, h = data.draw(_witness_mutants(n))
+    exprs, forms = _members(n)
     want = witness_holds(h, forms[k], forms[:k] + forms[k + 1:])
-    wit = certify.SeparationWitness(EntropyVector(N, h[1:]))
+    wit = certify.SeparationWitness(EntropyVector(n, h[1:]))
     assert certify.verify_witness(exprs[k], exprs[:k] + exprs[k + 1:], wit) == want
 
 
-def test_the_honest_answers_pass_both():
-    exprs, forms = _members()
-    for label, ids, coeffs in _certificates():
-        assert _package_accepts_certificate(label, ids, coeffs)
-        assert certificate_holds(ids, coeffs, ingleton(N, *subsets(label)), forms)
-    for k, h in _witnesses():
+@by_n
+def test_the_honest_answers_pass_both(n, certificates):
+    exprs, forms = _members(n)
+    for label, ids, coeffs in certificates(n):
+        assert _package_accepts_certificate(n, label, ids, coeffs)
+        assert certificate_holds(ids, coeffs, ingleton(n, *subsets(label)), forms)
+    for k, h in _witnesses(n):
         assert witness_holds(h, forms[k], forms[:k] + forms[k + 1:])
 
 
