@@ -17,15 +17,13 @@ _EXPORTS = {
         "parse_problem", "solve_bound", "verify_bound_result"),
     "certify": (
         "FarkasCertificate", "SeparationWitness", "check_completeness",
-        "check_minimality", "check_theorem1", "conic_implies", "decide_implication",
-        "find_ingleton_violator", "separation_witness", "verify_certificate",
-        "verify_witness"),
+        "check_minimality", "check_theorem1", "decide_implication",
+        "find_ingleton_violator", "verify_certificate", "verify_witness"),
     "entspace": (
         "EntropyVector", "GroundSetError", "IngletonQuad", "LinExpr",
         "cond_entropy_expr", "cond_mutinfo_expr", "evaluate", "format_expr",
         "format_quad", "format_subset", "ingleton_expr", "parse_expr",
-        "parse_quad", "parse_subset", "project_away", "project_onto",
-        "witness_fulldim", "witness_modular"),
+        "parse_quad", "parse_subset", "witness_fulldim", "witness_modular"),
     "ingen": (
         "BudgetExceededError", "CanonicalInequality", "QuadClass",
         "classify_quad", "count_delta", "count_delta0", "count_elemental", "gen_delta",

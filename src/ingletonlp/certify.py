@@ -259,18 +259,6 @@ def decide_implication(target: LinExpr, gens) -> FarkasCertificate | SeparationW
     return _settle(_ConeSystem(list(gens)), target)
 
 
-def conic_implies(target: LinExpr, gens) -> FarkasCertificate | None:
-    """Certificate iff target is a nonnegative combination of gens, else None."""
-    out = decide_implication(target, gens)
-    return out if isinstance(out, FarkasCertificate) else None
-
-
-def separation_witness(target: LinExpr, gens) -> SeparationWitness | None:
-    """Witness point (normalized to target value -1) iff target is not implied."""
-    out = decide_implication(target, gens)
-    return out if isinstance(out, SeparationWitness) else None
-
-
 # ---------------------------------------------------------------------------
 # quad orbits under argument swaps and ground-set relabeling
 
@@ -495,12 +483,12 @@ class CompletenessReport(_QuadScanReport):
             *(f"failure {q}" for q in self.failures)], self.ok)
 
 
-def check_completeness(n: int, sample_size: int | None = None, seed: int = 0,
+def check_completeness(n: int, sample: int | None = None, seed: int = 0,
                        workers: int = 1,
                        budget: int | None = ingen.DEFAULT_BUDGET) -> CompletenessReport:
     """Every Ingleton inequality receives a certificate over the minimal set."""
     delta = ingen.gen_delta(n, budget=budget)
-    items, orbits, fields = _choose_quads(n, sample_size, seed, budget)
+    items, orbits, fields = _choose_quads(n, sample, seed, budget)
     results = _decide_quads(n, delta, items, workers)
     failures = [text for text, answer in results
                 if not isinstance(answer, FarkasCertificate)]

@@ -139,7 +139,7 @@ def _cmd_check_theorem1(args: argparse.Namespace) -> int:
 def _cmd_check_completeness(args: argparse.Namespace) -> int:
     from . import certify
     report = certify.check_completeness(
-        args.n, sample_size=args.sample, seed=args.seed, workers=args.workers,
+        args.n, sample=args.sample, seed=args.seed, workers=args.workers,
         budget=_resolve_budget(args))
     sys.stdout.write(report.to_text())
     _emit(args, report.generators, certificates=report.certificates)

@@ -26,7 +26,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._version import __version__
 
@@ -348,10 +348,6 @@ class EntropyVector:
             vals[mask - 1] = v
         return cls(n, vals)
 
-    @classmethod
-    def from_function(cls, n: int, fn: Callable[[int], Rational]) -> "EntropyVector":
-        return cls(n, [fn(mask) for mask in range(1, full_mask(n) + 1)])
-
     def __getitem__(self, mask: int) -> Rational:
         if mask == 0:
             return 0
@@ -492,18 +488,6 @@ def cond_mutinfo_expr(n: int, alpha: int, beta: int, delta: int) -> LinExpr:
 def ingleton_expr(q: IngletonQuad) -> LinExpr:
     """Ten-term inequality form for the quad; coefficients merge and may cancel."""
     return LinExpr._raw(q.n, _combine(ingleton_terms(q.a1, q.a2, q.a3, q.a4)))
-
-
-def project_onto(e: LinExpr, beta: int) -> LinExpr:
-    """Replace every coordinate mask alpha by alpha & beta."""
-    check_mask(beta, e.n)
-    return LinExpr._raw(e.n, _combine([(m & beta, c) for m, c in e.coeffs.items()]))
-
-
-def project_away(e: LinExpr, beta: int) -> LinExpr:
-    """Replace every coordinate mask alpha by alpha minus beta."""
-    check_mask(beta, e.n)
-    return LinExpr._raw(e.n, _combine([(m & ~beta, c) for m, c in e.coeffs.items()]))
 
 
 def evaluate(e: LinExpr, h: EntropyVector) -> Rational:

@@ -268,6 +268,8 @@ def family(name: str, n: int, budget: int | None = DEFAULT_BUDGET) -> Family:
     return Family(n, predicted, blocks)
 
 
+# gen_delta0/1/2 stay public although no command calls them: the perfbench
+# tracer rebinds all three by name (`SITES` in perfbench/spans.py).
 def gen_delta0(n: int, budget: int | None = DEFAULT_BUDGET) -> list[CanonicalInequality]:
     """Disjoint-support members J(d1,d2,d3,d4 | beta), deduplicated."""
     return list(family("delta0", n, budget))

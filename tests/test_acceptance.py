@@ -81,7 +81,7 @@ def test_every_ingleton_inequality_certified_over_minimal_set():
             combo = combo + cf * gens4[k]
         assert combo == target
 
-    rep5 = certify.check_completeness(5, sample_size=1000, seed=0)
+    rep5 = certify.check_completeness(5, sample=1000, seed=0)
     assert rep5.mode == "sample"
     assert rep5.certified == rep5.samples == 1000
     assert rep5.ok

@@ -608,6 +608,25 @@ def test_column_generation_matches_all_columns(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", [3, 4])
+def test_an_empty_seed_restores_feasibility_from_the_no_ray_certificate(monkeypatch, n):
+    # with no seed columns a first solve can be infeasible with no improving
+    # ray: _solve_max then adds the no-ray certificate's cone ids and solves
+    # again; the all-columns answers never take that branch
+    restored = []
+    real_ray = bound._improving_ray
+
+    def improving_ray(*args):
+        ray, bound_ids = real_ray(*args)
+        if ray is None:
+            restored.append(bound_ids)
+        return ray, bound_ids
+    monkeypatch.setattr(bound, "_improving_ray", improving_ray)
+    monkeypatch.setattr(bound, "_float_seed", lambda asm: [])
+    test_column_generation_matches_all_columns(monkeypatch, n)
+    assert restored and all(restored)
+
+
+@pytest.mark.parametrize("n", [3, 4])
 def test_gamma_in_is_gamma_cut_by_every_ingleton_form(n):
     # the paper's reduction: Delta cuts out of Gamma the cone that every
     # Ingleton form over every quad cuts out, so both give one answer; on the

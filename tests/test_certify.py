@@ -45,8 +45,8 @@ def elemental_exprs(n):
 def test_conic_implies_finds_exact_combination():
     gens = delta_exprs(3)
     target = ingleton_expr(IngletonQuad(3, 0b1, 0b10, 0, 0b100))
-    cert = certify.conic_implies(target, gens)
-    assert cert is not None
+    cert = certify.decide_implication(target, gens)
+    assert isinstance(cert, certify.FarkasCertificate)
     assert all(cf > 0 for cf in cert.coeffs)
     assert all(isinstance(cf, Fraction) for cf in cert.coeffs)
     assert certify.verify_certificate(target, gens, cert)
@@ -59,8 +59,8 @@ def test_conic_implies_finds_exact_combination():
 def test_verify_certificate_rejects_tampered_coeffs():
     gens = delta_exprs(3)
     target = gens[0] + gens[1]
-    cert = certify.conic_implies(target, gens)
-    assert cert is not None and certify.verify_certificate(target, gens, cert)
+    cert = certify.decide_implication(target, gens)
+    assert isinstance(cert, certify.FarkasCertificate) and certify.verify_certificate(target, gens, cert)
     bad = certify.FarkasCertificate(cert.gen_ids,
                                     tuple(cf + 1 for cf in cert.coeffs))
     assert not certify.verify_certificate(target, gens, bad)
@@ -71,7 +71,7 @@ def test_verify_certificate_rejects_negative_multiplier():
     target = gens[0] - gens[1]  # needs a negative weight: not conic
     cert = certify.FarkasCertificate((0, 1), (Fraction(1), Fraction(-1)))
     assert not certify.verify_certificate(target, gens, cert)
-    assert certify.conic_implies(target, gens) is None
+    assert isinstance(certify.decide_implication(target, gens), certify.SeparationWitness)
 
 
 def test_verify_certificate_rejects_ids_and_coeffs_of_different_lengths():
@@ -88,9 +88,8 @@ def test_verify_certificate_rejects_ids_and_coeffs_of_different_lengths():
 def test_separation_witness_when_not_implied():
     gens = elemental_exprs(4)
     target = ingleton_expr(IngletonQuad(4, 0b1, 0b10, 0b100, 0b1000))
-    assert certify.conic_implies(target, gens) is None
-    wit = certify.separation_witness(target, gens)
-    assert wit is not None
+    wit = certify.decide_implication(target, gens)
+    assert isinstance(wit, certify.SeparationWitness)
     assert certify.verify_witness(target, gens, wit)
     assert evaluate(target, wit.point) < 0
     assert all(evaluate(g, wit.point) >= 0 for g in gens)
@@ -99,7 +98,7 @@ def test_separation_witness_when_not_implied():
 def test_separation_witness_absent_when_implied():
     gens = delta_exprs(3)
     target = gens[2] + gens[5]
-    assert certify.separation_witness(target, gens) is None
+    assert isinstance(certify.decide_implication(target, gens), certify.FarkasCertificate)
 
 
 
@@ -141,7 +140,8 @@ def test_certificate_file_roundtrip(tmp_path):
     items = []
     for idx in (0, 3):
         target = gens[idx]
-        cert = certify.conic_implies(target, gens)
+        cert = certify.decide_implication(target, gens)
+        assert isinstance(cert, certify.FarkasCertificate)
         items.append((f"member-{idx}", cert))
     path = tmp_path / "certs.txt"
     certify.write_certificates(path, items)
@@ -158,7 +158,8 @@ def test_bad_certificate_line_is_value_error(line):
 def test_witness_file_roundtrip(tmp_path):
     gens = elemental_exprs(4)
     target = ingleton_expr(IngletonQuad(4, 0b1, 0b10, 0b100, 0b1000))
-    wit = certify.separation_witness(target, gens)
+    wit = certify.decide_implication(target, gens)
+    assert isinstance(wit, certify.SeparationWitness)
     path = tmp_path / "wit.txt"
     certify.write_witnesses(path, 4, [("gap", wit)])
     n, back = certify.read_witnesses(path)
@@ -199,8 +200,8 @@ def test_theorem1_worker_count_does_not_change_report():
 def test_completeness_worker_count_does_not_change_report(n, sample):
     # the exhaustive scan carries certificates across orbits after the workers
     # return, the sampled one takes each certificate from a worker
-    a = certify.check_completeness(n, sample_size=sample, workers=1)
-    b = certify.check_completeness(n, sample_size=sample, workers=2)
+    a = certify.check_completeness(n, sample=sample, workers=1)
+    b = certify.check_completeness(n, sample=sample, workers=2)
     assert a.to_text() == b.to_text()
     assert a.certificates == b.certificates and len(a.certificates) == a.certified > 0
 
@@ -216,7 +217,7 @@ def test_completeness_n3_certifies_every_class():
 
 
 def test_completeness_sampled_mode():
-    rep = certify.check_completeness(5, sample_size=50, seed=3)
+    rep = certify.check_completeness(5, sample=50, seed=3)
     assert rep.mode == "sample"
     assert rep.certified == rep.samples == 50
     assert rep.ok
@@ -406,7 +407,9 @@ _LANES = {"first": 0, "middle": 14, "last": 27}  # of the 28 elemental members a
 
 def _drop_one_point(gens, k):
     """A point that violates gens[k] alone, at value -1."""
-    return certify.separation_witness(gens[k], gens[:k] + gens[k + 1:])
+    wit = certify.decide_implication(gens[k], gens[:k] + gens[k + 1:])
+    assert isinstance(wit, certify.SeparationWitness)
+    return wit
 
 
 @pytest.mark.parametrize("where", list(_LANES))
@@ -465,7 +468,7 @@ def test_scan_reports_carry_their_generators():
     assert certify.check_minimality(3).generators == tuple(ingen.gen_delta(3))
     rep = certify.check_theorem1(5, sample=5)
     assert rep.generators == tuple(ingen.gen_elemental(5))
-    rep = certify.check_completeness(3, sample_size=5)
+    rep = certify.check_completeness(3, sample=5)
     assert rep.generators == tuple(ingen.gen_delta(3))
     assert (rep.mode, rep.samples, rep.certified) == ("sample", 5, 5)
 
@@ -475,7 +478,7 @@ def test_sample_size_below_one_is_rejected(sample):
     with pytest.raises(ValueError, match="sample size"):
         certify.check_theorem1(5, sample=sample)
     with pytest.raises(ValueError, match="sample size"):
-        certify.check_completeness(5, sample_size=sample)
+        certify.check_completeness(5, sample=sample)
 
 
 def test_minimality_refuses_large_n_without_optin():
@@ -552,14 +555,14 @@ def test_conic_implies_guard(monkeypatch):
     target = ingleton_expr(IngletonQuad(3, 0b1, 0b10, 0, 0b100))
     monkeypatch.setattr(certify, "verify_certificate", lambda *args: False)
     with pytest.raises(RuntimeError, match="certificate"):
-        certify.conic_implies(target, gens)
+        certify.decide_implication(target, gens)
 
 
 def test_separation_witness_guard(monkeypatch):
     target, gens = _ingleton4()
     monkeypatch.setattr(certify, "verify_witness", lambda *args: False)
     with pytest.raises(RuntimeError, match="witness"):
-        certify.separation_witness(target, gens)
+        certify.decide_implication(target, gens)
 
 
 def test_unit_witness_guard(monkeypatch):
@@ -730,14 +733,13 @@ def test_exact_fallback_when_float_solve_misleads(monkeypatch, fake):
     # every answer then comes from the exact solves in _exact_solve
     monkeypatch.setattr(certify, "linprog", fake)
     target, gens = _ingleton4()
-    assert certify.conic_implies(target, gens) is None
-    wit = certify.separation_witness(target, gens)
+    wit = certify.decide_implication(target, gens)
+    assert isinstance(wit, certify.SeparationWitness)
     assert certify.verify_witness(target, gens, wit) and evaluate(target, wit.point) == -1
     gens = delta_exprs(3)
     target = ingleton_expr(IngletonQuad(3, 0b1, 0b10, 0, 0b100))
-    cert = certify.conic_implies(target, gens)
-    assert cert is not None and certify.verify_certificate(target, gens, cert)
-    assert certify.separation_witness(target, gens) is None
+    cert = certify.decide_implication(target, gens)
+    assert isinstance(cert, certify.FarkasCertificate) and certify.verify_certificate(target, gens, cert)
 
 
 @pytest.mark.parametrize("fake", [_failed_linprog, _outside_linprog])
@@ -813,7 +815,7 @@ def _tampered_bound(edit=lambda res: None):
 
 def _rescale_primal_top(res):
     h = res.primal  # coordinate h{1,2,3,4} doubled
-    _set(primal=EntropyVector.from_function(4, lambda m: 2 * h[m] if m == 15 else h[m]))(res)
+    _set(primal=EntropyVector(4, [2 * h[m] if m == 15 else h[m] for m in range(1, 16)]))(res)
 
 
 def _only_target_negative(e, h):
@@ -892,8 +894,9 @@ def test_guards_survive_optimize_flag():
         "result = bound.solve_bound(problem)\n"
         "for k in (0, 4, len(gens) - 1):  # a point violating the member in lane k\n"
         "    rest = gens[:k] + gens[k + 1:]\n"
-        "    wit = certify.separation_witness(gens[k], rest)\n"
-        "    if certify.verify_witness(gens[k], gens, wit) or \\\n"
+        "    wit = certify.decide_implication(gens[k], rest)\n"
+        "    if not isinstance(wit, certify.SeparationWitness) or \\\n"
+        "            certify.verify_witness(gens[k], gens, wit) or \\\n"
         "            not certify.verify_witness(gens[k], rest, wit):\n"
         "        raise SystemExit(1)\n"
         "    h = wit.point  # scaled into h(N) <= 1, where every point maximizes 0\n"
@@ -929,7 +932,7 @@ def test_guards_survive_optimize_flag():
         "target = ingleton_expr(IngletonQuad(3, 1, 2, 0, 4))\n"
         "certify.verify_certificate = lambda *args: False\n"
         "try:\n"
-        "    certify.conic_implies(target, gens)\n"
+        "    certify.decide_implication(target, gens)\n"
         "except RuntimeError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n")

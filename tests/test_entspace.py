@@ -32,8 +32,6 @@ from ingletonlp.entspace import (
     parse_expr,
     parse_quad,
     parse_subset,
-    project_away,
-    project_onto,
     text_tables,
     vector_from_text,
     vector_to_text,
@@ -213,7 +211,7 @@ def test_parse_expr_merges_repeated_subsets():
 
 
 def test_vector_from_function():
-    v = EntropyVector.from_function(3, lambda m: Fraction(popcount(m)))
+    v = EntropyVector(3, [Fraction(popcount(m)) for m in range(1, 8)])
     assert v[0b1] == 1
     assert v[0b111] == 3
     assert len(list(v.items())) == 7
@@ -246,7 +244,7 @@ def test_vector_text_roundtrip():
 
 
 def test_vector_text_fractional_values():
-    v = EntropyVector.from_function(2, lambda m: Fraction(popcount(m), 4))
+    v = EntropyVector(2, [Fraction(popcount(m), 4) for m in range(1, 4)])
     w = vector_from_text(vector_to_text(v))
     assert w[0b11] == Fraction(1, 2)
 
@@ -409,14 +407,6 @@ def test_member_table_values_at_the_lane_bound(w):
     assert table.scaled(wider) == [top + 1, -top - 1, -top - 1]
 
 
-def test_projection_helpers():
-    e = parse_expr("+1*h{1,2} -2*h{2,3}", 3)
-    onto = project_onto(e, 0b10)  # keep element 2 only
-    assert dict(onto.terms()) == {0b10: -1}
-    away = project_away(e, 0b10)  # delete element 2
-    assert dict(away.terms()) == {0b1: 1, 0b100: -2}
-
-
 # ---------------------------------------------------------------------------
 # named vectors
 
@@ -482,10 +472,6 @@ def test_accumulate_matches_a_dense_fraction_sum(data):
     assert _same_map(accumulate(terms), want)
     total = sum((c * e for c, e in terms), LinExpr.zero(n))
     assert _same_map(total.coeffs, want)
-    # projecting sends masks to the empty set, which the sum drops
-    beta = data.draw(mask)
-    assert _same_map(project_away(total, beta).coeffs,
-                     _dense_reference(n, [(m & ~beta, c) for m, c in total.coeffs.items()]))
     # parsed text sums repeated and empty subsets the same way
     pairs = data.draw(st.lists(st.tuples(mask, _coefficients), min_size=1, max_size=8))
     pairs += [(m, -c) for m, c in pairs[:3]] + pairs[:3]

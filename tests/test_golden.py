@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from ingletonlp import certify
 from ingletonlp.cli import main
 
 VIOLATOR4 = (
@@ -142,3 +143,14 @@ def test_golden_case(name, tmp_path, capsys, request):
         assert _digests(*request.getfixturevalue("cli_run_once")(argv), inputs) == expected
         return
     assert run_case(name, tmp_path, capsys) == expected
+
+
+def test_readme_library_example_runs():
+    # the fenced python block under "## Library" in README.md, run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    assert scope["result"].value == 1
+    assert isinstance(scope["answer"], certify.FarkasCertificate)
