@@ -67,7 +67,8 @@ class SeparationWitness:
 
 
 def verify_certificate(target: LinExpr, gens, cert: FarkasCertificate) -> bool:
-    """Exact round-trip check; raises IndexError on out-of-range generator ids.
+    """Exact round-trip check; raises IndexError on out-of-range generator ids
+    and GroundSetError on a named generator over another n than target's.
 
     A certificate whose ids and coefficients differ in number is rejected.
     """
@@ -76,6 +77,8 @@ def verify_certificate(target: LinExpr, gens, cert: FarkasCertificate) -> bool:
     for gid, cf in zip(cert.gen_ids, cert.coeffs):
         if gid < 0 or gid >= len(gens):
             raise IndexError(f"generator id {gid} out of range")
+        if gens[gid].n != target.n:
+            raise GroundSetError("a generator disagrees with the target on the ground set")
         if cf < 0:
             return False
     terms = zip(cert.coeffs, (gens[gid] for gid in cert.gen_ids))

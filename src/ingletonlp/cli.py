@@ -46,7 +46,10 @@ def _resolve_budget(args: argparse.Namespace) -> int:
         return args.budget
     env = os.environ.get(ENV_BUDGET)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{ENV_BUDGET} must be an int, got {env!r}") from None
     return ingen.DEFAULT_BUDGET
 
 
@@ -130,9 +133,9 @@ def _cmd_check_theorem1(args: argparse.Namespace) -> int:
     from . import certify
     report = certify.check_theorem1(args.n, sample=args.sample, seed=args.seed,
                                     workers=args.workers, budget=_resolve_budget(args))
-    sys.stdout.write(report.to_text())
     _emit(args, report.generators, certificates=report.certificates,
           witnesses=report.witnesses)
+    sys.stdout.write(report.to_text())
     return 0 if report.ok else 1
 
 
@@ -141,8 +144,8 @@ def _cmd_check_completeness(args: argparse.Namespace) -> int:
     report = certify.check_completeness(
         args.n, sample=args.sample, seed=args.seed, workers=args.workers,
         budget=_resolve_budget(args))
-    sys.stdout.write(report.to_text())
     _emit(args, report.generators, certificates=report.certificates)
+    sys.stdout.write(report.to_text())
     return 0 if report.ok else 1
 
 
@@ -151,9 +154,9 @@ def _cmd_check_minimality(args: argparse.Namespace) -> int:
     report = certify.check_minimality(args.n, workers=args.workers,
                                       allow_large=args.allow_large,
                                       budget=_resolve_budget(args))
-    sys.stdout.write(report.to_text())
     _emit(args, report.generators,
           witnesses=[(f"{kind} {payload}", w) for kind, payload, w in report.witnesses])
+    sys.stdout.write(report.to_text())
     return 0 if report.ok else 1
 
 

@@ -21,13 +21,12 @@ T = S.M/D, is never formed.  Each row of S is one int, a lane an entry,
 in `entspace.Lanes`, the lane format `MemberTable` shares.  A pivot on
 entry p of row r sets each other row i to (|p|.U_i - sgn(p).f_i.U_r) / d
 and d to |p|, and Edmonds' identity makes that division exact in every
-lane, so no gcd runs.  Pricing reads P, T's objective row on A's columns:
-a phase sets it to g.M/D, g from the objective row's start lanes, one
-multiply-add per packed row of M, and each pivot updates it as it does
-every row, with the pivot row s.M/D, so that big costs take one long
-multiply per pivot, not one per row.  An entering column is S times M's
-column over D, and a ratio-test tie reads T's phase-start basis columns
-the same way.  One positive d scales every row alike, so it changes no
+lane, so no gcd runs.  Pricing reads P, T's objective row on A's columns,
+off S's objective row before each pivot: P is g.M/D plus d times the
+costs, g from that row's start lanes, one multiply-add per packed row of
+M, so no second copy of the objective row is pivoted.  An entering column
+is S times M's column over D, and a ratio-test tie reads T's phase-start
+basis columns the same way.  One positive d scales every row alike, so it changes no
 sign, no order within a row and no sign of a cross-multiplied pair of
 entries: each pivot decision, and so each pivot, is the one rational
 arithmetic would make.  Inputs may mix ints and Fractions; outputs are
@@ -256,9 +255,11 @@ class _System:
     M holds A's rows, oriented, over D, and its start columns are D times a
     unit, so a tableau S over the start columns stands for T = S.M/D; ratio
     tests read T's phase-start basis columns through one over those columns
-    of M alone.  `tab` packs M's rows, then P, T's objective row on A's
-    columns, and then D times the cost ints once pricing first weights them;
-    `cols` keeps each column's nonzero (row, entry) pairs, for entering columns.
+    of M alone.  `tab` packs M's rows, and then D times the cost ints once
+    pricing first weights them; `row` reads a row of T on A's columns from
+    its start lanes in S, as pricing reads P, T's objective row, before each
+    pivot.  `cols` keeps each column's nonzero (row, entry) pairs, for
+    entering columns.
     """
 
     def __init__(self, rows: list[list[int]], D: int, cost: list[int]):
@@ -268,45 +269,23 @@ class _System:
         # |entries|, plus the cost row's weight times max |D.cost|
         self.l1 = max((sum(abs(v) for _k, v in col) for col in self.cols), default=0)
         self.zmax = max(map(abs, self.cost), default=0)
-        self.tab = _Tableau(rows + [[0] * len(cost)], D) if cost else None
+        self.tab = _Tableau(rows, D) if cost else None
 
-    def row(self, g: list[int], w: int = 0) -> tuple[int, int]:
-        """(g.M + w.D.cost)/D packed in `tab`'s lanes, which must divide
-        exactly, and a bound on its entries' bits."""
+    def row(self, g: list[int], w: int = 0) -> list[int]:
+        """The entries of (g.M + w.D.cost)/D, which must divide exactly."""
         tab, m = self.tab, len(self.rows)
-        if w and len(tab.X) == m + 1:
+        if tab is None:
+            return []
+        if w and len(tab.X) == m:
             tab.append(self.cost)
         b = (max(map(abs, g)) * self.l1 + abs(w) * self.zmax).bit_length()
         if b >= tab.w:  # lanes sized from that bound, so nothing is measured
             tab.widen(b)
         x = sum(map(mul, g, tab.X)) - tab.bias * sum(g)  # unbiased
-        x, rest = divmod(x + w * (tab.X[m + 1] - tab.bias) if w else x, self.D)
+        x, rest = divmod(x + w * (tab.X[m] - tab.bias) if w else x, self.D)
         if rest:
             raise RuntimeError("a row of T does not divide by the start denominator")
-        return x + tab.bias, b
-
-    def price(self, g: list[int], w: int) -> list[int]:
-        """Set P to (g.M + w.D.cost)/D and return its entries."""
-        if self.tab is None:
-            return []
-        tab, m = self.tab, len(self.rows)
-        tab.X[m] = self.row(g, w)[0]
-        priced = tab.row(m)
-        tab.bits[m] = _bits(priced)
-        return priced
-
-    def update(self, s: list[int], a: int, f: int, d: int) -> list[int]:
-        """Pivot P as the tableau's rows are, to (a.P - f.(s.M/D))/d, s being
-        the pivot row's start lanes; return P's entries."""
-        if self.tab is None:
-            return []
-        tab, m = self.tab, len(self.rows)
-        x, b = self.row(s)
-        tab.X.append(x)
-        tab.bits.append(b)
-        tab.combine(m, a, len(tab.X) - 1, f, d)
-        tab.drop(len(tab.X) - 1)
-        return tab.row(m)
+        return tab.decode(x + tab.bias)
 
     def column(self, S: list[int], w: int, q: int, rows: int) -> list[int]:
         """Column q of S.M/D in S's first `rows` rows, S being the entries of
@@ -444,15 +423,14 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
     def run_phase(z: int, phase: int, Z: list[int]) -> tuple[int, list[int]] | None:
         """Pivot to optimality; returns an entering column and its entries on unboundedness.
 
-        Each column of T is priced as g.M/D + d.Z at phase start, where g is
-        the objective row's start lanes less d.Z there, and then kept up to
-        date pivot by pivot.  Leaving rows follow the lexicographic ratio
-        rule, comparing rhs first and then a fixed column order that starts
-        with the phase's initial basis; ties read those columns of T from S
-        and M.  They form an identity at phase start, so every row begins
-        lexicographically positive, no two rows tie on all of them, and no
-        basis can repeat, which rules out cycling on degenerate pivots.
-        Artificial columns never re-enter.
+        Before each pivot, each column of T is priced as g.M/D + d.Z, where
+        g is the objective row's start lanes less d.Z there.  Leaving rows
+        follow the lexicographic ratio rule, comparing rhs first and then a
+        fixed column order that starts with the phase's initial basis; ties
+        read those columns of T from S and M.  They form an identity at
+        phase start, so every row begins lexicographically positive, no two
+        rows tie on all of them, and no basis can repeat, which rules out
+        cycling on degenerate pivots.  Artificial columns never re-enter.
         """
         def lex_less(i: int, j: int) -> bool:
             # rows i and j share one positive denominator, so the sign of
@@ -472,29 +450,25 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
         # starts from the start basis, else S times E/D, E being those of M
         E = None if basis == start else _System(
             [[row[j] for j in basis] for row in M.rows], M.D, [0] * len(basis))
-        # phase 2 adds D.c weighted by d: phase 1's Z is 0 on A's columns
-        Zs, d = tab.row(z), tab.d
-        priced = M.price([Zs[k] - d * Z[j] for k, j in enumerate(start)], d * phase)
         while True:
+            S, w, d = tab.decode(*tab.X), tab.cells, tab.d  # every row, one after another
+            # phase 2 adds D.c weighted by d: phase 1's Z is 0 on A's columns
+            priced = M.row([S[z * w + k] - d * Z[j] for k, j in enumerate(start)], d * phase)
             # Dantzig pricing, lowest index on ties
             best = min(priced, default=0)
             if best >= 0:
                 return None
             enter = priced.index(best)
-            S, w = tab.decode(*tab.X), tab.cells  # every row, one after another
             fs, rhs = M.column(S, w, enter, z) + [best], S[m::w]
             tied = ((lambda i: S[i * w:i * w + m]) if E is None else
-                    functools.cache(lambda i: E.tab.decode(E.row(S[i * w:i * w + m])[0])))
+                    functools.cache(lambda i: E.row(S[i * w:i * w + m])))
             leave = -1
             for i in range(z):
                 if fs[i] > 0 and (leave < 0 or lex_less(i, leave)):
                     leave = i
             if leave < 0:
                 return enter, fs
-            p, d = fs[leave], tab.d
-            s_r = S[leave * w:leave * w + m]
             tab.pivot(leave, enter, fs)
-            priced = M.update(s_r, abs(p), best if p > 0 else -best, d)
             basis[leave] = enter
             pivots[phase] += 1
 
@@ -511,7 +485,7 @@ def solve_standard(A: list[list], b: list, c: list, warm: _Restart | None = None
         pos = 0
         while pos < len(basis):
             if basis[pos] >= nc:
-                Mg = M.tab.decode(M.row(tab.row(pos)[:m])[0]) if M.tab else []
+                Mg = M.row(tab.row(pos)[:m])
                 pj = next((j for j, v in enumerate(Mg) if v), -1)  # S_pos.M's first nonzero
                 if pj >= 0:
                     tab.pivot(pos, pj, M.column(tab.decode(*tab.X), tab.cells, pj, len(basis)))

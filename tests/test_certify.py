@@ -85,6 +85,13 @@ def test_verify_certificate_rejects_ids_and_coeffs_of_different_lengths():
         certify.verify_certificate(gens[0], gens, certify.FarkasCertificate((99,), one))
 
 
+def test_verify_certificate_checks_the_ground_set():
+    # the same mask and coefficient over n=4 is not the n=3 target
+    with pytest.raises(GroundSetError):
+        certify.verify_certificate(LinExpr(3, {1: 1}), [LinExpr(4, {1: 1})],
+                                   certify.FarkasCertificate((0,), (Fraction(1),)))
+
+
 def test_separation_witness_when_not_implied():
     gens = elemental_exprs(4)
     target = ingleton_expr(IngletonQuad(4, 0b1, 0b10, 0b100, 0b1000))

@@ -458,6 +458,11 @@ def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_BUDGET, "10")
     rc, _, err = run_cli(capsys, ["gen", "--n", "8"])
     assert rc == 2 and "budget" in err
+    # a value that is not an int names the variable it came from
+    monkeypatch.setenv(cli.ENV_BUDGET, "1e6")
+    rc, out, err = run_cli(capsys, ["gen", "--n", "3"])
+    assert rc == 2 and out == ""
+    assert err == "error: INGLETONLP_BUDGET must be an int, got '1e6'\n"
     # an explicit flag wins over the environment
     monkeypatch.setenv(cli.ENV_BUDGET, "10")
     rc, out, _ = run_cli(capsys, ["gen", "--n", "4", "--budget", "1000000"])
@@ -474,6 +479,15 @@ def test_budget_env_var(capsys, monkeypatch):
 def test_budget_reaches_every_family(capsys, argv):
     rc, out, err = run_cli(capsys, argv)
     assert rc == 2 and out == "" and "budget" in err
+
+
+@pytest.mark.parametrize("scan", ["check-theorem1", "check-completeness", "check-minimality"])
+def test_scans_write_their_files_before_they_print(capsys, tmp_path, scan):
+    # an --emit-certificates path under a regular file fails before any report line
+    (tmp_path / "file").write_text("", encoding="ascii")
+    rc, out, err = run_cli(capsys, [
+        scan, "--n", "3", "--emit-certificates", str(tmp_path / "file" / "out")])
+    assert rc == 2 and out == "" and err.startswith("error:")
 
 
 @pytest.mark.parametrize("argv", [

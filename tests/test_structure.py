@@ -372,3 +372,19 @@ def test_one_decision_entry_point():
     tests = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(Path(__file__).parent.glob("*.py"))}
     assert not {"conic_implies", "separation_witness"} & {fn for _name, fn in _defined(tests)}
+
+
+def test_pricing_reads_the_objective_row():
+    # each pivot is priced from the objective row of S that every pivot
+    # already updates, so no packed copy of it is pivoted on its own
+    simplex = _trees()["simplex.py"]
+    assert not {"price", "update"} & _methods(simplex, "_System")
+    system = next(node for node in simplex.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_System")
+    packs = _calls(_function(system, "__init__"), "_Tableau")
+    assert [ast.unparse(call.args[0]) for call in packs] == ["rows"]
+    loops = [node for node in ast.walk(_function(simplex, "run_phase"))
+             if isinstance(node, ast.While)]
+    assert len(loops) == 1
+    assert "M" in [ast.unparse(call.func.value) for call in _calls(loops[0], "row")
+                   if isinstance(call.func, ast.Attribute)]
