@@ -15,7 +15,6 @@ feasible point plus an improving ray.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ingen
@@ -23,6 +22,7 @@ from .entspace import (
     EntropyVector,
     LinExpr,
     MemberTable,
+    Record,
     accumulate,
     check_n,
     cond_entropy_expr,
@@ -39,13 +39,10 @@ RELATIONS = ("<=", "=", ">=")
 SENSES = ("max", "min")
 
 
-@dataclass(frozen=True)
-class BoundProblem:
-    n: int
-    cone: str
-    sense: str
-    objective: LinExpr
-    constraints: tuple[tuple[LinExpr, str, Fraction], ...]
+class BoundProblem(Record):
+    """Optimize the objective over cone at n; constraints are (LinExpr, relation, rhs) rows."""
+
+    __slots__ = ("n", "cone", "sense", "objective", "constraints")
 
     def __post_init__(self):
         check_n(self.n)
@@ -62,9 +59,8 @@ class BoundProblem:
                 raise ValueError(f"unknown relation {rel!r}")
 
 
-@dataclass(frozen=True)
-class DualCertificate:
-    """Multipliers reproducing the optimum as a combination of rows.
+class DualCertificate(Record):
+    """Multipliers reproducing the optimum: user per row, cone as (generator id, coeff).
 
     For sense=max:  objective == sum(user[j]*lhs_j) - sum(cone coeff*gen)
     and value == sum(user[j]*rhs_j), with cone coeffs >= 0 and user signs
@@ -72,27 +68,21 @@ class DualCertificate:
     cone combination enters with + and the user signs flip.
     """
 
-    user: tuple[Fraction, ...]
-    cone: tuple[tuple[int, Fraction], ...]
+    __slots__ = ("user", "cone")
 
 
-@dataclass(frozen=True)
-class InfeasibilityCertificate:
-    """Multipliers with sum(user[j]*lhs_j) + sum(cone)*gens == 0 yet
-    sum(user[j]*rhs_j) > 0; user signs <= 0 on <= rows, >= 0 on >= rows."""
+class InfeasibilityCertificate(Record):
+    """Multipliers, as in DualCertificate, with sum(user[j]*lhs_j) + sum(cone)*gens
+    == 0 yet sum(user[j]*rhs_j) > 0; user signs <= 0 on <= rows, >= 0 on >= rows."""
 
-    user: tuple[Fraction, ...]
-    cone: tuple[tuple[int, Fraction], ...]
+    __slots__ = ("user", "cone")
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    status: str  # optimal | infeasible | unbounded
-    value: Fraction | None = None
-    primal: EntropyVector | None = None
-    dual: DualCertificate | None = None
-    farkas: InfeasibilityCertificate | None = None
-    ray: EntropyVector | None = None
+class BoundResult(Record):
+    """status optimal | infeasible | unbounded, and what certifies it."""
+
+    __slots__ = ("status", "value", "primal", "dual", "farkas", "ray")
+    _defaults = (None,) * 5
 
 
 # the family whose inequalities cut out each cone
@@ -458,25 +448,17 @@ def _combination(problem, glist, cert, pos_rel: str, cone_sign: int):
 # network compilation
 
 
-@dataclass(frozen=True)
-class NetworkEdge:
-    ident: str
-    inputs: tuple[str, ...]
-    cap: Fraction
+# a network as parse_network reads it: ids are strs, in tuples, and caps Fractions
+class NetworkEdge(Record):
+    __slots__ = ("ident", "inputs", "cap")
 
 
-@dataclass(frozen=True)
-class NetworkSink:
-    ident: str
-    wants: tuple[str, ...]
-    sees: tuple[str, ...]
+class NetworkSink(Record):
+    __slots__ = ("ident", "wants", "sees")
 
 
-@dataclass(frozen=True)
-class NetworkDescription:
-    sources: tuple[str, ...]
-    edges: tuple[NetworkEdge, ...]
-    sinks: tuple[NetworkSink, ...]
+class NetworkDescription(Record):
+    __slots__ = ("sources", "edges", "sinks")
 
 
 def _validate_network(net: NetworkDescription) -> None:

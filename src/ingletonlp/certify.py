@@ -23,7 +23,6 @@ import itertools
 import os
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -34,6 +33,7 @@ from .entspace import (
     IngletonQuad,
     LinExpr,
     MemberTable,
+    Record,
     accumulate,
     evaluate,
     format_quad,
@@ -51,19 +51,16 @@ def _require(ok: bool, what: str) -> None:
         raise RuntimeError(what)
 
 
-@dataclass(frozen=True)
-class FarkasCertificate:
+class FarkasCertificate(Record):
     """Nonnegative multipliers writing the target as a combination of generators."""
 
-    gen_ids: tuple[int, ...]
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("gen_ids", "coeffs")
 
 
-@dataclass(frozen=True)
-class SeparationWitness:
+class SeparationWitness(Record):
     """A point satisfying every generator but strictly violating the target."""
 
-    point: EntropyVector
+    __slots__ = ("point",)
 
 
 def verify_certificate(target: LinExpr, gens, cert: FarkasCertificate) -> bool:
@@ -409,18 +406,11 @@ def _scan_text(command: str, n: int, params: dict, body: list[str], ok: bool) ->
 # theorem-level scans
 
 
-@dataclass
-class _QuadScanReport:
+class _QuadScanReport(Record):
     """What both quad scans report: the generators, and how the quads were chosen."""
 
-    n: int
-    generators: tuple[ingen.CanonicalInequality, ...]
-    mode: str
-    seed: int
-    samples: int
-    quads: int
-    classes: int
-    orbits: int
+    __slots__ = ("n", "generators", "mode", "seed", "samples", "quads", "classes", "orbits")
+    _mutable = True
 
     def _text(self, command: str, body: list[str], ok: bool) -> str:
         if self.mode == "sample":
@@ -431,13 +421,8 @@ class _QuadScanReport:
                           [f"mode {self.mode}", *counts, *body], ok)
 
 
-@dataclass
 class Theorem1Report(_QuadScanReport):
-    implied: int
-    not_implied: int
-    counterexamples: tuple[str, ...]
-    certificates: tuple[tuple[str, FarkasCertificate], ...]
-    witnesses: tuple[tuple[str, SeparationWitness], ...]
+    __slots__ = ("implied", "not_implied", "counterexamples", "certificates", "witnesses")
 
     @property
     def ok(self) -> bool:
@@ -470,11 +455,8 @@ def check_theorem1(n: int, sample: int | None = None, seed: int = 0, workers: in
         witnesses=tuple(wits))
 
 
-@dataclass
 class CompletenessReport(_QuadScanReport):
-    certified: int
-    failures: tuple[str, ...]
-    certificates: tuple[tuple[str, FarkasCertificate], ...]
+    __slots__ = ("certified", "failures", "certificates")
 
     @property
     def ok(self) -> bool:
@@ -520,13 +502,11 @@ def check_completeness(n: int, sample: int | None = None, seed: int = 0,
         failures=tuple(failures), certificates=tuple(certs))
 
 
-@dataclass
-class MinimalityReport:
-    n: int
-    generators: tuple[ingen.CanonicalInequality, ...]
-    members: int
-    redundant: tuple[str, ...]
-    witnesses: tuple[tuple[str, str, SeparationWitness], ...]  # (kind, payload, w)
+class MinimalityReport(Record):
+    """witnesses holds (kind, payload text, SeparationWitness) per non-redundant member."""
+
+    __slots__ = ("n", "generators", "members", "redundant", "witnesses")
+    _mutable = True
 
     @property
     def ok(self) -> bool:

@@ -6,7 +6,8 @@ point values are exact rationals (int or fractions.Fraction), and the empty
 set always evaluates to zero and is never stored.  A point is int numerators
 over one positive denominator (`int_form`, which also builds the exact
 simplex rows), so evaluating is one int dot product divided once.  `Lanes`
-is the one packed-lane format, for `MemberTable` and the simplex.
+is the one packed-lane format, for `MemberTable` and the simplex.  `Record`
+is the base of every record class, so the package never imports `dataclasses`.
 
 `ingleton_masks` and `mutinfo_terms` are the only spelling of the ten-term
 form J and of I(a; b | d), here and in `ingen`; `_combine` is the only
@@ -24,8 +25,8 @@ import re
 import sys
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._version import __version__
@@ -38,7 +39,7 @@ Rational = int | Fraction
 
 def int_form(values: Sequence[Rational]) -> tuple[list[int], int]:
     """Rationals as int numerators over their lcm denominator: lowest terms if each is reduced."""
-    if all(type(v) is int for v in values):
+    if set(map(type, values)) <= {int}:
         return list(values), 1
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
@@ -415,15 +416,60 @@ def vector_from_text(text: str) -> EntropyVector:
     return EntropyVector.from_dict(n, acc)
 
 
-@dataclass(frozen=True)
-class IngletonQuad:
-    """Four subset arguments of the ten-term inequality form."""
+class Record:
+    """Fields: the names in `__slots__`, after a base record's; `_defaults` holds the
+    trailing ones' defaults, as in namedtuple.  `__init__` takes fields by position or
+    keyword, then runs `__post_init__`.  Fields named `_...` take no part in `==`, `hash`
+    or `repr`.  A record is frozen and hashable unless its class sets `_mutable`."""
 
-    n: int
-    a1: int
-    a2: int
-    a3: int
-    a4: int
+    __slots__ = ()
+    _fields, _defaults, _mutable = (), (), False
+
+    def __init_subclass__(cls):
+        cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
+        cls._key = attrgetter(*(f for f in cls._fields if f[0] != "_"))  # built once, in C
+        if cls._mutable:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        names, tail = self._fields, self._defaults
+        if not kwargs and 0 <= len(names) - len(args) <= len(tail):  # defaults fill the tail
+            args += tail[len(tail) + len(args) - len(names):]
+        else:
+            given = dict(zip(names[-len(tail):], tail), **dict(zip(names, args)), **kwargs)
+            if args[len(names):] or given.keys() != set(names):
+                raise TypeError(f"{type(self).__name__} takes each of {names} once")
+            args = [given[f] for f in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Checks a record class runs once its fields are set."""
+
+    def __eq__(self, other) -> bool:
+        return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = (f"{f}={getattr(self, f)!r}" for f in self._fields if f[0] != "_")
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and copy rebuild the record from its fields
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class IngletonQuad(Record):
+    """Four subset arguments of the ten-term inequality form: ints n, a1, a2, a3, a4."""
+
+    __slots__ = ("n", "a1", "a2", "a3", "a4")
 
     def __post_init__(self):
         check_n(self.n)

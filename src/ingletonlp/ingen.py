@@ -30,13 +30,13 @@ lists of `entspace.text_tables(n)`, indexed by mask and by term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import groupby, islice
 from typing import Iterator, Sequence
 
 from .entspace import (
     IngletonQuad,
     LinExpr,
+    Record,
     SUBSET_TEXT,
     _term_text,
     check_mask,
@@ -127,8 +127,7 @@ def member_expr(n: int, kind: str, payload: tuple) -> LinExpr:
     return LinExpr._raw(n, dict(member_terms(n, kind, payload)))
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalInequality:
+class CanonicalInequality(Record):
     """One >= 0 generator with its family tag and identifying payload.
 
     `expr` is always `member_expr(n, kind, payload)`: it is built on first
@@ -136,10 +135,8 @@ class CanonicalInequality:
     Equality and hashing read (n, kind, payload), which fix it.
     """
 
-    n: int
-    kind: str
-    payload: tuple
-    _expr: LinExpr | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("n", "kind", "payload", "_expr")
+    _defaults = (None,)
 
     @property
     def expr(self) -> LinExpr:
@@ -325,12 +322,11 @@ _CLASS_TO_KIND = {
 }
 
 
-@dataclass(frozen=True)
-class QuadClass:
+class QuadClass(Record):
     """Exactly one of Trivial | BasicImplied | InDelta1 | InDelta2 | ReducesTo(payload)."""
 
-    kind: str
-    payload: tuple | None = None
+    __slots__ = ("kind", "payload")
+    _defaults = (None,)
 
     def __str__(self) -> str:
         if self.payload is None:

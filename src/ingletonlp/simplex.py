@@ -51,7 +51,6 @@ import functools
 import importlib.util
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from itertools import accumulate, chain
@@ -59,23 +58,20 @@ from math import copysign, prod
 from operator import mul
 from types import SimpleNamespace
 
-from .entspace import Lanes, int_form
+from .entspace import Lanes, Record, int_form
 
 _WIDTH = 8  # lane width a tableau starts at; `widen` widens it as its entries need
 
 
-@dataclass
-class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: list | None = None
-    objective: Fraction | None = None
-    y: list | None = None  # duals (optimal) or Farkas vector (infeasible)
-    ray: list | None = None
-    # restart data of an optimal solve that deleted no row, for `warm` when
-    # re-solving the same A and b with columns appended; else ignored
-    warm: _Restart | None = None
-    pivots: tuple[int, int] = (0, 0)  # ratio-test pivots in phase 1 and in phase 2
-    width: int = 0  # the tableau's final lane width; 0 when none was built
+class LPResult(Record):
+    """status "optimal" | "infeasible" | "unbounded"; y holds the duals (optimal) or a
+    Farkas vector (infeasible).  warm is the `_Restart` of an optimal solve that
+    deleted no row, for re-solving the same A and b with columns appended.  pivots
+    counts the ratio-test pivots of each phase; width is the final lane width, or 0."""
+
+    __slots__ = ("status", "x", "objective", "y", "ray", "warm", "pivots", "width")
+    _defaults = (None,) * 5 + ((0, 0), 0)
+    _mutable = True
 
 
 @functools.cache
@@ -300,22 +296,16 @@ class _System:
         return fs
 
 
-@dataclass(frozen=True, repr=False)  # its tableau and copy of A are large
-class _Restart:
+class _Restart(Record):
     """An optimal tableau over the start lanes without its objective row, to re-solve from.
 
     Row pos of tab is unit at column basis[pos] of T = tab.M/D.  Row i of A
     was oriented by sign[i] and started with the unit column start[i], its
     crash column or its artificial.  A and b are copies of the system solved.
     """
-    tab: _Tableau
-    M: _System
-    basis: list[int]
-    start: list[int]
-    sign: list[int]
-    n_art: int
-    A: list[list]
-    b: list
+
+    __slots__ = ("tab", "M", "basis", "start", "sign", "n_art", "A", "b")
+    __repr__ = object.__repr__  # its tableau and copy of A are large
 
     def resume(self, A: list[list], b: list, cost: list[int]) -> tuple[_System, _Tableau] | None:
         """M with A's appended columns and the new cost ints, and a copy of tab to pivot.

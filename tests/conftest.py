@@ -1,4 +1,8 @@
-"""Session fixtures: CLI runs too slow to repeat in every test that reads them."""
+"""Session fixtures: CLI runs too slow to repeat in every test that reads them.
+
+`replace` is the tests' one way to change a field of a record: the
+package's records are plain classes, not dataclasses.
+"""
 
 import contextlib
 import io
@@ -7,6 +11,11 @@ import math
 import pytest
 
 from ingletonlp import cli
+
+
+def replace(record, **changes):
+    """A copy of record, rebuilt from its fields, with the named fields changed."""
+    return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **changes})
 
 
 def _main(argv):

@@ -8,12 +8,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import replace
 from ingletonlp import bound, ingen, simplex
 from ingletonlp.entspace import (
     EntropyVector,

@@ -1,6 +1,5 @@
 """Farkas certificates, separation witnesses, and the scan reports."""
 
-import dataclasses
 import functools
 import itertools
 import multiprocessing
@@ -16,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import replace
 from ingletonlp import bound, certify, ingen
 from ingletonlp.entspace import (
     EntropyVector,
@@ -446,8 +446,8 @@ def test_bound_rejects_a_primal_violating_one_member(where):
     # a positive scale keeps every sign and puts h(N) below 1
     bad = EntropyVector.over(4, h.nums, h.den * (1 + abs(h.nums[14])))
     good = EntropyVector.over(4, witness_modular(4).nums, 4)
-    assert bound.verify_bound_result(problem, dataclasses.replace(result, primal=good))
-    assert not bound.verify_bound_result(problem, dataclasses.replace(result, primal=bad))
+    assert bound.verify_bound_result(problem, replace(result, primal=good))
+    assert not bound.verify_bound_result(problem, replace(result, primal=bad))
 
 
 def test_quad_scans_decide_each_distinct_target_once(monkeypatch):
@@ -793,17 +793,17 @@ def test_exact_fallback_solves_once(monkeypatch):
 
 
 def _tampered_solve(edit=lambda res: None):
+    # edit changes res in place, or returns the result to hand on instead
     real = certify.solve_standard
 
     def solve(*args, **kwargs):
         res = real(*args, **kwargs)
-        edit(res)
-        return res
+        return edit(res) or res
     return solve
 
 
 def _set(**fields):
-    return lambda res: res.__dict__.update(fields)
+    return lambda res: replace(res, **fields)
 
 
 def _negate_y(res):
@@ -815,14 +815,13 @@ def _tampered_bound(edit=lambda res: None):
 
     def solve(*args, **kwargs):
         res = real(*args, **kwargs)
-        edit(res)
-        return res
+        return edit(res) or res
     return solve
 
 
 def _rescale_primal_top(res):
     h = res.primal  # coordinate h{1,2,3,4} doubled
-    _set(primal=EntropyVector(4, [2 * h[m] if m == 15 else h[m] for m in range(1, 16)]))(res)
+    return _set(primal=EntropyVector(4, [2 * h[m] if m == 15 else h[m] for m in range(1, 16)]))(res)
 
 
 def _only_target_negative(e, h):
@@ -891,7 +890,7 @@ def test_padded_violator_guards(monkeypatch, fake_eval, what):
 def test_guards_survive_optimize_flag():
     # python -O strips assert statements; the guards must still fire
     code = (
-        "from dataclasses import replace\n"
+        "from conftest import replace\n"
         "from fractions import Fraction\n"
         "from ingletonlp import bound, certify, ingen\n"
         "from ingletonlp.entspace import EntropyVector, IngletonQuad, LinExpr, ingleton_expr\n"

@@ -615,6 +615,28 @@ def test_exact_bound_leaves_the_float_stack_unloaded(tmp_path):
     assert err.endswith("code=0 loaded=[]")
 
 
+def test_cli_loads_neither_dataclasses_nor_argparse_until_main(tmp_path):
+    # every command pays its imports in a fresh process: the records are
+    # plain classes, so dataclasses (and its inspect) never load, and
+    # argparse loads only when main builds its parser
+    net = tmp_path / "net.txt"
+    net.write_text(BUTTERFLY5, encoding="ascii")
+    code = (
+        "import contextlib, io, sys\n"
+        "def loaded(names):\n"
+        "    return [m for m in names if m in sys.modules]\n"
+        "from ingletonlp import cli\n"
+        "seen = [loaded(('dataclasses', 'inspect', 'argparse'))]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(['bound', '--network', {str(net)!r}])]\n"
+        "    seen.append(loaded(('dataclasses', 'inspect')))\n"
+        "    codes.append(cli.main(['check-minimality', '--n', '4']))\n"
+        "seen.append(loaded(('dataclasses', 'inspect')))\n"
+        "sys.stderr.write(repr((codes, seen)))\n")
+    _out, err = _child(code)
+    assert ast.literal_eval(err) == ([0, 0], [[], [], []])
+
+
 def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     # the package resolves its names on first use, and cli imports bound and
     # certify inside the commands that run them

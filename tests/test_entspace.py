@@ -1,5 +1,6 @@
 """Coordinate conventions, expression arithmetic, and text formats."""
 
+import copy
 import pickle
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ingletonlp import bound, certify, ingen, simplex
 from ingletonlp.entspace import (
     EntropyVector,
     GroundSetError,
@@ -28,6 +30,7 @@ from ingletonlp.entspace import (
     format_vector_pairs,
     full_mask,
     ingleton_expr,
+    int_form,
     mask_from_elements,
     parse_expr,
     parse_quad,
@@ -477,3 +480,123 @@ def test_accumulate_matches_a_dense_fraction_sum(data):
     pairs += [(m, -c) for m, c in pairs[:3]] + pairs[:3]
     text = " ".join(f"{'-' if c < 0 else '+'}{abs(c)}*h{format_subset(m)}" for m, c in pairs)
     assert _same_map(parse_expr(text, n).coeffs, _dense_reference(n, pairs))
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([3, -2, 0], ([3, -2, 0], 1)),  # ints stay as they are, over 1
+    ([Fraction(1, 2), Fraction(-1, 3)], ([3, -2], 6)),
+    ([1, Fraction(1, 2), 0], ([2, 1, 0], 2)),
+    ([True, False, 2], ([1, 0, 2], 1)),  # bools come back as ints
+    ([], ([], 1)),
+])
+def test_int_form_puts_rationals_over_their_lcm(values, expected):
+    nums, den = int_form(values)
+    assert (nums, den) == expected and {type(v) for v in nums} <= {int}
+    assert nums is not values
+
+
+def _record(name):
+    """One instance of the package's record class of that name, as a solve or parser makes it."""
+    net = ("source s1\nsource s2\nedge a from s1 cap 1\nedge b from s2 cap 1\n"
+           "edge m from s1,s2 cap 1\nsink t1 wants s1,s2 sees a,m\nsink t2 wants s1,s2 sees b,m\n")
+    problem = bound.BoundProblem(3, bound.CONE_GAMMA_IN, "max", LinExpr.single(3, 1),
+                                 ((LinExpr.single(3, 7), "<=", Fraction(1)),))
+    target = ingleton_expr(IngletonQuad(4, 1, 2, 4, 8))
+    members = ingen.gen_delta(4)
+    members[3].expr  # one member carries its expression, which nothing compares
+    lp = simplex.solve_standard([[1, 1, 1]], [2], [-1, -2, 0])
+    scan = dict(n=4, generators=tuple(members[:2]), mode="sample", seed=0, samples=1,
+                quads=0, classes=0, orbits=0)
+    return {
+        "IngletonQuad": lambda: IngletonQuad(4, 1, 2, 4, 8),
+        "CanonicalInequality": lambda: members[3],
+        "QuadClass": lambda: ingen.classify_quad(IngletonQuad(4, 1, 2, 4, 8)),
+        "BoundProblem": lambda: problem,
+        "DualCertificate": lambda: bound.solve_bound(problem).dual,
+        "InfeasibilityCertificate": lambda: bound.InfeasibilityCertificate(
+            (Fraction(-1),), ((0, Fraction(1, 2)),)),
+        "BoundResult": lambda: bound.solve_bound(problem),
+        "NetworkEdge": lambda: bound.parse_network(net).edges[2],
+        "NetworkSink": lambda: bound.parse_network(net).sinks[0],
+        "NetworkDescription": lambda: bound.parse_network(net),
+        "FarkasCertificate": lambda: certify.decide_implication(
+            target, [ci.expr for ci in members]),
+        "SeparationWitness": lambda: certify.decide_implication(
+            target, [ci.expr for ci in ingen.gen_elemental(4)]),
+        "_QuadScanReport": lambda: certify._QuadScanReport(**scan),
+        "Theorem1Report": lambda: certify.Theorem1Report(
+            **scan, implied=1, not_implied=0, counterexamples=(), certificates=(), witnesses=()),
+        "CompletenessReport": lambda: certify.CompletenessReport(
+            **scan, certified=0, failures=("{1},{2},{3},{4}",), certificates=()),
+        "MinimalityReport": lambda: certify.check_minimality(3),
+        "LPResult": lambda: simplex.LPResult("optimal", lp.x, lp.objective, lp.y),
+        "_Restart": lambda: lp.warm,
+    }[name]()
+
+
+# each frozen record class, then each mutable one, with one of its fields
+FIELD = {"IngletonQuad": "a1", "CanonicalInequality": "payload", "QuadClass": "kind",
+         "BoundProblem": "sense", "DualCertificate": "user", "InfeasibilityCertificate": "cone",
+         "BoundResult": "value", "NetworkEdge": "cap", "NetworkSink": "sees",
+         "NetworkDescription": "edges", "FarkasCertificate": "coeffs",
+         "SeparationWitness": "point", "_Restart": "basis"}
+MUTABLE = {"_QuadScanReport": "mode", "Theorem1Report": "implied",
+           "CompletenessReport": "failures", "MinimalityReport": "redundant", "LPResult": "x"}
+
+
+@pytest.mark.parametrize("name", [*FIELD, *MUTABLE])
+def test_every_record_class_behaves_as_a_record(name):
+    rec = _record(name)
+    field = FIELD.get(name) or MUTABLE[name]
+    assert type(rec).__name__ == name
+    copied, back = copy.copy(rec), pickle.loads(pickle.dumps(rec))
+    assert type(copied) is type(back) is type(rec)
+    if name == "_Restart":  # its tableau compares by identity, and its lists cannot hash
+        assert copied == rec
+        assert [getattr(back, f) for f in ("basis", "start", "sign", "n_art", "A", "b")] == \
+            [getattr(rec, f) for f in ("basis", "start", "sign", "n_art", "A", "b")]
+    else:
+        for twin in (copied, back):
+            assert twin == rec and not twin != rec and getattr(twin, field) == getattr(rec, field)
+            if name in FIELD:
+                assert hash(twin) == hash(rec)
+    if name in FIELD:
+        with pytest.raises(AttributeError):
+            setattr(rec, field, getattr(rec, field))
+        with pytest.raises(AttributeError):
+            delattr(rec, field)
+    else:
+        with pytest.raises(TypeError):
+            hash(rec)
+        setattr(rec, field, None)
+        assert getattr(rec, field) is None and rec != back
+
+
+def test_record_reprs_read_as_dataclass_reprs():
+    assert repr(IngletonQuad(4, 1, 2, 4, 8)) == "IngletonQuad(n=4, a1=1, a2=2, a3=4, a4=8)"
+    infeasible = bound.BoundResult(
+        "infeasible", farkas=bound.InfeasibilityCertificate((Fraction(-1),), ()))
+    assert repr(infeasible) == (
+        "BoundResult(status='infeasible', value=None, primal=None, dual=None, "
+        "farkas=InfeasibilityCertificate(user=(Fraction(-1, 1),), cone=()), ray=None)")
+    ci = ingen.gen_delta2(3)[0]
+    ci.expr  # a member's expression is left out of its repr, read or not
+    assert repr(ci) == "CanonicalInequality(n=3, kind='Delta2', payload=(1,))"
+    warm = simplex.solve_standard([[1, 1]], [1], [-1, 0]).warm
+    assert repr(warm).startswith("<ingletonlp.simplex._Restart object at ")
+
+
+def test_record_arguments_by_position_keyword_and_default():
+    q = IngletonQuad(4, 1, 2, 4, 8)
+    assert IngletonQuad(a4=8, a3=4, n=4, a1=1, a2=2) == IngletonQuad(4, 1, a2=2, a3=4, a4=8) == q
+    assert ingen.QuadClass("Trivial").payload is None
+    r = simplex.LPResult("optimal", None, Fraction(1), width=16)
+    assert (r.objective, r.warm, r.pivots, r.width) == (Fraction(1), None, (0, 0), 16)
+    for bad in [lambda: IngletonQuad(4, 1, 2, 4),  # a field missing
+                lambda: IngletonQuad(4, 1, 2, 4, 8, 16),  # one too many
+                lambda: IngletonQuad(4, 1, 2, 4, 8, n=4),  # a field twice
+                lambda: IngletonQuad(4, 1, 2, 4, a5=8)]:  # no such field
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(GroundSetError):  # the class's own checks run after the fields are set
+        IngletonQuad(a1=1, a2=2, a3=4, a4=32, n=4)

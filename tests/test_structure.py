@@ -25,6 +25,15 @@ def test_no_assert_statement_in_the_package():
     assert found == []
 
 
+def test_no_module_imports_dataclasses():
+    # the records sit on entspace.Record, so importing the package loads no
+    # dataclasses and, through it, no inspect
+    imported = {alias.name if isinstance(node, ast.Import) else node.module
+                for tree in _trees().values() for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert {"functools", "fractions"} <= imported and "dataclasses" not in imported
+
+
 def _defined(trees):
     """(module file, function name) of every function definition."""
     return [(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)

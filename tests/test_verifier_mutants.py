@@ -21,12 +21,12 @@ does.
 
 import functools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import replace
 from ingletonlp import bound, certify, ingen
 from ingletonlp.entspace import EntropyVector, ingleton_expr, parse_quad
 from recheck import (
