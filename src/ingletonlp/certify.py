@@ -265,13 +265,9 @@ def decide_implication(target: LinExpr, gens) -> FarkasCertificate | SeparationW
 def _perm_tables(n: int) -> list[list[int]]:
     tables = []
     for perm in itertools.permutations(range(n)):
-        tab = [0] * (2 ** n)
-        for mask in range(2 ** n):
-            out = 0
-            for k in range(n):
-                if mask >> k & 1:
-                    out |= 1 << perm[k]
-            tab[mask] = out
+        tab = [0]
+        for image in perm:  # element k's: masks below 2^(k+1) are those below 2^k, then with it
+            tab += [t | 1 << image for t in tab]
         tables.append(tab)
     return tables
 
@@ -526,8 +522,8 @@ def check_minimality(n: int, workers: int = 1, allow_large: bool = False,
                      budget: int | None = ingen.DEFAULT_BUDGET) -> MinimalityReport:
     """Drop-one scan: every member must get a separation witness against the rest.
 
-    A member after its orbit's first takes that one's witness relabeled if every
-    relabeling onto it gives one point that passes its exact check, else is decided."""
+    A member after its orbit's first takes that one's witness relabeled if the first's
+    stabilizer fixes it and the point passes the member's exact check, else is decided."""
     if n > 5 and not allow_large:
         raise ValueError("drop-one scan above n=5 requires --allow-large (allow_large=True)")
     delta = ingen.gen_delta(n, budget=budget)
@@ -542,15 +538,17 @@ def check_minimality(n: int, workers: int = 1, allow_large: bool = False,
 
     def carry(k):
         r, pis = onto[k]
-        images = {_relabel_point(answers[r].point, tables[pi]) for pi in pis} \
-            if isinstance(answers[r], SeparationWitness) else ()
-        wit = SeparationWitness(images.pop()) if len(images) == 1 else None
+        wit = SeparationWitness(_relabel_point(answers[r].point, tables[pis[0]])) \
+            if r in fixed else None
         if wit and verify_witness(full.gens[k], full.table.without(k), wit) \
                 and evaluate(full.gens[k], wit.point) == -1:
             return wit
         return settle(k)
     reps = [k for k, (r, _pis) in enumerate(onto) if r == k]
     answers = dict(zip(reps, _map(settle, reps, workers)))
+    # the tables onto a member, one coset of r's stabilizer, give one image iff that fixes it
+    fixed = {r for r in reps if isinstance(h := answers[r], SeparationWitness) and all(
+        _relabel_point(h.point, tables[pi]) == h.point for pi in onto[r][1])}
     rest = [k for k, (r, _pis) in enumerate(onto) if r != k]
     answers.update(zip(rest, _map(carry, rest, workers)))
     return MinimalityReport(

@@ -48,9 +48,10 @@ def int_form(values: Sequence[Rational]) -> tuple[list[int], int]:
 class Lanes:
     """The packed-lane format: a row of `cells` ints r_k, |r_k| < 2^(w-1), as one int.
 
-    A row packs as bias + sum r_k 2^(w k): `bias` puts 2^(w-1) in every lane, so
-    lane k's top bit is set iff r_k >= 0, and int combinations of packed rows,
-    less their bias, read off lane by lane, without borrows, while entries fit.
+    A row packs as the plain int sum r_k 2^(w k), so an int combination of
+    packed rows packs the same combination of their entries, while those fit.
+    Only this module adds `bias`, 2^(w-1) in every lane: it lifts each lane to
+    r_k + 2^(w-1), which reads off without borrows, its top bit set iff r_k >= 0.
     """
 
     _CODES = {array(code).itemsize * 8: code for code in "bhiq"}  # lane width -> typecode
@@ -83,14 +84,15 @@ class Lanes:
                 raw[k * nb:(k + 1) * nb] = v.to_bytes(nb, "little", signed=True)
         else:
             raw = b"".join(v.to_bytes(nb, "little", signed=True) for v in entries)
-        raw, nb = memoryview(raw), nb * self.cells
-        # flipping each lane's top bit turns two's complement r into r + 2^(w-1)
-        return [int.from_bytes(raw[k:k + nb], "little") ^ self.bias for k in range(0, len(raw), nb)]
+        raw, nb, bias = memoryview(raw), nb * self.cells, self.bias
+        # flipping each lane's top bit turns two's complement r into r + 2^(w-1); less the bias
+        return [(int.from_bytes(raw[k:k + nb], "little") ^ bias) - bias
+                for k in range(0, len(raw), nb)]
 
     def decode(self, *xs: int) -> list[int]:
         """The entries of packed rows, one row after another."""
-        w, nb = self.w, self.w // 8
-        raw = b"".join([(x ^ self.bias).to_bytes(nb * self.cells, "little") for x in xs])
+        w, nb, bias = self.w, self.w // 8, self.bias  # (x + bias) ^ bias: lanes in two's complement
+        raw = b"".join([((x + bias) ^ bias).to_bytes(nb * self.cells, "little") for x in xs])
         if w > 128:  # lanes this wide decode faster whole than word by word
             return [int.from_bytes(raw[k:k + nb], "little", signed=True)
                     for k in range(0, len(raw), nb)]
@@ -546,7 +548,7 @@ def evaluate(e: LinExpr, h: EntropyVector) -> Rational:
 class MemberTable:
     """Every member's exact value at a point, in one packed-integer pass.
 
-    Per mask m, C_m, a `Lanes` row less its bias, holds member k's coefficient,
+    Per mask m, C_m, a packed `Lanes` row, holds member k's coefficient,
     over the common denominator `den`, in lane k; then lane k of sum_m C_m h.nums[m - 1]
     is member k's value at h times den * h.den.  No lane overflows: `width`
     bounds each value by max|h.nums| times the largest coefficient L1 norm.
@@ -580,11 +582,11 @@ class MemberTable:
         return Lanes.fit(top.bit_length())
 
     def _pass(self, h: EntropyVector) -> tuple[Lanes, int]:
-        """(lanes, the pass packed in them): lane k's top bit is set iff member k is >= 0 at h."""
+        """(lanes, the pass packed in them): lane k holds member k's value at h, scaled."""
         if self._maps and h.n != self.n:
             raise GroundSetError("members and point use different ground sets")
         lanes, cols = self._lanes(self.width(h))
-        return lanes, sum(c * h.nums[i] for i, c in cols) + lanes.bias
+        return lanes, sum(c * h.nums[i] for i, c in cols)
 
     def _lanes(self, w: int) -> tuple[Lanes, list[tuple[int, int]]]:
         """(lanes, [(m - 1, C_m)]) in w-bit lanes, packed at the first call."""
@@ -594,8 +596,7 @@ class MemberTable:
             for k, cs in enumerate(self._maps):
                 for m, c in cs.items():
                     rows[m][k] = c
-            self._packs[w] = lanes, [(m - 1, lanes.encode(row)[0] - lanes.bias)
-                                     for m, row in rows.items()]
+            self._packs[w] = lanes, [(m - 1, lanes.encode(row)[0]) for m, row in rows.items()]
         return self._packs[w]
 
     def scaled(self, h: EntropyVector) -> list[int]:
@@ -604,10 +605,10 @@ class MemberTable:
         return [x for k, x in enumerate(lanes.decode(v)) if k not in self._out]
 
     def nonnegative(self, h: EntropyVector) -> bool:
-        """Whether every member is >= 0 at h: one test of the lanes' top bits."""
+        """Whether every member is >= 0 at h: one test of the biased lanes' top bits."""
         lanes, v = self._pass(h)
         keep = lanes.bias - sum(1 << (lanes.w * (k + 1) - 1) for k in self._out)
-        return v & keep == keep
+        return (v + lanes.bias) & keep == keep
 
 
 def witness_fulldim(n: int) -> EntropyVector:

@@ -17,20 +17,20 @@ the integer matrix M, whose start column for row i, its crash column or
 its artificial, is D times unit i.  The tableau pivoted is only the block
 S over those start columns and the rhs, plus the objective row: for one
 shared d > 0 it holds d times B^-1 and B^-1 b, and the full tableau,
-T = S.M/D, is never formed.  Each row of S is one int, a lane an entry,
-in `entspace.Lanes`, the lane format `MemberTable` shares.  A pivot on
-entry p of row r sets each other row i to (|p|.U_i - sgn(p).f_i.U_r) / d
-and d to |p|, and Edmonds' identity makes that division exact in every
-lane, so no gcd runs.  Pricing reads P, T's objective row on A's columns,
-off S's objective row before each pivot: P is g.M/D plus d times the
-costs, g from that row's start lanes, one multiply-add per packed row of
-M, so no second copy of the objective row is pivoted.  An entering column
-is S times M's column over D, and a ratio-test tie reads T's phase-start
-basis columns the same way.  One positive d scales every row alike, so it changes no
-sign, no order within a row and no sign of a cross-multiplied pair of
-entries: each pivot decision, and so each pivot, is the one rational
-arithmetic would make.  Inputs may mix ints and Fractions; outputs are
-Fractions.
+T = S.M/D, is never formed.  Row i of S is one int, sum_k U_ik 2^(w k)
+in the `entspace.Lanes` format `MemberTable` shares, so row operations
+are int operations on whole rows.  A pivot on entry p of row r sets each
+other row i to (|p|.U_i - sgn(p).f_i.U_r) / d and d to |p|, and Edmonds'
+identity makes that division exact in every lane, so no gcd runs.
+Pricing reads P, T's objective row on A's columns, off S's objective row
+before each pivot: P is g.M/D plus d times the costs, g from that row's
+start lanes, one multiply-add per packed row of M, so no second copy of
+the objective row is pivoted.  An entering column is S times M's column
+over D, and a ratio-test tie reads T's phase-start basis columns the same
+way.  One positive d scales every row alike, so it changes no sign, no
+order within a row and no sign of a cross-multiplied pair of entries:
+each pivot decision, and so each pivot, is the one rational arithmetic
+would make.  Inputs may mix ints and Fractions; outputs are Fractions.
 
 The final S holds B^-1 in its start lanes: the duals are read off the
 objective row there, and a re-solve with columns appended appends them
@@ -218,7 +218,7 @@ class _Tableau(Lanes):
             if i != r and (f or a != d):  # a row with f = 0 still scales by |p|/d
                 self.combine(i, a, r, s * f, d)
         if p < 0:
-            self.X[r] = 2 * self.bias - self.X[r]
+            self.X[r] = -self.X[r]
         self.d = a
 
     def combine(self, i: int, a: int, r: int, f: int, d: int) -> None:
@@ -237,12 +237,12 @@ class _Tableau(Lanes):
             b = (((a << bits[i]) + (abs(f) << bits[r])) // d).bit_length()
             if b >= self.w:
                 self.widen(b)
-        x = a * self.X[i] - f * self.X[r] + self.bias * (f - a)  # unbiased
+        x = a * self.X[i] - f * self.X[r]
         if d != 1:
             x, rest = divmod(x, d)
             if rest:
                 raise RuntimeError("a tableau row does not divide by the tableau's denominator")
-        self.X[i], bits[i] = x + self.bias, b
+        self.X[i], bits[i] = x, b
 
 
 class _System:
@@ -277,11 +277,10 @@ class _System:
         b = (max(map(abs, g)) * self.l1 + abs(w) * self.zmax).bit_length()
         if b >= tab.w:  # lanes sized from that bound, so nothing is measured
             tab.widen(b)
-        x = sum(map(mul, g, tab.X)) - tab.bias * sum(g)  # unbiased
-        x, rest = divmod(x + w * (tab.X[m] - tab.bias) if w else x, self.D)
+        x, rest = divmod(sum(map(mul, g, tab.X)) + (w * tab.X[m] if w else 0), self.D)
         if rest:
             raise RuntimeError("a row of T does not divide by the start denominator")
-        return tab.decode(x + tab.bias)
+        return tab.decode(x)
 
     def column(self, S: list[int], w: int, q: int, rows: int) -> list[int]:
         """Column q of S.M/D in S's first `rows` rows, S being the entries of

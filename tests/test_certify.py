@@ -615,6 +615,17 @@ def test_each_drop_one_witness_is_checked_once(monkeypatch):
     assert len(calls) == 76
 
 
+def test_drop_one_witnesses_carry_by_the_stabilizer(monkeypatch):
+    # each representative's witness is relabeled by its stabilizer's tables,
+    # until one moves it, and then once per member it is carried to: 16 + 26
+    # at n=4, where relabeling by every table onto each member took 100
+    calls = []
+    real = certify._relabel_point
+    monkeypatch.setattr(certify, "_relabel_point", lambda h, tab: calls.append(1) or real(h, tab))
+    assert certify.check_minimality(4).ok
+    assert len(calls) == 42
+
+
 def _negated_relabeling(monkeypatch):
     real = certify._relabel_point
 
@@ -658,6 +669,15 @@ def test_relabeling_carries_members_and_their_values(data):
     assert members[certify._member_image((g.kind, g.payload), tab)].expr == moved
     assert evaluate(moved, moved_h) == evaluate(g.expr, h)
     assert certify._relabel_point(h, tab) == moved_h
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_perm_tables_relabel_bit_by_bit(n):
+    # one table per permutation, in itertools order, the image of each mask
+    # being the or of its elements' images
+    assert certify._perm_tables(n) == [
+        [sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in range(2 ** n)]
+        for perm in itertools.permutations(range(n))]
 
 
 def _least_images(n):

@@ -458,7 +458,7 @@ def test_random_lps_with_64_bit_lanes(monkeypatch):
 def test_wide_lanes_round_trip(monkeypatch, w):
     # the one lane format at every width: dense rows as a tableau packs them,
     # and a zeroed row filled entry by entry as MemberTable fills it, each
-    # pack to bias + sum r_k 2^(w k) and decode to the entries packed
+    # pack to sum r_k 2^(w k) and decode to the entries packed
     monkeypatch.setattr(simplex, "_WIDTH", w)
     entries = st.integers(1 - 2 ** (w - 1), 2 ** (w - 1) - 1) | st.just(0)
     shapes = st.tuples(st.integers(1, 4), st.integers(1, 9))
@@ -470,7 +470,7 @@ def test_wide_lanes_round_trip(monkeypatch, w):
         tab = simplex._Tableau(rows, 1)
         assert tab.w == w
         lanes = Lanes(w, tab.cells)
-        packed = [sum((v + 2 ** (w - 1)) << (w * k) for k, v in enumerate(row)) for row in rows]
+        packed = [sum(v << (w * k) for k, v in enumerate(row)) for row in rows]
         assert tab.X == lanes.encode([v for row in rows for v in row]) == packed
         assert [tab.row(i) for i in range(len(rows))] == rows
         assert tab.decode(*tab.X) == [v for row in rows for v in row]
@@ -480,6 +480,30 @@ def test_wide_lanes_round_trip(monkeypatch, w):
                 if v:
                     zeroed[k] = v
             assert lanes.encode(zeroed) == [x] and lanes.decode(x) == row
+
+    check()
+
+
+@pytest.mark.parametrize("w", [8, 16, 32, 64, 128, 256])
+def test_packed_rows_combine_linearly(w):
+    # the exact kernel's row operations are int operations on whole packed
+    # rows: a.X1 - f.X2 packs a.r1 - f.r2, and decodes to it, while that fits
+    half = 2 ** (w // 2 - 1) - 1  # |a.u - f.v| <= 2.half^2 < 2^(w-1)
+    small = st.integers(-half, half) | st.sampled_from([-half, half])
+    pairs = st.integers(1, 9).flatmap(
+        lambda n: st.tuples(*[st.lists(small, min_size=n, max_size=n)] * 2))
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs, small, small)
+    def check(rows, a, f):
+        r1, r2 = rows
+        combo = [a * u - f * v for u, v in zip(r1, r2)]
+        assert max(map(abs, combo)) < 2 ** (w - 1)
+        lanes = Lanes(w, len(r1))
+        (x1, x2), (x,) = lanes.encode(r1 + r2), lanes.encode(combo)
+        assert x == a * x1 - f * x2
+        assert lanes.decode(x) == combo
+        assert lanes.decode(x1, x2) == r1 + r2
 
     check()
 

@@ -347,7 +347,8 @@ def _lane_bias_spellings(tree):
 
 def test_one_packed_lane_codec():
     # entspace.Lanes owns the width rule, the bias, the encoder and the
-    # decoder; MemberTable and the exact tableaux pack through it alone
+    # decoder; MemberTable and the exact tableaux pack through it alone, and
+    # outside entspace a packed row is the plain int sum r_k 2^(w k)
     trees = _trees()
     codec = next(node for node in trees["entspace.py"].body
                  if isinstance(node, ast.ClassDef) and node.name == "Lanes")
@@ -360,6 +361,10 @@ def test_one_packed_lane_codec():
     spelled = [(name, id(node) in inside) for name, tree in trees.items()
                for node in _lane_bias_spellings(tree)]
     assert spelled == [("entspace.py", True)]
+    readers = {name for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "bias"}
+    assert readers == {"entspace.py"}
+    assert "bias" not in (PACKAGE / "simplex.py").read_text(encoding="utf-8")
     simplex = trees["simplex.py"]
     assert not {"column", "pack", "decode"} & _methods(simplex, "_Tableau")
     assert "first" not in _methods(simplex, "_System")
