@@ -26,7 +26,6 @@ from .entspace import (
     accumulate,
     check_n,
     cond_entropy_expr,
-    elements_of,
     evaluate,
     format_vector_pairs,
     parse_rational,
@@ -118,26 +117,6 @@ def membership(h: EntropyVector, cone: str,
 
 # ---------------------------------------------------------------------------
 # solving
-
-
-def _entropy_decomposition(n: int, alpha: int) -> list[tuple]:
-    """h(alpha) as a coefficient-1 sum of elemental forms, as (shape, payload) keys."""
-    keys: list[tuple] = []
-    elems = elements_of(alpha)
-    for pos, a in enumerate(elems):
-        beta = 0
-        for b in elems[pos + 1:]:
-            beta |= 1 << (b - 1)
-        cur = beta
-        for j in range(1, n + 1):
-            bj = 1 << (j - 1)
-            if j == a or cur & bj:
-                continue
-            lo, hi = (a, j) if a < j else (j, a)
-            keys.append((ingen.KIND_DELTA1, (lo, hi, cur)))
-            cur |= bj
-        keys.append((ingen.KIND_DELTA2, (a,)))
-    return keys
 
 
 def _cone(problem: BoundProblem, extra_inequalities, members):
@@ -332,7 +311,7 @@ def _cone_fold(asm: _DualAssembly, chosen, w) -> dict:
     for alpha in range(1, asm.dim + 1):
         gap = surplus[alpha - 1]
         if gap:
-            for key in _entropy_decomposition(asm.p.n, alpha):
+            for key in ingen.entropy_decomposition(asm.p.n, alpha):
                 idx = by_key[key]
                 lam[idx] = lam.get(idx, Fraction(0)) + gap
     return lam
@@ -458,59 +437,60 @@ class NetworkSink(Record):
 
 
 class NetworkDescription(Record):
+    """Sources, edges and sinks, checked once when built: ids unique, every
+    reference known, no cycle, and every demanded source reachable."""
+
     __slots__ = ("sources", "edges", "sinks")
 
+    def __post_init__(self):
+        # the size check bounds the depth of the pass below
+        check_n(len(self.sources) + len(self.edges))
+        names = list(self.sources) + [e.ident for e in self.edges]
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate source/edge id")
+        sink_ids = [s.ident for s in self.sinks]
+        if len(set(sink_ids)) != len(sink_ids):
+            raise ValueError("duplicate sink id")
+        known = set(names)
+        sources = set(self.sources)
+        edge_by_id = {e.ident: e for e in self.edges}
+        for e in self.edges:
+            if not e.inputs:
+                raise ValueError(f"edge {e.ident} has no inputs")
+            if e.cap < 0:
+                raise ValueError(f"edge {e.ident} has negative capacity")
+            for ref in e.inputs:
+                if ref not in known:
+                    raise ValueError(f"edge {e.ident} references unknown id {ref}")
+        for s in self.sinks:
+            if not s.wants or not s.sees:
+                raise ValueError(f"sink {s.ident} needs wants and sees lists")
+            for ref in s.sees:
+                if ref not in known:
+                    raise ValueError(f"sink {s.ident} sees unknown id {ref}")
+            for ref in s.wants:
+                if ref not in sources:
+                    raise ValueError(f"sink {s.ident} demands non-source id {ref}")
+        # one depth-first pass gives every id the sources upstream of it;
+        # an edge met again while its inputs are still open closes a cycle
+        upstream = {src: {src} for src in self.sources}
+        entered: set[str] = set()
 
-def _validate_network(net: NetworkDescription) -> None:
-    # the size check bounds the depth of the pass below
-    check_n(len(net.sources) + len(net.edges))
-    names = list(net.sources) + [e.ident for e in net.edges]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate source/edge id")
-    sink_ids = [s.ident for s in net.sinks]
-    if len(set(sink_ids)) != len(sink_ids):
-        raise ValueError("duplicate sink id")
-    known = set(names)
-    sources = set(net.sources)
-    edge_by_id = {e.ident: e for e in net.edges}
-    for e in net.edges:
-        if not e.inputs:
-            raise ValueError(f"edge {e.ident} has no inputs")
-        if e.cap < 0:
-            raise ValueError(f"edge {e.ident} has negative capacity")
-        for ref in e.inputs:
-            if ref not in known:
-                raise ValueError(f"edge {e.ident} references unknown id {ref}")
-    for s in net.sinks:
-        if not s.wants or not s.sees:
-            raise ValueError(f"sink {s.ident} needs wants and sees lists")
-        for ref in s.sees:
-            if ref not in known:
-                raise ValueError(f"sink {s.ident} sees unknown id {ref}")
-        for ref in s.wants:
-            if ref not in sources:
-                raise ValueError(f"sink {s.ident} demands non-source id {ref}")
-    # one depth-first pass gives every id the sources upstream of it;
-    # an edge met again while its inputs are still open closes a cycle
-    upstream = {src: {src} for src in net.sources}
-    entered: set[str] = set()
+        def visit(ref: str) -> set[str]:
+            if ref not in upstream:
+                if ref in entered:
+                    raise ValueError(f"cycle through edge {ref}")
+                entered.add(ref)
+                upstream[ref] = set().union(*map(visit, edge_by_id[ref].inputs))
+            return upstream[ref]
 
-    def visit(ref: str) -> set[str]:
-        if ref not in upstream:
-            if ref in entered:
-                raise ValueError(f"cycle through edge {ref}")
-            entered.add(ref)
-            upstream[ref] = set().union(*map(visit, edge_by_id[ref].inputs))
-        return upstream[ref]
-
-    for e in net.edges:
-        visit(e.ident)
-    for s in net.sinks:
-        reach = set().union(*map(visit, s.sees))
-        for want in s.wants:
-            if want not in reach:
-                raise ValueError(
-                    f"sink {s.ident} cannot reach demanded source {want}")
+        for e in self.edges:
+            visit(e.ident)
+        for s in self.sinks:
+            reach = set().union(*map(visit, s.sees))
+            for want in s.wants:
+                if want not in reach:
+                    raise ValueError(f"sink {s.ident} cannot reach demanded source {want}")
 
 
 def compile_network(net: NetworkDescription, demands=None,
@@ -520,7 +500,6 @@ def compile_network(net: NetworkDescription, demands=None,
     `demands` optionally maps source ids to rate weights; unweighted runs
     maximize the plain rate sum.
     """
-    _validate_network(net)
     n = len(net.sources) + len(net.edges)
     bit = {}
     for name in list(net.sources) + [e.ident for e in net.edges]:
@@ -642,9 +621,7 @@ def parse_network(text: str) -> NetworkDescription:
                                      tuple(parts[5].split(","))))
         else:
             raise ValueError(f"malformed network line: {ln!r}")
-    net = NetworkDescription(tuple(sources), tuple(edges), tuple(sinks))
-    _validate_network(net)
-    return net
+    return NetworkDescription(tuple(sources), tuple(edges), tuple(sinks))
 
 
 def format_bound_report(problem: BoundProblem, result: BoundResult, members=None) -> str:

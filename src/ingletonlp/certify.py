@@ -35,6 +35,7 @@ from .entspace import (
     MemberTable,
     Record,
     accumulate,
+    check_n,
     evaluate,
     format_quad,
     format_vector_pairs,
@@ -95,8 +96,6 @@ class _ConeSystem:
         if not gens:
             raise ValueError("need at least one generator")
         self.n = gens[0].n
-        if any(g.n != self.n for g in gens):
-            raise GroundSetError("generators disagree on the ground set")
         self.gens, self.keys = gens, [g.key() for g in gens]
         self.uses = Counter(m for g in gens for m in g.coeffs)  # generators per mask
         self.masks = sorted(self.uses)
@@ -276,18 +275,6 @@ def _quad_image(q, tab) -> tuple[int, int, int, int]:
     """The swap class (a1 <= a2, a3 <= a4) of quad q relabeled by tab."""
     a1, a2, a3, a4 = tab[q[0]], tab[q[1]], tab[q[2]], tab[q[3]]
     return (min(a1, a2), max(a1, a2), min(a3, a4), max(a3, a4))
-
-
-def _member_image(key: tuple, tab) -> tuple:
-    """The (kind, payload) key of member key's image under the relabeling tab."""
-    kind, payload = key
-    if kind == ingen.KIND_DELTA0:
-        return kind, ingen.delta0_payload(*[tab[m] for m in payload])
-    if ingen.shape(kind) == ingen.KIND_DELTA1:
-        i, j, mu = payload
-        a, b = sorted((tab[1 << (i - 1)].bit_length(), tab[1 << (j - 1)].bit_length()))
-        return kind, (a, b, tab[mu])
-    return kind, (tab[1 << (payload[0] - 1)].bit_length(),)
 
 
 def _relabel_point(h: EntropyVector, tab) -> EntropyVector:
@@ -487,7 +474,7 @@ def check_completeness(n: int, sample: int | None = None, seed: int = 0,
         certs = []
         for cls, (rep, pi) in sorted(canon.items()):
             cert = rep_cert[rep]  # relabeled forward: tables[pi] carries rep onto cls
-            fc = _certificate([at[_member_image(keys[g], tables[pi])] for g in cert.gen_ids],
+            fc = _certificate([at[ingen.member_image(keys[g], tables[pi])] for g in cert.gen_ids],
                               cert.coeffs)
             if verify_certificate(ingleton_expr(IngletonQuad(n, *cls)), exprs, fc):
                 certs.append((_quad_text(n, cls), fc))
@@ -531,7 +518,7 @@ def check_minimality(n: int, workers: int = 1, allow_large: bool = False,
     full.float_gens()  # once, before any worker forks: each member slices a row out
     labels = [(ci.kind, ci.payload_text()) for ci in delta]
     tables = _perm_tables(n)
-    onto = _orbits([(ci.kind, ci.payload) for ci in delta], _member_image, tables)
+    onto = _orbits([(ci.kind, ci.payload) for ci in delta], ingen.member_image, tables)
 
     def settle(k):
         return _settle(full.without(k), full.gens[k], "\t".join(labels[k]), witness_first=True)
@@ -565,6 +552,7 @@ def check_minimality(n: int, workers: int = 1, allow_large: bool = False,
 
 def find_ingleton_violator(n: int = 4) -> EntropyVector:
     """Exact point in the polymatroid cone with negative Ingleton value, h(N)=1."""
+    check_n(n)
     if n < 4:
         raise GroundSetError("every Ingleton inequality holds below four elements")
     base = _violator4()

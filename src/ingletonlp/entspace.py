@@ -421,15 +421,15 @@ def vector_from_text(text: str) -> EntropyVector:
 class Record:
     """Fields: the names in `__slots__`, after a base record's; `_defaults` holds the
     trailing ones' defaults, as in namedtuple.  `__init__` takes fields by position or
-    keyword, then runs `__post_init__`.  Fields named `_...` take no part in `==`, `hash`
-    or `repr`.  A record is frozen and hashable unless its class sets `_mutable`."""
+    keyword, then runs `__post_init__`.  Every field takes part in `==`, `hash`, `repr`
+    and pickling.  A record is frozen and hashable unless its class sets `_mutable`."""
 
     __slots__ = ()
     _fields, _defaults, _mutable = (), (), False
 
     def __init_subclass__(cls):
         cls._fields = cls._fields + cls.__dict__.get("__slots__", ())
-        cls._key = attrgetter(*(f for f in cls._fields if f[0] != "_"))  # built once, in C
+        cls._key = attrgetter(*cls._fields)  # built once, in C
         if cls._mutable:
             cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
             cls.__hash__ = None
@@ -457,7 +457,7 @@ class Record:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        shown = (f"{f}={getattr(self, f)!r}" for f in self._fields if f[0] != "_")
+        shown = (f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({', '.join(shown)})"
 
     def __setattr__(self, name, value=None):

@@ -15,11 +15,15 @@ again; the inequality-file parser checks every mask it reads and the
 shape of every payload (nonempty disjoint d's, a beta outside them; two
 distinct elements, a mu avoiding both; one element).
 
-A member is its (n, kind, payload), and its `expr` always equals
-`member_expr(n, kind, payload)`: the unit terms of `member_terms`, built
-into an expression on first read.  Those terms come from
+A member is exactly its (n, kind, payload), and its `expr` is
+`member_expr(n, kind, payload)`, built from the unit terms of
+`member_terms` on each read.  Those terms come from
 `entspace.ingleton_masks` and `entspace.mutinfo_terms`, the one spelling
-of each form.  File lines are rendered from those terms without building
+of each form.  This module is the one that knows a payload's layout:
+other modules use a member's (kind, payload) as an opaque key, and get
+from here a key's image under a relabeling (`member_image`) and the
+elemental keys whose forms sum to h(alpha) (`entropy_decomposition`).
+File lines are rendered from those terms without building
 any expression, a run at a time, by the one writer `_write_runs`: a Family
 hands it each block's runs straight from the enumerator, and a member list
 its runs regrouped.  Every subset text is read from the one memo
@@ -41,6 +45,7 @@ from .entspace import (
     _term_text,
     check_mask,
     check_n,
+    elements_of,
     full_mask,
     ingleton_expr,
     ingleton_masks,
@@ -128,23 +133,18 @@ def member_expr(n: int, kind: str, payload: tuple) -> LinExpr:
 
 
 class CanonicalInequality(Record):
-    """One >= 0 generator with its family tag and identifying payload.
+    """One >= 0 generator: its ground-set size, family tag and identifying payload.
 
-    `expr` is always `member_expr(n, kind, payload)`: it is built on first
-    read and kept, or given at once by the file parser, which checks it.
-    Equality and hashing read (n, kind, payload), which fix it.
+    These three fields are all it holds; `expr` builds
+    `member_expr(n, kind, payload)` afresh on each read, so a caller that
+    reads it more than once keeps the expression itself.
     """
 
-    __slots__ = ("n", "kind", "payload", "_expr")
-    _defaults = (None,)
+    __slots__ = ("n", "kind", "payload")
 
     @property
     def expr(self) -> LinExpr:
-        e = self._expr
-        if e is None:
-            e = member_expr(self.n, self.kind, self.payload)
-            object.__setattr__(self, "_expr", e)
-        return e
+        return member_expr(self.n, self.kind, self.payload)
 
     def payload_text(self) -> str:
         return payload_text(self.kind, self.payload)
@@ -307,6 +307,39 @@ def delta0_payload(d1: int, d2: int, d3: int, d4: int, beta: int) -> tuple[int, 
     if (d3 & -d3) > (d4 & -d4):
         d3, d4 = d4, d3
     return (d1, d2, d3, d4, beta)
+
+
+def member_image(key: tuple, tab) -> tuple:
+    """The (kind, payload) key of member key's image under the relabeling tab,
+    a list carrying each mask to its image."""
+    kind, payload = key
+    if kind == KIND_DELTA0:
+        return kind, delta0_payload(*[tab[m] for m in payload])
+    if shape(kind) == KIND_DELTA1:
+        i, j, mu = payload
+        a, b = sorted((tab[1 << (i - 1)].bit_length(), tab[1 << (j - 1)].bit_length()))
+        return kind, (a, b, tab[mu])
+    return kind, (tab[1 << (payload[0] - 1)].bit_length(),)
+
+
+def entropy_decomposition(n: int, alpha: int) -> list[tuple]:
+    """h(alpha) as a coefficient-1 sum of elemental forms, as (shape, payload) keys."""
+    keys: list[tuple] = []
+    elems = elements_of(alpha)
+    for pos, a in enumerate(elems):
+        beta = 0
+        for b in elems[pos + 1:]:
+            beta |= 1 << (b - 1)
+        cur = beta
+        for j in range(1, n + 1):
+            bj = 1 << (j - 1)
+            if j == a or cur & bj:
+                continue
+            lo, hi = (a, j) if a < j else (j, a)
+            keys.append((KIND_DELTA1, (lo, hi, cur)))
+            cur |= bj
+        keys.append((KIND_DELTA2, (a,)))
+    return keys
 
 
 CLASS_TRIVIAL = "Trivial"
@@ -511,10 +544,9 @@ def inequalities_from_text(text: str) -> tuple[int, list[CanonicalInequality]]:
             raise ValueError(f"expected kind, payload and expression, tab-separated: {ln!r}")
         kind, payload_text, expr_text = fields
         payload = _parse_payload(kind, payload_text, n)
-        expr = parse_expr(expr_text, n)
-        if expr != member_expr(n, kind, payload):
+        if parse_expr(expr_text, n) != member_expr(n, kind, payload):
             raise ValueError(f"expression does not match its payload: {ln!r}")
-        out.append(CanonicalInequality(n, kind, payload, expr))
+        out.append(CanonicalInequality(n, kind, payload))
     if len(out) != count:
         raise ValueError(f"header says count={count}, found {len(out)} lines")
     return n, out

@@ -428,6 +428,22 @@ sink t1 wants s1 sees e1
             bound.parse_network(text)
 
 
+def test_a_network_checks_itself_when_built():
+    # the checks run in NetworkDescription, so a network built without the
+    # parser is refused at construction, before anything compiles it
+    edge, sink = bound.NetworkEdge, bound.NetworkSink
+    for edges, sinks, message in (
+            ((edge("a", ("s1", "b"), Fraction(1)), edge("b", ("a",), Fraction(1))),
+             (sink("t1", ("s1",), ("b",)),), "cycle through edge a"),
+            ((edge("e1", ("s0",), Fraction(1)),), (sink("t1", ("s1",), ("e1",)),),
+             "edge e1 references unknown id s0"),
+            ((edge("e1", ("s1",), Fraction(1)),), (sink("t1", ("s1",), ("e9",)),),
+             "sink t1 sees unknown id e9"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            bound.NetworkDescription(("s1",), edges, sinks)
+
+
 def test_single_edge_network_rate():
     net = bound.parse_network("""
 source s1
@@ -656,6 +672,18 @@ def test_gamma_in_is_gamma_cut_by_every_ingleton_form(n):
     # at n=4 Gamma alone lets -J go positive, so the forms do the cutting
     if n == 4:
         assert bound.solve_bound(bound.BoundProblem(n, bound.CONE_GAMMA, "max", classic, top)).value > 0
+
+
+def test_delta_solves_the_bound_over_fewer_columns_than_every_ingleton_form():
+    # tests/effort.py at n=4 (README gives n=5): max -J({1},{2},{3},{4}) with
+    # h(N) <= 1 takes one value over both cones, and Delta's last exact solve
+    # runs over fewer columns than that of Gamma plus the 1,328 forms
+    from effort import measure
+    sides = measure(4)
+    assert sides["delta"].value == sides["forms"].value == 0
+    assert (sides["delta"].members, sides["forms"].members) == (34, 28 + 1328)
+    assert sides["delta"].columns < sides["forms"].columns
+    assert bound.solve_standard is simplex.solve_standard
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -22,6 +22,7 @@ from ingletonlp.entspace import (
     GroundSetError,
     IngletonQuad,
     LinExpr,
+    MAX_N,
     MemberTable,
     evaluate,
     ingleton_expr,
@@ -90,6 +91,12 @@ def test_verify_certificate_checks_the_ground_set():
     with pytest.raises(GroundSetError):
         certify.verify_certificate(LinExpr(3, {1: 1}), [LinExpr(4, {1: 1})],
                                    certify.FarkasCertificate((0,), (Fraction(1),)))
+
+
+def test_a_decision_refuses_generators_over_two_ground_sets():
+    # the MemberTable a cone system packs makes the one ground-set check
+    with pytest.raises(GroundSetError, match="disagree on the ground set"):
+        certify.decide_implication(LinExpr(3, {1: 1}), [LinExpr(3, {1: 1}), LinExpr(4, {1: 1})])
 
 
 def test_separation_witness_when_not_implied():
@@ -540,6 +547,15 @@ def test_violator_below_four_elements_is_impossible():
         certify.find_ingleton_violator(3)
 
 
+def test_violator_checks_n_before_building_anything(monkeypatch):
+    # past MAX_N neither the n=4 solve nor the 2^n - 1 padded values are built
+    def solve():
+        raise RuntimeError("the n=4 point was solved before n was checked")
+    monkeypatch.setattr(certify, "_violator4", solve)
+    with pytest.raises(GroundSetError):
+        certify.find_ingleton_violator(MAX_N + 1)
+
+
 def test_violator_scales_with_ground_set():
     v4 = certify.find_ingleton_violator(4)
     assert v4.n == 4 and v4[0b1111] == 1
@@ -655,7 +671,7 @@ def _members_by_payload(n):
 @given(st.data())
 def test_relabeling_carries_members_and_their_values(data):
     # pi.g and pi.h are built here from the relabeled masks: pi.g is the member
-    # at the key _member_image((g.kind, g.payload), pi), and pi.g at pi.h is g at h
+    # at the key ingen.member_image((g.kind, g.payload), pi), and pi.g at pi.h is g at h
     n = data.draw(st.integers(3, 5))
     perm = data.draw(st.permutations(range(n)))
     members = _members_by_payload(n)
@@ -666,7 +682,7 @@ def test_relabeling_carries_members_and_their_values(data):
     tab = [sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in range(2 ** n)]
     moved = LinExpr(n, {tab[m]: c for m, c in g.expr.coeffs.items()})
     moved_h = EntropyVector.from_dict(n, {tab[m]: v for m, v in h.items()})
-    assert members[certify._member_image((g.kind, g.payload), tab)].expr == moved
+    assert members[ingen.member_image((g.kind, g.payload), tab)].expr == moved
     assert evaluate(moved, moved_h) == evaluate(g.expr, h)
     assert certify._relabel_point(h, tab) == moved_h
 
@@ -733,7 +749,7 @@ def test_member_orbits_match_a_brute_force_walk(n):
     want = [(min(images[k]), [pi for pi, image in enumerate(images[min(images[k])])
                               if image == k]) for k in range(len(delta))]
     keys = [(ci.kind, ci.payload) for ci in delta]
-    assert certify._orbits(keys, certify._member_image, tables) == want
+    assert certify._orbits(keys, ingen.member_image, tables) == want
 
 
 def test_bound_verify_evaluates_through_bound_evaluate(monkeypatch):

@@ -17,6 +17,7 @@ from ingletonlp.entspace import (
     MAX_N,
     MIN_N,
     MemberTable,
+    Record,
     accumulate,
     check_mask,
     check_n,
@@ -580,8 +581,13 @@ def test_record_reprs_read_as_dataclass_reprs():
         "BoundResult(status='infeasible', value=None, primal=None, dual=None, "
         "farkas=InfeasibilityCertificate(user=(Fraction(-1, 1),), cone=()), ray=None)")
     ci = ingen.gen_delta2(3)[0]
-    ci.expr  # a member's expression is left out of its repr, read or not
+    ci.expr  # reading a member's expression leaves nothing behind to show
     assert repr(ci) == "CanonicalInequality(n=3, kind='Delta2', payload=(1,))"
+
+    class Probe(Record):  # no field is left out, whatever its name
+        __slots__ = ("a", "_b")
+    assert repr(Probe(1, 2)).endswith(".Probe(a=1, _b=2)")
+    assert Probe(1, 2) != Probe(1, 3) and hash(Probe(1, 2)) == hash((1, 2))
     warm = simplex.solve_standard([[1, 1]], [1], [-1, 0]).warm
     assert repr(warm).startswith("<ingletonlp.simplex._Restart object at ")
 

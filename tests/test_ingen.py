@@ -500,11 +500,14 @@ def test_forms_match_values_read_off_random_points(n):
             assert evaluate(ci.expr, h) == want
 
 
-def test_member_expression_is_built_once_on_first_read():
-    ci = ingen.gen_delta(4)[0]
-    first = ci.expr
-    assert ci.expr is first
-    assert first == ingen.member_expr(4, ci.kind, ci.payload)
+def test_a_member_whose_expression_was_read_matches_a_fresh_one():
+    # a member holds its three fields alone and builds expr on each read, so
+    # reading it changes neither equality, hash, repr nor the pickled bytes
+    read, fresh = ingen.gen_delta(4)[0], ingen.gen_delta(4)[0]
+    assert read.expr == ingen.member_expr(4, read.kind, read.payload)
+    assert ingen.CanonicalInequality.__slots__ == ("n", "kind", "payload")
+    assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+    assert pickle.dumps(read) == pickle.dumps(fresh)
 
 
 def test_parsed_and_generated_members_compare_and_hash_alike():

@@ -52,16 +52,74 @@ def test_one_accumulator_and_one_permutation_walk():
     assert "_combine" in defined and "_bump" not in defined
     assert len(_calls(trees["certify.py"], "permutations")) == 1
     # the completeness scan's certificates and the drop-one orbit walk both
-    # relabel members through _member_image
+    # relabel members through ingen.member_image
     sites = _CallSites("delta0_payload")
-    sites.visit(trees["certify.py"])
-    assert sites.sites == ["_member_image"]
+    sites.visit(trees["ingen.py"])
+    assert sorted(sites.sites) == ["classify_quad", "member_image"]
     # one orbit walk serves the quad scans and the drop-one scan
     assert not {"_canonical_quad", "_delta_id_maps", "_delta_orbits"} & defined
     assert [name for name, fn in _defined(trees) if fn == "_orbits"] == ["certify.py"]
     walks = _CallSites("_orbits")
     walks.visit(trees["certify.py"])
     assert sorted(walks.sites) == ["_choose_quads", "check_minimality"]
+
+
+_PAYLOAD_LAYOUT = {"delta0_payload", "KIND_DELTA1", "KIND_DELTA2"}
+
+
+def _payload_reads(tree):
+    """Every subscript of, or tuple unpacking from, a name or attribute called payload."""
+    def is_payload(node):
+        return getattr(node, "attr", getattr(node, "id", None)) == "payload"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and is_payload(node.value) or (
+                isinstance(node, ast.Assign) and is_payload(node.value)
+                and any(isinstance(t, (ast.Tuple, ast.List)) for t in node.targets)):
+            yield ast.unparse(node)
+
+
+def test_only_ingen_knows_a_payload_layout():
+    # certify and bound take a member's (kind, payload) as an opaque key:
+    # they neither unpack a payload nor build one, and ask ingen for a key's
+    # relabeled image and for the elemental keys summing to h(alpha)
+    trees = _trees()
+    for name in ("certify.py", "bound.py"):
+        used = {node.attr if isinstance(node, ast.Attribute) else node.id
+                for node in ast.walk(trees[name]) if isinstance(node, (ast.Attribute, ast.Name))}
+        assert not _PAYLOAD_LAYOUT & used, name
+        assert list(_payload_reads(trees[name])) == [], name
+    defined = _defined(trees)
+    for fn in ("member_image", "entropy_decomposition", "member_terms", "_parse_payload"):
+        assert [name for name, f in defined if f == fn] == ["ingen.py"], fn
+    from ingletonlp.ingen import CanonicalInequality
+    assert CanonicalInequality.__slots__ == ("n", "kind", "payload")
+
+
+_NETWORK_CHECKS = ("duplicate source/edge id", "duplicate sink id", "has no inputs",
+                   "negative capacity", "references unknown id", "sees unknown id",
+                   "demands non-source id", "cycle through edge", "cannot reach demanded")
+
+
+def test_networks_and_cone_systems_are_checked_once():
+    # NetworkDescription checks itself once built, as BoundProblem and
+    # IngletonQuad do, so neither the parser nor the compiler checks a network
+    trees = _trees()
+    tree = trees["bound.py"]
+    network = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "NetworkDescription")
+    inside = {id(node) for node in ast.walk(network)}
+    messages = [node for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                and isinstance(node.value, str) and any(m in node.value for m in _NETWORK_CHECKS)]
+    assert len(messages) == len(_NETWORK_CHECKS)
+    assert all(id(node) in inside for node in messages)
+    assert _calls(_function(network, "__post_init__"), "check_n")
+    for fn in ("parse_network", "compile_network"):
+        assert not _calls(_function(tree, fn), "check_n"), fn
+    # a cone system leaves its ground-set check to the MemberTable it builds
+    system = next(node for node in trees["certify.py"].body
+                  if isinstance(node, ast.ClassDef) and node.name == "_ConeSystem")
+    init = _function(system, "__init__")
+    assert _calls(init, "MemberTable") and not _calls(init, "GroundSetError")
 
 
 def test_one_exact_matrix_builder_and_one_exact_solve_per_module():
